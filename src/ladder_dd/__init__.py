@@ -6,116 +6,4 @@ filter functions against an Ohmic bath, and validates the whole analytic
 chain with a brute-force truncated-Fock evolution.
 """
 
-from .operators import (
-    DecouplingGroup,
-    DecouplingReport,
-    build_decoupling_group,
-    group_average,
-    is_unitary,
-    sigma_x,
-    sigma_z,
-    verify_decoupling,
-    x_pulse,
-)
-from .schedules import (
-    PulseSchedule,
-    ScheduleSpec,
-    Scheme,
-    build_schedule,
-    fractions_text,
-    make_schedule,
-    parse_fractions_text,
-    pdd_fractions,
-    pulse_count,
-    udd_fractions,
-)
-from .kernel import (
-    BathSpec,
-    CoherenceCurve,
-    ConvergenceError,
-    DecayExponents,
-    FilterEvaluation,
-    coherence_ratio,
-    decay_exponents,
-    decay_integrand,
-    exponent_filter,
-    exponent_for_transition,
-    filter_evaluation,
-    filter_positions_for_exponent,
-    ohmic_density,
-    position_filter,
-    segment_kernel,
-    sweep_curve,
-    transition_for_exponent,
-)
-from .fock_oracle import (
-    JointState,
-    ModeSpec,
-    TruncationError,
-    discrete_decay_exponent,
-    evolve_pulsed,
-    free_decay_baseline,
-    min_fock_dim,
-    superposition_state,
-    thermal_state,
-)
-from .calibration import (
-    CalibrationCase,
-    CalibrationResult,
-    default_calibration_cases,
-    run_calibration_suite,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BathSpec",
-    "CalibrationCase",
-    "CalibrationResult",
-    "CoherenceCurve",
-    "ConvergenceError",
-    "DecayExponents",
-    "DecouplingGroup",
-    "DecouplingReport",
-    "FilterEvaluation",
-    "JointState",
-    "ModeSpec",
-    "PulseSchedule",
-    "ScheduleSpec",
-    "Scheme",
-    "TruncationError",
-    "build_decoupling_group",
-    "build_schedule",
-    "coherence_ratio",
-    "decay_exponents",
-    "decay_integrand",
-    "default_calibration_cases",
-    "discrete_decay_exponent",
-    "evolve_pulsed",
-    "exponent_filter",
-    "exponent_for_transition",
-    "filter_evaluation",
-    "filter_positions_for_exponent",
-    "fractions_text",
-    "free_decay_baseline",
-    "group_average",
-    "is_unitary",
-    "make_schedule",
-    "min_fock_dim",
-    "ohmic_density",
-    "parse_fractions_text",
-    "pdd_fractions",
-    "position_filter",
-    "pulse_count",
-    "run_calibration_suite",
-    "segment_kernel",
-    "sigma_x",
-    "sigma_z",
-    "superposition_state",
-    "sweep_curve",
-    "thermal_state",
-    "transition_for_exponent",
-    "udd_fractions",
-    "verify_decoupling",
-    "x_pulse",
-]

@@ -19,11 +19,6 @@ from .fock_oracle import (
     evolve_pulsed,
     superposition_state,
 )
-from .kernel import (
-    exponent_for_transition,
-    filter_positions_for_exponent,
-    position_filter,
-)
 from .operators import build_decoupling_group
 from .schedules import Scheme, make_schedule
 
@@ -98,42 +93,25 @@ def default_calibration_cases() -> tuple[CalibrationCase, ...]:
     )
 
 
-def _miswired_exponent(modes, temperature, schedule, n) -> float:
-    # Negative control: flips the sign of the upper neighbour in every filter
-    # combination, emulating a wrong toggling-sign convention.
-    total = 0.0
-    for mode in modes:
-        m = exponent_for_transition(n, mode.transition)
-        lo, mid, hi = filter_positions_for_exponent(n, m)
-        chi = (
-            position_filter(lo, mode.omega, schedule)
-            - 2.0 * position_filter(mid, mode.omega, schedule)
-            - position_filter(hi, mode.omega, schedule)
-        )
-        coth = 1.0 / math.tanh(mode.omega / (2.0 * temperature))
-        total += 0.5 * abs(mode.coupling) ** 2 * abs(chi) ** 2 * coth
-    return total
-
-
 def run_case(
     case: CalibrationCase,
     tol: float = CALIBRATION_TOL,
-    method: str = "exact",
     wrong_sign: bool = False,
 ) -> CalibrationResult:
+    """Evolve one case exactly and compare with the predicted coherence ratio.
+
+    ``wrong_sign`` predicts with the miswired filters (negative control).
+    """
     schedule = make_schedule(case.scheme, case.n, case.cycles, case.total_time)
     group = build_decoupling_group(case.n)
     atom = superposition_state(case.n)
-    final = evolve_pulsed(
-        case.n, case.modes, schedule, group, atom, case.temperature, method=method
-    )
+    final = evolve_pulsed(case.n, case.modes, schedule, group, atom, case.temperature)
     start = complex(atom[0, 1])
     end = final.coherence()
     observed = abs(end) / abs(start)
-    if wrong_sign:
-        exponent = _miswired_exponent(case.modes, case.temperature, schedule, case.n)
-    else:
-        exponent = discrete_decay_exponent(case.modes, case.temperature, schedule, case.n)
+    exponent = discrete_decay_exponent(
+        case.modes, case.temperature, schedule, case.n, wrong_sign=wrong_sign
+    )
     predicted = math.exp(-exponent)
     rel_error = abs(observed - predicted) / predicted
     return CalibrationResult(
@@ -151,9 +129,8 @@ def run_case(
 def run_calibration_suite(
     cases: tuple[CalibrationCase, ...] | None = None,
     tol: float = CALIBRATION_TOL,
-    method: str = "exact",
     wrong_sign: bool = False,
 ) -> list[CalibrationResult]:
     if cases is None:
         cases = default_calibration_cases()
-    return [run_case(case, tol=tol, method=method, wrong_sign=wrong_sign) for case in cases]
+    return [run_case(case, tol=tol, wrong_sign=wrong_sign) for case in cases]

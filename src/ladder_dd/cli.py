@@ -108,17 +108,14 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
+def _bath(config: RunConfig) -> BathSpec:
+    return BathSpec(alpha=config.alpha, cutoff=config.cutoff, temperature=config.temperature)
+
+
 def _validate_config(config: RunConfig) -> RunConfig:
-    if config.n < 2:
-        raise ValueError(f"n must be >= 2, got {config.n}")
-    if config.cycles < 1:
-        raise ValueError(f"cycles must be >= 1, got {config.cycles}")
-    if config.alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {config.alpha}")
-    if not config.temperature > 0:
-        raise ValueError(f"temperature must be > 0, got {config.temperature}")
-    if not config.cutoff > 0:
-        raise ValueError(f"cutoff must be > 0, got {config.cutoff}")
+    # atom and bath fields are checked by the specs they feed
+    pulse_count(config.n, config.cycles)
+    _bath(config)
     if config.scheme not in {"pdd", "udd", "custom", "both"}:
         raise ValueError(
             f"scheme must be one of pdd/udd/custom/both, got {config.scheme!r}"
@@ -184,9 +181,7 @@ def _format_row(values: list[float]) -> str:
 
 
 def _curve_csv(config: RunConfig, workers: int) -> str:
-    bath = BathSpec(
-        alpha=config.alpha, cutoff=config.cutoff, temperature=config.temperature
-    )
+    bath = _bath(config)
     grid = np.linspace(config.resolved_t_min(), config.t_max, config.t_points)
     zero_head = grid.size > 0 and grid[0] == 0.0
     positive = grid[1:] if zero_head else grid

@@ -27,7 +27,7 @@ from functools import reduce
 import numpy as np
 from scipy.linalg import expm
 
-from .kernel import ConvergenceError, exponent_filter, exponent_for_transition
+from .kernel import ConvergenceError, exponent_filters, exponent_for_transition
 from .operators import DecouplingGroup, sigma_z
 from .schedules import PulseSchedule
 
@@ -325,18 +325,19 @@ def evolve_pulsed(
 
 
 def discrete_decay_exponent(
-    modes, temperature: float, schedule: PulseSchedule, n: int
+    modes, temperature: float, schedule: PulseSchedule, n: int, wrong_sign: bool = False
 ) -> float:
     """Total predicted exponent sum_k (1/2)|j_k chi(w_k)|^2 coth(w_k/(2 Tp)).
 
     Each mode contributes through the exponent filter of its own transition;
     this is the discrete-bath counterpart of the continuum integral and the
-    quantity the Fock evolution must reproduce.
+    quantity the Fock evolution must reproduce.  ``wrong_sign`` selects the
+    miswired filters of exponent_filters (negative control).
     """
+    filters = exponent_filters([mode.omega for mode in modes], schedule, wrong_sign)
     total = 0.0
-    for mode in modes:
-        m = exponent_for_transition(n, mode.transition)
-        chi = exponent_filter(m, mode.omega, schedule)
+    for mode, chis in zip(modes, filters):
+        chi = chis[exponent_for_transition(n, mode.transition) - 1]
         coth = 1.0 / math.tanh(mode.omega / (2.0 * temperature))
         total += 0.5 * abs(mode.coupling) ** 2 * abs(chi) ** 2 * coth
     return total
@@ -348,8 +349,6 @@ def free_decay_baseline(
     temperature: float,
     n: int,
     atom_state: np.ndarray | None = None,
-    method: str = "exact",
-    substeps: int = 256,
     dim_cap: int = DIM_CAP,
 ) -> float:
     """Unpulsed decay exponent -ln|rho01(T)/rho01(0)|: one segment, no pulses."""
@@ -359,7 +358,6 @@ def free_decay_baseline(
     if not total_time >= 0:
         raise ValueError(f"total_time must be >= 0, got {total_time}")
     steps = [(0.0, float(total_time), None)]
-    final = _run_sequence(n, modes, steps, atom_state, temperature,
-                          "exact" if method == "exact" else "substeps", substeps)
+    final = _run_sequence(n, modes, steps, atom_state, temperature, "exact", 0)
     start = abs(np.asarray(atom_state)[0, 1])
     return -math.log(abs(final.coherence()) / start)

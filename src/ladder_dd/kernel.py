@@ -47,6 +47,14 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)
 # Cap on elements per exp() batch inside the filter evaluation (memory bound).
 _CHUNK_ELEMS = 2**21
 
+# Fewest panels a quadrature starts from, whatever the filter oscillation count.
+_MIN_PANELS = 8
+
+# Exponents whose successive estimates both sit below this count as converged
+# zeros: such a value shifts the coherence ratio by less than double precision,
+# and below that scale the integrand is round-off rather than signal.
+_ZERO_FLOOR = 1e-15
+
 
 class ConvergenceError(RuntimeError):
     """Quadrature refinement exhausted without meeting the error target."""
@@ -59,26 +67,24 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class BathSpec:
-    """Ohmic bath: coupling strength, cutoff and temperature (hbar = k_B = 1).
-
-    ``r`` is the spectral exponent and is fixed at 1; it is stored so a bath
-    specification is self-describing.
-    """
+    """Ohmic bath (spectral exponent 1): coupling strength, cutoff and
+    temperature (hbar = k_B = 1)."""
 
     alpha: float
     cutoff: float
     temperature: float
-    r: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "cutoff", "temperature"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if not self.cutoff > 0:
             raise ValueError(f"cutoff must be > 0, got {self.cutoff}")
         if not self.temperature > 0:
             raise ValueError(f"temperature must be > 0, got {self.temperature}")
-        if self.r != 1:
-            raise ValueError(f"only the Ohmic exponent r=1 is supported, got {self.r}")
 
 
 def ohmic_density(omega, bath: BathSpec):
@@ -115,14 +121,11 @@ def transition_for_exponent(n: int, m: int) -> int:
 
 
 def exponent_for_transition(n: int, k: int) -> int:
-    """Decay exponent index (1-based) fed by modes on transition k."""
+    """Decay exponent index (1-based) fed by modes on transition k; the inverse
+    of transition_for_exponent."""
     if not 0 <= k <= n - 2:
         raise IndexError(f"transition index k={k} out of range for n={n}")
-    if k == 0:
-        return 1
-    if k == 1:
-        return 2
-    return n + 1 - k
+    return next(m for m in range(1, n) if transition_for_exponent(n, m) == k)
 
 
 def filter_positions_for_exponent(n: int, m: int) -> tuple[int, int, int]:
@@ -135,7 +138,7 @@ def filter_positions_for_exponent(n: int, m: int) -> tuple[int, int, int]:
     return (k - 1) % n + 1, k % n + 1, (k + 1) % n + 1
 
 
-def _position_filter_grid(omegas: np.ndarray, schedule: PulseSchedule) -> np.ndarray:
+def position_filters(omegas, schedule: PulseSchedule) -> np.ndarray:
     """eta_l(w) for all slots at once: (K, n) complex for K frequencies.
 
     Each eta_l is the phase-weighted sum of segment windows, which telescopes
@@ -145,7 +148,7 @@ def _position_filter_grid(omegas: np.ndarray, schedule: PulseSchedule) -> np.nda
 
     The w = 0 entries use the limit -i * sum_j dt_j(l).
     """
-    omegas = np.asarray(omegas, dtype=float)
+    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     boundaries = schedule.boundaries
     n, cycles = schedule.n, schedule.cycles
     k_total = omegas.shape[0]
@@ -164,42 +167,26 @@ def _position_filter_grid(omegas: np.ndarray, schedule: PulseSchedule) -> np.nda
         if zero.any():
             block[zero, :] = zero_limit[None, :]
         out[start : start + chunk] = block
+        # free this chunk's phasors before the next chunk allocates its own, so
+        # the peak holds one chunk's arrays, not two
+        del edge, diffs
     return out
 
 
-def position_filter(position: int, omega: float, schedule: PulseSchedule) -> complex:
-    """eta_l: response of intra-cycle segment slot l accumulated over cycles."""
+def exponent_filters(omegas, schedule: PulseSchedule, wrong_sign: bool = False) -> np.ndarray:
+    """chi_m(w) for m = 1..n-1 at once: (K, n-1) complex for K frequencies.
+
+    Column m-1 is eta_lower - 2*eta_centre + eta_upper over the slot triple
+    of filter_positions_for_exponent.  ``wrong_sign`` subtracts the upper
+    neighbour instead, emulating a wrong toggling-sign convention; it exists
+    as the oracle's negative control.
+    """
     n = schedule.n
-    if not 1 <= position <= n:
-        raise IndexError(f"slot index l={position} out of range for n={n} (need 1..n)")
-    grid = _position_filter_grid(np.atleast_1d(float(omega)), schedule)
-    return complex(grid[0, position - 1])
-
-
-def exponent_filter(m: int, omega: float, schedule: PulseSchedule) -> complex:
-    """chi_m: filter amplitude entering decay exponent m at frequency omega."""
-    lo, mid, hi = filter_positions_for_exponent(schedule.n, m)
-    grid = _position_filter_grid(np.atleast_1d(float(omega)), schedule)[0]
-    return complex(grid[lo - 1] - 2.0 * grid[mid - 1] + grid[hi - 1])
-
-
-@dataclass(frozen=True)
-class FilterEvaluation:
-    """All position and exponent filters of a schedule at one frequency."""
-
-    omega: float
-    position_filters: np.ndarray  # eta_1..eta_n
-    exponent_filters: np.ndarray  # chi_1..chi_{n-1}
-
-
-def filter_evaluation(omega: float, schedule: PulseSchedule) -> FilterEvaluation:
-    n = schedule.n
-    eta = _position_filter_grid(np.atleast_1d(float(omega)), schedule)[0]
-    chi = np.empty(n - 1, dtype=complex)
-    for m in range(1, n):
-        lo, mid, hi = filter_positions_for_exponent(n, m)
-        chi[m - 1] = eta[lo - 1] - 2.0 * eta[mid - 1] + eta[hi - 1]
-    return FilterEvaluation(omega=float(omega), position_filters=eta, exponent_filters=chi)
+    eta = position_filters(omegas, schedule)
+    slots = np.array([filter_positions_for_exponent(n, m) for m in range(1, n)]) - 1
+    lo, mid, hi = slots.T
+    upper = -eta[:, hi] if wrong_sign else eta[:, hi]
+    return eta[:, lo] - 2.0 * eta[:, mid] + upper
 
 
 def _thermal_weight(omegas: np.ndarray, bath: BathSpec) -> np.ndarray:
@@ -208,9 +195,7 @@ def _thermal_weight(omegas: np.ndarray, bath: BathSpec) -> np.ndarray:
     zero = omegas == 0.0
     nz = ~zero
     w = omegas[nz]
-    out[nz] = 0.5 * (bath.alpha / 4.0) * w * np.exp(-w / bath.cutoff) / np.tanh(
-        w / (2.0 * bath.temperature)
-    )
+    out[nz] = 0.5 * ohmic_density(w, bath) / np.tanh(w / (2.0 * bath.temperature))
     out[zero] = bath.alpha * bath.temperature / 4.0
     return out
 
@@ -218,15 +203,10 @@ def _thermal_weight(omegas: np.ndarray, bath: BathSpec) -> np.ndarray:
 def decay_integrand(omegas, schedule: PulseSchedule, bath: BathSpec) -> np.ndarray:
     """Rows (1/2) I(w) coth(w/(2 Tp)) |chi_m(w)|^2 for m = 1..n-1, shape (n-1, K)."""
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    n = schedule.n
-    eta = _position_filter_grid(omegas, schedule)
-    weight = _thermal_weight(omegas, bath)
-    rows = np.empty((n - 1, omegas.size), dtype=float)
-    for m in range(1, n):
-        lo, mid, hi = filter_positions_for_exponent(n, m)
-        chi = eta[:, lo - 1] - 2.0 * eta[:, mid - 1] + eta[:, hi - 1]
-        rows[m - 1] = weight * (chi.real**2 + chi.imag**2)
-    return rows
+    chi = exponent_filters(omegas, schedule)
+    # C-ordered rows keep _panel_integral's row sums in their summation order
+    power = np.ascontiguousarray((chi.real**2 + chi.imag**2).T)
+    return _thermal_weight(omegas, bath) * power
 
 
 @dataclass(frozen=True)
@@ -249,11 +229,14 @@ def _panel_integral(schedule: PulseSchedule, bath: BathSpec, panels: int) -> np.
     return np.sum(rows * weights[None, :], axis=1)
 
 
-def _max_rel_change(prev: np.ndarray, curr: np.ndarray, zero_floor: float) -> float:
+def _max_rel_change(prev: np.ndarray, curr: np.ndarray) -> float:
+    """Largest relative change between two estimates; inf if either is not finite."""
+    if not (np.isfinite(prev).all() and np.isfinite(curr).all()):
+        return math.inf
     err = 0.0
     for p, c in zip(prev, curr):
         scale = max(abs(c), abs(p))
-        if scale <= zero_floor:
+        if scale <= _ZERO_FLOOR:
             continue
         err = max(err, abs(c - p) / scale)
     return err
@@ -263,10 +246,8 @@ def decay_exponents(
     schedule: PulseSchedule,
     bath: BathSpec,
     rel_tol: float = 1e-6,
-    initial_panels: int | None = None,
     max_doublings: int = 12,
     extra_levels: int = 0,
-    zero_floor: float = 1e-15,
 ) -> DecayExponents:
     """Integrate every decay exponent over [0, cutoff] to a relative target.
 
@@ -274,28 +255,24 @@ def decay_exponents(
     and double until successive estimates of every Gamma_m agree within
     ``rel_tol``; ``extra_levels`` forces further doublings after convergence
     (used to probe quadrature stability).  Exponents whose successive
-    estimates both sit below ``zero_floor`` count as converged zeros: such a
-    value shifts the coherence ratio by less than double precision, and below
-    that scale the integrand is round-off rather than signal.  Raises
-    ConvergenceError, carrying the last two estimate vectors, if the target
-    is never met.
+    estimates both sit below ``_ZERO_FLOOR`` count as converged zeros; a
+    non-finite estimate never counts as converged.  Raises ConvergenceError,
+    carrying the last two estimate vectors, if the target is never met.
     """
-    if initial_panels is None:
-        oscillations = bath.cutoff * schedule.total_time / (2.0 * math.pi)
-        initial_panels = max(8, math.ceil(oscillations / 2.0))
-    panels = initial_panels
+    oscillations = bath.cutoff * schedule.total_time / (2.0 * math.pi)
+    panels = max(_MIN_PANELS, math.ceil(oscillations / 2.0))
     prev = curr = _panel_integral(schedule, bath, panels)
     for _ in range(max_doublings):
         panels *= 2
         curr = _panel_integral(schedule, bath, panels)
-        if _max_rel_change(prev, curr, zero_floor) <= rel_tol:
+        if _max_rel_change(prev, curr) <= rel_tol:
             for _ in range(extra_levels):
                 panels *= 2
                 prev, curr = curr, _panel_integral(schedule, bath, panels)
             return DecayExponents(
                 gamma=curr,
                 quadrature_points=panels * GL_ORDER,
-                estimated_relative_error=_max_rel_change(prev, curr, zero_floor),
+                estimated_relative_error=_max_rel_change(prev, curr),
             )
         prev = curr
     raise ConvergenceError(
@@ -325,10 +302,6 @@ class CoherenceCurve:
     times: np.ndarray
     values: np.ndarray
 
-    @property
-    def samples(self) -> list[tuple[float, float]]:
-        return list(zip(self.times.tolist(), self.values.tolist()))
-
 
 def sweep_curve(
     template: ScheduleSpec,
@@ -344,6 +317,8 @@ def sweep_curve(
     with ``workers`` > 1 they are evaluated by a thread pool, and results are
     assembled in grid order so the output never depends on the worker count.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise ValueError("time grid must be a non-empty 1-D array")

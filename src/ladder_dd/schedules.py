@@ -85,16 +85,13 @@ class ScheduleSpec:
     custom_fractions: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"atom dimension must be >= 2, got n={self.n}")
-        if self.cycles < 1:
-            raise ValueError(f"cycle count must be >= 1, got cycles={self.cycles}")
-        if not self.total_time > 0:
-            raise ValueError(f"total time must be > 0, got {self.total_time}")
+        count = pulse_count(self.n, self.cycles)
+        if not (math.isfinite(self.total_time) and self.total_time > 0):
+            raise ValueError(f"total time must be finite and > 0, got {self.total_time}")
         if self.scheme is Scheme.CUSTOM:
             if self.custom_fractions is None:
                 raise ValueError("custom scheme requires an explicit fraction list")
-            _validate_custom(self.custom_fractions, pulse_count(self.n, self.cycles))
+            _validate_custom(self.custom_fractions, count)
         elif self.custom_fractions is not None:
             raise ValueError(f"scheme {self.scheme.value} does not take custom fractions")
 

@@ -13,6 +13,7 @@ The oracle test at the bottom replays the reference schedule (n=6, N=50) in
 Fock space on both sides of the flip.  See the README for the full account.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from ladder_dd.calibration import (
     run_case,
 )
 from ladder_dd.cli import DEFAULT_T_MAX, EXIT_OK, main
-from ladder_dd.fock_oracle import ModeSpec
+from ladder_dd.fock_oracle import ModeSpec, discrete_decay_exponent
 from ladder_dd.kernel import (
     BathSpec,
     coherence_ratio,
@@ -262,3 +263,19 @@ def test_reference_schedule_oracle():
                 < exponents[Scheme.PDD, 1.5, transition])
         assert (exponents[Scheme.UDD, 2.5, transition]
                 > exponents[Scheme.PDD, 2.5, transition])
+
+    # modes on transitions 2 and 3 at different strengths: only under UDD past
+    # the flip does feeding transition 2 through exponent 3 (the k + 1 slip)
+    # instead of exponent 5 (n + 1 - k) move the prediction past the tolerance
+    modes = (ModeSpec(transition=2, omega=95.0, coupling=2.0, fock_dim=6),
+             ModeSpec(transition=3, omega=95.0, coupling=1.2, fock_dim=6))
+    case = CalibrationCase(name="n6-udd-T2.5-k2-k3", n=6, cycles=50, scheme=Scheme.UDD,
+                           total_time=2.5, temperature=20.0, modes=modes)
+    result = run_case(case)
+    assert result.passed, result.rel_error
+    schedule = make_schedule(case.scheme, case.n, case.cycles, case.total_time)
+    relabelled = (dataclasses.replace(modes[0], transition=4), modes[1])
+    predicted = math.exp(-discrete_decay_exponent(relabelled, case.temperature, schedule, 6))
+    miss = abs(result.observed_ratio - predicted) / predicted
+    print(f"  case {case.name}: rel {result.rel_error:.2e}, relabelled k2->k4 {miss:.2e}")
+    assert miss > CALIBRATION_TOL

@@ -75,6 +75,10 @@ class TestParseConfig:
             ({"t_min": -1.0}, "t_min"),
             ({"t_min": 5.0, "t_max": 4.0}, "t_max"),
             ({"quad_tolerance": 0.0}, "quad_tolerance"),
+            ({"alpha": float("nan")}, "alpha"),
+            ({"alpha": float("inf")}, "alpha"),
+            ({"temperature": float("inf")}, "temperature"),
+            ({"cutoff": float("inf")}, "cutoff"),
         ],
     )
     def test_bound_violations_name_field(self, overrides, field):
@@ -207,6 +211,28 @@ class TestCurveCommand:
     def test_invalid_flag_value(self, capsys):
         assert main(["curve", "--alpha", "-3"]) == EXIT_VALIDATION
         assert "alpha" in capsys.readouterr().err
+
+    def test_non_finite_flag_value(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        assert main(["curve", "--cutoff", "inf", "--out", str(out)]) == EXIT_VALIDATION
+        assert "cutoff" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_invalid_worker_count(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        assert main(["curve", *FAST_CURVE, "--workers", "-3", "--out", str(out)]) == (
+            EXIT_VALIDATION
+        )
+        assert "workers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_bath_is_convergence_failure(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        assert main(["curve", "--alpha", "1e308", "--temperature", "1e308", "--cycles", "2",
+                     "--t-max", "1.556", "--t-points", "1", "--scheme", "pdd",
+                     "--out", str(out)]) == EXIT_CONVERGENCE
+        assert "convergence" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_convergence_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):

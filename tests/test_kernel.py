@@ -9,12 +9,11 @@ from ladder_dd.kernel import (
     coherence_ratio,
     decay_exponents,
     decay_integrand,
-    exponent_filter,
+    exponent_filters,
     exponent_for_transition,
-    filter_evaluation,
     filter_positions_for_exponent,
     ohmic_density,
-    position_filter,
+    position_filters,
     segment_kernel,
     sweep_curve,
     transition_for_exponent,
@@ -71,18 +70,18 @@ class TestPositionFilter:
         schedule = make_schedule(Scheme.UDD, 3, 1, 2.0)
         omega = 1.3
         expected = segment_kernel(omega, float(schedule.segments[0, 0]))
-        assert position_filter(1, omega, schedule) == pytest.approx(expected, rel=1e-13)
+        assert position_filters(omega, schedule)[0, 0] == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("scheme", [Scheme.PDD, Scheme.UDD])
     def test_zero_frequency_limit(self, scheme):
         schedule = make_schedule(scheme, 3, 4, 2.0)
         for l in range(1, 4):
             expected = -1j * schedule.segments[:, l - 1].sum()
-            assert position_filter(l, 0.0, schedule) == pytest.approx(expected, rel=1e-13)
+            assert position_filters(0.0, schedule)[0, l - 1] == pytest.approx(expected, rel=1e-13)
 
     def test_against_literal_transcription_pdd(self):
         schedule = make_schedule(Scheme.PDD, 2, 2, 1.0)
-        value = position_filter(2, 1.0, schedule)
+        value = position_filters(1.0, schedule)[0, 1]
         assert value == pytest.approx(eta_literal(2, 1.0, schedule), rel=1e-13)
 
     @pytest.mark.parametrize("scheme", [Scheme.PDD, Scheme.UDD])
@@ -91,14 +90,9 @@ class TestPositionFilter:
         schedule = make_schedule(scheme, n, cycles, 1.7)
         for omega in (0.35, 1.0, 7.9):
             for l in range(1, n + 1):
-                got = position_filter(l, omega, schedule)
+                got = position_filters(omega, schedule)[0, l - 1]
                 want = eta_literal(l, omega, schedule)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
-
-    def test_slot_out_of_range(self):
-        schedule = make_schedule(Scheme.PDD, 3, 1, 1.0)
-        with pytest.raises(IndexError, match="l=4"):
-            position_filter(4, 1.0, schedule)
 
 
 class TestExponentMapping:
@@ -127,9 +121,9 @@ class TestExponentFilter:
     def test_two_level_reduction(self):
         schedule = make_schedule(Scheme.UDD, 2, 2, 1.5)
         omega = 2.1
-        eta1 = position_filter(1, omega, schedule)
-        eta2 = position_filter(2, omega, schedule)
-        chi = exponent_filter(1, omega, schedule)
+        eta1 = position_filters(omega, schedule)[0, 0]
+        eta2 = position_filters(omega, schedule)[0, 1]
+        chi = exponent_filters(omega, schedule)[0, 0]
         assert chi == pytest.approx(-2 * eta1 + 2 * eta2, rel=1e-13)
 
     def test_pdd_low_frequency_cancellation(self):
@@ -138,13 +132,13 @@ class TestExponentFilter:
         schedule = make_schedule(Scheme.PDD, 4, 3, 2.0)
         for m in range(1, 4):
             # segment sums agree across slots to round-off only
-            assert abs(exponent_filter(m, 0.0, schedule)) <= 1e-13
+            assert abs(exponent_filters(0.0, schedule)[0, m - 1]) <= 1e-13
 
     def test_six_level_udd_against_transcription(self):
         schedule = make_schedule(Scheme.UDD, 6, 2, 1.0)
         omega = 0.7 * 100.0
         for m in range(1, 6):
-            got = exponent_filter(m, omega, schedule)
+            got = exponent_filters(omega, schedule)[0, m - 1]
             assert got == pytest.approx(chi_literal(m, omega, schedule), rel=1e-12)
 
     def test_four_level_matches_fixed_index_transcription(self):
@@ -159,7 +153,7 @@ class TestExponentFilter:
             3: -2 * eta[2] + eta[1] + eta[3],
         }
         for m, want in fixed.items():
-            assert exponent_filter(m, omega, schedule) == pytest.approx(want, rel=1e-12)
+            assert exponent_filters(omega, schedule)[0, m - 1] == pytest.approx(want, rel=1e-12)
 
     def test_five_level_diverges_from_n_minus_1_variant(self):
         # the eta_{n-1} variant of the second filter is not the cyclic
@@ -169,7 +163,7 @@ class TestExponentFilter:
         omega = 2.7
         eta = [eta_literal(l, omega, schedule) for l in range(1, 6)]
         variant = -2 * eta[1] + eta[0] + eta[3]
-        assert abs(exponent_filter(2, omega, schedule) - variant) > 1e-3
+        assert abs(exponent_filters(omega, schedule)[0, 1] - variant) > 1e-3
 
     def test_hahn_echo_closed_form(self):
         # two levels, single midpoint pulse
@@ -178,24 +172,32 @@ class TestExponentFilter:
         for omega in (0.5, 2.0, 9.3):
             phase = np.exp(1j * omega * total_time / 2)
             closed = 4 * abs((1 - phase) - phase * (1 - phase)) ** 2 / omega**2
-            chi = exponent_filter(1, omega, schedule)
+            chi = exponent_filters(omega, schedule)[0, 0]
             assert abs(chi) ** 2 == pytest.approx(closed, rel=1e-12)
 
 
 class TestFilterEvaluation:
     def test_consistency_invariant(self):
         schedule = make_schedule(Scheme.UDD, 6, 2, 1.1)
-        ev = filter_evaluation(4.2, schedule)
-        assert ev.position_filters.shape == (6,)
-        assert ev.exponent_filters.shape == (5,)
+        position = position_filters(4.2, schedule)[0]
+        exponent = exponent_filters(4.2, schedule)[0]
+        assert position.shape == (6,)
+        assert exponent.shape == (5,)
         for m in range(1, 6):
             lo, mid, hi = filter_positions_for_exponent(6, m)
-            recombined = (
-                ev.position_filters[lo - 1]
-                - 2 * ev.position_filters[mid - 1]
-                + ev.position_filters[hi - 1]
-            )
-            assert ev.exponent_filters[m - 1] == pytest.approx(recombined, rel=1e-13)
+            recombined = position[lo - 1] - 2 * position[mid - 1] + position[hi - 1]
+            assert exponent[m - 1] == pytest.approx(recombined, rel=1e-13)
+
+    def test_wrong_sign_flips_upper_neighbour(self):
+        schedule = make_schedule(Scheme.UDD, 6, 2, 1.1)
+        omegas = [0.0, 4.2, 95.0]
+        position = position_filters(omegas, schedule)
+        miswired = exponent_filters(omegas, schedule, wrong_sign=True)
+        assert miswired.shape == (3, 5)
+        for m in range(1, 6):
+            lo, mid, hi = filter_positions_for_exponent(6, m)
+            recombined = position[:, lo - 1] - 2 * position[:, mid - 1] - position[:, hi - 1]
+            np.testing.assert_array_equal(miswired[:, m - 1], recombined)
 
 
 class TestBath:
@@ -218,7 +220,9 @@ class TestBath:
             (dict(alpha=-0.1, cutoff=1.0, temperature=1.0), "alpha"),
             (dict(alpha=0.1, cutoff=0.0, temperature=1.0), "cutoff"),
             (dict(alpha=0.1, cutoff=1.0, temperature=0.0), "temperature"),
-            (dict(alpha=0.1, cutoff=1.0, temperature=1.0, r=2), "r=1"),
+            (dict(alpha=math.nan, cutoff=1.0, temperature=1.0), "alpha must be finite"),
+            (dict(alpha=0.1, cutoff=math.inf, temperature=1.0), "cutoff must be finite"),
+            (dict(alpha=0.1, cutoff=1.0, temperature=math.inf), "temperature must be finite"),
         ],
     )
     def test_validation(self, kwargs, match):
@@ -328,6 +332,15 @@ class TestDecayExponents:
         assert excinfo.value.previous.shape == (1,)
         assert excinfo.value.current.shape == (1,)
 
+    def test_non_finite_estimates_never_converge(self):
+        # finite but extreme inputs overflow the integrand; inf - inf is NaN,
+        # which must not pass the relative-change test
+        bath = BathSpec(alpha=1e308, cutoff=100.0, temperature=1e308)
+        schedule = make_schedule("pdd", 6, 2, 1.556)
+        with pytest.raises(ConvergenceError) as excinfo:
+            decay_exponents(schedule, bath)
+        assert not np.isfinite(excinfo.value.current).all()
+
 
 class TestSweepCurve:
     def _bath(self, alpha=0.25):
@@ -352,6 +365,11 @@ class TestSweepCurve:
             sweep_curve(self._template(), self._bath(), [0.0, 1.0])
         with pytest.raises(ValueError, match="non-empty"):
             sweep_curve(self._template(), self._bath(), [])
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_validation(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            sweep_curve(self._template(), self._bath(), [1.0], workers=workers)
 
     def test_worker_count_does_not_change_bits(self):
         grid = np.linspace(0.5, 2.5, 8)

@@ -164,8 +164,9 @@ class TestCustomScheme:
 
 class TestSpecValidation:
     def test_bad_total_time(self):
-        with pytest.raises(ValueError, match="total time"):
-            ScheduleSpec(scheme=Scheme.PDD, n=2, cycles=1, total_time=0.0)
+        for total_time in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="total time"):
+                ScheduleSpec(scheme=Scheme.PDD, n=2, cycles=1, total_time=total_time)
 
     def test_bad_cycles(self):
         with pytest.raises(ValueError, match="cycles=0"):
