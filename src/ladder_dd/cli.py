@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 import tempfile
@@ -122,11 +123,11 @@ def _validate_config(config: RunConfig) -> RunConfig:
         )
     if config.t_points < 1:
         raise ValueError(f"t_points must be >= 1, got {config.t_points}")
-    if not config.t_max > 0:
-        raise ValueError(f"t_max must be > 0, got {config.t_max}")
+    if not (math.isfinite(config.t_max) and config.t_max > 0):
+        raise ValueError(f"t_max must be finite and > 0, got {config.t_max}")
     t_min = config.resolved_t_min()
-    if t_min < 0:
-        raise ValueError(f"t_min must be >= 0, got {t_min}")
+    if not (math.isfinite(t_min) and t_min >= 0):
+        raise ValueError(f"t_min must be finite and >= 0, got {t_min}")
     if config.t_points > 1 and not config.t_max > t_min:
         raise ValueError(f"t_max must be > t_min, got t_max={config.t_max}, t_min={t_min}")
     if not 0 < config.quad_tolerance <= 1e-2:
@@ -180,7 +181,7 @@ def _format_row(values: list[float]) -> str:
     return ",".join(f"{value:.17g}" for value in values)
 
 
-def _curve_csv(config: RunConfig, workers: int) -> str:
+def _curve_csv(config: RunConfig) -> str:
     bath = _bath(config)
     grid = np.linspace(config.resolved_t_min(), config.t_max, config.t_points)
     zero_head = grid.size > 0 and grid[0] == 0.0
@@ -190,10 +191,7 @@ def _curve_csv(config: RunConfig, workers: int) -> str:
     results = []
     for _, template in columns:
         if positive.size:
-            curve = sweep_curve(
-                template, bath, positive, rel_tol=config.quad_tolerance, workers=workers
-            )
-            values = curve.values
+            values = sweep_curve(template, bath, positive, rel_tol=config.quad_tolerance).values
         else:
             values = np.empty(0)
         # T = 0 is the analytic no-evolution point: nothing decays
@@ -219,6 +217,8 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise ValueError(f"workers must be >= 1, got {args.workers}")
     overrides = {
         "n": args.n,
         "cycles": args.cycles,
@@ -235,7 +235,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     }
     config = parse_config(args.config, overrides)
     try:
-        text = _curve_csv(config, workers=args.workers)
+        text = _curve_csv(config)
     except ConvergenceError as err:
         print(f"curve: convergence failure: {err}", file=sys.stderr)
         return EXIT_CONVERGENCE
@@ -330,8 +330,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--custom-fractions", dest="custom_fractions",
                          help="fraction file for scheme=custom (one value per line)")
     p_curve.add_argument("--workers", type=int, default=1,
-                         help="thread count for grid points (output is identical "
-                              "for any value)")
+                         help="accepted (>= 1) but has no effect: the grid points of "
+                              "a curve run in order on one shared filter table")
     p_curve.set_defaults(func=cmd_curve)
 
     p_oracle = sub.add_parser(

@@ -24,30 +24,42 @@ and the surviving coherence fraction is P(T) = exp(-sum_m Gamma_m).  The
 integrand is finite at w = 0: I(w) coth(w/(2 Tp)) -> alpha*Tp/2 while the
 filters approach -i times segment-length sums.
 
-Integration runs composite Gauss-Legendre panels over [0, w_c], doubling the
-panel count until every exponent settles to the requested relative error.
-All reductions use fixed numpy summation order, so results are bit-identical
-regardless of surrounding thread counts.
+For fixed pulse fractions chi_m(w; T) = T * chi1_m(w T), where chi1 is the
+filter of the same fractions over total time 1, so in u = w T
+
+    Gamma_m(T) = T * integral_0^{w_c T} W(u/T) |chi1_m(u)|^2 du,
+    W(w) = I(w) coth(w/(2 Tp)) / 2.
+
+A FilterTable holds |chi1_m|^2 on Gauss-Legendre panels of width 4 pi / 2**L
+in u.  The points of a sweep share one table: each adds only the panels
+beyond its predecessors' upper limits, plus one remainder panel of its own
+up to the cutoff.  Refinement halves the panel width until every exponent
+settles to the requested relative error.  All reductions use fixed numpy
+summation order, so a value does not depend on which points filled the table.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import schedules
 from .schedules import PulseSchedule, Scheme, ScheduleSpec, build_schedule
 
 GL_ORDER = 15
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)
 
 # Cap on elements per exp() batch inside the filter evaluation (memory bound).
-_CHUNK_ELEMS = 2**21
+_CHUNK_ELEMS = 2**18
 
-# Fewest panels a quadrature starts from, whatever the filter oscillation count.
+# Width in u = w*T of a level-0 panel: two periods of the filters' oscillation.
+_PANEL_WIDTH = 4.0 * math.pi
+
+# Fewest whole panels a quadrature starts from, whatever the filter oscillation count.
 _MIN_PANELS = 8
 
 # Exponents whose successive estimates both sit below this count as converged
@@ -204,9 +216,51 @@ def decay_integrand(omegas, schedule: PulseSchedule, bath: BathSpec) -> np.ndarr
     """Rows (1/2) I(w) coth(w/(2 Tp)) |chi_m(w)|^2 for m = 1..n-1, shape (n-1, K)."""
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     chi = exponent_filters(omegas, schedule)
-    # C-ordered rows keep _panel_integral's row sums in their summation order
+    # C-ordered rows keep the panel sums in one summation order
     power = np.ascontiguousarray((chi.real**2 + chi.imag**2).T)
     return _thermal_weight(omegas, bath) * power
+
+
+def _fraction_key(spec: ScheduleSpec) -> tuple:
+    """What fixes a schedule's fractions: every spec field but the total time."""
+    return spec.scheme, spec.n, spec.cycles, spec.custom_fractions
+
+
+class FilterTable:
+    """|chi1_m(u)|^2 on shared Gauss-Legendre panels for one set of pulse fractions.
+
+    With the fractions fixed, chi_m(w; T) = T * chi1_m(w T), where chi1 is the
+    filter of the same fractions over total time 1.  Level L tiles u = w T
+    with the panels [k h_L, (k+1) h_L], h_L = 4 pi / 2**L, which therefore
+    serve every total time.  Per level the table holds the nodes and the
+    weighted rows w_j |chi1_m(u_j)|^2 of the panels asked for so far and
+    evaluates only the panels it does not hold yet.  Extending it mutates it:
+    do not share one table between threads.
+    """
+
+    def __init__(self, spec: ScheduleSpec):
+        self.key = _fraction_key(spec)
+        self._unit = schedules.build_schedule(dataclasses.replace(spec, total_time=1.0))
+        self._levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def panels(self, level: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes u, shape (count*GL_ORDER,), and weighted rows, shape
+        (n-1, count*GL_ORDER), of the first ``count`` panels of ``level``."""
+        empty = (np.empty(0), np.empty((self._unit.n - 1, 0)))
+        nodes, rows = self._levels.get(level, empty)
+        held = nodes.size // GL_ORDER
+        if held < count:
+            width = math.ldexp(_PANEL_WIDTH, -level)
+            centre = (np.arange(held, count) + 0.5) * width
+            new = (centre[:, None] + (0.5 * width) * _GL_NODES[None, :]).ravel()
+            chi = exponent_filters(new, self._unit)
+            weights = np.tile(0.5 * width * _GL_WEIGHTS, count - held)
+            power = (chi.real**2 + chi.imag**2).T * weights
+            nodes = np.concatenate((nodes, new))
+            rows = np.concatenate((rows, power), axis=1)
+            self._levels[level] = nodes, rows
+        used = count * GL_ORDER
+        return nodes[:used], rows[:, :used]
 
 
 @dataclass(frozen=True)
@@ -218,21 +272,54 @@ class DecayExponents:
     estimated_relative_error: float
 
 
-def _panel_integral(schedule: PulseSchedule, bath: BathSpec, panels: int) -> np.ndarray:
-    edges = np.linspace(0.0, bath.cutoff, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    centre = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (centre[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    rows = decay_integrand(nodes, schedule, bath)
-    # fixed-order numpy reduction, not BLAS, to keep results thread-invariant
-    return np.sum(rows * weights[None, :], axis=1)
+def _first_level(upper: float) -> int:
+    """Coarsest level with at least _MIN_PANELS whole panels below ``upper``."""
+    level = 0
+    while _MIN_PANELS * math.ldexp(_PANEL_WIDTH, -level) > upper:
+        level += 1
+    return level
+
+
+def _level_estimates(schedule: PulseSchedule, bath: BathSpec, table: FilterTable):
+    """Yield (Gamma estimate, node count) at successive levels from the first.
+
+    An estimate sums the table's whole panels below u = cutoff*T, weighted by
+    the bath at w = u/T, plus one remainder panel up to the cutoff evaluated
+    on the schedule itself.  Raises ConvergenceError at the first non-finite
+    estimate: refinement cannot repair an overflowed integrand.
+    """
+    total_time = schedule.total_time
+    upper = bath.cutoff * total_time
+    if not upper >= sys.float_info.min:
+        raise ValueError(f"cutoff * total time = {upper!r} is below the smallest normal float")
+    level = _first_level(upper)
+    prev = None
+    while True:
+        width = math.ldexp(_PANEL_WIDTH, -level)
+        whole = math.floor(upper / width)
+        nodes, rows = table.panels(level, whole)
+        # fixed-order numpy reductions, not BLAS, whose order may vary with its threads
+        gamma = total_time * np.sum(rows * _thermal_weight(nodes / total_time, bath), axis=1)
+        count = whole
+        if whole * width < upper:
+            lower = whole * width / total_time
+            half = 0.5 * (bath.cutoff - lower)
+            rest = decay_integrand(lower + half * (1.0 + _GL_NODES), schedule, bath)
+            gamma = gamma + np.sum(rest * (half * _GL_WEIGHTS), axis=1)
+            count += 1
+        if not np.isfinite(gamma).all():
+            raise ConvergenceError(
+                f"non-finite decay exponent estimate on {count * GL_ORDER} nodes",
+                previous=gamma if prev is None else prev,
+                current=gamma,
+            )
+        yield gamma, count * GL_ORDER
+        prev = gamma
+        level += 1
 
 
 def _max_rel_change(prev: np.ndarray, curr: np.ndarray) -> float:
-    """Largest relative change between two estimates; inf if either is not finite."""
-    if not (np.isfinite(prev).all() and np.isfinite(curr).all()):
-        return math.inf
+    """Largest relative change between two finite estimates."""
     err = 0.0
     for p, c in zip(prev, curr):
         scale = max(abs(c), abs(p))
@@ -248,36 +335,41 @@ def decay_exponents(
     rel_tol: float = 1e-6,
     max_doublings: int = 12,
     extra_levels: int = 0,
+    table: FilterTable | None = None,
 ) -> DecayExponents:
     """Integrate every decay exponent over [0, cutoff] to a relative target.
 
-    Panel counts start at a few per filter oscillation (period 2*pi/T in w)
-    and double until successive estimates of every Gamma_m agree within
-    ``rel_tol``; ``extra_levels`` forces further doublings after convergence
-    (used to probe quadrature stability).  Exponents whose successive
-    estimates both sit below ``_ZERO_FLOOR`` count as converged zeros; a
-    non-finite estimate never counts as converged.  Raises ConvergenceError,
-    carrying the last two estimate vectors, if the target is never met.
+    The first level has at least ``_MIN_PANELS`` panels of at most two filter
+    oscillations each; each further level halves the panel width, until
+    successive estimates of every Gamma_m agree within ``rel_tol``.
+    ``extra_levels`` forces further halvings after convergence (used to
+    probe quadrature stability).  Exponents whose successive estimates both
+    sit below ``_ZERO_FLOOR`` count as converged zeros.  ``table`` is a
+    FilterTable for the schedule's fractions, shared by the points of a
+    sweep; without one a private table is built.  Raises ConvergenceError,
+    carrying the last two estimate vectors, if the target is never met or an
+    estimate is not finite.
     """
-    oscillations = bath.cutoff * schedule.total_time / (2.0 * math.pi)
-    panels = max(_MIN_PANELS, math.ceil(oscillations / 2.0))
-    prev = curr = _panel_integral(schedule, bath, panels)
+    if table is None:
+        table = FilterTable(schedule.spec)
+    elif table.key != _fraction_key(schedule.spec):
+        raise ValueError("filter table was built for other pulse fractions")
+    levels = _level_estimates(schedule, bath, table)
+    curr, points = next(levels)
+    prev = curr
     for _ in range(max_doublings):
-        panels *= 2
-        curr = _panel_integral(schedule, bath, panels)
+        prev, (curr, points) = curr, next(levels)
         if _max_rel_change(prev, curr) <= rel_tol:
             for _ in range(extra_levels):
-                panels *= 2
-                prev, curr = curr, _panel_integral(schedule, bath, panels)
+                prev, (curr, points) = curr, next(levels)
             return DecayExponents(
                 gamma=curr,
-                quadrature_points=panels * GL_ORDER,
+                quadrature_points=points,
                 estimated_relative_error=_max_rel_change(prev, curr),
             )
-        prev = curr
     raise ConvergenceError(
         f"decay exponents did not converge to rel_tol={rel_tol:g} within "
-        f"{max_doublings} doublings ({panels} panels)",
+        f"{max_doublings} doublings ({points} nodes)",
         previous=prev,
         current=curr,
     )
@@ -293,7 +385,8 @@ def coherence_ratio(
 
 @dataclass(frozen=True)
 class CoherenceCurve:
-    """Sampled (T, P(T)) pairs for one scheme and bath."""
+    """Sampled (T, P(T)) pairs for one scheme and bath, with each point's
+    final node count and estimated relative error."""
 
     scheme: Scheme
     bath: BathSpec
@@ -301,6 +394,8 @@ class CoherenceCurve:
     cycles: int
     times: np.ndarray
     values: np.ndarray
+    quadrature_points: np.ndarray
+    estimated_relative_error: np.ndarray
 
 
 def sweep_curve(
@@ -308,17 +403,14 @@ def sweep_curve(
     bath: BathSpec,
     t_grid,
     rel_tol: float = 1e-6,
-    workers: int = 1,
     **quad_kwargs,
 ) -> CoherenceCurve:
     """Evaluate P(T) over a grid of total times, rebuilding the schedule each time.
 
-    The grid must be strictly increasing and positive.  Points are independent;
-    with ``workers`` > 1 they are evaluated by a thread pool, and results are
-    assembled in grid order so the output never depends on the worker count.
+    The grid must be strictly increasing and positive.  Points run in grid
+    order and share one FilterTable, so each point evaluates only the table
+    panels its predecessors did not need.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise ValueError("time grid must be a non-empty 1-D array")
@@ -327,24 +419,23 @@ def sweep_curve(
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("time grid must be strictly increasing")
 
-    def point(t: float) -> float:
+    table = FilterTable(template)
+    values = np.empty(t_grid.size)
+    points = np.empty(t_grid.size, dtype=int)
+    errors = np.empty(t_grid.size)
+    for i, t in enumerate(t_grid.tolist()):
         schedule = build_schedule(dataclasses.replace(template, total_time=t))
         try:
-            return coherence_ratio(schedule, bath, rel_tol=rel_tol, **quad_kwargs)
+            exponents = decay_exponents(
+                schedule, bath, rel_tol=rel_tol, table=table, **quad_kwargs
+            )
         except ConvergenceError as err:
             raise ConvergenceError(
                 f"{err} (while evaluating T={t:.6g})", err.previous, err.current
             ) from err
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = np.fromiter(
-                pool.map(point, t_grid.tolist()), dtype=float, count=t_grid.size
-            )
-    else:
-        values = np.fromiter(
-            (point(t) for t in t_grid.tolist()), dtype=float, count=t_grid.size
-        )
+        values[i] = np.exp(-exponents.gamma.sum())
+        points[i] = exponents.quadrature_points
+        errors[i] = exponents.estimated_relative_error
     return CoherenceCurve(
         scheme=template.scheme,
         bath=bath,
@@ -352,4 +443,6 @@ def sweep_curve(
         cycles=template.cycles,
         times=t_grid,
         values=values,
+        quadrature_points=points,
+        estimated_relative_error=errors,
     )

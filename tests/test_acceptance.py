@@ -151,8 +151,8 @@ def test_criterion_5_quadrature_robustness():
 
 def test_criterion_6_reference_scenario_ordering():
     grid = np.linspace(DEFAULT_T_MAX / 60, DEFAULT_T_MAX, 60)
-    pdd = sweep_curve(_reference_template(Scheme.PDD), REFERENCE_BATH, grid, workers=4)
-    udd = sweep_curve(_reference_template(Scheme.UDD), REFERENCE_BATH, grid, workers=4)
+    pdd = sweep_curve(_reference_template(Scheme.PDD), REFERENCE_BATH, grid)
+    udd = sweep_curve(_reference_template(Scheme.UDD), REFERENCE_BATH, grid)
     spans = pdd.values.min() <= 0.35 and pdd.values.max() >= 0.99
     # UDD's first cycle-filter passband, 2*pi/(n*gap) at its widest gap,
     # reaches the cutoff at T_U
@@ -219,8 +219,8 @@ def test_udd_dominance_in_storage_regime():
     # job (coherence near one), Uhrig timing beats periodic timing pointwise
     # and extends the storage time severalfold
     grid = np.linspace(0.03, 1.8, 60)
-    pdd = sweep_curve(_reference_template(Scheme.PDD), REFERENCE_BATH, grid, workers=4)
-    udd = sweep_curve(_reference_template(Scheme.UDD), REFERENCE_BATH, grid, workers=4)
+    pdd = sweep_curve(_reference_template(Scheme.PDD), REFERENCE_BATH, grid)
+    udd = sweep_curve(_reference_template(Scheme.UDD), REFERENCE_BATH, grid)
     assert np.all(udd.values >= pdd.values)
     interior = pdd.values <= 0.999
     assert interior.sum() >= 40

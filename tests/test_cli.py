@@ -79,6 +79,8 @@ class TestParseConfig:
             ({"alpha": float("inf")}, "alpha"),
             ({"temperature": float("inf")}, "temperature"),
             ({"cutoff": float("inf")}, "cutoff"),
+            ({"t_max": float("inf"), "t_points": 1}, "t_max"),
+            ({"t_min": float("nan"), "t_points": 1}, "t_min"),
         ],
     )
     def test_bound_violations_name_field(self, overrides, field):
@@ -220,11 +222,12 @@ class TestCurveCommand:
 
     def test_invalid_worker_count(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
-        assert main(["curve", *FAST_CURVE, "--workers", "-3", "--out", str(out)]) == (
-            EXIT_VALIDATION
-        )
-        assert "workers" in capsys.readouterr().err
-        assert not out.exists()
+        for workers in ("-3", "0"):
+            assert main(["curve", *FAST_CURVE, "--workers", workers, "--out", str(out)]) == (
+                EXIT_VALIDATION
+            )
+            assert "workers" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_overflowing_bath_is_convergence_failure(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
@@ -232,6 +235,17 @@ class TestCurveCommand:
                      "--t-max", "1.556", "--t-points", "1", "--scheme", "pdd",
                      "--out", str(out)]) == EXIT_CONVERGENCE
         assert "convergence" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_default_curve_fails_at_first_estimate(self, tmp_path, capsys):
+        # the default 60-point run stops at its first point's first estimate
+        # instead of refining an overflowed integrand
+        out = tmp_path / "never.csv"
+        assert main(["curve", "--alpha", "1e308", "--temperature", "1e308",
+                     "--scheme", "pdd", "--out", str(out)]) == EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert "non-finite decay exponent estimate" in err
+        assert f"T={DEFAULT_T_MAX / 60:.6g}" in err
         assert not out.exists()
 
     def test_convergence_failure_exit_code(self, tmp_path, monkeypatch, capsys):

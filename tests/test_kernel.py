@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import ladder_dd.kernel as kernel
 from ladder_dd.kernel import (
     BathSpec,
     ConvergenceError,
+    FilterTable,
     coherence_ratio,
     decay_exponents,
     decay_integrand,
@@ -332,14 +334,59 @@ class TestDecayExponents:
         assert excinfo.value.previous.shape == (1,)
         assert excinfo.value.current.shape == (1,)
 
-    def test_non_finite_estimates_never_converge(self):
-        # finite but extreme inputs overflow the integrand; inf - inf is NaN,
-        # which must not pass the relative-change test
+    def test_non_finite_estimates_never_converge(self, monkeypatch):
+        # finite but extreme inputs overflow the integrand; refinement cannot
+        # repair that, so the first non-finite estimate raises
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0].size)
+            return integrand(*args)
+
+        integrand = kernel.decay_integrand
+        monkeypatch.setattr(kernel, "decay_integrand", counting)
         bath = BathSpec(alpha=1e308, cutoff=100.0, temperature=1e308)
         schedule = make_schedule("pdd", 6, 2, 1.556)
-        with pytest.raises(ConvergenceError) as excinfo:
+        with pytest.raises(ConvergenceError, match="non-finite") as excinfo:
             decay_exponents(schedule, bath)
         assert not np.isfinite(excinfo.value.current).all()
+        assert len(calls) <= 2  # one level reached
+
+    @pytest.mark.parametrize("total_time", [0.3, 16 * math.pi / 100.0])
+    def test_small_run_against_riemann_sum(self, total_time):
+        # cutoff*T below _MIN_PANELS level-0 panels: the quadrature starts on a
+        # finer level; a false convergence would show against the Riemann sum
+        bath = BathSpec(alpha=0.25, cutoff=100.0, temperature=150.0)
+        schedule = make_schedule(Scheme.UDD, 6, 50, total_time)
+        assert bath.cutoff * total_time < kernel._MIN_PANELS * 4 * math.pi
+        result = decay_exponents(schedule, bath)
+        panels = 2**16
+        nodes = (np.arange(panels) + 0.5) * (bath.cutoff / panels)
+        riemann = decay_integrand(nodes, schedule, bath).sum(axis=1) * (bath.cutoff / panels)
+        np.testing.assert_allclose(result.gamma, riemann, rtol=1e-6)
+
+    @pytest.mark.parametrize("total_time", [1e-3, 0.3, 16 * math.pi / 100.0, 2.5])
+    def test_successive_estimates_differ(self, total_time):
+        # a refinement that reused its predecessor's nodes would report a zero
+        # change and converge falsely
+        bath = BathSpec(alpha=0.25, cutoff=100.0, temperature=150.0)
+        schedule = make_schedule(Scheme.UDD, 6, 50, total_time)
+        for doublings in (1, 3):
+            with pytest.raises(ConvergenceError) as excinfo:
+                decay_exponents(schedule, bath, rel_tol=1e-300, max_doublings=doublings)
+            assert np.all(excinfo.value.previous != excinfo.value.current)
+
+    def test_subnormal_frequency_range_rejected(self):
+        # u = w*T panels cannot be formed once cutoff*T leaves the normal floats
+        bath = BathSpec(alpha=0.25, cutoff=1e-10, temperature=1.0)
+        with pytest.raises(ValueError, match="smallest normal float"):
+            decay_exponents(make_schedule(Scheme.PDD, 2, 1, 1e-300), bath)
+
+    def test_table_for_other_fractions_rejected(self):
+        bath = BathSpec(alpha=0.25, cutoff=100.0, temperature=150.0)
+        table = FilterTable(ScheduleSpec(scheme=Scheme.PDD, n=3, cycles=2, total_time=1.0))
+        with pytest.raises(ValueError, match="other pulse fractions"):
+            decay_exponents(make_schedule(Scheme.UDD, 3, 2, 1.0), bath, table=table)
 
 
 class TestSweepCurve:
@@ -366,19 +413,76 @@ class TestSweepCurve:
         with pytest.raises(ValueError, match="non-empty"):
             sweep_curve(self._template(), self._bath(), [])
 
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_worker_count_validation(self, workers):
-        with pytest.raises(ValueError, match="workers"):
-            sweep_curve(self._template(), self._bath(), [1.0], workers=workers)
+    def test_points_report_their_quadrature(self):
+        grid = [0.2, 1.0, 2.5]
+        curve = sweep_curve(self._template(Scheme.UDD), self._bath(), grid, rel_tol=1e-7)
+        assert curve.quadrature_points.shape == curve.estimated_relative_error.shape == (3,)
+        assert np.all(curve.quadrature_points > 0)
+        assert np.all(curve.estimated_relative_error <= 1e-7)
 
-    def test_worker_count_does_not_change_bits(self):
-        grid = np.linspace(0.5, 2.5, 8)
-        serial = sweep_curve(self._template(Scheme.UDD), self._bath(), grid, workers=1)
-        threaded = sweep_curve(self._template(Scheme.UDD), self._bath(), grid, workers=4)
-        np.testing.assert_array_equal(serial.values, threaded.values)
+    def test_table_panels_evaluated_once(self, monkeypatch):
+        # every table panel is evaluated by the first point that needs it only
+        table_nodes = []
+
+        def recording(omegas, schedule, wrong_sign=False):
+            if schedule.total_time == 1.0:
+                table_nodes.append(np.asarray(omegas))
+            return filters(omegas, schedule, wrong_sign)
+
+        filters = kernel.exponent_filters
+        monkeypatch.setattr(kernel, "exponent_filters", recording)
+        grid = np.linspace(0.1, 2.5, 12)
+        assert 1.0 not in grid  # total time 1 marks the table's unit schedule
+        sweep_curve(self._template(), self._bath(), grid)
+        nodes = np.concatenate(table_nodes)
+        assert len(table_nodes) > 12
+        assert np.unique(nodes).size == nodes.size
 
     def test_convergence_error_names_failing_time(self):
         template = ScheduleSpec(scheme=Scheme.PDD, n=2, cycles=1, total_time=1.0)
         bath = BathSpec(alpha=0.3, cutoff=4.0, temperature=1.0)
         with pytest.raises(ConvergenceError, match="while evaluating T="):
             sweep_curve(template, bath, [1.0], max_doublings=0)
+
+
+def _custom_fractions(n, cycles):
+    rng = np.random.default_rng(7)
+    return tuple(np.sort(rng.uniform(0.0, 1.0, n * cycles - 1)).tolist())
+
+
+class TestSharedTable:
+    """A sweep shares one filter table; every point must equal its own
+    single-point evaluation on a private table."""
+
+    # Non-uniform grid.  cutoff*T < _MIN_PANELS * 4*pi at T = 0.37, so that
+    # point starts on a finer level; cutoff 4*pi makes cutoff*T an exact
+    # multiple of the panel width at T = 2 (first level 2) and T = 16 (first
+    # level 0), leaving zero-width remainder panels.
+    BATH = BathSpec(alpha=0.25, cutoff=4 * math.pi, temperature=3.0)
+    GRID = [0.37, 2.0, 2.3, 9.1, 16.0, 23.7]
+
+    @pytest.mark.parametrize("n,cycles", [(3, 4), (6, 3)])
+    @pytest.mark.parametrize("scheme", [Scheme.PDD, Scheme.UDD, Scheme.CUSTOM])
+    def test_sweep_matches_single_points(self, scheme, n, cycles):
+        custom = _custom_fractions(n, cycles) if scheme is Scheme.CUSTOM else None
+        template = ScheduleSpec(scheme=scheme, n=n, cycles=cycles, total_time=1.0,
+                                custom_fractions=custom)
+        curve = sweep_curve(template, self.BATH, self.GRID)
+        for t, value in zip(self.GRID, curve.values):
+            schedule = make_schedule(scheme, n, cycles, t, custom_fractions=custom)
+            single = coherence_ratio(schedule, self.BATH)
+            assert value == pytest.approx(single, rel=1e-12, abs=0)
+            (one,) = sweep_curve(template, self.BATH, [t]).values
+            assert one == pytest.approx(single, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("total_time", [2.0, 16.0])
+    def test_exact_multiple_skips_remainder_panel(self, total_time, monkeypatch):
+        # a time just past the multiple keeps a sliver of a remainder panel
+        nearby = decay_exponents(make_schedule(Scheme.UDD, 3, 4, total_time * (1 + 1e-12)),
+                                 self.BATH)
+        calls = []
+        monkeypatch.setattr(kernel, "decay_integrand", lambda *args: calls.append(args))
+        result = decay_exponents(make_schedule(Scheme.UDD, 3, 4, total_time), self.BATH)
+        assert calls == []
+        assert result.quadrature_points % (kernel._MIN_PANELS * kernel.GL_ORDER) == 0
+        np.testing.assert_allclose(result.gamma, nearby.gamma, rtol=1e-9)
