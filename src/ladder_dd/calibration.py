@@ -48,8 +48,20 @@ class CalibrationResult:
     passed: bool
 
 
+def _mode_per_transition(n: int, omega: float, coupling: float,
+                         fock_dim: int) -> tuple[ModeSpec, ...]:
+    """One mode on every transition; mode k at omega*(1+0.1k), coupling*(1-0.12k)."""
+    return tuple(
+        ModeSpec(transition=k, omega=omega * (1 + 0.1 * k),
+                 coupling=coupling * (1 - 0.12 * k), fock_dim=fock_dim)
+        for k in range(n - 1)
+    )
+
+
 def default_calibration_cases() -> tuple[CalibrationCase, ...]:
-    """Weak-coupling cases covering n in {2,3}, N in {1,2}, 1-2 modes per transition."""
+    """Weak-coupling cases covering n in {2,...,6}, N in {1,2,50}, 1-2 modes per
+    transition; the n=6 case is the reference schedule with a mode just below
+    the cutoff on every transition."""
     return (
         CalibrationCase(
             name="n2-pdd-single-mode",
@@ -90,6 +102,21 @@ def default_calibration_cases() -> tuple[CalibrationCase, ...]:
                 ModeSpec(transition=1, omega=1.6, coupling=0.03, fock_dim=4),
             ),
         ),
+        CalibrationCase(
+            name="n4-pdd-mode-per-transition",
+            n=4, cycles=1, scheme=Scheme.PDD, total_time=2.0, temperature=0.5,
+            modes=_mode_per_transition(4, omega=1.2, coupling=0.06, fock_dim=12),
+        ),
+        CalibrationCase(
+            name="n5-udd-mode-per-transition",
+            n=5, cycles=2, scheme=Scheme.UDD, total_time=1.8, temperature=0.5,
+            modes=_mode_per_transition(5, omega=1.2, coupling=0.06, fock_dim=12),
+        ),
+        CalibrationCase(
+            name="n6-udd-reference-schedule",
+            n=6, cycles=50, scheme=Scheme.UDD, total_time=2.5, temperature=20.0,
+            modes=_mode_per_transition(6, omega=95.0, coupling=2.0, fock_dim=12),
+        ),
     )
 
 
@@ -105,9 +132,8 @@ def run_case(
     schedule = make_schedule(case.scheme, case.n, case.cycles, case.total_time)
     group = build_decoupling_group(case.n)
     atom = superposition_state(case.n)
-    final = evolve_pulsed(case.n, case.modes, schedule, group, atom, case.temperature)
+    end = evolve_pulsed(case.n, case.modes, schedule, group, atom, case.temperature)
     start = complex(atom[0, 1])
-    end = final.coherence()
     observed = abs(end) / abs(start)
     exponent = discrete_decay_exponent(
         case.modes, case.temperature, schedule, case.n, wrong_sign=wrong_sign

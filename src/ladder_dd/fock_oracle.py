@@ -2,27 +2,32 @@
 
 The analytic decay exponents rest on a chain of frame transformations and
 index bookkeeping that is easy to get subtly wrong.  This module checks them
-from the other end: build the joint density matrix of the atom and a small
-set of explicit oscillator modes, evolve it segment by segment through the
-pulsed sequence, and read the surviving (0,1) coherence directly.
+from the other end: evolve the atom and a few explicit oscillator modes
+through the pulsed sequence and read the surviving (0,1) coherence directly.
 
 For purely dephasing coupling the interaction-picture Hamiltonian commutes
 with itself at different times up to a c-number, so the time-ordered segment
 propagator is the exponential of a closed-form generator (first plus second
-Magnus terms, the series terminating there).  The generator is block-diagonal
-over atom levels; each bath block is exponentiated as one dense matrix.  A
-sub-stepped piecewise-constant propagator is also provided and is used to
-cross-check the closed-form generator independently.
+Magnus terms, the series terminating there); a sub-stepped piecewise-constant
+propagator cross-checks it independently.
 
-Joint spaces are capped at dimension 2000: this is a desk-scale validator,
-not a production path.
+The evolution is exact in product form.  Segment propagators are
+block-diagonal in the atom level and factor over modes, and every pulse is
+monomial, so the final (0,1) block descends from one initial block (a, b):
+
+    coherence = rho_atom[a, b] * (pulse phases) * prod_k Tr[L_k rho_k R_k^dag],
+
+with L_k (R_k) the time-ordered product of mode k's own fock_dim x fock_dim
+segment propagators at the levels the row (column) index visits.  Each
+fock_dim is capped at DIM_CAP: this is a desk-scale validator, not a
+production path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial
 
 import numpy as np
 from scipy.linalg import expm
@@ -41,6 +46,10 @@ class TruncationError(ValueError):
     def __init__(self, message: str, required_dim: int):
         super().__init__(message)
         self.required_dim = required_dim
+
+
+class NonMonomialPulseError(ValueError):
+    """A pulse without exactly one nonzero entry per row and column."""
 
 
 @dataclass(frozen=True)
@@ -99,35 +108,6 @@ def thermal_state(mode: ModeSpec, temperature: float, tail: float = DEFAULT_TAIL
     return np.diag(populations).astype(complex)
 
 
-@dataclass(frozen=True)
-class JointState:
-    """Joint atom+modes density matrix with its factor dimensions."""
-
-    rho: np.ndarray
-    atom_dim: int
-    fock_dims: tuple[int, ...]
-
-    def reduced_atom(self) -> np.ndarray:
-        bath_dim = int(np.prod(self.fock_dims)) if self.fock_dims else 1
-        shaped = self.rho.reshape(self.atom_dim, bath_dim, self.atom_dim, bath_dim)
-        return np.einsum("aibi->ab", shaped)
-
-    def coherence(self, i: int = 0, j: int = 1) -> complex:
-        return complex(self.reduced_atom()[i, j])
-
-    def validate(self, herm_tol: float = 1e-12, trace_tol: float = 1e-10,
-                 psd_tol: float = 1e-10) -> None:
-        herm = float(np.max(np.abs(self.rho - self.rho.conj().T)))
-        if herm > herm_tol:
-            raise ValueError(f"state not Hermitian: max asymmetry {herm:.3e}")
-        trace = complex(np.trace(self.rho))
-        if abs(trace - 1.0) > trace_tol:
-            raise ValueError(f"state trace {trace} deviates from 1")
-        lowest = float(np.linalg.eigvalsh(self.rho)[0])
-        if lowest < -psd_tol:
-            raise ValueError(f"state not positive semidefinite: eigenvalue {lowest:.3e}")
-
-
 def superposition_state(n: int, levels: tuple[int, int] = (0, 1)) -> np.ndarray:
     """Pure equal superposition of two atom levels (maximal coherence)."""
     vec = np.zeros(n, dtype=complex)
@@ -135,119 +115,93 @@ def superposition_state(n: int, levels: tuple[int, int] = (0, 1)) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
-def _embed_bath(ops: list[np.ndarray]) -> np.ndarray:
-    return reduce(np.kron, ops)
+def _monomial_split(pulse: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, phases) with pulse[perm[b], b] = phases[b] and every other entry zero.
+
+    Raises NonMonomialPulseError unless each row and each column of ``pulse``
+    holds exactly one nonzero entry.
+    """
+    nonzero = pulse != 0
+    if not ((nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all()):
+        raise NonMonomialPulseError(
+            f"pulse is not monomial: nonzero entries per column {nonzero.sum(axis=0)}, "
+            f"per row {nonzero.sum(axis=1)}"
+        )
+    perm = np.argmax(nonzero, axis=0)
+    return perm, pulse[perm, np.arange(perm.size)]
 
 
-class _BathSetup:
-    """Per-run cache: embedded ladder operators, level weights, thermal state."""
-
-    def __init__(self, n: int, modes: tuple[ModeSpec, ...], temperature: float):
-        self.fock_dims = tuple(mode.fock_dim for mode in modes)
-        self.bath_dim = int(np.prod(self.fock_dims))
-        self.lower = []
-        self.raise_ = []
-        self.weights = []
-        for idx, mode in enumerate(modes):
-            a = np.diag(np.sqrt(np.arange(1, mode.fock_dim, dtype=float)), k=1)
-            factors = [np.eye(d, dtype=complex) for d in self.fock_dims]
-            factors[idx] = a.astype(complex)
-            lower = _embed_bath(factors)
-            self.lower.append(lower)
-            self.raise_.append(lower.conj().T)
-            self.weights.append(np.real(np.diag(sigma_z(n, mode.transition))))
-        self.thermal = _embed_bath([thermal_state(mode, temperature) for mode in modes])
+def _lowering(mode: ModeSpec) -> np.ndarray:
+    return np.diag(np.sqrt(np.arange(1, mode.fock_dim, dtype=float)), k=1).astype(complex)
 
 
-def _segment_block_exact(setup: _BathSetup, modes, level: int, t_start: float,
-                         dt: float) -> np.ndarray:
-    """Closed-form segment propagator on the bath factor, given the atom level.
+def _segment_exact(mode: ModeSpec, weight: float, t_start: float, dt: float) -> np.ndarray:
+    """Closed-form segment propagator of one mode at an atom level of dephasing ``weight``.
 
     First Magnus term: displacement z*adag - conj(z)*a with
-    z = j * exp(i w t_start) * (1 - exp(i w dt)) / w, scaled by the level's
-    dephasing weight.  Second term: the exact c-number phase
-    |j|^2 (dt/w - sin(w dt)/w^2) per mode; the series terminates there.
+    z = j * exp(i w t_start) * (1 - exp(i w dt)) / w, scaled by the weight.
+    Second term: the exact c-number phase |j|^2 (dt/w - sin(w dt)/w^2) times
+    the squared weight; the series terminates there.
     """
-    gen = np.zeros((setup.bath_dim, setup.bath_dim), dtype=complex)
-    phase = 0.0
-    for k, mode in enumerate(modes):
-        w = setup.weights[k][level]
-        if w == 0.0:
-            continue
-        z = mode.coupling * np.exp(1j * mode.omega * t_start) * (
-            1.0 - np.exp(1j * mode.omega * dt)
-        ) / mode.omega
-        gen += w * (z * setup.raise_[k] - np.conj(z) * setup.lower[k])
-        phase += (w**2) * abs(mode.coupling) ** 2 * (
-            dt / mode.omega - math.sin(mode.omega * dt) / mode.omega**2
-        )
-    gen += 1j * phase * np.eye(setup.bath_dim)
+    a = _lowering(mode)
+    z = mode.coupling * np.exp(1j * mode.omega * t_start) * (
+        1.0 - np.exp(1j * mode.omega * dt)
+    ) / mode.omega
+    phase = (weight**2) * abs(mode.coupling) ** 2 * (
+        dt / mode.omega - math.sin(mode.omega * dt) / mode.omega**2
+    )
+    gen = weight * (z * a.conj().T - np.conj(z) * a) + 1j * phase * np.eye(mode.fock_dim)
     return expm(gen)
 
 
-def _segment_block_substeps(setup: _BathSetup, modes, level: int, t_start: float,
-                            dt: float, substeps: int) -> np.ndarray:
+def _segment_substeps(mode: ModeSpec, weight: float, t_start: float, dt: float,
+                      substeps: int) -> np.ndarray:
     """Piecewise-constant propagator, midpoint-sampled; cross-checks the exact one."""
-    u = np.eye(setup.bath_dim, dtype=complex)
+    a = _lowering(mode)
+    u = np.eye(mode.fock_dim, dtype=complex)
     step = dt / substeps
     for s in range(substeps):
-        t_mid = t_start + (s + 0.5) * step
-        h = np.zeros((setup.bath_dim, setup.bath_dim), dtype=complex)
-        for k, mode in enumerate(modes):
-            w = setup.weights[k][level]
-            if w == 0.0:
-                continue
-            drive = mode.coupling * np.exp(1j * mode.omega * t_mid)
-            h += w * (drive * setup.raise_[k] + np.conj(drive) * setup.lower[k])
+        drive = mode.coupling * np.exp(1j * mode.omega * (t_start + (s + 0.5) * step))
+        h = weight * (drive * a.conj().T + np.conj(drive) * a)
         u = expm(-1j * h * step) @ u
     return u
 
 
-def _apply_segment(rho_t: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
-    n = rho_t.shape[0]
-    out = np.empty_like(rho_t)
-    for a in range(n):
-        for b in range(n):
-            out[a, :, b, :] = blocks[a] @ rho_t[a, :, b, :] @ blocks[b].conj().T
-    return out
-
-
-def _apply_atom_pulse(rho_t: np.ndarray, pulse: np.ndarray) -> np.ndarray:
-    return np.einsum("ab,bicj,dc->aidj", pulse, rho_t, pulse.conj())
-
-
-def _run_sequence(
-    n: int,
-    modes: tuple[ModeSpec, ...],
-    steps: list[tuple[float, float, np.ndarray | None]],
-    atom_state: np.ndarray,
-    temperature: float,
-    method: str,
-    substeps: int,
-) -> JointState:
-    setup = _BathSetup(n, modes, temperature)
-    rho = np.kron(atom_state.astype(complex), setup.thermal)
-    rho_t = rho.reshape(n, setup.bath_dim, n, setup.bath_dim)
-    for t_start, dt, pulse in steps:
+def _coherence(n, modes, steps, atom_state, temperature, segment) -> complex:
+    """Final (0,1) coherence after ``steps`` of (t_start, dt, monomial split of
+    the pulse or None); ``segment(mode, weight, t_start, dt)`` is one mode's
+    propagator over a free segment."""
+    thermal = [thermal_state(mode, temperature) for mode in modes]
+    a, b = 0, 1
+    for *_, split in reversed(steps):
+        if split is not None:
+            inverse = np.argsort(split[0])
+            a, b = inverse[a], inverse[b]
+    factor = complex(atom_state[a, b])
+    path = []  # (t_start, dt, row level, column level) of each free segment
+    for t_start, dt, split in steps:
         if dt > 0:
-            if method == "exact":
-                blocks = [
-                    _segment_block_exact(setup, modes, level, t_start, dt)
-                    for level in range(n)
-                ]
-            else:
-                blocks = [
-                    _segment_block_substeps(setup, modes, level, t_start, dt, substeps)
-                    for level in range(n)
-                ]
-            rho_t = _apply_segment(rho_t, blocks)
-        if pulse is not None:
-            rho_t = _apply_atom_pulse(rho_t, pulse)
-    dim = n * setup.bath_dim
-    return JointState(rho=rho_t.reshape(dim, dim), atom_dim=n, fock_dims=setup.fock_dims)
+            path.append((t_start, dt, a, b))
+        if split is not None:
+            perm, phases = split
+            factor *= phases[a] * np.conj(phases[b])
+            a, b = perm[a], perm[b]
+    for mode, rho in zip(modes, thermal):
+        weights = np.real(np.diag(sigma_z(n, mode.transition)))
+        left = right = np.eye(mode.fock_dim, dtype=complex)
+        for t_start, dt, row, col in path:
+            # a zero weight leaves the mode alone
+            wr, wc = weights[row], weights[col]
+            blocks = {w: segment(mode, w, t_start, dt) for w in {wr, wc} - {0.0}}
+            if wr != 0.0:
+                left = blocks[wr] @ left
+            if wc != 0.0:
+                right = blocks[wc] @ right
+        factor *= np.trace(left @ rho @ right.conj().T)
+    return complex(factor)
 
 
-def _validate_inputs(n: int, modes, atom_state: np.ndarray, dim_cap: int) -> tuple[ModeSpec, ...]:
+def _validate_inputs(n: int, modes, atom_state: np.ndarray) -> tuple[ModeSpec, ...]:
     modes = tuple(modes)
     if not modes:
         raise ValueError("at least one bath mode is required")
@@ -256,16 +210,13 @@ def _validate_inputs(n: int, modes, atom_state: np.ndarray, dim_cap: int) -> tup
             raise ValueError(
                 f"mode transition {mode.transition} out of range for n={n}"
             )
+        if mode.fock_dim > DIM_CAP:
+            raise ValueError(f"fock_dim {mode.fock_dim} exceeds the per-mode cap {DIM_CAP}")
     atom_state = np.asarray(atom_state)
     if atom_state.shape != (n, n):
         raise ValueError(f"atom state shape {atom_state.shape} does not match n={n}")
     if abs(atom_state[0, 1]) == 0.0:
         raise ValueError("initial atom state must carry nonzero (0,1) coherence")
-    joint = n * int(np.prod([mode.fock_dim for mode in modes]))
-    if joint > dim_cap:
-        raise ValueError(
-            f"joint dimension {joint} exceeds the validator cap {dim_cap}"
-        )
     return modes
 
 
@@ -279,9 +230,8 @@ def evolve_pulsed(
     method: str = "exact",
     substeps: int = 256,
     substep_tol: float = 1e-8,
-    dim_cap: int = DIM_CAP,
-) -> JointState:
-    """Evolve atom+modes through the full pulsed sequence, exactly.
+) -> complex:
+    """(0,1) coherence after the full pulsed sequence, evolved exactly.
 
     Free segments follow the schedule; after segment l of each cycle the atom
     pulse g_l g_{l-1}^dag fires, and the cycle closes with g_{n-1}^dag.  With
@@ -290,36 +240,35 @@ def evolve_pulsed(
     ConvergenceError raised if the coherence moves by more than
     ``substep_tol``.
     """
-    modes = _validate_inputs(n, modes, atom_state, dim_cap)
+    modes = _validate_inputs(n, modes, atom_state)
     if schedule.n != n or group.dim != n:
         raise ValueError(
             f"dimension mismatch: n={n}, schedule n={schedule.n}, group n={group.dim}"
         )
     elements = group.elements
-    steps: list[tuple[float, float, np.ndarray | None]] = []
-    for j in range(schedule.cycles):
-        for l in range(1, n + 1):
-            t_start = schedule.boundaries[j * n + l - 1]
-            dt = schedule.segments[j, l - 1]
-            if l < n:
-                pulse = elements[l] @ elements[l - 1].conj().T
-            else:
-                pulse = elements[n - 1].conj().T
-            steps.append((float(t_start), float(dt), pulse))
-
+    pulses = [elements[l] @ elements[l - 1].conj().T for l in range(1, n)]
+    splits = [_monomial_split(pulse) for pulse in pulses + [elements[n - 1].conj().T]]
+    steps = [
+        (float(schedule.boundaries[j * n + l]), float(schedule.segments[j, l]), splits[l])
+        for j in range(schedule.cycles)
+        for l in range(n)
+    ]
     if method == "exact":
-        return _run_sequence(n, modes, steps, atom_state, temperature, "exact", 0)
+        return _coherence(n, modes, steps, atom_state, temperature, _segment_exact)
     if method != "substeps":
         raise ValueError(f"unknown method {method!r} (expected 'exact' or 'substeps')")
-    coarse = _run_sequence(n, modes, steps, atom_state, temperature, "substeps", substeps)
-    fine = _run_sequence(n, modes, steps, atom_state, temperature, "substeps", 2 * substeps)
-    drift = abs(coarse.coherence() - fine.coherence())
+    coarse, fine = (
+        _coherence(n, modes, steps, atom_state, temperature,
+                   partial(_segment_substeps, substeps=count))
+        for count in (substeps, 2 * substeps)
+    )
+    drift = abs(coarse - fine)
     if drift > substep_tol:
         raise ConvergenceError(
             f"sub-step halving moved the coherence by {drift:.3e} > {substep_tol:g}; "
             f"increase substeps (ran {substeps} and {2 * substeps})",
-            previous=np.array([coarse.coherence()]),
-            current=np.array([fine.coherence()]),
+            previous=np.array([coarse]),
+            current=np.array([fine]),
         )
     return fine
 
@@ -349,15 +298,14 @@ def free_decay_baseline(
     temperature: float,
     n: int,
     atom_state: np.ndarray | None = None,
-    dim_cap: int = DIM_CAP,
 ) -> float:
     """Unpulsed decay exponent -ln|rho01(T)/rho01(0)|: one segment, no pulses."""
     if atom_state is None:
         atom_state = superposition_state(n)
-    modes = _validate_inputs(n, modes, atom_state, dim_cap)
+    modes = _validate_inputs(n, modes, atom_state)
     if not total_time >= 0:
         raise ValueError(f"total_time must be >= 0, got {total_time}")
     steps = [(0.0, float(total_time), None)]
-    final = _run_sequence(n, modes, steps, atom_state, temperature, "exact", 0)
+    final = _coherence(n, modes, steps, atom_state, temperature, _segment_exact)
     start = abs(np.asarray(atom_state)[0, 1])
-    return -math.log(abs(final.coherence()) / start)
+    return -math.log(abs(final) / start)

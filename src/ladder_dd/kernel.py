@@ -297,16 +297,19 @@ def _level_estimates(schedule: PulseSchedule, bath: BathSpec, table: FilterTable
     while True:
         width = math.ldexp(_PANEL_WIDTH, -level)
         whole = math.floor(upper / width)
-        nodes, rows = table.panels(level, whole)
-        # fixed-order numpy reductions, not BLAS, whose order may vary with its threads
-        gamma = total_time * np.sum(rows * _thermal_weight(nodes / total_time, bath), axis=1)
-        count = whole
-        if whole * width < upper:
-            lower = whole * width / total_time
-            half = 0.5 * (bath.cutoff - lower)
-            rest = decay_integrand(lower + half * (1.0 + _GL_NODES), schedule, bath)
-            gamma = gamma + np.sum(rest * (half * _GL_WEIGHTS), axis=1)
-            count += 1
+        # an overflow is reported once, as the ConvergenceError below
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            nodes, rows = table.panels(level, whole)
+            # fixed-order numpy reductions, not BLAS, whose order may vary with its threads
+            gamma = total_time * np.sum(rows * _thermal_weight(nodes / total_time, bath),
+                                        axis=1)
+            count = whole
+            if whole * width < upper:
+                lower = whole * width / total_time
+                half = 0.5 * (bath.cutoff - lower)
+                rest = decay_integrand(lower + half * (1.0 + _GL_NODES), schedule, bath)
+                gamma = gamma + np.sum(rest * (half * _GL_WEIGHTS), axis=1)
+                count += 1
         if not np.isfinite(gamma).all():
             raise ConvergenceError(
                 f"non-finite decay exponent estimate on {count * GL_ORDER} nodes",

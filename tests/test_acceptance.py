@@ -115,7 +115,7 @@ def test_criterion_4_oracle_equivalence():
         print(f"  case {result.case.name}: observed {result.observed_ratio:.9f} "
               f"predicted {result.predicted_ratio:.9f} rel {result.rel_error:.2e}")
     worst = max(result.rel_error for result in results)
-    _report(4, "Fock evolution vs filter formulas (n=2,3)",
+    _report(4, "Fock evolution vs filter formulas (n=2..6)",
             all(result.passed for result in results),
             f"worst relative deviation {worst:.2e}")
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ladder_dd.kernel as kernel
 from ladder_dd.kernel import (
@@ -387,6 +389,26 @@ class TestDecayExponents:
         table = FilterTable(ScheduleSpec(scheme=Scheme.PDD, n=3, cycles=2, total_time=1.0))
         with pytest.raises(ValueError, match="other pulse fractions"):
             decay_exponents(make_schedule(Scheme.UDD, 3, 2, 1.0), bath, table=table)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    cycles=st.integers(1, 4),
+    scheme=st.sampled_from([Scheme.PDD, Scheme.UDD]),
+    total_time=st.floats(1e-3, 5.0),
+    alpha=st.floats(0.0, 10.0),
+    cutoff=st.floats(1.0, 200.0),
+    temperature=st.floats(1e-2, 1e3),
+)
+def test_every_finite_spec_converges_or_names_its_error(
+        n, cycles, scheme, total_time, alpha, cutoff, temperature):
+    try:
+        p = coherence_ratio(make_schedule(scheme, n, cycles, total_time),
+                            BathSpec(alpha=alpha, cutoff=cutoff, temperature=temperature))
+    except (ValueError, ConvergenceError):
+        return
+    assert math.isfinite(p) and 0.0 <= p <= 1.0
 
 
 class TestSweepCurve:
