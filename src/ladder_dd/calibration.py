@@ -127,8 +127,11 @@ def run_case(
 ) -> CalibrationResult:
     """Evolve one case exactly and compare with the predicted coherence ratio.
 
-    ``wrong_sign`` predicts with the miswired filters (negative control).
+    ``tol`` must be finite and in (0, 1).  ``wrong_sign`` predicts with the
+    miswired filters (negative control).
     """
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must be finite and in (0, 1), got {tol}")
     schedule = make_schedule(case.scheme, case.n, case.cycles, case.total_time)
     group = build_decoupling_group(case.n)
     atom = superposition_state(case.n)
@@ -136,7 +139,7 @@ def run_case(
     start = complex(atom[0, 1])
     observed = abs(end) / abs(start)
     exponent = discrete_decay_exponent(
-        case.modes, case.temperature, schedule, case.n, wrong_sign=wrong_sign
+        case.modes, case.temperature, schedule, wrong_sign=wrong_sign
     )
     predicted = math.exp(-exponent)
     rel_error = abs(observed - predicted) / predicted

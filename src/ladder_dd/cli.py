@@ -339,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="compare exact Fock-space evolution against the filter formulas",
     )
     p_oracle.add_argument("--tol", type=float, default=CALIBRATION_TOL,
-                          help="relative tolerance per case")
+                          help="relative tolerance per case, in (0, 1)")
     p_oracle.add_argument("--miswired", action="store_true", help=argparse.SUPPRESS)
     p_oracle.set_defaults(func=cmd_oracle_check)
     return parser

@@ -32,7 +32,7 @@ from functools import partial
 import numpy as np
 from scipy.linalg import expm
 
-from .kernel import ConvergenceError, exponent_filters, exponent_for_transition
+from .kernel import ConvergenceError, exponent_filters, position_filters
 from .operators import DecouplingGroup, sigma_z
 from .schedules import PulseSchedule
 
@@ -274,19 +274,27 @@ def evolve_pulsed(
 
 
 def discrete_decay_exponent(
-    modes, temperature: float, schedule: PulseSchedule, n: int, wrong_sign: bool = False
+    modes, temperature: float, schedule: PulseSchedule, wrong_sign: bool = False
 ) -> float:
     """Total predicted exponent sum_k (1/2)|j_k chi(w_k)|^2 coth(w_k/(2 Tp)).
 
     Each mode contributes through the exponent filter of its own transition;
     this is the discrete-bath counterpart of the continuum integral and the
-    quantity the Fock evolution must reproduce.  ``wrong_sign`` selects the
-    miswired filters of exponent_filters (negative control).
+    quantity the Fock evolution must reproduce.  ``wrong_sign`` is the
+    negative control: the upper neighbour slot enters each filter with the
+    wrong sign, as under a wrong toggling-sign convention.
     """
-    filters = exponent_filters([mode.omega for mode in modes], schedule, wrong_sign)
+    omegas = [mode.omega for mode in modes]
+    filters = exponent_filters(omegas, schedule)
+    if wrong_sign:
+        upper = np.roll(position_filters(omegas, schedule), -1, axis=1)
+        filters = filters - 2.0 * upper[:, : schedule.n - 1]
     total = 0.0
     for mode, chis in zip(modes, filters):
-        chi = chis[exponent_for_transition(n, mode.transition) - 1]
+        if mode.transition > schedule.n - 2:
+            raise ValueError(f"mode transition {mode.transition} out of range "
+                             f"for n={schedule.n}")
+        chi = chis[mode.transition]
         coth = 1.0 / math.tanh(mode.omega / (2.0 * temperature))
         total += 0.5 * abs(mode.coupling) ** 2 * abs(chi) ** 2 * coth
     return total

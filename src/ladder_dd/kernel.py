@@ -8,29 +8,31 @@ ladder transition k picks up, per segment, the window amplitude
 
 weighted by the start-time phase exp(i w t_start) and by the level occupied
 in the toggled frame.  Summing over all N cycles at fixed intra-cycle slot l
-gives the position filter eta_l(w); the decay exponent of the (0,1) coherence
-collects, per transition, the second difference of cyclically adjacent
-position filters,
+gives the position filter eta_l(w), l = 0..n-1.  The decay exponent of the
+(0,1) coherence collects, per transition k = 0..n-2, the cyclic second
+difference of position filters centred on slot k,
 
-    chi(w) = eta_{l-1}(w) - 2 eta_l(w) + eta_{l+1}(w)   (indices mod n),
+    chi_k(w) = eta_{k-1}(w) - 2 eta_k(w) + eta_{k+1}(w)   (slots mod n).
 
-one such combination per exponent index m = 1..n-1.  For a continuum Ohmic
+In the toggled frame the (0,1) coherence sees the sigma_z of transition k
+with weight -2 in slot k, +1 in its two neighbours and 0 elsewhere; the
+tests derive this stencil from the group elements.  For a continuum Ohmic
 bath with spectral density I(w) = (alpha/4) w exp(-w/w_c) at temperature Tp
 (units hbar = k_B = 1) the exponents are
 
-    Gamma_m = 1/2 * integral_0^{w_c} I(w) coth(w/(2 Tp)) |chi_m(w)|^2 dw,
+    Gamma_k = 1/2 * integral_0^{w_c} I(w) coth(w/(2 Tp)) |chi_k(w)|^2 dw,
 
-and the surviving coherence fraction is P(T) = exp(-sum_m Gamma_m).  The
+and the surviving coherence fraction is P(T) = exp(-sum_k Gamma_k).  The
 integrand is finite at w = 0: I(w) coth(w/(2 Tp)) -> alpha*Tp/2 while the
 filters approach -i times segment-length sums.
 
-For fixed pulse fractions chi_m(w; T) = T * chi1_m(w T), where chi1 is the
+For fixed pulse fractions chi_k(w; T) = T * chi1_k(w T), where chi1 is the
 filter of the same fractions over total time 1, so in u = w T
 
-    Gamma_m(T) = T * integral_0^{w_c T} W(u/T) |chi1_m(u)|^2 du,
+    Gamma_k(T) = T * integral_0^{w_c T} W(u/T) |chi1_k(u)|^2 du,
     W(w) = I(w) coth(w/(2 Tp)) / 2.
 
-A FilterTable holds |chi1_m|^2 on Gauss-Legendre panels of width 4 pi / 2**L
+A FilterTable holds |chi1_k|^2 on Gauss-Legendre panels of width 4 pi / 2**L
 in u.  The points of a sweep share one table: each adds only the panels
 beyond its predecessors' upper limits, plus one remainder panel of its own
 up to the cutoff.  Refinement halves the panel width until every exponent
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import schedules
-from .schedules import PulseSchedule, Scheme, ScheduleSpec, build_schedule
+from .schedules import PulseSchedule, ScheduleSpec, build_schedule
 
 GL_ORDER = 15
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)
@@ -106,50 +108,6 @@ def ohmic_density(omega, bath: BathSpec):
     return result if result.ndim else float(result)
 
 
-def segment_kernel(omega, dt: float):
-    """Window amplitude (1 - exp(i*w*dt))/w of one free segment; -i*dt at w=0."""
-    if dt < 0:
-        raise ValueError(f"segment duration must be >= 0, got dt={dt}")
-    omega = np.asarray(omega, dtype=float)
-    scalar = omega.ndim == 0
-    omega = np.atleast_1d(omega)
-    out = np.empty(omega.shape, dtype=complex)
-    zero = omega == 0.0
-    nz = ~zero
-    out[nz] = (1.0 - np.exp(1j * omega[nz] * dt)) / omega[nz]
-    out[zero] = -1j * dt
-    return complex(out[0]) if scalar else out
-
-
-def transition_for_exponent(n: int, m: int) -> int:
-    """Ladder transition (0-based) whose bath modes drive decay exponent m."""
-    if not 1 <= m <= n - 1:
-        raise IndexError(f"exponent index m={m} out of range for n={n} (need 1..n-1)")
-    if m == 1:
-        return 0
-    if m == 2:
-        return 1
-    return n + 1 - m
-
-
-def exponent_for_transition(n: int, k: int) -> int:
-    """Decay exponent index (1-based) fed by modes on transition k; the inverse
-    of transition_for_exponent."""
-    if not 0 <= k <= n - 2:
-        raise IndexError(f"transition index k={k} out of range for n={n}")
-    return next(m for m in range(1, n) if transition_for_exponent(n, m) == k)
-
-
-def filter_positions_for_exponent(n: int, m: int) -> tuple[int, int, int]:
-    """Cyclically adjacent slot triple (lower, centre, upper) entering chi_m.
-
-    chi_m = eta_lower - 2*eta_centre + eta_upper.  At n=2 both outer slots
-    coincide, collapsing to -2*eta_1 + 2*eta_2.
-    """
-    k = transition_for_exponent(n, m)
-    return (k - 1) % n + 1, k % n + 1, (k + 1) % n + 1
-
-
 def position_filters(omegas, schedule: PulseSchedule) -> np.ndarray:
     """eta_l(w) for all slots at once: (K, n) complex for K frequencies.
 
@@ -185,20 +143,16 @@ def position_filters(omegas, schedule: PulseSchedule) -> np.ndarray:
     return out
 
 
-def exponent_filters(omegas, schedule: PulseSchedule, wrong_sign: bool = False) -> np.ndarray:
-    """chi_m(w) for m = 1..n-1 at once: (K, n-1) complex for K frequencies.
+def exponent_filters(omegas, schedule: PulseSchedule) -> np.ndarray:
+    """chi_k(w) for every transition k at once: (K, n-1) complex for K frequencies.
 
-    Column m-1 is eta_lower - 2*eta_centre + eta_upper over the slot triple
-    of filter_positions_for_exponent.  ``wrong_sign`` subtracts the upper
-    neighbour instead, emulating a wrong toggling-sign convention; it exists
-    as the oracle's negative control.
+    Column k is the cyclic second difference eta_{k-1} - 2*eta_k + eta_{k+1}
+    centred on 0-based slot k (slots mod n); at n=2 both neighbours are the
+    other slot.  The tests derive these weights from the pulse group.
     """
-    n = schedule.n
     eta = position_filters(omegas, schedule)
-    slots = np.array([filter_positions_for_exponent(n, m) for m in range(1, n)]) - 1
-    lo, mid, hi = slots.T
-    upper = -eta[:, hi] if wrong_sign else eta[:, hi]
-    return eta[:, lo] - 2.0 * eta[:, mid] + upper
+    chi = np.roll(eta, 1, axis=1) - 2.0 * eta + np.roll(eta, -1, axis=1)
+    return chi[:, : schedule.n - 1]
 
 
 def _thermal_weight(omegas: np.ndarray, bath: BathSpec) -> np.ndarray:
@@ -213,7 +167,7 @@ def _thermal_weight(omegas: np.ndarray, bath: BathSpec) -> np.ndarray:
 
 
 def decay_integrand(omegas, schedule: PulseSchedule, bath: BathSpec) -> np.ndarray:
-    """Rows (1/2) I(w) coth(w/(2 Tp)) |chi_m(w)|^2 for m = 1..n-1, shape (n-1, K)."""
+    """Rows (1/2) I(w) coth(w/(2 Tp)) |chi_k(w)|^2 for every transition k, shape (n-1, K)."""
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     chi = exponent_filters(omegas, schedule)
     # C-ordered rows keep the panel sums in one summation order
@@ -227,13 +181,13 @@ def _fraction_key(spec: ScheduleSpec) -> tuple:
 
 
 class FilterTable:
-    """|chi1_m(u)|^2 on shared Gauss-Legendre panels for one set of pulse fractions.
+    """|chi1_k(u)|^2 on shared Gauss-Legendre panels for one set of pulse fractions.
 
-    With the fractions fixed, chi_m(w; T) = T * chi1_m(w T), where chi1 is the
+    With the fractions fixed, chi_k(w; T) = T * chi1_k(w T), where chi1 is the
     filter of the same fractions over total time 1.  Level L tiles u = w T
     with the panels [k h_L, (k+1) h_L], h_L = 4 pi / 2**L, which therefore
     serve every total time.  Per level the table holds the nodes and the
-    weighted rows w_j |chi1_m(u_j)|^2 of the panels asked for so far and
+    weighted rows w_j |chi1_k(u_j)|^2 of the panels asked for so far and
     evaluates only the panels it does not hold yet.  Extending it mutates it:
     do not share one table between threads.
     """
@@ -265,7 +219,8 @@ class FilterTable:
 
 @dataclass(frozen=True)
 class DecayExponents:
-    """Converged decay exponents Gamma_1..Gamma_{n-1} with quadrature metadata."""
+    """Converged decay exponents with quadrature metadata; ``gamma[k]`` is Gamma_k of
+    transition k."""
 
     gamma: np.ndarray
     quadrature_points: int
@@ -344,7 +299,7 @@ def decay_exponents(
 
     The first level has at least ``_MIN_PANELS`` panels of at most two filter
     oscillations each; each further level halves the panel width, until
-    successive estimates of every Gamma_m agree within ``rel_tol``.
+    successive estimates of every Gamma_k agree within ``rel_tol``.
     ``extra_levels`` forces further halvings after convergence (used to
     probe quadrature stability).  Exponents whose successive estimates both
     sit below ``_ZERO_FLOOR`` count as converged zeros.  ``table`` is a
@@ -381,20 +336,17 @@ def decay_exponents(
 def coherence_ratio(
     schedule: PulseSchedule, bath: BathSpec, rel_tol: float = 1e-6, **quad_kwargs
 ) -> float:
-    """Surviving fraction P(T) = exp(-sum_m Gamma_m) of the (0,1) coherence."""
+    """Surviving fraction P(T) = exp(-sum_k Gamma_k) of the (0,1) coherence, the
+    sum running over the exponents of transitions k = 0..n-2."""
     exponents = decay_exponents(schedule, bath, rel_tol=rel_tol, **quad_kwargs)
     return float(np.exp(-exponents.gamma.sum()))
 
 
 @dataclass(frozen=True)
 class CoherenceCurve:
-    """Sampled (T, P(T)) pairs for one scheme and bath, with each point's
-    final node count and estimated relative error."""
+    """Sampled (T, P(T)) pairs with each point's final node count and
+    estimated relative error."""
 
-    scheme: Scheme
-    bath: BathSpec
-    n: int
-    cycles: int
     times: np.ndarray
     values: np.ndarray
     quadrature_points: np.ndarray
@@ -440,10 +392,6 @@ def sweep_curve(
         points[i] = exponents.quadrature_points
         errors[i] = exponents.estimated_relative_error
     return CoherenceCurve(
-        scheme=template.scheme,
-        bath=bath,
-        n=template.n,
-        cycles=template.cycles,
         times=t_grid,
         values=values,
         quadrature_points=points,

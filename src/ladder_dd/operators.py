@@ -79,13 +79,6 @@ class DecouplingGroup:
     dim: int
     elements: tuple[np.ndarray, ...]
 
-    @property
-    def generator(self) -> np.ndarray:
-        return self.elements[1]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
 
 def build_decoupling_group(n: int) -> DecouplingGroup:
     """Construct the decoupling group for an n-level ladder atom."""

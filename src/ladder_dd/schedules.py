@@ -98,7 +98,7 @@ class ScheduleSpec:
 
 @dataclass(frozen=True)
 class PulseSchedule:
-    """A built schedule: fractions, segment lengths and cycle durations.
+    """A built schedule: fractions, boundary instants and segment lengths.
 
     ``boundaries`` holds the nN+1 absolute instants 0 = t_0 < t_1 < ... <
     t_{nN} = T bounding the free-evolution segments.  ``segments[j-1, i-1]``
@@ -110,7 +110,6 @@ class PulseSchedule:
     fractions: np.ndarray
     boundaries: np.ndarray
     segments: np.ndarray
-    cycle_lengths: np.ndarray
 
     @property
     def n(self) -> int:
@@ -140,13 +139,11 @@ def build_schedule(spec: ScheduleSpec) -> PulseSchedule:
         fractions = np.asarray(spec.custom_fractions, dtype=float)
     boundaries = np.concatenate(([0.0], fractions, [1.0])) * spec.total_time
     segments = np.diff(boundaries).reshape(spec.cycles, spec.n)
-    cycle_lengths = segments.sum(axis=1)
     return PulseSchedule(
         spec=spec,
         fractions=fractions,
         boundaries=boundaries,
         segments=segments,
-        cycle_lengths=cycle_lengths,
     )
 
 

@@ -75,8 +75,8 @@ def test_criterion_2_group_structure():
         power = np.eye(n, dtype=complex)
         for element in group.elements:
             worst_power = max(worst_power, max_abs(element - power))
-            power = power @ group.generator
-        nth = np.linalg.matrix_power(group.generator, n)
+            power = power @ group.elements[1]
+        nth = np.linalg.matrix_power(group.elements[1], n)
         scalar = nth[0, 0]
         worst_scalar = max(
             worst_scalar, abs(abs(scalar) - 1), max_abs(nth - scalar * np.eye(n))
@@ -236,7 +236,7 @@ def test_udd_dominance_in_storage_regime():
 def test_reference_schedule_oracle():
     # the n=6, N=50 reference schedule replayed in Fock space with one mode
     # just below the cutoff, on both sides of the PDD/UDD flip of criterion 6;
-    # transitions 2 and 4 feed exponents 5 and 3 through the n+1-m branch
+    # transitions 2 and 4 have mirror-image slot stencils, centred on slots 2 and 4
     exponents = {}
     for scheme in (Scheme.PDD, Scheme.UDD):
         for total_time in (1.5, 2.5):
@@ -264,9 +264,9 @@ def test_reference_schedule_oracle():
         assert (exponents[Scheme.UDD, 2.5, transition]
                 > exponents[Scheme.PDD, 2.5, transition])
 
-    # modes on transitions 2 and 3 at different strengths: only under UDD past
-    # the flip does feeding transition 2 through exponent 3 (the k + 1 slip)
-    # instead of exponent 5 (n + 1 - k) move the prediction past the tolerance
+    # modes on transitions 2 and 3 at different strengths: under UDD past the
+    # flip, relabelling the transition-2 mode as transition 4 (its filter centred
+    # on slot 4 instead of slot 2) moves the prediction past the tolerance
     modes = (ModeSpec(transition=2, omega=95.0, coupling=2.0, fock_dim=6),
              ModeSpec(transition=3, omega=95.0, coupling=1.2, fock_dim=6))
     case = CalibrationCase(name="n6-udd-T2.5-k2-k3", n=6, cycles=50, scheme=Scheme.UDD,
@@ -275,7 +275,7 @@ def test_reference_schedule_oracle():
     assert result.passed, result.rel_error
     schedule = make_schedule(case.scheme, case.n, case.cycles, case.total_time)
     relabelled = (dataclasses.replace(modes[0], transition=4), modes[1])
-    predicted = math.exp(-discrete_decay_exponent(relabelled, case.temperature, schedule, 6))
+    predicted = math.exp(-discrete_decay_exponent(relabelled, case.temperature, schedule))
     miss = abs(result.observed_ratio - predicted) / predicted
     print(f"  case {case.name}: rel {result.rel_error:.2e}, relabelled k2->k4 {miss:.2e}")
     assert miss > CALIBRATION_TOL

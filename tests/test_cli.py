@@ -276,6 +276,15 @@ class TestOracleCheckCommand:
         assert main(["oracle-check", "--miswired"]) == EXIT_CHECK_FAILED
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_invalid_tolerance_is_input_error(self, tol, capsys):
+        # an infinite tolerance would pass every case, the miswired control too
+        for extra in ([], ["--miswired"]):
+            assert main(["oracle-check", "--tol", tol, *extra]) == EXIT_VALIDATION
+            captured = capsys.readouterr()
+            assert "tol must be finite and in (0, 1)" in captured.err
+            assert captured.out == ""
+
 
 class TestHelp:
     def test_exit_codes_documented(self):

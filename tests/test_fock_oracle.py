@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ladder_dd import calibration
 from ladder_dd.calibration import (
+    CALIBRATION_TOL,
     CalibrationCase,
     default_calibration_cases,
     run_calibration_suite,
@@ -22,7 +26,7 @@ from ladder_dd.fock_oracle import (
     superposition_state,
     thermal_state,
 )
-from ladder_dd.kernel import ConvergenceError, segment_kernel
+from ladder_dd.kernel import ConvergenceError, position_filters
 from ladder_dd.operators import DecouplingGroup, build_decoupling_group
 from ladder_dd.schedules import Scheme, make_schedule
 
@@ -67,6 +71,11 @@ def _pinned_cases():
         "n6-udd-T2.5-k2-k3", 6, 50, Scheme.UDD, 2.5, 20.0,
         (ModeSpec(2, 95.0, 2.0, 6), ModeSpec(3, 95.0, 1.2, 6)))
     return cases
+
+
+def window(omega, dt):
+    """Window amplitude (1 - exp(i w dt))/w of one free segment, w > 0."""
+    return (1 - np.exp(1j * omega * dt)) / omega
 
 
 def brute_min_dim(omega, temperature, tail=1e-10):
@@ -281,17 +290,34 @@ class TestDiscreteDecayExponent:
     def test_zero_coupling(self):
         schedule = make_schedule(Scheme.PDD, 2, 1, 2.0)
         mode = ModeSpec(transition=0, omega=1.0, coupling=0.0, fock_dim=4)
-        assert discrete_decay_exponent((mode,), 1.0, schedule, 2) == 0.0
+        assert discrete_decay_exponent((mode,), 1.0, schedule) == 0.0
 
     def test_coupling_square_scaling_exact(self):
         schedule = make_schedule(Scheme.UDD, 3, 2, 1.8)
-        base = discrete_decay_exponent(
-            (ModeSpec(0, 1.1, 0.07, 4),), 0.5, schedule, 3
-        )
-        doubled = discrete_decay_exponent(
-            (ModeSpec(0, 1.1, 0.14, 4),), 0.5, schedule, 3
-        )
+        base = discrete_decay_exponent((ModeSpec(0, 1.1, 0.07, 4),), 0.5, schedule)
+        doubled = discrete_decay_exponent((ModeSpec(0, 1.1, 0.14, 4),), 0.5, schedule)
         assert doubled == 4.0 * base
+
+    def test_transition_out_of_range(self):
+        schedule = make_schedule(Scheme.PDD, 3, 1, 2.0)
+        mode = ModeSpec(transition=2, omega=1.0, coupling=0.1, fock_dim=4)
+        with pytest.raises(ValueError, match="transition 2 out of range for n=3"):
+            discrete_decay_exponent((mode,), 1.0, schedule)
+
+    def test_wrong_sign_flips_upper_neighbour(self):
+        # the negative control's filter for transition k is
+        # eta_{k-1} - 2 eta_k - eta_{k+1}: the upper neighbour enters negated
+        schedule = make_schedule(Scheme.UDD, 6, 2, 1.1)
+        temperature = 0.7
+        for omega in (4.2, 95.0):
+            eta = position_filters(omega, schedule)[0]
+            coth = 1.0 / math.tanh(omega / (2.0 * temperature))
+            for k in range(5):
+                mode = ModeSpec(transition=k, omega=omega, coupling=0.3, fock_dim=4)
+                chi = eta[(k - 1) % 6] - 2 * eta[k] - eta[(k + 1) % 6]
+                want = 0.5 * 0.3**2 * abs(chi) ** 2 * coth
+                got = discrete_decay_exponent((mode,), temperature, schedule, wrong_sign=True)
+                assert got == pytest.approx(want, rel=1e-12), (omega, k)
 
 
 class TestFreeDecayBaseline:
@@ -311,7 +337,7 @@ class TestFreeDecayBaseline:
         # one segment, no pulses: chi = -2 j zeta, exponent 2|j zeta|^2 coth
         total_time, temperature = 2.0, 1.0
         value = free_decay_baseline(total_time, (MODE_N2,), temperature, 2)
-        zeta = segment_kernel(MODE_N2.omega, total_time)
+        zeta = window(MODE_N2.omega, total_time)
         closed = (
             2.0
             * abs(MODE_N2.coupling * zeta) ** 2
@@ -331,7 +357,7 @@ class TestFreeDecayBaseline:
         total_time, temperature = 2.0, 0.5
         mode = ModeSpec(transition=1, omega=1.2, coupling=0.1, fock_dim=12)
         value = free_decay_baseline(total_time, (mode,), temperature, 3)
-        zeta = segment_kernel(mode.omega, total_time)
+        zeta = window(mode.omega, total_time)
         closed = 0.5 * abs(mode.coupling * zeta) ** 2 / math.tanh(
             mode.omega / (2 * temperature)
         )
@@ -353,6 +379,15 @@ class TestCalibration:
             assert result.passed, (result.case.name, result.rel_error)
             assert result.rel_error <= 1e-6
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, 1.0, math.inf])
+    def test_invalid_tolerance_rejected_before_evolution(self, tol, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("evolved despite an invalid tolerance")
+
+        monkeypatch.setattr(calibration, "evolve_pulsed", never)
+        with pytest.raises(ValueError, match="tol must be finite"):
+            run_case(default_calibration_cases()[0], tol=tol)
+
     def test_miswired_filters_fail_everywhere(self):
         # negative control: a wrong sign convention must be caught
         results = run_calibration_suite(wrong_sign=True)
@@ -370,3 +405,40 @@ class TestCalibration:
         assert result.passed
         assert result.observed_ratio == pytest.approx(1.0, abs=1e-12)
         assert result.predicted_ratio == 1.0
+
+
+@st.composite
+def calibration_draws(draw):
+    """A random pulsed run: n, N, scheme, T, temperature and 1-3 modes on
+    random transitions, each truncated with a margin for its displacement."""
+    n = draw(st.integers(2, 7))
+    cycles = draw(st.sampled_from([1, 2, 3, 4, 50]))
+    scheme = draw(st.sampled_from([Scheme.PDD, Scheme.UDD]))
+    total_time = draw(st.floats(0.3, 3.0))
+    temperature = draw(st.floats(0.3, 2.0))
+    modes = []
+    for _ in range(draw(st.integers(1, 3))):
+        omega = draw(st.floats(0.5, 3.0))
+        coupling = draw(st.floats(0.01, 0.1))
+        # every displacement along the run stays below 4 j T; the margin keeps
+        # the truncation error far below CALIBRATION_TOL
+        fock_dim = (min_fock_dim(omega, temperature)
+                    + math.ceil(6 * (4 * coupling * total_time) ** 2) + 6)
+        modes.append(ModeSpec(draw(st.integers(0, n - 2)), omega, coupling, fock_dim))
+    return n, cycles, scheme, total_time, temperature, tuple(modes)
+
+
+@settings(max_examples=12, deadline=None)
+@given(calibration_draws())
+def test_random_runs_match_prediction_and_catch_the_control(draw):
+    n, cycles, scheme, total_time, temperature, modes = draw
+    schedule = make_schedule(scheme, n, cycles, total_time)
+    atom = superposition_state(n)
+    end = evolve_pulsed(n, modes, schedule, build_decoupling_group(n), atom, temperature)
+    observed = abs(end) / abs(atom[0, 1])
+    predicted = math.exp(-discrete_decay_exponent(modes, temperature, schedule))
+    control = math.exp(-discrete_decay_exponent(modes, temperature, schedule,
+                                                wrong_sign=True))
+    assert abs(observed - predicted) / predicted <= CALIBRATION_TOL
+    if abs(control - predicted) / predicted > 10 * CALIBRATION_TOL:
+        assert abs(observed - control) / control > CALIBRATION_TOL

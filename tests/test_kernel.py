@@ -14,66 +14,62 @@ from ladder_dd.kernel import (
     decay_exponents,
     decay_integrand,
     exponent_filters,
-    exponent_for_transition,
-    filter_positions_for_exponent,
     ohmic_density,
     position_filters,
-    segment_kernel,
     sweep_curve,
-    transition_for_exponent,
 )
+from ladder_dd.operators import ZERO_TOL, build_decoupling_group, max_abs, sigma_z
 from ladder_dd.schedules import Scheme, ScheduleSpec, make_schedule
+
+
+def window(omega, dt):
+    """Window amplitude (1 - exp(i w dt))/w of one free segment; -i dt at w = 0."""
+    return -1j * dt if omega == 0 else (1 - np.exp(1j * omega * dt)) / omega
 
 
 def eta_literal(l, omega, schedule):
     """Term-by-term transcription of the position filter: for each cycle, the
     segment window times the intra-cycle phase times the elapsed-cycles phase."""
+    cycle_lengths = schedule.segments.sum(axis=1)
     total = 0.0 + 0.0j
     for j in range(1, schedule.cycles + 1):
         seg = schedule.segments[j - 1]
-        term = segment_kernel(omega, float(seg[l - 1]))
+        term = window(omega, float(seg[l - 1]))
         term *= np.exp(1j * omega * seg[: l - 1].sum())
-        term *= np.exp(1j * omega * schedule.cycle_lengths[: j - 1].sum())
+        term *= np.exp(1j * omega * cycle_lengths[: j - 1].sum())
         total += term
     return total
 
 
-def chi_literal(m, omega, schedule):
-    """Cyclic-neighbour second difference, coded independently of the package."""
+def chi_literal(k, omega, schedule):
+    """Cyclic second difference centred on 0-based slot k, coded independently
+    of the package."""
     n = schedule.n
     eta = [eta_literal(l, omega, schedule) for l in range(1, n + 1)]
-    if m == 1:
-        return -2 * eta[0] + eta[1] + eta[n - 1]
-    if m == 2:
-        return -2 * eta[1] + eta[0] + eta[2]
-    return -2 * eta[n - m + 1] + eta[n - m] + eta[n - m + 2]
+    return eta[(k - 1) % n] - 2 * eta[k] + eta[(k + 1) % n]
 
 
-class TestSegmentKernel:
-    def test_zero_duration(self):
-        assert segment_kernel(3.7, 0.0) == 0.0
-
-    def test_zero_frequency_limit(self):
-        assert segment_kernel(0.0, 1.25) == -1.25j
-
-    def test_pi_phase(self):
-        # 1 - exp(i*pi) = 2
-        assert segment_kernel(2.0, math.pi / 2) == pytest.approx(1.0 + 0.0j, abs=1e-15)
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError, match="dt=-1"):
-            segment_kernel(1.0, -1.0)
-
-    def test_array_input(self):
-        out = segment_kernel(np.array([0.0, 2.0]), math.pi / 2)
-        np.testing.assert_allclose(out, [-1j * math.pi / 2, 1.0], atol=1e-15)
+def toggling_weights(n):
+    """W[k, l]: weight of transition k's sigma_z on the (0,1) coherence in slot l,
+    diag(g_l^dag sigma_z(k) g_l)[0] - [1] over the elements g_l of the pulse group.
+    Asserts that every toggled sigma_z is diagonal."""
+    elements = build_decoupling_group(n).elements
+    weights = np.empty((n - 1, n))
+    for k in range(n - 1):
+        for l, g in enumerate(elements):
+            toggled = g.conj().T @ sigma_z(n, k) @ g
+            diagonal = np.diag(toggled)
+            assert max_abs(toggled - np.diag(diagonal)) <= ZERO_TOL, (k, l)
+            assert abs(diagonal.imag).max() <= ZERO_TOL, (k, l)
+            weights[k, l] = diagonal[0].real - diagonal[1].real
+    return weights
 
 
 class TestPositionFilter:
     def test_single_cycle_first_slot_is_bare_kernel(self):
         schedule = make_schedule(Scheme.UDD, 3, 1, 2.0)
         omega = 1.3
-        expected = segment_kernel(omega, float(schedule.segments[0, 0]))
+        expected = window(omega, float(schedule.segments[0, 0]))
         assert position_filters(omega, schedule)[0, 0] == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("scheme", [Scheme.PDD, Scheme.UDD])
@@ -99,28 +95,6 @@ class TestPositionFilter:
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
-class TestExponentMapping:
-    def test_six_level_tables(self):
-        assert [transition_for_exponent(6, m) for m in range(1, 6)] == [0, 1, 4, 3, 2]
-        assert [exponent_for_transition(6, k) for k in range(5)] == [1, 2, 5, 4, 3]
-
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_mappings_are_inverse_bijections(self, n):
-        transitions = [transition_for_exponent(n, m) for m in range(1, n)]
-        assert sorted(transitions) == list(range(n - 1))
-        for k in range(n - 1):
-            assert transition_for_exponent(n, exponent_for_transition(n, k)) == k
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError, match="m=3"):
-            transition_for_exponent(3, 3)
-        with pytest.raises(IndexError, match="k=2"):
-            exponent_for_transition(3, 2)
-
-    def test_filter_positions_two_level(self):
-        assert filter_positions_for_exponent(2, 1) == (2, 1, 2)
-
-
 class TestExponentFilter:
     def test_two_level_reduction(self):
         schedule = make_schedule(Scheme.UDD, 2, 2, 1.5)
@@ -134,16 +108,16 @@ class TestExponentFilter:
         # equal segments make the omega->0 limits equal across slots, and the
         # (+1, -2, +1) coefficients sum to zero
         schedule = make_schedule(Scheme.PDD, 4, 3, 2.0)
-        for m in range(1, 4):
+        for k in range(3):
             # segment sums agree across slots to round-off only
-            assert abs(exponent_filters(0.0, schedule)[0, m - 1]) <= 1e-13
+            assert abs(exponent_filters(0.0, schedule)[0, k]) <= 1e-13
 
     def test_six_level_udd_against_transcription(self):
         schedule = make_schedule(Scheme.UDD, 6, 2, 1.0)
         omega = 0.7 * 100.0
-        for m in range(1, 6):
-            got = exponent_filters(omega, schedule)[0, m - 1]
-            assert got == pytest.approx(chi_literal(m, omega, schedule), rel=1e-12)
+        for k in range(5):
+            got = exponent_filters(omega, schedule)[0, k]
+            assert got == pytest.approx(chi_literal(k, omega, schedule), rel=1e-12)
 
     def test_four_level_matches_fixed_index_transcription(self):
         # at n=4 the published index pattern (second filter ending on eta_{n-1})
@@ -151,13 +125,13 @@ class TestExponentFilter:
         schedule = make_schedule(Scheme.UDD, 4, 2, 1.3)
         omega = 3.1
         eta = [eta_literal(l, omega, schedule) for l in range(1, 5)]
-        fixed = {
-            1: -2 * eta[0] + eta[1] + eta[3],
-            2: -2 * eta[1] + eta[0] + eta[2],  # eta_{n-1} = eta_3 at n=4
-            3: -2 * eta[2] + eta[1] + eta[3],
+        fixed = {  # transition: published combination
+            0: -2 * eta[0] + eta[1] + eta[3],
+            1: -2 * eta[1] + eta[0] + eta[2],  # eta_{n-1} = eta_3 at n=4
+            2: -2 * eta[2] + eta[1] + eta[3],
         }
-        for m, want in fixed.items():
-            assert exponent_filters(omega, schedule)[0, m - 1] == pytest.approx(want, rel=1e-12)
+        for k, want in fixed.items():
+            assert exponent_filters(omega, schedule)[0, k] == pytest.approx(want, rel=1e-12)
 
     def test_five_level_diverges_from_n_minus_1_variant(self):
         # the eta_{n-1} variant of the second filter is not the cyclic
@@ -180,28 +154,20 @@ class TestExponentFilter:
             assert abs(chi) ** 2 == pytest.approx(closed, rel=1e-12)
 
 
-class TestFilterEvaluation:
-    def test_consistency_invariant(self):
-        schedule = make_schedule(Scheme.UDD, 6, 2, 1.1)
-        position = position_filters(4.2, schedule)[0]
-        exponent = exponent_filters(4.2, schedule)[0]
-        assert position.shape == (6,)
-        assert exponent.shape == (5,)
-        for m in range(1, 6):
-            lo, mid, hi = filter_positions_for_exponent(6, m)
-            recombined = position[lo - 1] - 2 * position[mid - 1] + position[hi - 1]
-            assert exponent[m - 1] == pytest.approx(recombined, rel=1e-13)
-
-    def test_wrong_sign_flips_upper_neighbour(self):
-        schedule = make_schedule(Scheme.UDD, 6, 2, 1.1)
-        omegas = [0.0, 4.2, 95.0]
-        position = position_filters(omegas, schedule)
-        miswired = exponent_filters(omegas, schedule, wrong_sign=True)
-        assert miswired.shape == (3, 5)
-        for m in range(1, 6):
-            lo, mid, hi = filter_positions_for_exponent(6, m)
-            recombined = position[:, lo - 1] - 2 * position[:, mid - 1] - position[:, hi - 1]
-            np.testing.assert_array_equal(miswired[:, m - 1], recombined)
+@pytest.mark.parametrize("n", range(2, 9))
+def test_stencil_is_group_toggling_weights(n):
+    # the (+1, -2, +1) stencil of exponent_filters, centred on slot k for
+    # transition k, is the toggling-frame weight the pulse group assigns
+    weights = toggling_weights(n)
+    omegas = [0.0, 0.35, 4.2, 95.0]
+    for scheme in (Scheme.PDD, Scheme.UDD):
+        schedule = make_schedule(scheme, n, 3, 1.7)
+        eta = position_filters(omegas, schedule)
+        chi = exponent_filters(omegas, schedule)
+        assert chi.shape == (len(omegas), n - 1)
+        # relative to each frequency's filter scale: PDD cancels at w = 0
+        scale = np.abs(eta).max(axis=1, keepdims=True)
+        assert np.all(np.abs(chi - eta @ weights.T) <= 1e-13 * scale), scheme
 
 
 class TestBath:
@@ -446,10 +412,10 @@ class TestSweepCurve:
         # every table panel is evaluated by the first point that needs it only
         table_nodes = []
 
-        def recording(omegas, schedule, wrong_sign=False):
+        def recording(omegas, schedule):
             if schedule.total_time == 1.0:
                 table_nodes.append(np.asarray(omegas))
-            return filters(omegas, schedule, wrong_sign)
+            return filters(omegas, schedule)
 
         filters = kernel.exponent_filters
         monkeypatch.setattr(kernel, "exponent_filters", recording)

@@ -76,7 +76,7 @@ class TestXPulse:
 class TestDecouplingGroup:
     def test_two_level_elements(self):
         group = build_decoupling_group(2)
-        assert len(group) == 2
+        assert len(group.elements) == 2
         np.testing.assert_allclose(group.elements[0], np.eye(2), atol=0)
         np.testing.assert_allclose(group.elements[1], 1j * sigma_x(2, 0), atol=0)
 
@@ -86,11 +86,11 @@ class TestDecouplingGroup:
         factor_21 = np.array([[1, 0, 0], [0, 0, 1j], [0, 1j, 0]], dtype=complex)
         expected = factor_10 @ factor_21
         group = build_decoupling_group(3)
-        assert max_abs(group.generator - expected) <= TOL
+        assert max_abs(group.elements[1] - expected) <= TOL
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_generator_is_phased_permutation(self, n):
-        g = build_decoupling_group(n).generator
+        g = build_decoupling_group(n).elements[1]
         magnitudes = np.abs(g)
         # exactly one unit-modulus entry per row and per column
         assert np.allclose(np.sort(magnitudes, axis=1)[:, :-1], 0, atol=TOL)
@@ -100,17 +100,17 @@ class TestDecouplingGroup:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_elements_are_powers_and_unitary(self, n):
         group = build_decoupling_group(n)
-        assert len(group) == n
+        assert len(group.elements) == n
         power = np.eye(n, dtype=complex)
         for element in group.elements:
             assert is_unitary(element)
             assert max_abs(element - power) <= TOL
-            power = power @ group.generator
+            power = power @ group.elements[1]
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_generator_nth_power_is_scalar(self, n):
         group = build_decoupling_group(n)
-        nth = np.linalg.matrix_power(group.generator, n)
+        nth = np.linalg.matrix_power(group.elements[1], n)
         scalar = nth[0, 0]
         assert abs(abs(scalar) - 1) <= TOL
         assert max_abs(nth - scalar * np.eye(n)) <= TOL

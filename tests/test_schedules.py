@@ -67,7 +67,7 @@ class TestBuildSchedule:
     def test_pdd_two_level_single_cycle(self):
         schedule = make_schedule(Scheme.PDD, 2, 1, 1.0)
         np.testing.assert_allclose(schedule.segments, [[0.5, 0.5]], atol=0)
-        np.testing.assert_allclose(schedule.cycle_lengths, [1.0], atol=0)
+        np.testing.assert_allclose(schedule.segments.sum(axis=1), [1.0], atol=0)
 
     def test_udd_two_level_two_cycles_derived(self):
         # fractions from the closed form, segments by differencing
@@ -78,7 +78,7 @@ class TestBuildSchedule:
             [[UDD3_LO, 0.5 - UDD3_LO], [UDD3_HI - 0.5, 1.0 - UDD3_HI]],
             atol=1e-15,
         )
-        np.testing.assert_allclose(schedule.cycle_lengths, [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(schedule.segments.sum(axis=1), [0.5, 0.5], atol=1e-15)
 
     def test_pdd_reference_uniform(self):
         schedule = make_schedule(Scheme.PDD, 6, 50, 10.0)
@@ -103,13 +103,13 @@ class TestScheduleInvariants:
         assert np.all(schedule.segments > 0)
         total = schedule.total_time
         assert abs(schedule.segments.sum() - total) <= 1e-12 * total
-        assert abs(schedule.cycle_lengths.sum() - total) <= 1e-12 * total
 
     def test_cycle_lengths_are_row_sums(self, scheme, n, cycles):
+        # each row of segments spans one cycle: every n-th boundary
         schedule = self._schedule(scheme, n, cycles)
         np.testing.assert_allclose(
-            schedule.cycle_lengths,
             schedule.segments.sum(axis=1),
+            np.diff(schedule.boundaries[::n]),
             rtol=0,
             atol=1e-12 * schedule.total_time,
         )
