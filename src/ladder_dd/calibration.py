@@ -59,9 +59,9 @@ def _mode_per_transition(n: int, omega: float, coupling: float,
 
 
 def default_calibration_cases() -> tuple[CalibrationCase, ...]:
-    """Weak-coupling cases covering n in {2,...,6}, N in {1,2,50}, 1-2 modes per
-    transition; the n=6 case is the reference schedule with a mode just below
-    the cutoff on every transition."""
+    """Cases covering n in {2,...,6}, N in {1,2,50}, 1-2 modes per transition,
+    weakly coupled except at n=5; the n=6 case is the reference schedule with
+    a mode just below the cutoff on every transition."""
     return (
         CalibrationCase(
             name="n2-pdd-single-mode",
@@ -110,7 +110,8 @@ def default_calibration_cases() -> tuple[CalibrationCase, ...]:
         CalibrationCase(
             name="n5-udd-mode-per-transition",
             n=5, cycles=2, scheme=Scheme.UDD, total_time=1.8, temperature=0.5,
-            modes=_mode_per_transition(5, omega=1.2, coupling=0.06, fock_dim=12),
+            # strong enough that a filter centred on the wrong slot misses by >10x tol
+            modes=_mode_per_transition(5, omega=1.2, coupling=0.5, fock_dim=12),
         ),
         CalibrationCase(
             name="n6-udd-reference-schedule",

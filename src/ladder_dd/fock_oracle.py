@@ -25,6 +25,7 @@ production path.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -63,8 +64,11 @@ class ModeSpec:
     fock_dim: int
 
     def __post_init__(self) -> None:
-        if not self.omega > 0:
-            raise ValueError(f"mode frequency must be > 0, got {self.omega}")
+        if not (math.isfinite(self.omega) and self.omega > 0):
+            raise ValueError(f"mode omega (frequency) must be finite and > 0, "
+                             f"got {self.omega}")
+        if not cmath.isfinite(self.coupling):
+            raise ValueError(f"mode coupling must be finite, got {self.coupling}")
         if self.fock_dim < 2:
             raise ValueError(f"fock_dim must be >= 2, got {self.fock_dim}")
         if self.transition < 0:
@@ -77,6 +81,8 @@ def min_fock_dim(omega: float, temperature: float, tail: float = DEFAULT_TAIL) -
     The normalized occupation distribution is geometric with ratio
     q = exp(-omega/temperature); the weight beyond level d-1 is q**d.
     """
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise ValueError(f"temperature must be finite and > 0, got {temperature}")
     q = math.exp(-omega / temperature)
     if q == 0.0:
         return 2
@@ -92,11 +98,9 @@ def thermal_state(mode: ModeSpec, temperature: float, tail: float = DEFAULT_TAIL
     Raises TruncationError if the discarded tail weight is not below
     ``tail``, advising the dimension that would suffice.
     """
-    if not temperature > 0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
+    needed = min_fock_dim(mode.omega, temperature, tail)  # checks the temperature
     q = math.exp(-mode.omega / temperature)
     if q > 0.0 and q**mode.fock_dim >= tail:
-        needed = min_fock_dim(mode.omega, temperature, tail)
         raise TruncationError(
             f"fock_dim={mode.fock_dim} keeps tail weight {q**mode.fock_dim:.3e} "
             f">= {tail:g} for omega={mode.omega}, temperature={temperature}; "
@@ -135,42 +139,52 @@ def _lowering(mode: ModeSpec) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, mode.fock_dim, dtype=float)), k=1).astype(complex)
 
 
-def _segment_exact(mode: ModeSpec, weight: float, t_start: float, dt: float) -> np.ndarray:
-    """Closed-form segment propagator of one mode at an atom level of dephasing ``weight``.
+def _segment_exact(mode: ModeSpec, weights, t_start: float, dt: float) -> dict:
+    """Closed-form segment propagators of one mode, one per atom-level dephasing
+    weight in ``weights``.
 
     First Magnus term: displacement z*adag - conj(z)*a with
     z = j * exp(i w t_start) * (1 - exp(i w dt)) / w, scaled by the weight.
     Second term: the exact c-number phase |j|^2 (dt/w - sin(w dt)/w^2) times
-    the squared weight; the series terminates there.
+    the squared weight; the series terminates there.  The displacement is
+    anti-Hermitian and odd in the weight, the phase even, so a pair +-v takes
+    one expm: expm(gen(-v)) = exp(2i phase) * expm(gen(v))^dag.
     """
     a = _lowering(mode)
     z = mode.coupling * np.exp(1j * mode.omega * t_start) * (
         1.0 - np.exp(1j * mode.omega * dt)
     ) / mode.omega
-    phase = (weight**2) * abs(mode.coupling) ** 2 * (
-        dt / mode.omega - math.sin(mode.omega * dt) / mode.omega**2
-    )
-    gen = weight * (z * a.conj().T - np.conj(z) * a) + 1j * phase * np.eye(mode.fock_dim)
-    return expm(gen)
+    shift = abs(mode.coupling) ** 2 * (dt / mode.omega
+                                       - math.sin(mode.omega * dt) / mode.omega**2)
+    displacement = z * a.conj().T - np.conj(z) * a
+    blocks = {}
+    for weight in sorted(weights, reverse=True):  # +v before -v
+        phase = weight**2 * shift
+        blocks[weight] = (
+            cmath.exp(2j * phase) * blocks[-weight].conj().T if -weight in blocks
+            else expm(weight * displacement + 1j * phase * np.eye(mode.fock_dim)))
+    return blocks
 
 
-def _segment_substeps(mode: ModeSpec, weight: float, t_start: float, dt: float,
-                      substeps: int) -> np.ndarray:
-    """Piecewise-constant propagator, midpoint-sampled; cross-checks the exact one."""
+def _segment_substeps(mode: ModeSpec, weights, t_start: float, dt: float,
+                      substeps: int) -> dict:
+    """Piecewise-constant propagators, midpoint-sampled, one independent product
+    per weight; cross-check the exact ones."""
     a = _lowering(mode)
-    u = np.eye(mode.fock_dim, dtype=complex)
     step = dt / substeps
+    blocks = dict.fromkeys(weights, np.eye(mode.fock_dim, dtype=complex))
     for s in range(substeps):
         drive = mode.coupling * np.exp(1j * mode.omega * (t_start + (s + 0.5) * step))
-        h = weight * (drive * a.conj().T + np.conj(drive) * a)
-        u = expm(-1j * h * step) @ u
-    return u
+        h = drive * a.conj().T + np.conj(drive) * a
+        for weight in blocks:
+            blocks[weight] = expm(-1j * (weight * h) * step) @ blocks[weight]
+    return blocks
 
 
 def _coherence(n, modes, steps, atom_state, temperature, segment) -> complex:
     """Final (0,1) coherence after ``steps`` of (t_start, dt, monomial split of
-    the pulse or None); ``segment(mode, weight, t_start, dt)`` is one mode's
-    propagator over a free segment."""
+    the pulse or None); ``segment(mode, weights, t_start, dt)`` maps each
+    nonzero weight to one mode's propagator over a free segment."""
     thermal = [thermal_state(mode, temperature) for mode in modes]
     a, b = 0, 1
     for *_, split in reversed(steps):
@@ -192,7 +206,7 @@ def _coherence(n, modes, steps, atom_state, temperature, segment) -> complex:
         for t_start, dt, row, col in path:
             # a zero weight leaves the mode alone
             wr, wc = weights[row], weights[col]
-            blocks = {w: segment(mode, w, t_start, dt) for w in {wr, wc} - {0.0}}
+            blocks = segment(mode, {wr, wc} - {0.0}, t_start, dt)
             if wr != 0.0:
                 left = blocks[wr] @ left
             if wc != 0.0:

@@ -8,9 +8,17 @@ ladder transition k picks up, per segment, the window amplitude
 
 weighted by the start-time phase exp(i w t_start) and by the level occupied
 in the toggled frame.  Summing over all N cycles at fixed intra-cycle slot l
-gives the position filter eta_l(w), l = 0..n-1.  The decay exponent of the
-(0,1) coherence collects, per transition k = 0..n-2, the cyclic second
-difference of position filters centred on slot k,
+gives the position filter eta_l(w), l = 0..n-1.  Its cost is the phasors
+exp(i w t) at the pulse boundaries, and position_filters computes only as
+many as each scheme needs, each form an exact rearrangement of the same sum:
+PDD's equal segments make the cycle sum a geometric series (n phasors per
+frequency, its poles removed by reducing the argument modulo pi); Uhrig's
+symmetric fractions make the far half of the UDD phasors the mirrored
+conjugate of the near half; custom fractions take every boundary phasor.
+
+The decay exponent of the (0,1) coherence collects, per transition
+k = 0..n-2, the cyclic second difference of position filters centred on
+slot k,
 
     chi_k(w) = eta_{k-1}(w) - 2 eta_k(w) + eta_{k+1}(w)   (slots mod n).
 
@@ -50,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import schedules
-from .schedules import PulseSchedule, ScheduleSpec, build_schedule
+from .schedules import PulseSchedule, ScheduleSpec, Scheme, build_schedule
 
 GL_ORDER = 15
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)
@@ -116,30 +124,59 @@ def position_filters(omegas, schedule: PulseSchedule) -> np.ndarray:
 
         eta_l(w) = (1/w) * sum_j [exp(i w t_start(j,l)) - exp(i w t_end(j,l))].
 
+    Each scheme rearranges this sum, exactly, to need the fewest phasors:
+
+    * PDD, segments Delta = T/(nN): a geometric series over the cycles,
+          eta_l = -2i sin(w Delta/2)/w * D_N(h) * exp(i w (T + (2l+1-n) Delta)/2)
+      with h = n Delta w/2, n phasors per frequency.  The Dirichlet kernel
+      D_N(h) = sin(N h)/sin(h) is (-1)^(k(N-1)) sin(N d)/sin(d) for
+      h = k pi + d, k the nearest integer to h/pi, and that sign times N at
+      d = 0: reduced, it keeps full precision at and near every pole.
+    * UDD: Uhrig's boundaries are symmetric, t_{B-1-m} = T - t_m, so the far
+      half of each phasor row is exp(i w T) times the mirrored, conjugated
+      near half, and only ceil(B/2) phasors are computed.
+    * CUSTOM: every boundary phasor.
+
     The w = 0 entries use the limit -i * sum_j dt_j(l).
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     boundaries = schedule.boundaries
-    n, cycles = schedule.n, schedule.cycles
-    k_total = omegas.shape[0]
-    out = np.empty((k_total, n), dtype=complex)
-    zero_limit = -1j * schedule.segments.sum(axis=0)
-
-    chunk = max(1, _CHUNK_ELEMS // (boundaries.size + 1))
-    for start in range(0, k_total, chunk):
-        w = omegas[start : start + chunk]
-        edge = np.exp(1j * w[:, None] * boundaries[None, :])
-        diffs = edge[:, :-1] - edge[:, 1:]
-        sums = diffs.reshape(w.size, cycles, n).sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            block = sums / w[:, None]
-        zero = w == 0.0
-        if zero.any():
-            block[zero, :] = zero_limit[None, :]
-        out[start : start + chunk] = block
-        # free this chunk's phasors before the next chunk allocates its own, so
-        # the peak holds one chunk's arrays, not two
-        del edge, diffs
+    n, cycles, total_time = schedule.n, schedule.cycles, schedule.total_time
+    out = np.empty((omegas.size, n), dtype=complex)
+    # the w = 0 quotients are not finite; the limit replaces them below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if schedule.spec.scheme is Scheme.PDD:
+            step = total_time / (n * cycles)
+            half = (0.5 * n * step) * omegas
+            turns = np.rint(half / math.pi)
+            delta = half - turns * math.pi
+            ratio = np.where(delta == 0.0, cycles, np.sin(cycles * delta) / np.sin(delta))
+            ratio *= 1.0 - 2.0 * (turns * (cycles - 1) % 2.0)  # (-1)^(k(N-1))
+            centres = 0.5 * (total_time + (2.0 * np.arange(n) + (1 - n)) * step)
+            np.multiply(omegas[:, None], centres, out=out.imag)
+            out.real = 0.0
+            np.exp(out, out=out)
+            out *= (-2j * np.sin((0.5 * step) * omegas) * ratio / omegas)[:, None]
+        else:
+            size = boundaries.size
+            near = (size + 1) // 2 if schedule.spec.scheme is Scheme.UDD else size
+            chunk = max(1, _CHUNK_ELEMS // (size + 1))
+            # one phasor and one difference buffer for all chunks, written in place
+            buffer = np.empty((min(chunk, omegas.size), size), dtype=complex)
+            diff_buffer = np.empty((buffer.shape[0], size - 1), dtype=complex)
+            for start in range(0, omegas.size, chunk):
+                w = omegas[start : start + chunk]
+                edge, diffs = buffer[: w.size], diff_buffer[: w.size]
+                np.multiply(w[:, None], boundaries[:near], out=edge.imag[:, :near])
+                edge.real[:, :near] = 0.0
+                np.exp(edge[:, :near], out=edge[:, :near])
+                if near < size:  # t_{B-1-m} = T - t_m
+                    np.conjugate(edge[:, size - near - 1 :: -1], out=edge[:, near:])
+                    edge[:, near:] *= np.exp(1j * total_time * w)[:, None]
+                np.subtract(edge[:, :-1], edge[:, 1:], out=diffs)
+                sums = diffs.reshape(w.size, cycles, n).sum(axis=1)
+                out[start : start + chunk] = sums / w[:, None]
+    out[omegas == 0.0] = -1j * schedule.segments.sum(axis=0)
     return out
 
 
@@ -157,12 +194,9 @@ def exponent_filters(omegas, schedule: PulseSchedule) -> np.ndarray:
 
 def _thermal_weight(omegas: np.ndarray, bath: BathSpec) -> np.ndarray:
     """(1/2) I(w) coth(w/(2 Tp)) with the finite w=0 limit alpha*Tp/4."""
-    out = np.empty(omegas.shape, dtype=float)
-    zero = omegas == 0.0
-    nz = ~zero
-    w = omegas[nz]
-    out[nz] = 0.5 * ohmic_density(w, bath) / np.tanh(w / (2.0 * bath.temperature))
-    out[zero] = bath.alpha * bath.temperature / 4.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = 0.5 * ohmic_density(omegas, bath) / np.tanh(omegas / (2.0 * bath.temperature))
+    out[omegas == 0.0] = bath.alpha * bath.temperature / 4.0
     return out
 
 

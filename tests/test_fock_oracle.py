@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ladder_dd import calibration
+from ladder_dd import calibration, fock_oracle
 from ladder_dd.calibration import (
     CALIBRATION_TOL,
     CalibrationCase,
@@ -129,6 +129,24 @@ class TestModeSpecValidation:
         with pytest.raises(ValueError, match="transition"):
             ModeSpec(transition=-1, omega=1.0, coupling=0.1, fock_dim=4)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("omega", math.inf), ("omega", math.nan), ("coupling", math.nan),
+         ("coupling", math.inf), ("coupling", complex(0.1, -math.inf))],
+    )
+    def test_non_finite_value_is_named(self, field, value):
+        fields = dict(transition=0, omega=1.0, coupling=0.1, fock_dim=4)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"mode {field}.* must be finite"):
+            ModeSpec(**fields)
+
+    @pytest.mark.parametrize("temperature", [math.inf, math.nan, 0.0, -1.0])
+    def test_temperature_must_be_finite_and_positive(self, temperature):
+        with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+            min_fock_dim(1.0, temperature)
+        with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+            thermal_state(MODE_N2, temperature)
+
 
 class TestEvolvePulsed:
     def _run(self, n, modes, scheme=Scheme.PDD, cycles=1, total_time=2.0,
@@ -160,6 +178,24 @@ class TestEvolvePulsed:
         atom, exact = self._run(2, (MODE_N2,))
         _, stepped = self._run(2, (MODE_N2,), method="substeps", substeps=512)
         assert abs(stepped - exact) <= 1e-7
+
+    def test_one_expm_per_weight_pair(self, monkeypatch):
+        # at n = 2 the row and column levels always carry weights +1 and -1:
+        # the exact path takes one expm per segment, the sub-stepped one two
+        # independent products
+        calls = []
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return expm(matrix)
+
+        expm = fock_oracle.expm
+        monkeypatch.setattr(fock_oracle, "expm", counting)
+        self._run(2, (MODE_N2,), cycles=3)
+        assert len(calls) == 6
+        calls.clear()
+        self._run(2, (MODE_N2,), cycles=3, method="substeps", substeps=4, substep_tol=1.0)
+        assert len(calls) == 6 * 2 * (4 + 8)
 
     def test_uncoupled_run_is_atom_conjugation(self):
         # with no coupling the bath stays inert and the run is U rho U^dag on

@@ -95,6 +95,72 @@ class TestPositionFilter:
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
+def eta_boundary_sum(omega, schedule):
+    """All n position filters summed segment by segment over schedule.boundaries.
+    Each window (exp(i w t_m) - exp(i w t_{m+1}))/w is written as
+    -2i sin(w dt/2) exp(i w (t_m + t_{m+1})/2)/w, which stays accurate as
+    w -> 0; at w = 0 it is -i dt."""
+    t = schedule.boundaries
+    dt = np.diff(t)
+    if omega == 0:
+        terms = -1j * dt
+    else:
+        terms = -2j * np.sin(0.5 * omega * dt) * np.exp(0.5j * omega * (t[:-1] + t[1:])) / omega
+    return terms.reshape(schedule.cycles, schedule.n).sum(axis=0)
+
+
+def assert_filters_match_boundary_sum(schedule, omegas, rel, scale):
+    """position_filters against eta_boundary_sum, to ``rel`` of scale(w)."""
+    got = position_filters(omegas, schedule)
+    for omega, row in zip(omegas, got):
+        err = np.abs(row - eta_boundary_sum(omega, schedule)).max()
+        assert err <= rel * scale(omega), (omega, err / scale(omega))
+
+
+class TestFilterForms:
+    """Each scheme's evaluation form against the literal boundary sum."""
+
+    TOTAL_TIME = 1.3
+
+    @pytest.mark.parametrize("cycles", [1, 2, 50, 400])
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_pdd_closed_form_on_and_near_poles(self, n, cycles):
+        # the geometric cycle sum has its poles at w = 2 pi k N / T
+        schedule = make_schedule(Scheme.PDD, n, cycles, self.TOTAL_TIME)
+        rng = np.random.default_rng(100 * n + cycles)
+        omegas = [0.0, 1e-9, *rng.uniform(0.0, 4 * math.pi * cycles / self.TOTAL_TIME, 8)]
+        for k in (1, 2, 7):
+            pole = 2 * math.pi * k * cycles / self.TOTAL_TIME
+            omegas += [pole * (1 + f) for f in (0, 1e-15, -1e-15, 1e-9, -1e-9, 1e-4, -1e-4)]
+            omegas.append(pole * (1 + 0.5 / k))  # midway to the next pole
+        # filter scale 2N/w, capped by the w -> 0 limit T
+        assert_filters_match_boundary_sum(
+            schedule, omegas, 1e-10,
+            lambda w: min(2 * cycles / w, self.TOTAL_TIME) if w else self.TOTAL_TIME)
+
+    @pytest.mark.parametrize("cycles", [1, 2, 3, 50, 400])
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_udd_mirrored_boundaries(self, n, cycles):
+        # n*N + 1 boundaries: odd and even counts, so with and without a middle one
+        schedule = make_schedule(Scheme.UDD, n, cycles, self.TOTAL_TIME)
+        rng = np.random.default_rng(100 * n + cycles)
+        omegas = [0.0, *rng.uniform(0.0, 4 * math.pi * cycles / self.TOTAL_TIME, 10)]
+        assert_filters_match_boundary_sum(
+            schedule, omegas, 1e-12,
+            lambda w: 2 * cycles / w if w else self.TOTAL_TIME)
+
+    @pytest.mark.parametrize("n,cycles", [(2, 1), (3, 2), (6, 50)])
+    def test_custom_boundary_sum(self, n, cycles):
+        custom = _custom_fractions(n, cycles)
+        schedule = make_schedule(Scheme.CUSTOM, n, cycles, self.TOTAL_TIME,
+                                 custom_fractions=custom)
+        rng = np.random.default_rng(n + cycles)
+        omegas = [0.0, *rng.uniform(0.0, 4 * math.pi * cycles / self.TOTAL_TIME, 10)]
+        assert_filters_match_boundary_sum(
+            schedule, omegas, 1e-13,
+            lambda w: 2 * cycles / w if w else self.TOTAL_TIME)
+
+
 class TestExponentFilter:
     def test_two_level_reduction(self):
         schedule = make_schedule(Scheme.UDD, 2, 2, 1.5)
