@@ -8,13 +8,16 @@ ladder transition k picks up, per segment, the window amplitude
 
 weighted by the start-time phase exp(i w t_start) and by the level occupied
 in the toggled frame.  Summing over all N cycles at fixed intra-cycle slot l
-gives the position filter eta_l(w), l = 0..n-1.  Its cost is the phasors
-exp(i w t) at the pulse boundaries, and position_filters computes only as
-many as each scheme needs, each form an exact rearrangement of the same sum:
-PDD's equal segments make the cycle sum a geometric series (n phasors per
-frequency, its poles removed by reducing the argument modulo pi); Uhrig's
-symmetric fractions make the far half of the UDD phasors the mirrored
-conjugate of the near half; custom fractions take every boundary phasor.
+gives the position filter eta_l(w), l = 0..n-1.  Summed literally it costs
+the phasors exp(i w t) at all nN+1 pulse boundaries; position_filters uses
+each scheme's structure instead, each form an exact rearrangement of the
+same sum.  PDD's equal segments make the cycle sum a geometric series (n
+phasors per frequency, its poles removed by reducing the argument modulo
+pi).  Uhrig's boundaries t_b = (T/2)(1 - cos(pi b/nN)) turn each phasor
+into a Jacobi-Anger series in J_k(wT/2), whose cycle sum is again geometric:
+UDD filters cost O(wT) real multiply-adds per frequency, from one Miller
+recurrence over all the frequencies of a call, unless the boundary sum is
+cheaper.  Custom fractions take every boundary phasor.
 
 The decay exponent of the (0,1) coherence collects, per transition
 k = 0..n-2, the cyclic second difference of position filters centred on
@@ -41,11 +44,15 @@ filter of the same fractions over total time 1, so in u = w T
     W(w) = I(w) coth(w/(2 Tp)) / 2.
 
 A FilterTable holds |chi1_k|^2 on Gauss-Legendre panels of width 4 pi / 2**L
-in u.  The points of a sweep share one table: each adds only the panels
-beyond its predecessors' upper limits, plus one remainder panel of its own
-up to the cutoff.  Refinement halves the panel width until every exponent
-settles to the requested relative error.  All reductions use fixed numpy
-summation order, so a value does not depend on which points filled the table.
+in u, plus each point's remainder panel up to u = cutoff*T.  The points of a
+sweep share one table, which evaluates the panels of every point's first two
+levels in one filter call, at its first use: a UDD call costs O(max wT)
+numpy steps however many frequencies it takes.  Refinement halves the panel
+width until every exponent settles to the requested relative error; deeper
+levels are evaluated as asked for.  Reductions use a fixed summation order,
+and a frequency's filter does not depend on the other frequencies of its
+call, except through the size that picks the UDD form: which points filled
+the table changes a value at round-off at most.
 """
 
 from __future__ import annotations
@@ -63,8 +70,28 @@ from .schedules import PulseSchedule, ScheduleSpec, Scheme, build_schedule
 GL_ORDER = 15
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)
 
-# Cap on elements per exp() batch inside the filter evaluation (memory bound).
+# Cap on elements of a temporary array inside the filter evaluation (memory bound).
 _CHUNK_ELEMS = 2**18
+
+# Rows J_k(z) per product with the UDD weights.  Blocks are counted from the
+# lowest order, so a frequency's sums do not depend on the other frequencies of
+# its call, and calls take at most _CHUNK_ELEMS // _BLOCK_ROWS frequencies.
+_BLOCK_ROWS = 20
+
+# log of double precision, for the start orders of Miller's recurrence.
+_LOG_EPS = math.log(2.0**-53)
+
+# Miller's recurrence seeds J_k = this at each start order.  Unnormalised, the
+# values then stay within max(1e21, 2/z) times it: normal floats for every z > 0.
+_MILLER_SEED = 1e-300
+
+# UDD takes the Bessel series when top * (_STEP_FREQUENCIES + K) <=
+# _SERIES_GAIN * K * B, for K frequencies, highest start order top and B
+# boundaries.  Measured with one BLAS thread over K = 15..25000, B = 3..1201
+# and top = 21..899: a recurrence step costs about 8 us, the series 3 ns per
+# frequency and order, the boundary sum 54 ns per frequency and boundary.
+_STEP_FREQUENCIES = 2500
+_SERIES_GAIN = 16.0
 
 # Width in u = w*T of a level-0 panel: two periods of the filters' oscillation.
 _PANEL_WIDTH = 4.0 * math.pi
@@ -116,6 +143,107 @@ def ohmic_density(omega, bath: BathSpec):
     return result if result.ndim else float(result)
 
 
+def _pi_angle(num, den):
+    """pi num/den for integers, reduced exactly modulo 2 pi first."""
+    return math.pi * (num % (2 * den)) / den
+
+
+def _udd_weights(count: int, n: int, cycles: int) -> np.ndarray:
+    """Weight of J_k(z), k = 1..count, in the UDD position filters: shape
+    (count, 2n), the real part of eta_l in column l, its imaginary part in n + l.
+
+    With M = nN, an odd k weighs only the imaginary parts, by
+        -4 (-1)^((k-1)/2) sin(pi k/2M)/sin(pi k/2N) cos(pi k (2l+1-n)/2M),
+    k = 2Nm weighs only the real parts, by
+        2N (-1)^(Nm) (cos(2 pi m l/n) - cos(2 pi m (l+1)/n)),
+    and every other k weighs nothing.
+    """
+    m_total = n * cycles
+    slot = np.arange(n)
+    weights = np.zeros((count, 2 * n))
+    odd = np.arange(1, count + 1, 2)[:, None]
+    sign = 1.0 - 2.0 * ((odd - 1) // 2 % 2)
+    weights[::2, n:] = (-4.0 * sign * np.sin(_pi_angle(odd, 2 * m_total))
+                        / np.sin(_pi_angle(odd, 2 * cycles))
+                        * np.cos(_pi_angle(odd * (2 * slot + 1 - n), 2 * m_total)))
+    m = np.arange(1, count // (2 * cycles) + 1)[:, None]
+    sign = 1.0 - 2.0 * (cycles * m % 2)
+    weights[2 * cycles * m[:, 0] - 1, :n] = (2.0 * cycles * sign * (
+        np.cos(_pi_angle(2 * m * slot, n)) - np.cos(_pi_angle(2 * m * (slot + 1), n))))
+    return weights
+
+
+def _miller_orders(z: np.ndarray) -> np.ndarray:
+    """Order, as a float, from which Miller's recurrence for J_k(z) starts, per z >= 0.
+
+    Above it every J_k(z) is below double precision relative to the largest:
+    z + 10 z^(1/3) + 6, or for small z the first k with (z/2)^k < 2^-53 if
+    that comes first.  Both were measured against scipy.special.jv.
+    """
+    orders = np.ceil(z + 10.0 * np.cbrt(z) + 6.0)
+    small = z < 2.0
+    with np.errstate(divide="ignore"):
+        powers = np.ceil(_LOG_EPS / np.log(0.5 * z[small]))
+    orders[small] = np.clip(powers, 1.0, orders[small])
+    return orders
+
+
+def _bessel_sums(z: np.ndarray, orders: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_{k=1..len(weights)} J_k(z) weights[k-1] for every z at once: shape
+    (z.size, weights.shape[1]); ``orders`` from _miller_orders(z).
+
+    Miller's backward recurrence J_{k-1} = 2k J_k/z - J_{k+1} runs for all z
+    together, each z seeded at its own start order, and is normalised at the
+    end by J_0 + 2 sum_k J_2k = 1.  Sorted by descending order, the started z
+    are a prefix, and each step touches only them.  The rows J_k that carry a
+    weight are multiplied into the sums _BLOCK_ROWS at a time, in blocks
+    counted from the lowest order, so a z's sums do not depend on the others.
+    """
+    size = z.size
+    perm = np.argsort(-orders, kind="stable")
+    z = z[perm]
+    top = int(orders[perm[0]])
+    # started[k]: how many z start at order k or above
+    started = np.searchsorted(-orders[perm], -np.arange(top + 2), side="right")
+    weighted = np.zeros(top + 1, dtype=bool)
+    weighted[1 : len(weights) + 1] = weights[:top].any(axis=1)
+    rank = np.cumsum(weighted) - 1  # of a weighted order among the weighted ones
+    block, held = np.empty((_BLOCK_ROWS, size)), []
+    sums = np.zeros((weights.shape[1], size))
+    cur, nxt, step, even = np.zeros(size), np.zeros(size), np.empty(size), np.zeros(size)
+    for k in range(top, 0, -1):
+        live = started[k]
+        cur[started[k + 1] : live] = _MILLER_SEED
+        if weighted[k]:
+            block[len(held)] = cur
+            held.append(k - 1)
+            if rank[k] % _BLOCK_ROWS == 0:
+                sums += weights[held].T @ block[: len(held)]
+                held.clear()
+        if k % 2 == 0:
+            even[:live] += cur[:live]
+        np.multiply(cur[:live], 2.0 * k, out=step[:live])
+        np.divide(step[:live], z[:live], out=step[:live])
+        np.subtract(step[:live], nxt[:live], out=nxt[:live])
+        cur, nxt = nxt, cur
+    sums /= cur + 2.0 * even  # cur holds J_0
+    out = np.empty((size, weights.shape[1]))
+    out[perm] = sums.T
+    return out
+
+
+def _udd_series_orders(omegas: np.ndarray, schedule: PulseSchedule) -> np.ndarray | None:
+    """Miller start orders at z = w T/2 if the UDD Bessel series costs less than
+    the boundary sum for these frequencies, else None."""
+    boundary = _SERIES_GAIN * omegas.size * schedule.boundaries.size
+    # an order is at least 1; a NaN or negative w takes the boundary sum too
+    if not (_STEP_FREQUENCIES + omegas.size <= boundary and omegas.min() >= 0.0):
+        return None
+    orders = _miller_orders(0.5 * schedule.total_time * omegas)
+    series = orders.max() * (_STEP_FREQUENCIES + omegas.size)  # inf for an infinite w
+    return orders if series <= boundary else None
+
+
 def position_filters(omegas, schedule: PulseSchedule) -> np.ndarray:
     """eta_l(w) for all slots at once: (K, n) complex for K frequencies.
 
@@ -124,7 +252,7 @@ def position_filters(omegas, schedule: PulseSchedule) -> np.ndarray:
 
         eta_l(w) = (1/w) * sum_j [exp(i w t_start(j,l)) - exp(i w t_end(j,l))].
 
-    Each scheme rearranges this sum, exactly, to need the fewest phasors:
+    Each scheme rearranges this sum, exactly, to cost the least:
 
     * PDD, segments Delta = T/(nN): a geometric series over the cycles,
           eta_l = -2i sin(w Delta/2)/w * D_N(h) * exp(i w (T + (2l+1-n) Delta)/2)
@@ -132,9 +260,16 @@ def position_filters(omegas, schedule: PulseSchedule) -> np.ndarray:
       D_N(h) = sin(N h)/sin(h) is (-1)^(k(N-1)) sin(N d)/sin(d) for
       h = k pi + d, k the nearest integer to h/pi, and that sign times N at
       d = 0: reduced, it keeps full precision at and near every pole.
-    * UDD: Uhrig's boundaries are symmetric, t_{B-1-m} = T - t_m, so the far
-      half of each phasor row is exp(i w T) times the mirrored, conjugated
-      near half, and only ceil(B/2) phasors are computed.
+    * UDD: Uhrig's boundaries are t_b = (T/2)(1 - cos(pi b/nN)), so with
+      z = w T/2 the Jacobi-Anger expansion gives
+          exp(i w t_b) = exp(i z) sum_k (-i)^k J_k(z) exp(i pi k b/nN),
+      and the cycle sum of each term is a geometric series:
+          eta_l = exp(i z)/w * sum_{k>=1} J_k(z) D_{k,l},
+      with the weights D of _udd_weights (only odd k and multiples of 2N).
+      The J_k come from one Miller recurrence over all frequencies
+      (_bessel_sums), O(z) real multiply-adds per frequency, not nN + 1
+      phasors.  Where that would cost more than the boundary sum (few
+      frequencies, or z large against nN), UDD takes the boundary sum.
     * CUSTOM: every boundary phasor.
 
     The w = 0 entries use the limit -i * sum_j dt_j(l).
@@ -145,6 +280,8 @@ def position_filters(omegas, schedule: PulseSchedule) -> np.ndarray:
     out = np.empty((omegas.size, n), dtype=complex)
     # the w = 0 quotients are not finite; the limit replaces them below
     with np.errstate(divide="ignore", invalid="ignore"):
+        orders = (_udd_series_orders(omegas, schedule)
+                  if schedule.spec.scheme is Scheme.UDD else None)
         if schedule.spec.scheme is Scheme.PDD:
             step = total_time / (n * cycles)
             half = (0.5 * n * step) * omegas
@@ -157,9 +294,17 @@ def position_filters(omegas, schedule: PulseSchedule) -> np.ndarray:
             out.real = 0.0
             np.exp(out, out=out)
             out *= (-2j * np.sin((0.5 * step) * omegas) * ratio / omegas)[:, None]
+        elif orders is not None:
+            z = 0.5 * total_time * omegas
+            weights = _udd_weights(int(orders.max()), n, cycles)
+            chunk = _CHUNK_ELEMS // _BLOCK_ROWS
+            for start in range(0, omegas.size, chunk):
+                part = slice(start, start + chunk)
+                sums = _bessel_sums(z[part], orders[part], weights)
+                out.real[part], out.imag[part] = sums[:, :n], sums[:, n:]
+            out *= (np.exp(1j * z) / omegas)[:, None]
         else:
             size = boundaries.size
-            near = (size + 1) // 2 if schedule.spec.scheme is Scheme.UDD else size
             chunk = max(1, _CHUNK_ELEMS // (size + 1))
             # one phasor and one difference buffer for all chunks, written in place
             buffer = np.empty((min(chunk, omegas.size), size), dtype=complex)
@@ -167,12 +312,9 @@ def position_filters(omegas, schedule: PulseSchedule) -> np.ndarray:
             for start in range(0, omegas.size, chunk):
                 w = omegas[start : start + chunk]
                 edge, diffs = buffer[: w.size], diff_buffer[: w.size]
-                np.multiply(w[:, None], boundaries[:near], out=edge.imag[:, :near])
-                edge.real[:, :near] = 0.0
-                np.exp(edge[:, :near], out=edge[:, :near])
-                if near < size:  # t_{B-1-m} = T - t_m
-                    np.conjugate(edge[:, size - near - 1 :: -1], out=edge[:, near:])
-                    edge[:, near:] *= np.exp(1j * total_time * w)[:, None]
+                np.multiply(w[:, None], boundaries, out=edge.imag)
+                edge.real = 0.0
+                np.exp(edge, out=edge)
                 np.subtract(edge[:, :-1], edge[:, 1:], out=diffs)
                 sums = diffs.reshape(w.size, cycles, n).sum(axis=1)
                 out[start : start + chunk] = sums / w[:, None]
@@ -214,41 +356,65 @@ def _fraction_key(spec: ScheduleSpec) -> tuple:
     return spec.scheme, spec.n, spec.cycles, spec.custom_fractions
 
 
+def _panels_below(level: int, upper: float) -> list[tuple[float, float]]:
+    """(centre, half-width) of the panels of ``level`` that tile [0, upper]:
+    the whole panels, then a remainder panel if ``upper`` is not a multiple
+    of the panel width."""
+    width = math.ldexp(_PANEL_WIDTH, -level)
+    whole = math.floor(upper / width)
+    panels = [((k + 0.5) * width, 0.5 * width) for k in range(whole)]
+    if whole * width < upper:
+        half = 0.5 * (upper - whole * width)
+        panels.append((upper - half, half))
+    return panels
+
+
 class FilterTable:
-    """|chi1_k(u)|^2 on shared Gauss-Legendre panels for one set of pulse fractions.
+    """|chi1_k(u)|^2 on Gauss-Legendre panels for one set of pulse fractions.
 
     With the fractions fixed, chi_k(w; T) = T * chi1_k(w T), where chi1 is the
     filter of the same fractions over total time 1.  Level L tiles u = w T
-    with the panels [k h_L, (k+1) h_L], h_L = 4 pi / 2**L, which therefore
-    serve every total time.  Per level the table holds the nodes and the
-    weighted rows w_j |chi1_k(u_j)|^2 of the panels asked for so far and
-    evaluates only the panels it does not hold yet.  Extending it mutates it:
-    do not share one table between threads.
+    with the whole panels [k h_L, (k+1) h_L], h_L = 4 pi / 2**L, which
+    therefore serve every total time; a point with u up to ``upper`` adds a
+    remainder panel [floor(upper/h_L) h_L, upper].  The table holds the nodes
+    and weighted rows w_j |chi1_k(u_j)|^2 of every panel asked for so far and
+    evaluates only the panels it does not hold.
+
+    ``uppers`` lists the points of a sweep.  The table's first use evaluates
+    the panels of each listed point's first two levels in one filter call,
+    because a UDD filter call costs O(max u) numpy steps whatever its size;
+    later levels are evaluated as asked for.  Using the table mutates it: do
+    not share one table between threads.
     """
 
-    def __init__(self, spec: ScheduleSpec):
+    def __init__(self, spec: ScheduleSpec, uppers=()):
         self.key = _fraction_key(spec)
         self._unit = schedules.build_schedule(dataclasses.replace(spec, total_time=1.0))
-        self._levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._panels: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
+        self._planned = list(uppers)
 
-    def panels(self, level: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes u, shape (count*GL_ORDER,), and weighted rows, shape
-        (n-1, count*GL_ORDER), of the first ``count`` panels of ``level``."""
-        empty = (np.empty(0), np.empty((self._unit.n - 1, 0)))
-        nodes, rows = self._levels.get(level, empty)
-        held = nodes.size // GL_ORDER
-        if held < count:
-            width = math.ldexp(_PANEL_WIDTH, -level)
-            centre = (np.arange(held, count) + 0.5) * width
-            new = (centre[:, None] + (0.5 * width) * _GL_NODES[None, :]).ravel()
-            chi = exponent_filters(new, self._unit)
-            weights = np.tile(0.5 * width * _GL_WEIGHTS, count - held)
-            power = (chi.real**2 + chi.imag**2).T * weights
-            nodes = np.concatenate((nodes, new))
-            rows = np.concatenate((rows, power), axis=1)
-            self._levels[level] = nodes, rows
-        used = count * GL_ORDER
-        return nodes[:used], rows[:, :used]
+    def panels(self, level: int, upper: float) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes u and weighted rows, shape (n-1, nodes), of the panels of
+        ``level`` that tile [0, upper], in order."""
+        requests = [(level, upper)]
+        for planned in self._planned:
+            first = _first_level(planned)
+            requests += [(first, planned), (first + 1, planned)]
+        self._planned = []
+        missing = list(dict.fromkeys(
+            panel for request in requests for panel in _panels_below(*request)
+            if panel not in self._panels))
+        if missing:
+            centres, halves = np.array(missing).T
+            nodes = centres[:, None] + halves[:, None] * _GL_NODES
+            chi = exponent_filters(nodes.ravel(), self._unit)
+            power = (chi.real**2 + chi.imag**2).T.reshape(-1, len(missing), GL_ORDER)
+            rows = power * (halves[:, None] * _GL_WEIGHTS)
+            for i, panel in enumerate(missing):
+                self._panels[panel] = nodes[i], rows[:, i]
+        held = [self._panels[panel] for panel in _panels_below(level, upper)]
+        return (np.concatenate([nodes for nodes, _ in held]),
+                np.concatenate([rows for _, rows in held], axis=1))
 
 
 @dataclass(frozen=True)
@@ -272,10 +438,10 @@ def _first_level(upper: float) -> int:
 def _level_estimates(schedule: PulseSchedule, bath: BathSpec, table: FilterTable):
     """Yield (Gamma estimate, node count) at successive levels from the first.
 
-    An estimate sums the table's whole panels below u = cutoff*T, weighted by
-    the bath at w = u/T, plus one remainder panel up to the cutoff evaluated
-    on the schedule itself.  Raises ConvergenceError at the first non-finite
-    estimate: refinement cannot repair an overflowed integrand.
+    An estimate sums the table's panels below u = cutoff*T, the remainder
+    panel up to the cutoff included, weighted by the bath at w = u/T.  Raises
+    ConvergenceError at the first non-finite estimate: refinement cannot
+    repair an overflowed integrand.
     """
     total_time = schedule.total_time
     upper = bath.cutoff * total_time
@@ -284,28 +450,19 @@ def _level_estimates(schedule: PulseSchedule, bath: BathSpec, table: FilterTable
     level = _first_level(upper)
     prev = None
     while True:
-        width = math.ldexp(_PANEL_WIDTH, -level)
-        whole = math.floor(upper / width)
         # an overflow is reported once, as the ConvergenceError below
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            nodes, rows = table.panels(level, whole)
+            nodes, rows = table.panels(level, upper)
             # fixed-order numpy reductions, not BLAS, whose order may vary with its threads
             gamma = total_time * np.sum(rows * _thermal_weight(nodes / total_time, bath),
                                         axis=1)
-            count = whole
-            if whole * width < upper:
-                lower = whole * width / total_time
-                half = 0.5 * (bath.cutoff - lower)
-                rest = decay_integrand(lower + half * (1.0 + _GL_NODES), schedule, bath)
-                gamma = gamma + np.sum(rest * (half * _GL_WEIGHTS), axis=1)
-                count += 1
         if not np.isfinite(gamma).all():
             raise ConvergenceError(
-                f"non-finite decay exponent estimate on {count * GL_ORDER} nodes",
+                f"non-finite decay exponent estimate on {nodes.size} nodes",
                 previous=gamma if prev is None else prev,
                 current=gamma,
             )
-        yield gamma, count * GL_ORDER
+        yield gamma, nodes.size
         prev = gamma
         level += 1
 
@@ -343,7 +500,7 @@ def decay_exponents(
     estimate is not finite.
     """
     if table is None:
-        table = FilterTable(schedule.spec)
+        table = FilterTable(schedule.spec, uppers=[bath.cutoff * schedule.total_time])
     elif table.key != _fraction_key(schedule.spec):
         raise ValueError("filter table was built for other pulse fractions")
     levels = _level_estimates(schedule, bath, table)
@@ -397,8 +554,9 @@ def sweep_curve(
     """Evaluate P(T) over a grid of total times, rebuilding the schedule each time.
 
     The grid must be strictly increasing and positive.  Points run in grid
-    order and share one FilterTable, so each point evaluates only the table
-    panels its predecessors did not need.
+    order and share one FilterTable, told every point's cutoff*T up front: the
+    first point evaluates the first two levels of all of them in one call, and
+    a point that refines further evaluates only the panels no point needed.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
@@ -408,7 +566,7 @@ def sweep_curve(
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("time grid must be strictly increasing")
 
-    table = FilterTable(template)
+    table = FilterTable(template, uppers=[bath.cutoff * t for t in t_grid.tolist()])
     values = np.empty(t_grid.size)
     points = np.empty(t_grid.size, dtype=int)
     errors = np.empty(t_grid.size)

@@ -140,14 +140,19 @@ class TestFilterForms:
 
     @pytest.mark.parametrize("cycles", [1, 2, 3, 50, 400])
     @pytest.mark.parametrize("n", range(2, 8))
-    def test_udd_mirrored_boundaries(self, n, cycles):
-        # n*N + 1 boundaries: odd and even counts, so with and without a middle one
+    def test_udd_mirrored_boundaries(self, n, cycles, monkeypatch):
+        # Uhrig's mirror-symmetric boundaries, through both UDD forms: the
+        # Bessel series, up to z = w T/2 = 2 pi N, and the boundary sum
         schedule = make_schedule(Scheme.UDD, n, cycles, self.TOTAL_TIME)
         rng = np.random.default_rng(100 * n + cycles)
         omegas = [0.0, *rng.uniform(0.0, 4 * math.pi * cycles / self.TOTAL_TIME, 10)]
-        assert_filters_match_boundary_sum(
-            schedule, omegas, 1e-12,
-            lambda w: 2 * cycles / w if w else self.TOTAL_TIME)
+        for gain, series in ((math.inf, True), (0.0, False)):
+            monkeypatch.setattr(kernel, "_SERIES_GAIN", gain)
+            taken = kernel._udd_series_orders(np.array(omegas), schedule) is not None
+            assert taken == series
+            assert_filters_match_boundary_sum(
+                schedule, omegas, 1e-12,
+                lambda w: 2 * cycles / w if w else self.TOTAL_TIME)
 
     @pytest.mark.parametrize("n,cycles", [(2, 1), (3, 2), (6, 50)])
     def test_custom_boundary_sum(self, n, cycles):
@@ -159,6 +164,56 @@ class TestFilterForms:
         assert_filters_match_boundary_sum(
             schedule, omegas, 1e-13,
             lambda w: 2 * cycles / w if w else self.TOTAL_TIME)
+
+
+class TestBesselSeries:
+    """Miller's recurrence and the form selection behind the UDD filters."""
+
+    def test_recurrence_matches_scipy(self):
+        from scipy.special import jv
+
+        z = np.concatenate(([1e-12, 1e-9, 1e-6, 1e-3], np.geomspace(0.01, 5000.0, 41)))
+        orders = kernel._miller_orders(z)
+        top = int(orders.max())
+        picks = np.unique(np.r_[1:41, np.linspace(1, top, 400).astype(int)])
+        weights = np.zeros((top, picks.size))
+        weights[picks - 1, np.arange(picks.size)] = 1.0
+        got = kernel._bessel_sums(z, orders, weights)  # every z in one recurrence
+        want = jv(picks[None, :], z[:, None])
+        # largest |J_k(z)|, k >= 1; scipy's jv itself is off by about 2e-16 z
+        # there at large z (checked against mpmath), the recurrence by ~1e-16
+        scale = np.array([np.abs(jv(np.arange(1, int(o) + 40), x)).max()
+                          for x, o in zip(z, orders)])
+        tol = 5e-16 * np.maximum(z, 20.0) * scale
+        assert np.all(np.abs(got - want) <= tol[:, None])
+
+    @pytest.mark.parametrize("omega", [1e-300, 1e-250, 1e-20])
+    def test_tiny_frequencies_reach_the_zero_limit(self, omega, monkeypatch):
+        # z = w T/2 this small overflows a recurrence started at a fixed order
+        monkeypatch.setattr(kernel, "_SERIES_GAIN", math.inf)
+        schedule = make_schedule(Scheme.UDD, 6, 50, 1.0)
+        limit = -1j * schedule.segments.sum(axis=0)
+        np.testing.assert_allclose(position_filters(omega, schedule)[0], limit, rtol=1e-12)
+
+    def test_vanishing_udd_run_is_finite(self):
+        # cutoff*T = 1e-198: every table node takes the series at tiny z
+        bath = BathSpec(alpha=0.25, cutoff=100.0, temperature=150.0)
+        assert coherence_ratio(make_schedule(Scheme.UDD, 6, 50, 1e-200), bath) == 1.0
+
+    def test_deep_udd_point_converges_to_round_off(self):
+        # the curve-deep benchmark's UDD T = 8 point (N = 400, tolerance 1e-9)
+        bath = BathSpec(alpha=0.25, cutoff=100.0, temperature=150.0)
+        result = decay_exponents(make_schedule(Scheme.UDD, 6, 400, 8.0), bath, rel_tol=1e-9)
+        assert result.estimated_relative_error <= 1e-11
+
+    def test_few_frequencies_take_the_boundary_sum(self):
+        # the oracle's handful of mode frequencies: the boundary sum is cheaper
+        schedule = make_schedule(Scheme.UDD, 6, 50, 1.0)
+        assert kernel._udd_series_orders(np.array([1.0, 2.0]), schedule) is None
+        many = np.linspace(0.0, 300.0, 5000)
+        assert kernel._udd_series_orders(many, schedule) is not None
+        for bad in ([-1.0, 2.0], [math.nan], [math.inf]):
+            assert kernel._udd_series_orders(np.array(bad * 3000), schedule) is None
 
 
 class TestExponentFilter:
@@ -368,23 +423,17 @@ class TestDecayExponents:
         assert excinfo.value.previous.shape == (1,)
         assert excinfo.value.current.shape == (1,)
 
-    def test_non_finite_estimates_never_converge(self, monkeypatch):
+    def test_non_finite_estimates_never_converge(self):
         # finite but extreme inputs overflow the integrand; refinement cannot
         # repair that, so the first non-finite estimate raises
-        calls = []
-
-        def counting(*args):
-            calls.append(args[0].size)
-            return integrand(*args)
-
-        integrand = kernel.decay_integrand
-        monkeypatch.setattr(kernel, "decay_integrand", counting)
         bath = BathSpec(alpha=1e308, cutoff=100.0, temperature=1e308)
         schedule = make_schedule("pdd", 6, 2, 1.556)
+        table = FilterTable(schedule.spec, uppers=[bath.cutoff * schedule.total_time])
         with pytest.raises(ConvergenceError, match="non-finite") as excinfo:
-            decay_exponents(schedule, bath)
+            decay_exponents(schedule, bath, table=table)
         assert not np.isfinite(excinfo.value.current).all()
-        assert len(calls) <= 2  # one level reached
+        # one level reached: only the first batch's two remainder panels exist
+        assert len(remainder_panels(table)) <= 2
 
     @pytest.mark.parametrize("total_time", [0.3, 16 * math.pi / 100.0])
     def test_small_run_against_riemann_sum(self, total_time):
@@ -489,7 +538,9 @@ class TestSweepCurve:
         assert 1.0 not in grid  # total time 1 marks the table's unit schedule
         sweep_curve(self._template(), self._bath(), grid)
         nodes = np.concatenate(table_nodes)
-        assert len(table_nodes) > 12
+        # every point converges on its first two levels, which the table
+        # evaluates in one batch, remainder panels included
+        assert len(table_nodes) == 1
         assert np.unique(nodes).size == nodes.size
 
     def test_convergence_error_names_failing_time(self):
@@ -502,6 +553,13 @@ class TestSweepCurve:
 def _custom_fractions(n, cycles):
     rng = np.random.default_rng(7)
     return tuple(np.sort(rng.uniform(0.0, 1.0, n * cycles - 1)).tolist())
+
+
+def remainder_panels(table):
+    """(centre, half-width) of the panels a FilterTable holds that are not
+    whole panels of a level."""
+    halves = {0.5 * math.ldexp(kernel._PANEL_WIDTH, -level) for level in range(64)}
+    return [panel for panel in table._panels if panel[1] not in halves]
 
 
 class TestSharedTable:
@@ -530,13 +588,13 @@ class TestSharedTable:
             assert one == pytest.approx(single, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("total_time", [2.0, 16.0])
-    def test_exact_multiple_skips_remainder_panel(self, total_time, monkeypatch):
+    def test_exact_multiple_skips_remainder_panel(self, total_time):
         # a time just past the multiple keeps a sliver of a remainder panel
         nearby = decay_exponents(make_schedule(Scheme.UDD, 3, 4, total_time * (1 + 1e-12)),
                                  self.BATH)
-        calls = []
-        monkeypatch.setattr(kernel, "decay_integrand", lambda *args: calls.append(args))
-        result = decay_exponents(make_schedule(Scheme.UDD, 3, 4, total_time), self.BATH)
-        assert calls == []
+        schedule = make_schedule(Scheme.UDD, 3, 4, total_time)
+        table = FilterTable(schedule.spec, uppers=[self.BATH.cutoff * total_time])
+        result = decay_exponents(schedule, self.BATH, table=table)
+        assert remainder_panels(table) == []
         assert result.quadrature_points % (kernel._MIN_PANELS * kernel.GL_ORDER) == 0
         np.testing.assert_allclose(result.gamma, nearby.gamma, rtol=1e-9)
