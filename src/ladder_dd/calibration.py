@@ -136,7 +136,7 @@ def run_case(
     schedule = make_schedule(case.scheme, case.n, case.cycles, case.total_time)
     group = build_decoupling_group(case.n)
     atom = superposition_state(case.n)
-    end = evolve_pulsed(case.n, case.modes, schedule, group, atom, case.temperature)
+    end = evolve_pulsed(case.modes, schedule, group, atom, case.temperature)
     start = complex(atom[0, 1])
     observed = abs(end) / abs(start)
     exponent = discrete_decay_exponent(

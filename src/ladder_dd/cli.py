@@ -10,11 +10,11 @@ bit-identical floats and identical runs produce identical bytes.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
 import tempfile
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,9 +53,14 @@ exit codes:
 """
 
 
+# Schedule columns of each curve scheme, in CSV order.
+_COLUMNS = {scheme.value: (scheme,) for scheme in Scheme} | {"both": (Scheme.PDD, Scheme.UDD)}
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved parameters of a curve run (defaults: six-level reference scenario)."""
+    """Parameters of a curve run (defaults: six-level reference scenario), checked on
+    construction; the atom and bath fields are checked by the specs they feed."""
 
     n: int = 6
     cycles: int = 50
@@ -70,14 +75,37 @@ class RunConfig:
     output_path: str = "curve.csv"
     custom_fractions_path: str | None = None
 
+    def __post_init__(self) -> None:
+        pulse_count(self.n, self.cycles)
+        self.bath()
+        if self.scheme not in _COLUMNS:
+            raise ValueError(f"scheme must be one of {'/'.join(_COLUMNS)}, got {self.scheme!r}")
+        if self.t_points < 1:
+            raise ValueError(f"t_points must be >= 1, got {self.t_points}")
+        if not (math.isfinite(self.t_max) and self.t_max > 0):
+            raise ValueError(f"t_max must be finite and > 0, got {self.t_max}")
+        t_min = self.resolved_t_min()
+        if not (math.isfinite(t_min) and t_min >= 0):
+            raise ValueError(f"t_min must be finite and >= 0, got {t_min}")
+        if self.t_points > 1 and not self.t_max > t_min:
+            raise ValueError(f"t_max must be > t_min, got t_max={self.t_max}, t_min={t_min}")
+        if not 0 < self.quad_tolerance <= 1e-2:
+            raise ValueError(f"quad_tolerance must be in (0, 1e-2], got {self.quad_tolerance}")
+        if Scheme.CUSTOM in _COLUMNS[self.scheme] and self.custom_fractions_path is None:
+            raise ValueError(f"scheme {self.scheme!r} requires custom_fractions_path")
+
     def resolved_t_min(self) -> float:
         return self.t_max / self.t_points if self.t_min is None else self.t_min
 
+    def bath(self) -> BathSpec:
+        return BathSpec(alpha=self.alpha, cutoff=self.cutoff, temperature=self.temperature)
 
-_INT_KEYS = {"n", "cycles", "t_points"}
-_FLOAT_KEYS = {"alpha", "temperature", "cutoff", "t_min", "t_max", "quad_tolerance"}
-_STR_KEYS = {"scheme", "output_path", "custom_fractions_path"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+
+# What each config key parses to: its field's type, the non-None member if optional.
+_KEY_TYPES = {
+    name: next(t for t in (*typing.get_args(hint), hint) if t is not type(None))
+    for name, hint in typing.get_type_hints(RunConfig).items()
+}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -92,78 +120,39 @@ def _parse_config_file(path: str) -> dict:
             key, _, text = line.partition("=")
             key = key.strip()
             text = text.strip()
-            if key not in _ALL_KEYS:
+            if key not in _KEY_TYPES:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            kind = _KEY_TYPES[key]
             try:
-                if key in _INT_KEYS:
-                    values[key] = int(text)
-                elif key in _FLOAT_KEYS:
-                    values[key] = float(text)
-                else:
-                    values[key] = text
+                values[key] = kind(text)
             except ValueError:
-                kind = "an integer" if key in _INT_KEYS else "a number"
                 raise ValueError(
-                    f"{path}:{lineno}: value for {key!r} is not {kind}: {text!r}"
+                    f"{path}:{lineno}: value for {key!r} is not "
+                    f"{'an integer' if kind is int else 'a number'}: {text!r}"
                 ) from None
     return values
 
 
-def _bath(config: RunConfig) -> BathSpec:
-    return BathSpec(alpha=config.alpha, cutoff=config.cutoff, temperature=config.temperature)
-
-
-def _validate_config(config: RunConfig) -> RunConfig:
-    # atom and bath fields are checked by the specs they feed
-    pulse_count(config.n, config.cycles)
-    _bath(config)
-    if config.scheme not in {"pdd", "udd", "custom", "both"}:
-        raise ValueError(
-            f"scheme must be one of pdd/udd/custom/both, got {config.scheme!r}"
-        )
-    if config.t_points < 1:
-        raise ValueError(f"t_points must be >= 1, got {config.t_points}")
-    if not (math.isfinite(config.t_max) and config.t_max > 0):
-        raise ValueError(f"t_max must be finite and > 0, got {config.t_max}")
-    t_min = config.resolved_t_min()
-    if not (math.isfinite(t_min) and t_min >= 0):
-        raise ValueError(f"t_min must be finite and >= 0, got {t_min}")
-    if config.t_points > 1 and not config.t_max > t_min:
-        raise ValueError(f"t_max must be > t_min, got t_max={config.t_max}, t_min={t_min}")
-    if not 0 < config.quad_tolerance <= 1e-2:
-        raise ValueError(
-            f"quad_tolerance must be in (0, 1e-2], got {config.quad_tolerance}"
-        )
-    if config.scheme == "custom" and config.custom_fractions_path is None:
-        raise ValueError("scheme 'custom' requires custom_fractions_path")
-    return config
-
-
 def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
-    """Merge defaults, an optional config file and flag overrides, then validate."""
+    """Merge defaults, an optional config file and flag overrides; RunConfig validates."""
     values: dict = {}
     if path is not None:
         values.update(_parse_config_file(path))
     for key, value in (overrides or {}).items():
         if value is not None:
-            if key not in _ALL_KEYS:
+            if key not in _KEY_TYPES:
                 raise ValueError(f"unknown config key {key!r}")
             values[key] = value
-    return _validate_config(RunConfig(**values))
+    return RunConfig(**values)
 
 
 def _scheme_template(config: RunConfig) -> list[tuple[str, ScheduleSpec]]:
     """Column label and schedule template per requested scheme."""
+    schemes = _COLUMNS[config.scheme]
     custom = None
-    if config.scheme == "custom":
+    if Scheme.CUSTOM in schemes:
         with open(config.custom_fractions_path, "r", encoding="utf-8") as handle:
             custom = parse_fractions_text(handle.read())
-    schemes = {
-        "pdd": [Scheme.PDD],
-        "udd": [Scheme.UDD],
-        "custom": [Scheme.CUSTOM],
-        "both": [Scheme.PDD, Scheme.UDD],
-    }[config.scheme]
     out = []
     for scheme in schemes:
         template = ScheduleSpec(
@@ -182,7 +171,7 @@ def _format_row(values: list[float]) -> str:
 
 
 def _curve_csv(config: RunConfig) -> str:
-    bath = _bath(config)
+    bath = config.bath()
     grid = np.linspace(config.resolved_t_min(), config.t_max, config.t_points)
     zero_head = grid.size > 0 and grid[0] == 0.0
     positive = grid[1:] if zero_head else grid
@@ -219,20 +208,7 @@ def _write_atomic(path: str, text: str) -> None:
 def cmd_curve(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise ValueError(f"workers must be >= 1, got {args.workers}")
-    overrides = {
-        "n": args.n,
-        "cycles": args.cycles,
-        "alpha": args.alpha,
-        "temperature": args.temperature,
-        "cutoff": args.cutoff,
-        "scheme": args.scheme,
-        "t_min": args.t_min,
-        "t_max": args.t_max,
-        "t_points": args.t_points,
-        "quad_tolerance": args.quad_tolerance,
-        "output_path": args.out,
-        "custom_fractions_path": args.custom_fractions,
-    }
+    overrides = {key: getattr(args, key) for key in _KEY_TYPES}
     config = parse_config(args.config, overrides)
     try:
         text = _curve_csv(config)
@@ -302,7 +278,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sched = sub.add_parser(
         "schedule", help="print or save pulse-time fractions, one per line"
     )
-    p_sched.add_argument("--scheme", choices=["pdd", "udd"], required=True)
+    p_sched.add_argument("--scheme", choices=[Scheme.PDD.value, Scheme.UDD.value],
+                         required=True)
     p_sched.add_argument("--n", type=int, required=True, help="atom dimension (>= 2)")
     p_sched.add_argument("--cycles", type=int, required=True, help="cycle count (>= 1)")
     p_sched.add_argument("--total-time", type=float, required=True,
@@ -320,14 +297,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--alpha", type=float)
     p_curve.add_argument("--temperature", type=float)
     p_curve.add_argument("--cutoff", type=float)
-    p_curve.add_argument("--scheme", choices=["pdd", "udd", "custom", "both"])
-    p_curve.add_argument("--t-min", type=float, dest="t_min",
+    p_curve.add_argument("--scheme", choices=_COLUMNS)
+    p_curve.add_argument("--t-min", type=float,
                          help="first grid time; 0 maps to the analytic P=1 point")
-    p_curve.add_argument("--t-max", type=float, dest="t_max")
-    p_curve.add_argument("--t-points", type=int, dest="t_points")
-    p_curve.add_argument("--quad-tolerance", type=float, dest="quad_tolerance")
-    p_curve.add_argument("--out", help="output CSV path")
-    p_curve.add_argument("--custom-fractions", dest="custom_fractions",
+    p_curve.add_argument("--t-max", type=float)
+    p_curve.add_argument("--t-points", type=int)
+    p_curve.add_argument("--quad-tolerance", type=float)
+    p_curve.add_argument("--out", dest="output_path", metavar="OUT", help="output CSV path")
+    p_curve.add_argument("--custom-fractions", dest="custom_fractions_path",
+                         metavar="CUSTOM_FRACTIONS",
                          help="fraction file for scheme=custom (one value per line)")
     p_curve.add_argument("--workers", type=int, default=1,
                          help="accepted (>= 1) but has no effect: the grid points of "

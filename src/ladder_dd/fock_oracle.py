@@ -75,35 +75,44 @@ class ModeSpec:
             raise ValueError(f"transition index must be >= 0, got {self.transition}")
 
 
-def min_fock_dim(omega: float, temperature: float, tail: float = DEFAULT_TAIL) -> int:
-    """Smallest truncation with Boltzmann tail weight below ``tail``.
+def _check_temperature(temperature: float) -> None:
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise ValueError(f"temperature must be finite and > 0, got {temperature}")
+
+
+def _check_transition(mode: ModeSpec, n: int) -> None:
+    if mode.transition > n - 2:
+        raise ValueError(f"mode transition {mode.transition} out of range for n={n}")
+
+
+def min_fock_dim(omega: float, temperature: float) -> int:
+    """Smallest truncation with Boltzmann tail weight below ``DEFAULT_TAIL``.
 
     The normalized occupation distribution is geometric with ratio
     q = exp(-omega/temperature); the weight beyond level d-1 is q**d.
     """
-    if not (math.isfinite(temperature) and temperature > 0):
-        raise ValueError(f"temperature must be finite and > 0, got {temperature}")
+    _check_temperature(temperature)
     q = math.exp(-omega / temperature)
     if q == 0.0:
         return 2
-    d = max(2, math.ceil(math.log(tail) / math.log(q)))
-    while q**d >= tail:
+    d = max(2, math.ceil(math.log(DEFAULT_TAIL) / math.log(q)))
+    while q**d >= DEFAULT_TAIL:
         d += 1
     return d
 
 
-def thermal_state(mode: ModeSpec, temperature: float, tail: float = DEFAULT_TAIL) -> np.ndarray:
+def thermal_state(mode: ModeSpec, temperature: float) -> np.ndarray:
     """Diagonal Boltzmann state on the truncated mode space, trace one.
 
     Raises TruncationError if the discarded tail weight is not below
-    ``tail``, advising the dimension that would suffice.
+    ``DEFAULT_TAIL``, advising the dimension that would suffice.
     """
-    needed = min_fock_dim(mode.omega, temperature, tail)  # checks the temperature
+    needed = min_fock_dim(mode.omega, temperature)  # checks the temperature
     q = math.exp(-mode.omega / temperature)
-    if q > 0.0 and q**mode.fock_dim >= tail:
+    if q > 0.0 and q**mode.fock_dim >= DEFAULT_TAIL:
         raise TruncationError(
             f"fock_dim={mode.fock_dim} keeps tail weight {q**mode.fock_dim:.3e} "
-            f">= {tail:g} for omega={mode.omega}, temperature={temperature}; "
+            f">= {DEFAULT_TAIL:g} for omega={mode.omega}, temperature={temperature}; "
             f"use fock_dim >= {needed}",
             required_dim=needed,
         )
@@ -112,10 +121,10 @@ def thermal_state(mode: ModeSpec, temperature: float, tail: float = DEFAULT_TAIL
     return np.diag(populations).astype(complex)
 
 
-def superposition_state(n: int, levels: tuple[int, int] = (0, 1)) -> np.ndarray:
-    """Pure equal superposition of two atom levels (maximal coherence)."""
+def superposition_state(n: int) -> np.ndarray:
+    """Pure equal superposition of atom levels 0 and 1 (maximal coherence)."""
     vec = np.zeros(n, dtype=complex)
-    vec[levels[0]] = vec[levels[1]] = 1.0 / math.sqrt(2.0)
+    vec[0] = vec[1] = 1.0 / math.sqrt(2.0)
     return np.outer(vec, vec.conj())
 
 
@@ -220,10 +229,7 @@ def _validate_inputs(n: int, modes, atom_state: np.ndarray) -> tuple[ModeSpec, .
     if not modes:
         raise ValueError("at least one bath mode is required")
     for mode in modes:
-        if mode.transition > n - 2:
-            raise ValueError(
-                f"mode transition {mode.transition} out of range for n={n}"
-            )
+        _check_transition(mode, n)
         if mode.fock_dim > DIM_CAP:
             raise ValueError(f"fock_dim {mode.fock_dim} exceeds the per-mode cap {DIM_CAP}")
     atom_state = np.asarray(atom_state)
@@ -235,7 +241,6 @@ def _validate_inputs(n: int, modes, atom_state: np.ndarray) -> tuple[ModeSpec, .
 
 
 def evolve_pulsed(
-    n: int,
     modes,
     schedule: PulseSchedule,
     group: DecouplingGroup,
@@ -247,18 +252,17 @@ def evolve_pulsed(
 ) -> complex:
     """(0,1) coherence after the full pulsed sequence, evolved exactly.
 
-    Free segments follow the schedule; after segment l of each cycle the atom
-    pulse g_l g_{l-1}^dag fires, and the cycle closes with g_{n-1}^dag.  With
-    ``method="substeps"`` the segments use piecewise-constant midpoint
-    exponentials; the run is repeated at doubled resolution and a
-    ConvergenceError raised if the coherence moves by more than
-    ``substep_tol``.
+    The atom has the schedule's dimension n.  Free segments follow the
+    schedule; after segment l of each cycle the atom pulse g_l g_{l-1}^dag
+    fires, and the cycle closes with g_{n-1}^dag.  With ``method="substeps"``
+    the segments use piecewise-constant midpoint exponentials; the run is
+    repeated at doubled resolution and a ConvergenceError raised if the
+    coherence moves by more than ``substep_tol``.
     """
+    n = schedule.n
+    if group.dim != n:
+        raise ValueError(f"dimension mismatch: schedule n={n}, group n={group.dim}")
     modes = _validate_inputs(n, modes, atom_state)
-    if schedule.n != n or group.dim != n:
-        raise ValueError(
-            f"dimension mismatch: n={n}, schedule n={schedule.n}, group n={group.dim}"
-        )
     elements = group.elements
     pulses = [elements[l] @ elements[l - 1].conj().T for l in range(1, n)]
     splits = [_monomial_split(pulse) for pulse in pulses + [elements[n - 1].conj().T]]
@@ -298,6 +302,9 @@ def discrete_decay_exponent(
     negative control: the upper neighbour slot enters each filter with the
     wrong sign, as under a wrong toggling-sign convention.
     """
+    _check_temperature(temperature)
+    for mode in modes:
+        _check_transition(mode, schedule.n)
     omegas = [mode.omega for mode in modes]
     filters = exponent_filters(omegas, schedule)
     if wrong_sign:
@@ -305,9 +312,6 @@ def discrete_decay_exponent(
         filters = filters - 2.0 * upper[:, : schedule.n - 1]
     total = 0.0
     for mode, chis in zip(modes, filters):
-        if mode.transition > schedule.n - 2:
-            raise ValueError(f"mode transition {mode.transition} out of range "
-                             f"for n={schedule.n}")
         chi = chis[mode.transition]
         coth = 1.0 / math.tanh(mode.omega / (2.0 * temperature))
         total += 0.5 * abs(mode.coupling) ** 2 * abs(chi) ** 2 * coth

@@ -76,6 +76,7 @@ _CHUNK_ELEMS = 2**18
 # Rows J_k(z) per product with the UDD weights.  Blocks are counted from the
 # lowest order, so a frequency's sums do not depend on the other frequencies of
 # its call, and calls take at most _CHUNK_ELEMS // _BLOCK_ROWS frequencies.
+# Values from 8 to 32 time within noise of each other and change the sums at round-off only.
 _BLOCK_ROWS = 20
 
 # log of double precision, for the start orders of Miller's recurrence.
@@ -495,10 +496,12 @@ def decay_exponents(
     probe quadrature stability).  Exponents whose successive estimates both
     sit below ``_ZERO_FLOOR`` count as converged zeros.  ``table`` is a
     FilterTable for the schedule's fractions, shared by the points of a
-    sweep; without one a private table is built.  Raises ConvergenceError,
-    carrying the last two estimate vectors, if the target is never met or an
-    estimate is not finite.
+    sweep; without one a private table is built.  ``rel_tol`` must be finite
+    and in (0, 1).  Raises ConvergenceError, carrying the last two estimate
+    vectors, if the target is never met or an estimate is not finite.
     """
+    if not 0.0 < rel_tol < 1.0:
+        raise ValueError(f"rel_tol must be finite and in (0, 1), got {rel_tol}")
     if table is None:
         table = FilterTable(schedule.spec, uppers=[bath.cutoff * schedule.total_time])
     elif table.key != _fraction_key(schedule.spec):

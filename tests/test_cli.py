@@ -1,4 +1,5 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +89,11 @@ class TestParseConfig:
     def test_bound_violations_name_field(self, overrides, field):
         with pytest.raises(ValueError, match=field):
             parse_config(None, overrides)
+
+    def test_readme_example_is_the_defaults(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert parse_config(write(tmp_path / "readme.cfg", example)) == RunConfig()
 
     def test_custom_scheme_requires_fraction_path(self):
         with pytest.raises(ValueError, match="custom_fractions_path"):

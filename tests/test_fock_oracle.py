@@ -146,6 +146,8 @@ class TestModeSpecValidation:
             min_fock_dim(1.0, temperature)
         with pytest.raises(ValueError, match="temperature must be finite and > 0"):
             thermal_state(MODE_N2, temperature)
+        with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+            discrete_decay_exponent((MODE_N2,), temperature, make_schedule(Scheme.PDD, 3, 1, 2.0))
 
 
 class TestEvolvePulsed:
@@ -154,7 +156,7 @@ class TestEvolvePulsed:
         schedule = make_schedule(scheme, n, cycles, total_time)
         group = build_decoupling_group(n)
         atom = superposition_state(n)
-        coherence = evolve_pulsed(n, modes, schedule, group, atom, temperature, **kwargs)
+        coherence = evolve_pulsed(modes, schedule, group, atom, temperature, **kwargs)
         return atom, coherence
 
     def test_zero_coupling_preserves_coherence(self):
@@ -212,7 +214,7 @@ class TestEvolvePulsed:
         raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         atom = raw @ raw.conj().T / np.trace(raw @ raw.conj().T)
         mode = ModeSpec(transition=1, omega=1.0, coupling=0.0, fock_dim=4)
-        coherence = evolve_pulsed(n, (mode,), make_schedule(Scheme.UDD, n, 2, 1.0),
+        coherence = evolve_pulsed((mode,), make_schedule(Scheme.UDD, n, 2, 1.0),
                                   group, atom, 0.1)
         u = np.linalg.matrix_power(elements[0].conj().T, 2)  # the two cycles
         assert coherence == pytest.approx((u @ atom @ u.conj().T)[0, 1], abs=1e-14)
@@ -221,7 +223,7 @@ class TestEvolvePulsed:
     def test_product_form_matches_frozen_dense_coherence(self, name):
         case = _pinned_cases()[name]
         schedule = make_schedule(case.scheme, case.n, case.cycles, case.total_time)
-        coherence = evolve_pulsed(case.n, case.modes, schedule,
+        coherence = evolve_pulsed(case.modes, schedule,
                                   build_decoupling_group(case.n),
                                   superposition_state(case.n), case.temperature)
         dense = DENSE_COHERENCE[name]
@@ -265,20 +267,20 @@ class TestEvolvePulsed:
         group = build_decoupling_group(2)
         atom = superposition_state(2)
         with pytest.raises(ValueError, match="at least one"):
-            evolve_pulsed(2, (), schedule, group, atom, 1.0)
+            evolve_pulsed((), schedule, group, atom, 1.0)
         with pytest.raises(ValueError, match="transition 1"):
-            evolve_pulsed(2, (ModeSpec(1, 1.0, 0.1, 4),), schedule, group, atom, 1.0)
+            evolve_pulsed((ModeSpec(1, 1.0, 0.1, 4),), schedule, group, atom, 1.0)
         with pytest.raises(ValueError, match="coherence"):
-            evolve_pulsed(2, (MODE_N2,), schedule, group,
+            evolve_pulsed((MODE_N2,), schedule, group,
                           np.diag([1.0, 0.0]).astype(complex), 1.0)
         with pytest.raises(ValueError, match="cap"):
-            evolve_pulsed(2, (ModeSpec(0, 1.0, 0.1, DIM_CAP + 1),), schedule, group, atom, 1.0)
+            evolve_pulsed((ModeSpec(0, 1.0, 0.1, DIM_CAP + 1),), schedule, group, atom, 1.0)
         with pytest.raises(ValueError, match="mismatch"):
-            evolve_pulsed(3, (ModeSpec(0, 1.0, 0.1, 4),),
+            evolve_pulsed((ModeSpec(0, 1.0, 0.1, 4),),
                           schedule, build_decoupling_group(3),
                           superposition_state(3), 1.0)
         with pytest.raises(ValueError, match="method"):
-            evolve_pulsed(2, (MODE_N2,), schedule, group, atom, 1.0, method="magic")
+            evolve_pulsed((MODE_N2,), schedule, group, atom, 1.0, method="magic")
 
 
 class TestMonomialSplit:
@@ -304,7 +306,7 @@ class TestMonomialSplit:
             _monomial_split(pulse)
         group = DecouplingGroup(dim=2, elements=(np.eye(2, dtype=complex), pulse))
         with pytest.raises(NonMonomialPulseError):
-            evolve_pulsed(2, (MODE_N2,), make_schedule(Scheme.PDD, 2, 1, 1.0), group,
+            evolve_pulsed((MODE_N2,), make_schedule(Scheme.PDD, 2, 1, 1.0), group,
                           superposition_state(2), 1.0)
 
 
@@ -317,7 +319,7 @@ class TestDecouplingSuppression:
         schedule = make_schedule(Scheme.PDD, 2, 2, total_time)
         group = build_decoupling_group(2)
         atom = superposition_state(2)
-        final = evolve_pulsed(2, (MODE_N2,), schedule, group, atom, temperature)
+        final = evolve_pulsed((MODE_N2,), schedule, group, atom, temperature)
         pulsed = -math.log(abs(final) / abs(atom[0, 1]))
         assert pulsed < free / 10
 
@@ -470,7 +472,7 @@ def test_random_runs_match_prediction_and_catch_the_control(draw):
     n, cycles, scheme, total_time, temperature, modes = draw
     schedule = make_schedule(scheme, n, cycles, total_time)
     atom = superposition_state(n)
-    end = evolve_pulsed(n, modes, schedule, build_decoupling_group(n), atom, temperature)
+    end = evolve_pulsed(modes, schedule, build_decoupling_group(n), atom, temperature)
     observed = abs(end) / abs(atom[0, 1])
     predicted = math.exp(-discrete_decay_exponent(modes, temperature, schedule))
     control = math.exp(-discrete_decay_exponent(modes, temperature, schedule,

@@ -451,13 +451,43 @@ class TestDecayExponents:
     @pytest.mark.parametrize("total_time", [1e-3, 0.3, 16 * math.pi / 100.0, 2.5])
     def test_successive_estimates_differ(self, total_time):
         # a refinement that reused its predecessor's nodes would report a zero
-        # change and converge falsely
+        # change and converge falsely.  Converged estimates may agree to the
+        # last bit, so the check is on the nodes: a level shares none with the
+        # level before it, except in a remainder panel up to the cutoff that is
+        # narrower than half the previous width and so carries over whole.
         bath = BathSpec(alpha=0.25, cutoff=100.0, temperature=150.0)
         schedule = make_schedule(Scheme.UDD, 6, 50, total_time)
         for doublings in (1, 3):
-            with pytest.raises(ConvergenceError) as excinfo:
-                decay_exponents(schedule, bath, rel_tol=1e-300, max_doublings=doublings)
-            assert np.all(excinfo.value.previous != excinfo.value.current)
+            table = FilterTable(schedule.spec, uppers=[bath.cutoff * total_time])
+            levels, panels = [], table.panels
+
+            def recording(level, upper):
+                levels.append(panels(level, upper))
+                return levels[-1]
+
+            table.panels = recording
+            with pytest.raises(ConvergenceError):
+                decay_exponents(schedule, bath, rel_tol=1e-300, max_doublings=doublings,
+                                table=table)
+            assert len(levels) == doublings + 1
+            for (coarse, _), (fine, _) in zip(levels, levels[1:]):
+                shared = np.intersect1d(coarse, fine)
+                assert np.isin(shared, fine[-kernel.GL_ORDER:]).all()
+
+    @pytest.mark.parametrize("rel_tol", [math.nan, -1.0, 0.0, 1.0, math.inf])
+    def test_rel_tol_rejected_before_any_filter(self, rel_tol, monkeypatch):
+        # such a target would refine through every doubling or accept any estimate
+        def never(*args, **kwargs):
+            raise AssertionError("filters evaluated for an invalid rel_tol")
+
+        monkeypatch.setattr(kernel, "exponent_filters", never)
+        bath = BathSpec(alpha=0.25, cutoff=100.0, temperature=150.0)
+        schedule = make_schedule(Scheme.UDD, 6, 50, 1.0)
+        for run in (lambda: decay_exponents(schedule, bath, rel_tol=rel_tol),
+                    lambda: coherence_ratio(schedule, bath, rel_tol=rel_tol),
+                    lambda: sweep_curve(schedule.spec, bath, [0.5, 1.0], rel_tol=rel_tol)):
+            with pytest.raises(ValueError, match=r"rel_tol must be finite and in \(0, 1\)"):
+                run()
 
     def test_subnormal_frequency_range_rejected(self):
         # u = w*T panels cannot be formed once cutoff*T leaves the normal floats
