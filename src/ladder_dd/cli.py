@@ -222,7 +222,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 def cmd_verify_group(args: argparse.Namespace) -> int:
     report = verify_decoupling(args.n)
-    print(f"decoupling residuals for n={args.n} (tolerance {report.tolerance:g}):")
+    print(f"decoupling residuals for n={args.n} (tolerance {ZERO_TOL:g}):")
     print("transition  residual")
     for k, residual in enumerate(report.residuals):
         print(f"{k:<10d}  {residual:.3e}")
@@ -231,7 +231,8 @@ def cmd_verify_group(args: argparse.Namespace) -> int:
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
-    schedule = make_schedule(args.scheme, args.n, args.cycles, args.total_time)
+    # fractions do not depend on the total time
+    schedule = make_schedule(args.scheme, args.n, args.cycles, 1.0)
     text = fractions_text(schedule.fractions)
     if args.out is None:
         sys.stdout.write(text)
@@ -282,8 +283,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          required=True)
     p_sched.add_argument("--n", type=int, required=True, help="atom dimension (>= 2)")
     p_sched.add_argument("--cycles", type=int, required=True, help="cycle count (>= 1)")
-    p_sched.add_argument("--total-time", type=float, required=True,
-                         help="run duration (> 0)")
     p_sched.add_argument("--out", help="output path (default: stdout)")
     p_sched.set_defaults(func=cmd_schedule)
 

@@ -318,20 +318,14 @@ def discrete_decay_exponent(
     return total
 
 
-def free_decay_baseline(
-    total_time: float,
-    modes,
-    temperature: float,
-    n: int,
-    atom_state: np.ndarray | None = None,
-) -> float:
-    """Unpulsed decay exponent -ln|rho01(T)/rho01(0)|: one segment, no pulses."""
-    if atom_state is None:
-        atom_state = superposition_state(n)
+def free_decay_baseline(total_time: float, modes, temperature: float, n: int) -> float:
+    """Unpulsed decay exponent -ln|rho01(T)/rho01(0)|: one segment, no pulses,
+    starting from the equal superposition of levels 0 and 1."""
+    atom_state = superposition_state(n)
     modes = _validate_inputs(n, modes, atom_state)
     if not total_time >= 0:
         raise ValueError(f"total_time must be >= 0, got {total_time}")
     steps = [(0.0, float(total_time), None)]
     final = _coherence(n, modes, steps, atom_state, temperature, _segment_exact)
-    start = abs(np.asarray(atom_state)[0, 1])
+    start = abs(atom_state[0, 1])
     return -math.log(abs(final) / start)

@@ -100,6 +100,15 @@ _PANEL_WIDTH = 4.0 * math.pi
 # Fewest whole panels a quadrature starts from, whatever the filter oscillation count.
 _MIN_PANELS = 8
 
+# Most level-0 panels below u = cutoff*T (memory bound).  A table's first batch
+# evaluates two levels of every point: at this cap about 7e5 nodes, or 70 MB
+# of complex position filters at n = 6.  The reference sweeps stay far below
+# it (127 panels for N = 400 at T = 16).
+_MAX_PANELS = 2**14
+
+# Panel halvings after the first level before the quadrature gives up.
+_MAX_DOUBLINGS = 12
+
 # Exponents whose successive estimates both sit below this count as converged
 # zeros: such a value shifts the coherence ratio by less than double precision,
 # and below that scale the integrand is round-off rather than signal.
@@ -429,7 +438,16 @@ class DecayExponents:
 
 
 def _first_level(upper: float) -> int:
-    """Coarsest level with at least _MIN_PANELS whole panels below ``upper``."""
+    """Coarsest level with at least _MIN_PANELS whole panels below ``upper``.
+
+    Raises ValueError unless ``upper`` = cutoff*T is a normal float of at
+    most _MAX_PANELS level-0 panels: no table tiles a range it rejects.
+    """
+    if not upper >= sys.float_info.min:
+        raise ValueError(f"cutoff * total time = {upper!r} is below the smallest normal float")
+    if not upper <= _MAX_PANELS * _PANEL_WIDTH:
+        raise ValueError(f"cutoff * total time = {upper!r} exceeds {_MAX_PANELS} panels "
+                         f"of width 4 pi")
     level = 0
     while _MIN_PANELS * math.ldexp(_PANEL_WIDTH, -level) > upper:
         level += 1
@@ -446,8 +464,6 @@ def _level_estimates(schedule: PulseSchedule, bath: BathSpec, table: FilterTable
     """
     total_time = schedule.total_time
     upper = bath.cutoff * total_time
-    if not upper >= sys.float_info.min:
-        raise ValueError(f"cutoff * total time = {upper!r} is below the smallest normal float")
     level = _first_level(upper)
     prev = None
     while True:
@@ -459,7 +475,8 @@ def _level_estimates(schedule: PulseSchedule, bath: BathSpec, table: FilterTable
                                         axis=1)
         if not np.isfinite(gamma).all():
             raise ConvergenceError(
-                f"non-finite decay exponent estimate on {nodes.size} nodes",
+                f"non-finite decay exponent estimate on {nodes.size} nodes "
+                f"(while evaluating T={total_time:.6g})",
                 previous=gamma if prev is None else prev,
                 current=gamma,
             )
@@ -483,7 +500,6 @@ def decay_exponents(
     schedule: PulseSchedule,
     bath: BathSpec,
     rel_tol: float = 1e-6,
-    max_doublings: int = 12,
     extra_levels: int = 0,
     table: FilterTable | None = None,
 ) -> DecayExponents:
@@ -491,14 +507,15 @@ def decay_exponents(
 
     The first level has at least ``_MIN_PANELS`` panels of at most two filter
     oscillations each; each further level halves the panel width, until
-    successive estimates of every Gamma_k agree within ``rel_tol``.
-    ``extra_levels`` forces further halvings after convergence (used to
-    probe quadrature stability).  Exponents whose successive estimates both
-    sit below ``_ZERO_FLOOR`` count as converged zeros.  ``table`` is a
-    FilterTable for the schedule's fractions, shared by the points of a
-    sweep; without one a private table is built.  ``rel_tol`` must be finite
-    and in (0, 1).  Raises ConvergenceError, carrying the last two estimate
-    vectors, if the target is never met or an estimate is not finite.
+    successive estimates of every Gamma_k agree within ``rel_tol``, for at
+    most ``_MAX_DOUBLINGS`` halvings.  ``extra_levels`` forces further
+    halvings after convergence (used to probe quadrature stability).
+    Exponents whose successive estimates both sit below ``_ZERO_FLOOR`` count
+    as converged zeros.  ``table`` is a FilterTable for the schedule's
+    fractions, shared by the points of a sweep; without one a private table
+    is built.  ``rel_tol`` must be finite and in (0, 1).  Raises
+    ConvergenceError, carrying the last two estimate vectors and naming T, if
+    the target is never met or an estimate is not finite.
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must be finite and in (0, 1), got {rel_tol}")
@@ -509,7 +526,7 @@ def decay_exponents(
     levels = _level_estimates(schedule, bath, table)
     curr, points = next(levels)
     prev = curr
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         prev, (curr, points) = curr, next(levels)
         if _max_rel_change(prev, curr) <= rel_tol:
             for _ in range(extra_levels):
@@ -521,18 +538,17 @@ def decay_exponents(
             )
     raise ConvergenceError(
         f"decay exponents did not converge to rel_tol={rel_tol:g} within "
-        f"{max_doublings} doublings ({points} nodes)",
+        f"{_MAX_DOUBLINGS} doublings ({points} nodes) "
+        f"(while evaluating T={schedule.total_time:.6g})",
         previous=prev,
         current=curr,
     )
 
 
-def coherence_ratio(
-    schedule: PulseSchedule, bath: BathSpec, rel_tol: float = 1e-6, **quad_kwargs
-) -> float:
+def coherence_ratio(schedule: PulseSchedule, bath: BathSpec, rel_tol: float = 1e-6) -> float:
     """Surviving fraction P(T) = exp(-sum_k Gamma_k) of the (0,1) coherence, the
     sum running over the exponents of transitions k = 0..n-2."""
-    exponents = decay_exponents(schedule, bath, rel_tol=rel_tol, **quad_kwargs)
+    exponents = decay_exponents(schedule, bath, rel_tol=rel_tol)
     return float(np.exp(-exponents.gamma.sum()))
 
 
@@ -548,18 +564,15 @@ class CoherenceCurve:
 
 
 def sweep_curve(
-    template: ScheduleSpec,
-    bath: BathSpec,
-    t_grid,
-    rel_tol: float = 1e-6,
-    **quad_kwargs,
+    template: ScheduleSpec, bath: BathSpec, t_grid, rel_tol: float = 1e-6
 ) -> CoherenceCurve:
     """Evaluate P(T) over a grid of total times, rebuilding the schedule each time.
 
     The grid must be strictly increasing and positive.  Points run in grid
     order and share one FilterTable, told every point's cutoff*T up front: the
-    first point evaluates the first two levels of all of them in one call, and
-    a point that refines further evaluates only the panels no point needed.
+    first point checks every point's range and evaluates the first two levels
+    of all of them in one call, and a point that refines further evaluates
+    only the panels no point needed.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
@@ -575,14 +588,7 @@ def sweep_curve(
     errors = np.empty(t_grid.size)
     for i, t in enumerate(t_grid.tolist()):
         schedule = build_schedule(dataclasses.replace(template, total_time=t))
-        try:
-            exponents = decay_exponents(
-                schedule, bath, rel_tol=rel_tol, table=table, **quad_kwargs
-            )
-        except ConvergenceError as err:
-            raise ConvergenceError(
-                f"{err} (while evaluating T={t:.6g})", err.previous, err.current
-            ) from err
+        exponents = decay_exponents(schedule, bath, rel_tol=rel_tol, table=table)
         values[i] = np.exp(-exponents.gamma.sum())
         points[i] = exponents.quadrature_points
         errors[i] = exponents.estimated_relative_error

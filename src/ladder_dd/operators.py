@@ -111,33 +111,31 @@ def max_abs(op: np.ndarray) -> float:
     return float(np.max(np.abs(op)))
 
 
-def is_unitary(op: np.ndarray, tol: float = ZERO_TOL) -> bool:
+def is_unitary(op: np.ndarray) -> bool:
     op = np.asarray(op)
-    return max_abs(op.conj().T @ op - np.eye(op.shape[0])) <= tol
+    return max_abs(op.conj().T @ op - np.eye(op.shape[0])) <= ZERO_TOL
 
 
 @dataclass(frozen=True)
 class DecouplingReport:
     """Per-transition residuals of the group-averaged dephasing operators."""
 
-    dim: int
     residuals: tuple[float, ...]
-    tolerance: float
 
     @property
     def passed(self) -> bool:
-        return all(r <= self.tolerance for r in self.residuals)
+        return all(r <= ZERO_TOL for r in self.residuals)
 
 
-def verify_decoupling(n: int, tol: float = ZERO_TOL) -> DecouplingReport:
+def verify_decoupling(n: int) -> DecouplingReport:
     """Check that the group average annihilates sigma_z on every transition.
 
     Returns the max-entry magnitude of the averaged operator for each
     transition; the group decouples pure dephasing iff all residuals are
-    at the round-off floor.
+    at the round-off floor, ZERO_TOL.
     """
     group = build_decoupling_group(n)
     residuals = tuple(
         max_abs(group_average(group, sigma_z(n, k))) for k in range(n - 1)
     )
-    return DecouplingReport(dim=n, residuals=residuals, tolerance=tol)
+    return DecouplingReport(residuals=residuals)

@@ -115,8 +115,7 @@ class TestVerifyGroup:
 
 class TestScheduleCommand:
     def test_stdout_listing(self, capsys):
-        assert main(["schedule", "--scheme", "udd", "--n", "2", "--cycles", "2",
-                     "--total-time", "1.0"]) == EXIT_OK
+        assert main(["schedule", "--scheme", "udd", "--n", "2", "--cycles", "2"]) == EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
         expected = make_schedule("udd", 2, 2, 1.0).fractions
         assert [float(line) for line in lines] == list(expected)
@@ -124,13 +123,13 @@ class TestScheduleCommand:
     def test_file_output_round_trips(self, tmp_path):
         out = tmp_path / "fractions.txt"
         assert main(["schedule", "--scheme", "pdd", "--n", "6", "--cycles", "50",
-                     "--total-time", "10.0", "--out", str(out)]) == EXIT_OK
+                     "--out", str(out)]) == EXIT_OK
         values = [float(line) for line in out.read_text().strip().splitlines()]
         np.testing.assert_array_equal(values, make_schedule("pdd", 6, 50, 10.0).fractions)
 
     def test_invalid_cycles(self, capsys):
-        assert main(["schedule", "--scheme", "pdd", "--n", "2", "--cycles", "0",
-                     "--total-time", "1.0"]) == EXIT_VALIDATION
+        assert main(["schedule", "--scheme", "pdd", "--n", "2",
+                     "--cycles", "0"]) == EXIT_VALIDATION
 
 
 class TestCurveCommand:
@@ -203,7 +202,7 @@ class TestCurveCommand:
         # reproduce the built-in UDD curve bit for bit
         fractions = tmp_path / "udd.txt"
         assert main(["schedule", "--scheme", "udd", "--n", "2", "--cycles", "1",
-                     "--total-time", "2.0", "--out", str(fractions)]) == EXIT_OK
+                     "--out", str(fractions)]) == EXIT_OK
         builtin, replay = tmp_path / "builtin.csv", tmp_path / "replay.csv"
         main(["curve", *FAST_CURVE, "--scheme", "udd", "--out", str(builtin)])
         main(["curve", *FAST_CURVE, "--scheme", "custom",
@@ -257,6 +256,16 @@ class TestCurveCommand:
         err = capsys.readouterr().err
         assert "non-finite decay exponent estimate" in err
         assert f"T={DEFAULT_T_MAX / 60:.6g}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t_max", ["1e10", "1"])
+    def test_out_of_range_frequency_span_is_input_error(self, tmp_path, capsys, t_max):
+        # cutoff*T overflows to inf at t_max 1e10 and is a finite 1e300 at 1:
+        # both are rejected before any panel is tiled
+        out = tmp_path / "never.csv"
+        assert main(["curve", "--cutoff", "1e300", "--t-max", t_max, "--t-points", "1",
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert "cutoff * total time" in capsys.readouterr().err
         assert not out.exists()
 
     def test_convergence_failure_exit_code(self, tmp_path, monkeypatch, capsys):

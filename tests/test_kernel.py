@@ -415,11 +415,12 @@ class TestDecayExponents:
             )
             assert p_scaled == pytest.approx(p_base**c, rel=1e-9)
 
-    def test_unconverged_quadrature_raises_with_estimates(self):
+    def test_unconverged_quadrature_raises_with_estimates(self, monkeypatch):
+        monkeypatch.setattr(kernel, "_MAX_DOUBLINGS", 0)
         bath = BathSpec(alpha=0.3, cutoff=4.0, temperature=1.0)
         schedule = make_schedule(Scheme.PDD, 2, 1, 1.0)
         with pytest.raises(ConvergenceError) as excinfo:
-            decay_exponents(schedule, bath, max_doublings=0)
+            decay_exponents(schedule, bath)
         assert excinfo.value.previous.shape == (1,)
         assert excinfo.value.current.shape == (1,)
 
@@ -449,7 +450,7 @@ class TestDecayExponents:
         np.testing.assert_allclose(result.gamma, riemann, rtol=1e-6)
 
     @pytest.mark.parametrize("total_time", [1e-3, 0.3, 16 * math.pi / 100.0, 2.5])
-    def test_successive_estimates_differ(self, total_time):
+    def test_successive_estimates_differ(self, total_time, monkeypatch):
         # a refinement that reused its predecessor's nodes would report a zero
         # change and converge falsely.  Converged estimates may agree to the
         # last bit, so the check is on the nodes: a level shares none with the
@@ -466,9 +467,9 @@ class TestDecayExponents:
                 return levels[-1]
 
             table.panels = recording
+            monkeypatch.setattr(kernel, "_MAX_DOUBLINGS", doublings)
             with pytest.raises(ConvergenceError):
-                decay_exponents(schedule, bath, rel_tol=1e-300, max_doublings=doublings,
-                                table=table)
+                decay_exponents(schedule, bath, rel_tol=1e-300, table=table)
             assert len(levels) == doublings + 1
             for (coarse, _), (fine, _) in zip(levels, levels[1:]):
                 shared = np.intersect1d(coarse, fine)
@@ -490,10 +491,54 @@ class TestDecayExponents:
                 run()
 
     def test_subnormal_frequency_range_rejected(self):
-        # u = w*T panels cannot be formed once cutoff*T leaves the normal floats
+        # u = w*T panels cannot be formed once cutoff*T leaves the normal floats,
+        # and are not tiled past _MAX_PANELS level-0 panels
         bath = BathSpec(alpha=0.25, cutoff=1e-10, temperature=1.0)
         with pytest.raises(ValueError, match="smallest normal float"):
             decay_exponents(make_schedule(Scheme.PDD, 2, 1, 1e-300), bath)
+        bath = BathSpec(alpha=0.25, cutoff=1e300, temperature=1.0)
+        for total_time in (1e10, 1.0):  # cutoff*T = inf, then the finite 1e300
+            with pytest.raises(ValueError, match=r"cutoff \* total time = .* panels"):
+                decay_exponents(make_schedule(Scheme.PDD, 2, 1, total_time), bath)
+
+    def test_sweep_checks_every_range_before_any_filter(self, monkeypatch):
+        # the first point's table batch tiles every point, so the last point's
+        # range must be checked before the first point evaluates anything
+        def never(*args, **kwargs):
+            raise AssertionError("filters evaluated before an out-of-range point was seen")
+
+        monkeypatch.setattr(kernel, "exponent_filters", never)
+        bath = BathSpec(alpha=0.25, cutoff=1e300, temperature=1.0)
+        template = ScheduleSpec(scheme=Scheme.UDD, n=6, cycles=50, total_time=1.0)
+        with pytest.raises(ValueError, match=r"cutoff \* total time = inf"):
+            sweep_curve(template, bath, [1e-299, 1e10])
+
+    @pytest.mark.parametrize("total_time", [1e-3, 0.3, 16 * math.pi / 100.0, 2.5])
+    def test_carried_remainder_panel_is_resolved(self, total_time):
+        # a remainder panel narrower than half the previous width is reused
+        # whole by the next level, so refinement never checks it: its 15-node
+        # sum must already match the same panel split into 64
+        bath = BathSpec(alpha=0.25, cutoff=100.0, temperature=150.0)
+        schedule = make_schedule(Scheme.UDD, 6, 50, total_time)
+        upper = bath.cutoff * total_time
+        scale = decay_exponents(schedule, bath).gamma.sum()
+        first = kernel._first_level(upper)
+        levels = range(first, first + kernel._MAX_DOUBLINGS + 1)
+        carried = {kernel._panels_below(level, upper)[-1] for level in levels
+                   if kernel._panels_below(level, upper)[-1]
+                   == kernel._panels_below(level + 1, upper)[-1]}
+        assert carried
+        for centre, half in carried:
+            # the panel, then its 64 equal parts, as (centre, half-width) in u
+            parts = centre - half + (2 * np.arange(64) + 1) * (half / 64)
+            centres = np.concatenate(([centre], parts))
+            halves = np.concatenate(([half], np.full(64, half / 64)))
+            # one integrand call, so that both sums see the same filter form
+            nodes = (centres[:, None] + halves[:, None] * kernel._GL_NODES) / total_time
+            rows = decay_integrand(nodes.ravel(), schedule, bath)
+            sums = rows.reshape(-1, 65, kernel.GL_ORDER) @ kernel._GL_WEIGHTS * halves / total_time
+            whole, split = sums[:, 0], sums[:, 1:].sum(axis=1)
+            assert np.abs(whole - split).max() <= 1e-12 * scale
 
     def test_table_for_other_fractions_rejected(self):
         bath = BathSpec(alpha=0.25, cutoff=100.0, temperature=150.0)
@@ -573,11 +618,12 @@ class TestSweepCurve:
         assert len(table_nodes) == 1
         assert np.unique(nodes).size == nodes.size
 
-    def test_convergence_error_names_failing_time(self):
+    def test_convergence_error_names_failing_time(self, monkeypatch):
+        monkeypatch.setattr(kernel, "_MAX_DOUBLINGS", 0)
         template = ScheduleSpec(scheme=Scheme.PDD, n=2, cycles=1, total_time=1.0)
         bath = BathSpec(alpha=0.3, cutoff=4.0, temperature=1.0)
         with pytest.raises(ConvergenceError, match="while evaluating T="):
-            sweep_curve(template, bath, [1.0], max_doublings=0)
+            sweep_curve(template, bath, [1.0])
 
 
 def _custom_fractions(n, cycles):
