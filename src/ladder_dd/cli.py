@@ -47,7 +47,7 @@ _EPILOG = """\
 exit codes:
   0  success
   1  a verification check did not pass (verify-group, oracle-check)
-  2  invalid arguments, configuration or input files
+  2  invalid arguments, configuration or input files, or too large for memory
   3  quadrature or sub-step refinement did not converge
   4  file system failure while writing output
 """
@@ -330,8 +330,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as err:
         print(f"ladder-dd: convergence failure: {err}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (ValueError, IndexError) as err:
-        print(f"ladder-dd: {err}", file=sys.stderr)
+    except (ValueError, IndexError, MemoryError) as err:
+        print(f"ladder-dd: {str(err) or type(err).__name__}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as err:
         print(f"ladder-dd: {err}", file=sys.stderr)

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg import expm
 
 from .kernel import ConvergenceError, exponent_filters, position_filters
 from .operators import DecouplingGroup, sigma_z
@@ -142,6 +141,13 @@ def _monomial_split(pulse: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         )
     perm = np.argmax(nonzero, axis=0)
     return perm, pulse[perm, np.arange(perm.size)]
+
+
+def expm(generator: np.ndarray) -> np.ndarray:
+    """exp(generator) for an anti-Hermitian generator: V e^{i lam} V^dag, with
+    -i*generator = V lam V^dag from ``np.linalg.eigh`` (lower triangle read)."""
+    lam, vecs = np.linalg.eigh(-1j * generator)
+    return (vecs * np.exp(1j * lam)) @ vecs.conj().T
 
 
 def _lowering(mode: ModeSpec) -> np.ndarray:

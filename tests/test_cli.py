@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -299,6 +302,46 @@ class TestOracleCheckCommand:
             captured = capsys.readouterr()
             assert "tol must be finite and in (0, 1)" in captured.err
             assert captured.out == ""
+
+
+class TestMemoryError:
+    # a real allocation failure (verify-group --n 200000 asks numpy for
+    # 596 GiB) is simulated: the test must not allocate
+    @pytest.mark.parametrize("target, argv, error", [
+        ("verify_decoupling", ["verify-group", "--n", "200000"], MemoryError()),
+        ("sweep_curve", ["curve", *FAST_CURVE],
+         MemoryError("Unable to allocate 1.70 GiB for an array")),
+    ], ids=["verify-group", "curve"])
+    def test_out_of_memory_is_input_error(self, target, argv, error, tmp_path,
+                                          monkeypatch, capsys):
+        def boom(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, target, boom)
+        monkeypatch.chdir(tmp_path)  # where curve writes by default
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == f"ladder-dd: {str(error) or 'MemoryError'}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_runtime_needs_numpy_alone(tmp_path):
+    # every subcommand that computes runs without importing scipy, which is
+    # only the tests' independent reference
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "from ladder_dd.cli import main\n"
+        "assert main(['verify-group', '--n', '3']) == 0\n"
+        "assert main(['oracle-check']) == 0\n"
+        f"assert main({['curve', *FAST_CURVE, '--out', str(tmp_path / 'c.csv')]!r}) == 0\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "c.csv").exists()
 
 
 class TestHelp:

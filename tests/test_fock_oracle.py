@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +28,7 @@ from ladder_dd.fock_oracle import (
     thermal_state,
 )
 from ladder_dd.kernel import ConvergenceError, position_filters
-from ladder_dd.operators import DecouplingGroup, build_decoupling_group
+from ladder_dd.operators import DecouplingGroup, build_decoupling_group, is_unitary
 from ladder_dd.schedules import Scheme, make_schedule
 
 MODE_N2 = ModeSpec(transition=0, omega=1.0, coupling=0.1, fock_dim=25)
@@ -84,6 +85,40 @@ def brute_min_dim(omega, temperature, tail=1e-10):
     while q**d >= tail:
         d += 1
     return d
+
+
+def _random_anti_hermitian(dim):
+    rng = np.random.default_rng(dim)
+    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (raw - raw.conj().T) / 2
+
+
+def _displacement_generator():
+    # w (z a^dag - z* a) + i phi I, as the exact segment builds it: weight -1,
+    # segment [0.7, 1.6], MODE_N2 (omega 1, coupling 0.1)
+    a = fock_oracle._lowering(MODE_N2)
+    z = 0.1 * np.exp(0.7j) * (1 - np.exp(0.9j))
+    phi = 0.1**2 * (0.9 - math.sin(0.9))
+    return -(z * a.conj().T - np.conj(z) * a) + 1j * phi * np.eye(MODE_N2.fock_dim)
+
+
+def _substep_generator():
+    # -i w h dt, as each sub-step builds it: weight 1, t = 0.3, dt = 2/256
+    a = fock_oracle._lowering(MODE_N2)
+    drive = 0.1 * np.exp(0.3j)
+    return -1j * (drive * a.conj().T + np.conj(drive) * a) * (2.0 / 256)
+
+
+class TestExpm:
+    @pytest.mark.parametrize("generator", [
+        *(_random_anti_hermitian(dim) for dim in (2, 3, 12, 25)),
+        _displacement_generator(),
+        _substep_generator(),
+    ], ids=["random2", "random3", "random12", "random25", "displacement", "substep"])
+    def test_matches_scipy_and_is_unitary(self, generator):
+        propagator = fock_oracle.expm(generator)
+        assert np.max(np.abs(propagator - scipy.linalg.expm(generator))) <= 1e-12
+        assert is_unitary(propagator)
 
 
 class TestThermalState:
