@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -87,38 +88,56 @@ def brute_min_dim(omega, temperature, tail=1e-10):
     return d
 
 
-def _random_anti_hermitian(dim):
+def _lowering(dim):
+    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
+
+
+def _random_displacements(dim):
+    # z in all four quadrants, |z| from 1e-3 to 3
     rng = np.random.default_rng(dim)
-    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (raw - raw.conj().T) / 2
+    a = _lowering(dim)
+    pairs = []
+    for magnitude in np.geomspace(1e-3, 3.0, 5):
+        for quadrant in range(4):
+            z = magnitude * np.exp(1j * (np.pi / 2) * (quadrant + rng.uniform()))
+            pairs.append((fock_oracle.expm(dim, z),
+                          scipy.linalg.expm(z * a.conj().T - np.conj(z) * a)))
+    return pairs
 
 
-def _displacement_generator():
-    # w (z a^dag - z* a) + i phi I, as the exact segment builds it: weight -1,
+def _displacement_pairs():
+    # w (z a^dag - z* a) + i phi I, the exact segment's generator: weight -1,
     # segment [0.7, 1.6], MODE_N2 (omega 1, coupling 0.1)
-    a = fock_oracle._lowering(MODE_N2)
+    a = _lowering(MODE_N2.fock_dim)
     z = 0.1 * np.exp(0.7j) * (1 - np.exp(0.9j))
     phi = 0.1**2 * (0.9 - math.sin(0.9))
-    return -(z * a.conj().T - np.conj(z) * a) + 1j * phi * np.eye(MODE_N2.fock_dim)
+    generator = -(z * a.conj().T - np.conj(z) * a) + 1j * phi * np.eye(MODE_N2.fock_dim)
+    return [(fock_oracle._segment_exact(MODE_N2, -1.0, 0.7, 0.9),
+             scipy.linalg.expm(generator))]
 
 
-def _substep_generator():
-    # -i w h dt, as each sub-step builds it: weight 1, t = 0.3, dt = 2/256
-    a = fock_oracle._lowering(MODE_N2)
+def _substep_pairs():
+    # -i w h dt, one sub-step's generator: weight 1, t = 0.3 - dt/2, dt = 2/256,
+    # so the midpoint sample falls at t = 0.3
+    a = _lowering(MODE_N2.fock_dim)
     drive = 0.1 * np.exp(0.3j)
-    return -1j * (drive * a.conj().T + np.conj(drive) * a) * (2.0 / 256)
+    step = 2.0 / 256
+    generator = -1j * (drive * a.conj().T + np.conj(drive) * a) * step
+    return [(fock_oracle._segment_substeps(MODE_N2, 1.0, 0.3 - step / 2, step, substeps=1),
+             scipy.linalg.expm(generator))]
 
 
 class TestExpm:
-    @pytest.mark.parametrize("generator", [
-        *(_random_anti_hermitian(dim) for dim in (2, 3, 12, 25)),
-        _displacement_generator(),
-        _substep_generator(),
-    ], ids=["random2", "random3", "random12", "random25", "displacement", "substep"])
-    def test_matches_scipy_and_is_unitary(self, generator):
-        propagator = fock_oracle.expm(generator)
-        assert np.max(np.abs(propagator - scipy.linalg.expm(generator))) <= 1e-12
-        assert is_unitary(propagator)
+    @pytest.mark.parametrize("pairs", [
+        *(partial(_random_displacements, dim) for dim in (2, 3, 12, 25, 50)),
+        _displacement_pairs,
+        _substep_pairs,
+    ], ids=["random2", "random3", "random12", "random25", "random50",
+            "displacement", "substep"])
+    def test_matches_scipy_and_is_unitary(self, pairs):
+        for propagator, reference in pairs():
+            assert np.max(np.abs(propagator - reference)) <= 1e-12
+            assert is_unitary(propagator)
 
 
 class TestThermalState:
@@ -140,7 +159,7 @@ class TestThermalState:
 
     def test_truncation_error_advises_dimension(self):
         mode = ModeSpec(transition=0, omega=100.0, coupling=0.1, fock_dim=5)
-        with pytest.raises(TruncationError, match="fock_dim") as excinfo:
+        with pytest.raises(TruncationError, match="fock_dim.*thermal tail only") as excinfo:
             thermal_state(mode, temperature=150.0)
         assert excinfo.value.required_dim == brute_min_dim(100.0, 150.0)
 
@@ -216,23 +235,34 @@ class TestEvolvePulsed:
         _, stepped = self._run(2, (MODE_N2,), method="substeps", substeps=512)
         assert abs(stepped - exact) <= 1e-7
 
-    def test_one_expm_per_weight_pair(self, monkeypatch):
-        # at n = 2 the row and column levels always carry weights +1 and -1:
-        # the exact path takes one expm per segment, the sub-stepped one two
-        # independent products
-        calls = []
+    def test_one_eigendecomposition_per_fock_dim(self, monkeypatch):
+        # every propagator rotates the one cached basis of its fock_dim; at
+        # n = 2 the row and column levels carry weights +1 and -1, so the exact
+        # path takes one expm per weight and segment
+        eighs, expms = [], []
 
-        def counting(matrix):
-            calls.append(matrix.shape)
-            return expm(matrix)
+        def counting_eigh(matrix):
+            eighs.append(matrix.shape)
+            return eigh(matrix)
 
-        expm = fock_oracle.expm
-        monkeypatch.setattr(fock_oracle, "expm", counting)
+        def counting_expm(dim, z):
+            expms.append(dim)
+            return expm(dim, z)
+
+        eigh, expm = np.linalg.eigh, fock_oracle.expm
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(fock_oracle, "expm", counting_expm)
+        fock_oracle._basis.cache_clear()
+        self._run(3, (ModeSpec(0, 1.1, 0.07, 11), ModeSpec(1, 1.4, 0.06, 9),
+                      ModeSpec(1, 1.2, 0.05, 11)), cycles=2, temperature=0.5)
+        assert eighs == [(11, 11), (9, 9)]
+        expms.clear()
         self._run(2, (MODE_N2,), cycles=3)
-        assert len(calls) == 6
-        calls.clear()
+        assert len(expms) == 12
+        expms.clear()
         self._run(2, (MODE_N2,), cycles=3, method="substeps", substeps=4, substep_tol=1.0)
-        assert len(calls) == 6 * 2 * (4 + 8)
+        assert len(expms) == 6 * 2 * (4 + 8)
+        assert eighs == [(11, 11), (9, 9), (25, 25)]
 
     def test_uncoupled_run_is_atom_conjugation(self):
         # with no coupling the bath stays inert and the run is U rho U^dag on
@@ -400,6 +430,11 @@ class TestFreeDecayBaseline:
 
     def test_zero_duration(self):
         assert free_decay_baseline(0.0, (MODE_N2,), 1.0, 2) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("total_time", [math.nan, math.inf, -1.0])
+    def test_total_time_must_be_finite_and_non_negative(self, total_time):
+        with pytest.raises(ValueError, match="total_time must be finite and >= 0"):
+            free_decay_baseline(total_time, (MODE_N2,), 1.0, 2)
 
     def test_regression_fixture(self):
         # frozen output of this very computation (omega=1, j=0.1, T'=1, T=2, d=25)
