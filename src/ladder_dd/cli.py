@@ -250,7 +250,8 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         print(
             f"{res.case.name:<34s} {res.observed_exponent:>13.4e} "
             f"{res.predicted_exponent:>13.4e} {res.observed_ratio:>12.9f} "
-            f"{res.rel_error:>9.2e} {res.phase_shift:>+9.5f}  "
+            # + 0.0 turns a phase that rounds to -0 into +0: the sign of noise is not shown
+            f"{res.rel_error:>9.2e} {round(res.phase_shift, 5) + 0.0:>+9.5f}  "
             f"{'ok' if res.passed else 'FAIL'}"
         )
     worst = max(results, key=lambda r: r.rel_error)

@@ -44,7 +44,9 @@ filter of the same fractions over total time 1, so in u = w T
     W(w) = I(w) coth(w/(2 Tp)) / 2.
 
 A FilterTable holds |chi1_k|^2 on Gauss-Legendre panels of width 4 pi / 2**L
-in u, plus each point's remainder panel up to u = cutoff*T.  The points of a
+in u: per level L a contiguous prefix of whole panels from u = 0, of which a
+point up to u = cutoff*T takes the first floor(cutoff*T 2**L / 4 pi), and a
+store of remainder panels up to each point's cutoff*T.  The points of a
 sweep share one table, which evaluates the panels of every point's first two
 levels in one filter call, at its first use: a UDD call costs O(max wT)
 numpy steps however many frequencies it takes.  Refinement halves the panel
@@ -366,17 +368,16 @@ def _fraction_key(spec: ScheduleSpec) -> tuple:
     return spec.scheme, spec.n, spec.cycles, spec.custom_fractions
 
 
-def _panels_below(level: int, upper: float) -> list[tuple[float, float]]:
-    """(centre, half-width) of the panels of ``level`` that tile [0, upper]:
-    the whole panels, then a remainder panel if ``upper`` is not a multiple
-    of the panel width."""
+def _tiling(level: int, upper: float) -> tuple[int, tuple[float, float] | None]:
+    """How the panels of ``level`` tile [0, upper]: the count of whole panels
+    [k h, (k+1) h], h = 4 pi / 2**level, then the (centre, half-width) of the
+    remainder panel, or None if ``upper`` is a multiple of h."""
     width = math.ldexp(_PANEL_WIDTH, -level)
     whole = math.floor(upper / width)
-    panels = [((k + 0.5) * width, 0.5 * width) for k in range(whole)]
     if whole * width < upper:
         half = 0.5 * (upper - whole * width)
-        panels.append((upper - half, half))
-    return panels
+        return whole, (upper - half, half)
+    return whole, None
 
 
 class FilterTable:
@@ -384,11 +385,15 @@ class FilterTable:
 
     With the fractions fixed, chi_k(w; T) = T * chi1_k(w T), where chi1 is the
     filter of the same fractions over total time 1.  Level L tiles u = w T
-    with the whole panels [k h_L, (k+1) h_L], h_L = 4 pi / 2**L, which
-    therefore serve every total time; a point with u up to ``upper`` adds a
-    remainder panel [floor(upper/h_L) h_L, upper].  The table holds the nodes
-    and weighted rows w_j |chi1_k(u_j)|^2 of every panel asked for so far and
-    evaluates only the panels it does not hold.
+    with the whole panels [k h_L, (k+1) h_L], h_L = 4 pi / 2**L, k = 0, 1, ...,
+    which therefore serve every total time: a point with u up to ``upper``
+    takes the first floor(upper/h_L) of them, then a remainder panel
+    [floor(upper/h_L) h_L, upper].  Per level the table holds the nodes and
+    weighted rows w_j |chi1_k(u_j)|^2 of a contiguous prefix of whole panels,
+    grown only past its end; remainder panels sit in a store keyed by
+    (centre, half-width), so a remainder panel that the next level carries
+    over whole is held once.  Only panels the table does not hold are
+    evaluated.
 
     ``uppers`` lists the points of a sweep.  The table's first use evaluates
     the panels of each listed point's first two levels in one filter call,
@@ -400,7 +405,9 @@ class FilterTable:
     def __init__(self, spec: ScheduleSpec, uppers=()):
         self.key = _fraction_key(spec)
         self._unit = schedules.build_schedule(dataclasses.replace(spec, total_time=1.0))
-        self._panels: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
+        # nodes and weighted rows, one row per node, of a level's whole-panel prefix
+        self._levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._remainders: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
         self._planned = list(uppers)
 
     def panels(self, level: int, upper: float) -> tuple[np.ndarray, np.ndarray]:
@@ -411,20 +418,44 @@ class FilterTable:
             first = _first_level(planned)
             requests += [(first, planned), (first + 1, planned)]
         self._planned = []
-        missing = list(dict.fromkeys(
-            panel for request in requests for panel in _panels_below(*request)
-            if panel not in self._panels))
+        wanted, remainders = {}, {}
+        for lvl, up in requests:
+            whole, remainder = _tiling(lvl, up)
+            wanted[lvl] = max(wanted.get(lvl, 0), whole)
+            if remainder is not None and remainder not in self._remainders:
+                remainders[remainder] = None
+        # the panels past each level's held prefix, then the missing remainder panels
+        missing, grown = [], []
+        empty = np.empty(0), np.empty((0, self._unit.n - 1))
+        for lvl, whole in wanted.items():
+            held = self._levels.setdefault(lvl, empty)[0].size // GL_ORDER
+            if whole > held:
+                width, start = math.ldexp(_PANEL_WIDTH, -lvl), len(missing) * GL_ORDER
+                missing += [((k + 0.5) * width, 0.5 * width) for k in range(held, whole)]
+                grown.append((lvl, slice(start, len(missing) * GL_ORDER)))
+        first_remainder = len(missing)
+        missing += remainders
         if missing:
             centres, halves = np.array(missing).T
-            nodes = centres[:, None] + halves[:, None] * _GL_NODES
-            chi = exponent_filters(nodes.ravel(), self._unit)
-            power = (chi.real**2 + chi.imag**2).T.reshape(-1, len(missing), GL_ORDER)
-            rows = power * (halves[:, None] * _GL_WEIGHTS)
-            for i, panel in enumerate(missing):
-                self._panels[panel] = nodes[i], rows[:, i]
-        held = [self._panels[panel] for panel in _panels_below(level, upper)]
-        return (np.concatenate([nodes for nodes, _ in held]),
-                np.concatenate([rows for _, rows in held], axis=1))
+            nodes = (centres[:, None] + halves[:, None] * _GL_NODES).ravel()
+            chi = exponent_filters(nodes, self._unit)
+            rows = (chi.real**2 + chi.imag**2) * (halves[:, None] * _GL_WEIGHTS).reshape(-1, 1)
+            for lvl, part in grown:
+                held_nodes, held_rows = self._levels[lvl]
+                self._levels[lvl] = (np.concatenate((held_nodes, nodes[part])),
+                                     np.concatenate((held_rows, rows[part])))
+            for i, panel in enumerate(remainders, first_remainder):
+                part = slice(i * GL_ORDER, (i + 1) * GL_ORDER)
+                # copies, so that the batch's arrays are freed
+                self._remainders[panel] = nodes[part].copy(), rows[part].copy()
+        whole, remainder = _tiling(level, upper)
+        nodes, rows = (held[: whole * GL_ORDER] for held in self._levels[level])
+        if remainder is not None:
+            rest_nodes, rest_rows = self._remainders[remainder]
+            nodes, rows = np.concatenate((nodes, rest_nodes)), np.concatenate((rows, rest_rows))
+        # a transposed view of node-major rows: np.sum(rows, axis=1) adds each row
+        # in node order, however the table's slices were assembled
+        return nodes, rows.T
 
 
 @dataclass(frozen=True)
@@ -488,7 +519,7 @@ def _level_estimates(schedule: PulseSchedule, bath: BathSpec, table: FilterTable
 def _max_rel_change(prev: np.ndarray, curr: np.ndarray) -> float:
     """Largest relative change between two finite estimates."""
     err = 0.0
-    for p, c in zip(prev, curr):
+    for p, c in zip(prev.tolist(), curr.tolist()):
         scale = max(abs(c), abs(p))
         if scale <= _ZERO_FLOOR:
             continue

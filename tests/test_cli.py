@@ -3,6 +3,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -293,6 +294,20 @@ class TestOracleCheckCommand:
     def test_miswired_negative_control(self, capsys):
         assert main(["oracle-check", "--miswired"]) == EXIT_CHECK_FAILED
         assert "FAIL" in capsys.readouterr().out
+
+    def test_phase_column_drops_the_sign_of_rounding_noise(self, monkeypatch, capsys):
+        # a phase that rounds to zero prints +0.00000 whatever its sign
+        def suite(tol, wrong_sign):
+            return [SimpleNamespace(case=SimpleNamespace(name=name), observed_exponent=0.1,
+                                    predicted_exponent=0.1, observed_ratio=0.9,
+                                    rel_error=0.0, phase_shift=phase, passed=True)
+                    for name, phase in (("noise", -3.6e-19), ("signal", -0.00236))]
+
+        monkeypatch.setattr(cli, "run_calibration_suite", suite)
+        assert main(["oracle-check"]) == EXIT_OK
+        noise, signal = capsys.readouterr().out.splitlines()[1:3]
+        assert noise.split()[-2:] == ["+0.00000", "ok"]
+        assert signal.split()[-2:] == ["-0.00236", "ok"]
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
     def test_invalid_tolerance_is_input_error(self, tol, capsys):

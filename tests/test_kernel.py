@@ -524,9 +524,9 @@ class TestDecayExponents:
         scale = decay_exponents(schedule, bath).gamma.sum()
         first = kernel._first_level(upper)
         levels = range(first, first + kernel._MAX_DOUBLINGS + 1)
-        carried = {kernel._panels_below(level, upper)[-1] for level in levels
-                   if kernel._panels_below(level, upper)[-1]
-                   == kernel._panels_below(level + 1, upper)[-1]}
+        remainders = [kernel._tiling(level, upper)[1] for level in (*levels, levels[-1] + 1)]
+        carried = {panel for panel, finer in zip(remainders, remainders[1:])
+                   if panel is not None and panel == finer}
         assert carried
         for centre, half in carried:
             # the panel, then its 64 equal parts, as (centre, half-width) in u
@@ -632,10 +632,8 @@ def _custom_fractions(n, cycles):
 
 
 def remainder_panels(table):
-    """(centre, half-width) of the panels a FilterTable holds that are not
-    whole panels of a level."""
-    halves = {0.5 * math.ldexp(kernel._PANEL_WIDTH, -level) for level in range(64)}
-    return [panel for panel in table._panels if panel[1] not in halves]
+    """(centre, half-width) of the remainder panels a FilterTable holds."""
+    return list(table._remainders)
 
 
 class TestSharedTable:
@@ -662,6 +660,70 @@ class TestSharedTable:
             assert value == pytest.approx(single, rel=1e-12, abs=0)
             (one,) = sweep_curve(template, self.BATH, [t]).values
             assert one == pytest.approx(single, rel=1e-12, abs=0)
+
+    def _recorded_sweep(self, monkeypatch, scheme, rel_tol=1e-6):
+        """Sweep GRID at n = 6, N = 3.  Returns the sweep's table and, per
+        filter call of the table, its nodes with the table's prefix sizes per
+        level and remainder panels just before the call."""
+        tables, calls = [], []
+
+        class Recorded(kernel.FilterTable):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                tables.append(self)
+
+        def recording(omegas, schedule):
+            if schedule.total_time == 1.0:  # the table's unit schedule
+                (table,) = tables
+                sizes = {level: nodes.size for level, (nodes, _) in table._levels.items()}
+                calls.append((np.asarray(omegas), sizes, set(table._remainders)))
+            return filters(omegas, schedule)
+
+        filters = kernel.exponent_filters
+        monkeypatch.setattr(kernel, "FilterTable", Recorded)
+        monkeypatch.setattr(kernel, "exponent_filters", recording)
+        template = ScheduleSpec(scheme=scheme, n=6, cycles=3, total_time=1.0)
+        sweep_curve(template, self.BATH, self.GRID, rel_tol=rel_tol)
+        return tables[0], calls
+
+    @pytest.mark.parametrize("scheme", [Scheme.PDD, Scheme.UDD])
+    def test_levels_hold_each_whole_panel_once(self, scheme, monkeypatch):
+        # a level holds its whole panels [k h, (k+1) h], k = 0, 1, ..., in
+        # order and without gaps, so a point's panels are a prefix of them
+        table, _ = self._recorded_sweep(monkeypatch, scheme)
+        assert table._levels
+        for level, (nodes, rows) in table._levels.items():
+            assert nodes.size % kernel.GL_ORDER == 0
+            assert np.all(np.diff(nodes) > 0)
+            width = math.ldexp(kernel._PANEL_WIDTH, -level)
+            centres = (np.arange(nodes.size // kernel.GL_ORDER) + 0.5) * width
+            want = centres[:, None] + (0.5 * width) * kernel._GL_NODES
+            np.testing.assert_array_equal(nodes, want.ravel())
+            assert rows.shape == (nodes.size, 5)
+
+    def test_refinement_evaluates_only_panels_past_the_prefix(self, monkeypatch):
+        # at this tolerance the first point refines past the first batch's two
+        # levels; the last point, one level past its convergence, then extends
+        # level 2, which the batch filled only up to the third point's range
+        table, calls = self._recorded_sweep(monkeypatch, Scheme.UDD, rel_tol=1e-14)
+        last = make_schedule(Scheme.UDD, 6, 3, self.GRID[-1])
+        decay_exponents(last, self.BATH, rel_tol=1e-14, extra_levels=1, table=table)
+        assert len(calls) >= 3
+        every = np.concatenate([nodes for nodes, _, _ in calls])
+        assert np.unique(every).size == every.size
+        held = {level: nodes.size for level, (nodes, _) in table._levels.items()}
+        after = [(sizes, panels) for _, sizes, panels in calls[1:]]
+        after.append((held, set(table._remainders)))
+        extended = False
+        for (nodes, sizes, panels), (sizes_after, panels_after) in zip(calls, after):
+            # a call holds the panels past each level's held prefix and the
+            # remainder panels not yet held, nothing else
+            added = [table._levels[level][0][sizes.get(level, 0) : size]
+                     for level, size in sizes_after.items()]
+            added += [table._remainders[panel][0] for panel in panels_after - panels]
+            np.testing.assert_array_equal(np.sort(nodes), np.sort(np.concatenate(added)))
+            extended |= any(0 < sizes.get(level, 0) < size for level, size in sizes_after.items())
+        assert extended
 
     @pytest.mark.parametrize("total_time", [2.0, 16.0])
     def test_exact_multiple_skips_remainder_panel(self, total_time):
