@@ -87,7 +87,7 @@ class RunConfig:
         t_min = self.resolved_t_min()
         if not (math.isfinite(t_min) and t_min >= 0):
             raise ValueError(f"t_min must be finite and >= 0, got {t_min}")
-        if self.t_points > 1 and not self.t_max > t_min:
+        if not (self.t_max > t_min or (self.t_points == 1 and self.t_max == t_min)):
             raise ValueError(f"t_max must be > t_min, got t_max={self.t_max}, t_min={t_min}")
         if not 0 < self.quad_tolerance <= 1e-2:
             raise ValueError(f"quad_tolerance must be in (0, 1e-2], got {self.quad_tolerance}")
@@ -198,6 +198,11 @@ def _write_atomic(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+        # mkstemp creates 0600; give the file the mode open() would.  The umask
+        # can only be read by setting it, which is safe: the CLI is single-threaded.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp_path, 0o666 & ~umask)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -210,12 +215,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
         raise ValueError(f"workers must be >= 1, got {args.workers}")
     overrides = {key: getattr(args, key) for key in _KEY_TYPES}
     config = parse_config(args.config, overrides)
-    try:
-        text = _curve_csv(config)
-    except ConvergenceError as err:
-        print(f"curve: convergence failure: {err}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    _write_atomic(config.output_path, text)
+    _write_atomic(config.output_path, _curve_csv(config))
     print(f"wrote {config.t_points} rows to {config.output_path}")
     return EXIT_OK
 
@@ -243,7 +243,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
-    results = run_calibration_suite(tol=args.tol, wrong_sign=args.miswired)
+    results = run_calibration_suite(wrong_sign=args.miswired)
     print(f"{'case':<34s} {'exponent obs':>13s} {'exponent pred':>13s} "
           f"{'ratio obs':>12s} {'rel.err':>9s} {'phase':>9s}  status")
     for res in results:
@@ -256,7 +256,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         )
     worst = max(results, key=lambda r: r.rel_error)
     print(f"worst relative deviation: {worst.rel_error:.3e} ({worst.case.name}), "
-          f"tolerance {args.tol:g}")
+          f"tolerance {CALIBRATION_TOL:g}")
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
 
 
@@ -316,8 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "oracle-check",
         help="compare exact Fock-space evolution against the filter formulas",
     )
-    p_oracle.add_argument("--tol", type=float, default=CALIBRATION_TOL,
-                          help="relative tolerance per case, in (0, 1)")
     p_oracle.add_argument("--miswired", action="store_true", help=argparse.SUPPRESS)
     p_oracle.set_defaults(func=cmd_oracle_check)
     return parser

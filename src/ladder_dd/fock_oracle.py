@@ -251,18 +251,18 @@ def evolve_pulsed(
     group: DecouplingGroup,
     atom_state: np.ndarray,
     temperature: float,
-    method: str = "exact",
-    substeps: int = 256,
+    substeps: int | None = None,
     substep_tol: float = 1e-8,
 ) -> complex:
     """(0,1) coherence after the full pulsed sequence, evolved exactly.
 
     The atom has the schedule's dimension n.  Free segments follow the
     schedule; after segment l of each cycle the atom pulse g_l g_{l-1}^dag
-    fires, and the cycle closes with g_{n-1}^dag.  With ``method="substeps"``
-    the segments use piecewise-constant midpoint exponentials; the run is
-    repeated at doubled resolution and a ConvergenceError raised if the
-    coherence moves by more than ``substep_tol``.
+    fires, and the cycle closes with g_{n-1}^dag.  Each segment is the
+    closed-form Magnus propagator or, with ``substeps`` set, the cross-check:
+    that many piecewise-constant midpoint exponentials, run again at doubled
+    resolution, raising ConvergenceError if the coherence moves by more than
+    ``substep_tol``.
     """
     n = schedule.n
     if group.dim != n:
@@ -276,10 +276,8 @@ def evolve_pulsed(
         for j in range(schedule.cycles)
         for l in range(n)
     ]
-    if method == "exact":
+    if substeps is None:
         return _coherence(n, modes, steps, atom_state, temperature, _segment_exact)
-    if method != "substeps":
-        raise ValueError(f"unknown method {method!r} (expected 'exact' or 'substeps')")
     coarse, fine = (
         _coherence(n, modes, steps, atom_state, temperature,
                    partial(_segment_substeps, substeps=count))

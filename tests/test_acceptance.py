@@ -110,7 +110,7 @@ def test_criterion_3_schedule_invariants():
 
 
 def test_criterion_4_oracle_equivalence():
-    results = run_calibration_suite(tol=1e-6)
+    results = run_calibration_suite()
     for result in results:
         print(f"  case {result.case.name}: observed {result.observed_ratio:.9f} "
               f"predicted {result.predicted_ratio:.9f} rel {result.rel_error:.2e}")

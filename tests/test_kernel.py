@@ -485,7 +485,6 @@ class TestDecayExponents:
         bath = BathSpec(alpha=0.25, cutoff=100.0, temperature=150.0)
         schedule = make_schedule(Scheme.UDD, 6, 50, 1.0)
         for run in (lambda: decay_exponents(schedule, bath, rel_tol=rel_tol),
-                    lambda: coherence_ratio(schedule, bath, rel_tol=rel_tol),
                     lambda: sweep_curve(schedule.spec, bath, [0.5, 1.0], rel_tol=rel_tol)):
             with pytest.raises(ValueError, match=r"rel_tol must be finite and in \(0, 1\)"):
                 run()
