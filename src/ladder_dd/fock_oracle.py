@@ -262,8 +262,14 @@ def evolve_pulsed(
     closed-form Magnus propagator or, with ``substeps`` set, the cross-check:
     that many piecewise-constant midpoint exponentials, run again at doubled
     resolution, raising ConvergenceError if the coherence moves by more than
-    ``substep_tol``.
+    ``substep_tol``.  ``substeps`` must be an int >= 1 and ``substep_tol``
+    finite and > 0.
     """
+    if substeps is not None and (isinstance(substeps, bool)
+                                 or not isinstance(substeps, (int, np.integer)) or substeps < 1):
+        raise ValueError(f"substeps must be an int >= 1, got {substeps!r}")
+    if not (math.isfinite(substep_tol) and substep_tol > 0):
+        raise ValueError(f"substep_tol must be finite and > 0, got {substep_tol!r}")
     n = schedule.n
     if group.dim != n:
         raise ValueError(f"dimension mismatch: schedule n={n}, group n={group.dim}")

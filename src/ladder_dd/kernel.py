@@ -47,12 +47,16 @@ A FilterTable holds |chi1_k|^2 on Gauss-Legendre panels of width 4 pi / 2**L
 in u: per level L a contiguous prefix of whole panels from u = 0, of which a
 point up to u = cutoff*T takes the first floor(cutoff*T 2**L / 4 pi), and a
 store of remainder panels up to each point's cutoff*T.  The points of a
-sweep share one table, which evaluates the panels of every point's first two
-levels in one filter call, at its first use: a UDD call costs O(max wT)
-numpy steps however many frequencies it takes.  Refinement halves the panel
-width until every exponent settles to the requested relative error; deeper
-levels are evaluated as asked for.  Reductions use a fixed summation order,
-and a frequency's filter does not depend on the other frequencies of its
+sweep share one table.  At its first use it evaluates the panels of every
+point's first two levels in one filter call (a UDD call costs O(max wT)
+numpy steps however many frequencies it takes), then, per level, weighs
+every point's nodes by the bath in one call and sums them in one reduction,
+or a few near the panel cap: a point's estimate is a row of that reduction.
+Refinement halves the panel width until every exponent settles to the
+requested relative error; deeper levels are evaluated and summed one point
+at a time.  Each point's sum adds its terms in node order, without BLAS, so
+with numpy's unfused einsum it does not depend on the other points of its
+level; a frequency's filter does not depend on the other frequencies of its
 call, except through the size that picks the UDD form: which points filled
 the table changes a value at round-off at most.
 """
@@ -103,9 +107,11 @@ _PANEL_WIDTH = 4.0 * math.pi
 _MIN_PANELS = 8
 
 # Most level-0 panels below u = cutoff*T (memory bound).  A table's first batch
-# evaluates two levels of every point: at this cap about 7e5 nodes, or 70 MB
-# of complex position filters at n = 6.  The reference sweeps stay far below
-# it (127 panels for N = 400 at T = 16).
+# evaluates two levels of every point: at this cap about 7e5 nodes, in a filter
+# call whose allocations peak near 210 MiB at n = 6.  A level's reduction takes
+# its points in groups of about as many padded (point, node) pairs, which peak
+# near 60 MiB, however many points share the table.  The reference sweeps stay
+# far below it (127 panels for N = 400 at T = 16).
 _MAX_PANELS = 2**14
 
 # Panel halvings after the first level before the quadrature gives up.
@@ -381,55 +387,67 @@ def _tiling(level: int, upper: float) -> tuple[int, tuple[float, float] | None]:
 
 
 class FilterTable:
-    """|chi1_k(u)|^2 on Gauss-Legendre panels for one set of pulse fractions.
+    """Decay exponent estimates of a sweep's points, from |chi1_k(u)|^2 on
+    Gauss-Legendre panels of one set of pulse fractions and one bath.
 
     With the fractions fixed, chi_k(w; T) = T * chi1_k(w T), where chi1 is the
     filter of the same fractions over total time 1.  Level L tiles u = w T
     with the whole panels [k h_L, (k+1) h_L], h_L = 4 pi / 2**L, k = 0, 1, ...,
-    which therefore serve every total time: a point with u up to ``upper``
-    takes the first floor(upper/h_L) of them, then a remainder panel
-    [floor(upper/h_L) h_L, upper].  Per level the table holds the nodes and
-    weighted rows w_j |chi1_k(u_j)|^2 of a contiguous prefix of whole panels,
-    grown only past its end; remainder panels sit in a store keyed by
+    which therefore serve every total time: a point with u up to cutoff*T
+    takes the first floor(cutoff*T/h_L) of them, then a remainder panel
+    [floor(cutoff*T/h_L) h_L, cutoff*T].  Per level the table holds the nodes
+    and weighted rows w_j |chi1_k(u_j)|^2 of a contiguous prefix of whole
+    panels, grown only past its end; remainder panels sit in a store keyed by
     (centre, half-width), so a remainder panel that the next level carries
     over whole is held once.  Only panels the table does not hold are
     evaluated.
 
-    ``uppers`` lists the points of a sweep.  The table's first use evaluates
-    the panels of each listed point's first two levels in one filter call,
-    because a UDD filter call costs O(max u) numpy steps whatever its size;
-    later levels are evaluated as asked for.  Using the table mutates it: do
-    not share one table between threads.
+    ``times`` lists the total times of a sweep's points.  The table's first
+    use evaluates the panels of every listed point's first two levels in one
+    filter call, because a UDD filter call costs O(max u) numpy steps whatever
+    its size, then weighs and sums each level for all of its points in one
+    reduction, or a few near the panel cap; the estimates are kept per
+    (level, T).  A later level is the same reduction over one point.  Using
+    the table mutates it: do not share one table between threads.
     """
 
-    def __init__(self, spec: ScheduleSpec, uppers=()):
+    def __init__(self, spec: ScheduleSpec, bath: BathSpec, times):
         self.key = _fraction_key(spec)
+        self.bath = bath
         # schedules.build_schedule, not the imported name: perfbench wraps
         # kernel.build_schedule to count one call per curve point, and this is not one
         self._unit = schedules.build_schedule(dataclasses.replace(spec, total_time=1.0))
         # nodes and weighted rows, one row per node, of a level's whole-panel prefix
         self._levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._remainders: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
-        self._planned = list(uppers)
+        # (Gamma estimate, node count) per (level, total time)
+        self._estimates: dict[tuple[int, float], tuple[np.ndarray, int]] = {}
+        self._planned = list(times)
 
-    def panels(self, level: int, upper: float) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes u and weighted rows, shape (n-1, nodes), of the panels of
-        ``level`` that tile [0, upper], in order."""
-        requests = [(level, upper)]
-        for planned in self._planned:
-            first = _first_level(planned)
-            requests += [(first, planned), (first + 1, planned)]
-        self._planned = []
-        wanted, remainders = {}, {}
-        for lvl, up in requests:
-            whole, remainder = _tiling(lvl, up)
-            wanted[lvl] = max(wanted.get(lvl, 0), whole)
-            if remainder is not None and remainder not in self._remainders:
-                remainders[remainder] = None
-        # the panels past each level's held prefix, then the missing remainder panels
-        missing, grown = [], []
+    def estimate(self, level: int, total_time: float) -> tuple[np.ndarray, int]:
+        """Gamma estimate of the point at ``total_time`` on ``level``, and its node count."""
+        if (level, total_time) not in self._estimates:
+            # per level, the tiling of each point to estimate, in order and once each
+            tilings = {level: {total_time: _tiling(level, self.bath.cutoff * total_time)}}
+            for t in self._planned:
+                first = _first_level(self.bath.cutoff * t)
+                for lvl in (first, first + 1):
+                    tilings.setdefault(lvl, {})[t] = _tiling(lvl, self.bath.cutoff * t)
+            self._planned = []
+            self._fill(tilings)
+            for lvl, level_tilings in tilings.items():
+                self._reduce(lvl, level_tilings)
+        return self._estimates[level, total_time]
+
+    def _fill(self, tilings: dict[int, dict[float, tuple]]) -> None:
+        """Evaluate, in one filter call, the panels past each level's held prefix
+        and the remainder panels not yet held that ``tilings`` name."""
+        missing, grown, remainders = [], [], {}
         empty = np.empty(0), np.empty((0, self._unit.n - 1))
-        for lvl, whole in wanted.items():
+        for lvl, level_tilings in tilings.items():
+            remainders.update((r, None) for _, r in level_tilings.values()
+                              if r is not None and r not in self._remainders)
+            whole = max(w for w, _ in level_tilings.values())
             held = self._levels.setdefault(lvl, empty)[0].size // GL_ORDER
             if whole > held:
                 width, start = math.ldexp(_PANEL_WIDTH, -lvl), len(missing) * GL_ORDER
@@ -437,27 +455,85 @@ class FilterTable:
                 grown.append((lvl, slice(start, len(missing) * GL_ORDER)))
         first_remainder = len(missing)
         missing += remainders
-        if missing:
-            centres, halves = np.array(missing).T
-            nodes = (centres[:, None] + halves[:, None] * _GL_NODES).ravel()
-            chi = exponent_filters(nodes, self._unit)
-            rows = (chi.real**2 + chi.imag**2) * (halves[:, None] * _GL_WEIGHTS).reshape(-1, 1)
-            for lvl, part in grown:
-                held_nodes, held_rows = self._levels[lvl]
-                self._levels[lvl] = (np.concatenate((held_nodes, nodes[part])),
-                                     np.concatenate((held_rows, rows[part])))
-            for i, panel in enumerate(remainders, first_remainder):
-                part = slice(i * GL_ORDER, (i + 1) * GL_ORDER)
-                # copies, so that the batch's arrays are freed
-                self._remainders[panel] = nodes[part].copy(), rows[part].copy()
-        whole, remainder = _tiling(level, upper)
-        nodes, rows = (held[: whole * GL_ORDER] for held in self._levels[level])
-        if remainder is not None:
-            rest_nodes, rest_rows = self._remainders[remainder]
-            nodes, rows = np.concatenate((nodes, rest_nodes)), np.concatenate((rows, rest_rows))
-        # a transposed view of node-major rows: np.sum(rows, axis=1) adds each row
-        # in node order, however the table's slices were assembled
-        return nodes, rows.T
+        if not missing:
+            return
+        centres, halves = np.array(missing).T
+        nodes = (centres[:, None] + halves[:, None] * _GL_NODES).ravel()
+        chi = exponent_filters(nodes, self._unit)
+        rows = (chi.real**2 + chi.imag**2) * (halves[:, None] * _GL_WEIGHTS).reshape(-1, 1)
+        for lvl, part in grown:
+            held_nodes, held_rows = self._levels[lvl]
+            self._levels[lvl] = (np.concatenate((held_nodes, nodes[part])),
+                                 np.concatenate((held_rows, rows[part])))
+        for i, panel in enumerate(remainders, first_remainder):
+            part = slice(i * GL_ORDER, (i + 1) * GL_ORDER)
+            # copies, so that the batch's arrays are freed
+            self._remainders[panel] = nodes[part].copy(), rows[part].copy()
+
+    def _reduce(self, level: int, tilings: dict[float, tuple]) -> None:
+        """Estimate Gamma on ``level`` for every point of ``tilings`` (total
+        time: tiling), one reduction per group of points.
+
+        A group pads its points to the longest, so it takes as many points as
+        keep its (point, node) pairs within the nodes of the first two levels
+        of a point at _MAX_PANELS: the table's memory stays set by its filter
+        calls, however many points share it.
+        """
+        points = list(tilings.items())
+        span = GL_ORDER * (max(whole for whole, _ in tilings.values()) + 1)
+        size = max(1, 3 * GL_ORDER * _MAX_PANELS // span - 1)
+        for start in range(0, len(points), size):
+            self._reduce_group(level, dict(points[start:start + size]))
+
+    def _reduce_group(self, level: int, tilings: dict[float, tuple]) -> None:
+        """Estimate Gamma on ``level`` at once for every point of ``tilings``.
+
+        One bath weight call covers every point's nodes.  Each point's sum then
+        runs in node order over its whole panels, then over its remainder
+        panel, as a sum over that point alone would: no point's sum depends on
+        the others.
+        """
+        nodes, rows = self._levels[level]
+        times = np.array(list(tilings))
+        ends = GL_ORDER * np.array([whole for whole, _ in tilings.values()])
+        rest = [i for i, (_, panel) in enumerate(tilings.values()) if panel is not None]
+        held = [self._remainders[panel] for _, panel in tilings.values() if panel is not None]
+        span, width, count = int(ends.max()), rows.shape[1], times.size
+        rest_nodes = np.array([panel_nodes for panel_nodes, _ in held]).reshape(-1, GL_ORDER)
+        # Per point, then one all-zero point: weights of its whole panels, zero
+        # past its own, then of its remainder panel, zero if it has none.  With
+        # at least two points, the reductions below loop over points innermost
+        # and add each point's nodes in order, for a point swept alone as in a
+        # batch.
+        used = np.zeros((count + 1, span + GL_ORDER), dtype=bool)
+        used[:count, :span] = np.arange(span) < ends[:, None]
+        used[rest, span:] = True
+        weights = np.zeros(used.shape)
+        panel_rows = np.zeros((count + 1, GL_ORDER, width))
+        panel_rows[rest] = np.array([held_rows for _, held_rows in held]).reshape(
+            -1, GL_ORDER, width)
+        # an overflow is reported once, as _level_estimates' ConvergenceError
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            # w = u/T of every used (point, node) pair, then its bath weight
+            np.divide(nodes[:span], np.append(times, 1.0)[:, None], out=weights[:, :span],
+                      where=used[:, :span])
+            weights[rest, span:] = rest_nodes / times[rest, None]
+            weights[used] = _thermal_weight(weights[used], self.bath)
+            # row 0: each point's sum over its whole panels, by einsum without
+            # optimize (not BLAS, whose order may vary with its threads) over
+            # node-major weights, looping innermost over points.  numpy's einsum
+            # adds one product at a time, without a fused multiply-add: that is
+            # what makes a point's bits those of the point alone.
+            terms = np.empty((1 + GL_ORDER, count + 1, width))
+            node_major = np.ascontiguousarray(weights[:, :span].T)
+            terms[0] = np.einsum("jp,jk->kp", node_major, rows[:span]).T
+            # then its remainder panel's terms
+            np.multiply(weights[:, span:].T[..., None], panel_rows.transpose(1, 0, 2),
+                        out=terms[1:])
+            gamma = times[:, None] * terms.sum(axis=0)[:-1]
+        ends[rest] += GL_ORDER
+        for t, point, size in zip(tilings, gamma, ends.tolist()):
+            self._estimates[level, t] = point, size
 
 
 @dataclass(frozen=True)
@@ -487,7 +563,7 @@ def _first_level(upper: float) -> int:
     return level
 
 
-def _level_estimates(schedule: PulseSchedule, bath: BathSpec, table: FilterTable):
+def _level_estimates(schedule: PulseSchedule, table: FilterTable):
     """Yield (Gamma estimate, node count) at successive levels from the first.
 
     An estimate sums the table's panels below u = cutoff*T, the remainder
@@ -496,24 +572,18 @@ def _level_estimates(schedule: PulseSchedule, bath: BathSpec, table: FilterTable
     repair an overflowed integrand.
     """
     total_time = schedule.total_time
-    upper = bath.cutoff * total_time
-    level = _first_level(upper)
+    level = _first_level(table.bath.cutoff * total_time)
     prev = None
     while True:
-        # an overflow is reported once, as the ConvergenceError below
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            nodes, rows = table.panels(level, upper)
-            # fixed-order numpy reductions, not BLAS, whose order may vary with its threads
-            gamma = total_time * np.sum(rows * _thermal_weight(nodes / total_time, bath),
-                                        axis=1)
+        gamma, nodes = table.estimate(level, total_time)
         if not np.isfinite(gamma).all():
             raise ConvergenceError(
-                f"non-finite decay exponent estimate on {nodes.size} nodes "
+                f"non-finite decay exponent estimate on {nodes} nodes "
                 f"(while evaluating T={total_time:.6g})",
                 previous=gamma if prev is None else prev,
                 current=gamma,
             )
-        yield gamma, nodes.size
+        yield gamma, nodes
         prev = gamma
         level += 1
 
@@ -545,18 +615,20 @@ def decay_exponents(
     halvings after convergence (used to probe quadrature stability).
     Exponents whose successive estimates both sit below ``_ZERO_FLOOR`` count
     as converged zeros.  ``table`` is a FilterTable for the schedule's
-    fractions, shared by the points of a sweep; without one a private table
-    is built.  ``rel_tol`` must be finite and in (0, 1).  Raises
+    fractions and ``bath``, shared by the points of a sweep; without one a
+    one-point table is built.  ``rel_tol`` must be finite and in (0, 1).  Raises
     ConvergenceError, carrying the last two estimate vectors and naming T, if
     the target is never met or an estimate is not finite.
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must be finite and in (0, 1), got {rel_tol}")
     if table is None:
-        table = FilterTable(schedule.spec, uppers=[bath.cutoff * schedule.total_time])
+        table = FilterTable(schedule.spec, bath, [schedule.total_time])
     elif table.key != _fraction_key(schedule.spec):
         raise ValueError("filter table was built for other pulse fractions")
-    levels = _level_estimates(schedule, bath, table)
+    elif table.bath != bath:
+        raise ValueError("filter table was built for another bath")
+    levels = _level_estimates(schedule, table)
     curr, points = next(levels)
     prev = curr
     for _ in range(_MAX_DOUBLINGS):
@@ -602,10 +674,10 @@ def sweep_curve(
     """Evaluate P(T) over a grid of total times, rebuilding the schedule each time.
 
     The grid must be strictly increasing and positive.  Points run in grid
-    order and share one FilterTable, told every point's cutoff*T up front: the
-    first point checks every point's range and evaluates the first two levels
-    of all of them in one call, and a point that refines further evaluates
-    only the panels no point needed.
+    order and share one FilterTable, told every point's total time up front:
+    the first point checks every point's range, evaluates the first two levels
+    of all of them in one filter call and sums each level in one reduction,
+    and a point that refines further evaluates only the panels no point needed.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
@@ -615,7 +687,7 @@ def sweep_curve(
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("time grid must be strictly increasing")
 
-    table = FilterTable(template, uppers=[bath.cutoff * t for t in t_grid.tolist()])
+    table = FilterTable(template, bath, t_grid.tolist())
     values = np.empty(t_grid.size)
     points = np.empty(t_grid.size, dtype=int)
     errors = np.empty(t_grid.size)

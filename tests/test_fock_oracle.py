@@ -298,6 +298,26 @@ class TestEvolvePulsed:
         with pytest.raises(ConvergenceError, match="sub-step"):
             self._run(2, (MODE_N2,), substeps=1, substep_tol=1e-14)
 
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(substeps=0), "substeps"),
+        (dict(substeps=-1), "substeps"),
+        (dict(substeps=2.0), "substeps"),
+        (dict(substeps=True), "substeps"),
+        (dict(substeps=4, substep_tol=math.nan), "substep_tol"),
+        (dict(substeps=4, substep_tol=math.inf), "substep_tol"),
+        (dict(substeps=4, substep_tol=0.0), "substep_tol"),
+        (dict(substeps=4, substep_tol=-1e-8), "substep_tol"),
+    ])
+    def test_bad_substep_settings_rejected_before_evolution(self, kwargs, name, monkeypatch):
+        # substeps=-1 once returned the unevolved coherence, substeps=0 raised a
+        # bare ZeroDivisionError and a NaN tolerance accepted any drift
+        def never(*args, **kwargs):
+            raise AssertionError("evolved with an invalid sub-step setting")
+
+        monkeypatch.setattr(fock_oracle, "_coherence", never)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            self._run(2, (MODE_N2,), **kwargs)
+
     @pytest.mark.parametrize(
         "case_modes,case_kwargs,doubled",
         [

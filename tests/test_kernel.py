@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -429,7 +431,7 @@ class TestDecayExponents:
         # repair that, so the first non-finite estimate raises
         bath = BathSpec(alpha=1e308, cutoff=100.0, temperature=1e308)
         schedule = make_schedule("pdd", 6, 2, 1.556)
-        table = FilterTable(schedule.spec, uppers=[bath.cutoff * schedule.total_time])
+        table = FilterTable(schedule.spec, bath, [schedule.total_time])
         with pytest.raises(ConvergenceError, match="non-finite") as excinfo:
             decay_exponents(schedule, bath, table=table)
         assert not np.isfinite(excinfo.value.current).all()
@@ -455,23 +457,24 @@ class TestDecayExponents:
         # change and converge falsely.  Converged estimates may agree to the
         # last bit, so the check is on the nodes: a level shares none with the
         # level before it, except in a remainder panel up to the cutoff that is
-        # narrower than half the previous width and so carries over whole.
+        # narrower than half the previous width and so carries over whole.  A
+        # one-point level weighs its nodes w = u/T in one call, in order.
         bath = BathSpec(alpha=0.25, cutoff=100.0, temperature=150.0)
         schedule = make_schedule(Scheme.UDD, 6, 50, total_time)
+        levels, weight = [], kernel._thermal_weight
+
+        def recording(omegas, bath):
+            levels.append(omegas)
+            return weight(omegas, bath)
+
+        monkeypatch.setattr(kernel, "_thermal_weight", recording)
         for doublings in (1, 3):
-            table = FilterTable(schedule.spec, uppers=[bath.cutoff * total_time])
-            levels, panels = [], table.panels
-
-            def recording(level, upper):
-                levels.append(panels(level, upper))
-                return levels[-1]
-
-            table.panels = recording
+            levels.clear()
             monkeypatch.setattr(kernel, "_MAX_DOUBLINGS", doublings)
             with pytest.raises(ConvergenceError):
-                decay_exponents(schedule, bath, rel_tol=1e-300, table=table)
+                decay_exponents(schedule, bath, rel_tol=1e-300)
             assert len(levels) == doublings + 1
-            for (coarse, _), (fine, _) in zip(levels, levels[1:]):
+            for coarse, fine in zip(levels, levels[1:]):
                 shared = np.intersect1d(coarse, fine)
                 assert np.isin(shared, fine[-kernel.GL_ORDER:]).all()
 
@@ -541,9 +544,22 @@ class TestDecayExponents:
 
     def test_table_for_other_fractions_rejected(self):
         bath = BathSpec(alpha=0.25, cutoff=100.0, temperature=150.0)
-        table = FilterTable(ScheduleSpec(scheme=Scheme.PDD, n=3, cycles=2, total_time=1.0))
+        table = FilterTable(ScheduleSpec(scheme=Scheme.PDD, n=3, cycles=2, total_time=1.0),
+                            bath, [1.0])
         with pytest.raises(ValueError, match="other pulse fractions"):
             decay_exponents(make_schedule(Scheme.UDD, 3, 2, 1.0), bath, table=table)
+
+    def test_table_for_other_bath_rejected(self):
+        # the table weighs its estimates by its own bath and keeps them
+        bath = BathSpec(alpha=0.25, cutoff=100.0, temperature=150.0)
+        schedule = make_schedule(Scheme.PDD, 3, 2, 1.0)
+        table = FilterTable(schedule.spec, bath, [1.0])
+        decay_exponents(schedule, bath, table=table)
+        for other in (BathSpec(alpha=0.5, cutoff=100.0, temperature=150.0),
+                      BathSpec(alpha=0.25, cutoff=50.0, temperature=150.0),
+                      BathSpec(alpha=0.25, cutoff=100.0, temperature=1.0)):
+            with pytest.raises(ValueError, match="another bath"):
+                decay_exponents(schedule, other, table=table)
 
 
 @settings(max_examples=30, deadline=None)
@@ -616,6 +632,56 @@ class TestSweepCurve:
         # evaluates in one batch, remainder panels included
         assert len(table_nodes) == 1
         assert np.unique(nodes).size == nodes.size
+
+    # the CLI's default grid: 60 points up to T = 3.112
+    DEFAULT_GRID = np.linspace(3.112 / 60, 3.112, 60)
+
+    @pytest.mark.parametrize("n", [6, 2])
+    @pytest.mark.parametrize("scheme", [Scheme.PDD, Scheme.UDD])
+    def test_point_does_not_depend_on_its_batch(self, scheme, n):
+        # a level's estimates are one reduction over its points, padded to the
+        # longest; each point's sum must be the one it gets swept alone.  At
+        # n = 2, one transition, a point alone leaves the reduction nothing to
+        # loop over but its nodes.
+        template = dataclasses.replace(self._template(scheme), n=n)
+        curve = sweep_curve(template, self._bath(), self.DEFAULT_GRID)
+        alone = [sweep_curve(template, self._bath(), [t]).values[0]
+                 for t in self.DEFAULT_GRID.tolist()]
+        np.testing.assert_array_equal(curve.values, alone)
+
+    @pytest.mark.parametrize("scheme", [Scheme.PDD, Scheme.UDD])
+    def test_batch_is_one_reduction_per_level(self, scheme, monkeypatch):
+        # every point converges on its first two levels, so the sweep weighs
+        # its nodes by the bath once per level, not once per point and level
+        calls, weight = [], kernel._thermal_weight
+
+        def recording(omegas, bath):
+            calls.append(omegas.size)
+            return weight(omegas, bath)
+
+        monkeypatch.setattr(kernel, "_thermal_weight", recording)
+        bath = self._bath()
+        sweep_curve(self._template(scheme), bath, self.DEFAULT_GRID)
+        firsts = {kernel._first_level(bath.cutoff * t) for t in self.DEFAULT_GRID.tolist()}
+        levels = firsts | {first + 1 for first in firsts}
+        assert 0 < len(calls) <= len(levels)
+
+    def test_memory_does_not_grow_with_points_near_the_cap(self):
+        # a level's reduction pads its points to the longest; near the
+        # _MAX_PANELS cap it takes them a few at a time, so that 16 points
+        # peak where 4 do, in the table's filter call
+        bath = self._bath()
+        template = ScheduleSpec(scheme=Scheme.PDD, n=2, cycles=1, total_time=1.0)
+        top = kernel._MAX_PANELS * kernel._PANEL_WIDTH / bath.cutoff
+        peaks = []
+        for count in (4, 16):
+            tracemalloc.start()
+            try:
+                sweep_curve(template, bath, np.linspace(0.9 * top, 0.999 * top, count))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0]
 
     def test_convergence_error_names_failing_time(self, monkeypatch):
         monkeypatch.setattr(kernel, "_MAX_DOUBLINGS", 0)
@@ -724,13 +790,33 @@ class TestSharedTable:
             extended |= any(0 < sizes.get(level, 0) < size for level, size in sizes_after.items())
         assert extended
 
+    def test_estimates_sum_each_points_own_nodes(self):
+        # every estimate of the level-wide reduction, first batch and deeper
+        # levels alike, against an in-order sum over the point's own nodes:
+        # its whole panels, then its remainder panel
+        table = FilterTable(ScheduleSpec(scheme=Scheme.UDD, n=6, cycles=3, total_time=1.0),
+                            self.BATH, self.GRID)
+        for t in self.GRID:
+            decay_exponents(make_schedule(Scheme.UDD, 6, 3, t), self.BATH, rel_tol=1e-14,
+                            table=table)
+        assert len(table._estimates) > 2 * len(self.GRID)
+        for (level, t), (gamma, count) in table._estimates.items():
+            whole, remainder = kernel._tiling(level, self.BATH.cutoff * t)
+            nodes, rows = (held[: whole * kernel.GL_ORDER] for held in table._levels[level])
+            if remainder is not None:
+                rest_nodes, rest_rows = table._remainders[remainder]
+                nodes, rows = np.concatenate((nodes, rest_nodes)), np.concatenate((rows, rest_rows))
+            terms = kernel._thermal_weight(nodes / t, self.BATH)[:, None] * rows
+            assert count == nodes.size
+            np.testing.assert_allclose(gamma, t * np.add.accumulate(terms)[-1], rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("total_time", [2.0, 16.0])
     def test_exact_multiple_skips_remainder_panel(self, total_time):
         # a time just past the multiple keeps a sliver of a remainder panel
         nearby = decay_exponents(make_schedule(Scheme.UDD, 3, 4, total_time * (1 + 1e-12)),
                                  self.BATH)
         schedule = make_schedule(Scheme.UDD, 3, 4, total_time)
-        table = FilterTable(schedule.spec, uppers=[self.BATH.cutoff * total_time])
+        table = FilterTable(schedule.spec, self.BATH, [total_time])
         result = decay_exponents(schedule, self.BATH, table=table)
         assert remainder_panels(table) == []
         assert result.quadrature_points % (kernel._MIN_PANELS * kernel.GL_ORDER) == 0
