@@ -20,7 +20,7 @@ from .fock_oracle import (
     superposition_state,
 )
 from .operators import build_decoupling_group
-from .schedules import Scheme, make_schedule
+from .schedules import ScheduleSpec, Scheme
 
 CALIBRATION_TOL = 1e-6
 
@@ -126,7 +126,7 @@ def run_case(case: CalibrationCase, wrong_sign: bool = False) -> CalibrationResu
     the case passes within ``CALIBRATION_TOL``.  ``wrong_sign`` predicts with
     the miswired filters (negative control).
     """
-    schedule = make_schedule(case.scheme, case.n, case.cycles, case.total_time)
+    schedule = ScheduleSpec(case.scheme, case.n, case.cycles, case.total_time)
     group = build_decoupling_group(case.n)
     atom = superposition_state(case.n)
     end = evolve_pulsed(case.modes, schedule, group, atom, case.temperature)

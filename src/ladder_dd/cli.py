@@ -19,14 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import CALIBRATION_TOL, run_calibration_suite
 from .kernel import BathSpec, ConvergenceError, sweep_curve
 from .operators import ZERO_TOL, verify_decoupling
 from .schedules import (
     Scheme,
     ScheduleSpec,
     fractions_text,
-    make_schedule,
     parse_fractions_text,
     pulse_count,
 )
@@ -232,8 +230,7 @@ def cmd_verify_group(args: argparse.Namespace) -> int:
 
 def cmd_schedule(args: argparse.Namespace) -> int:
     # fractions do not depend on the total time
-    schedule = make_schedule(args.scheme, args.n, args.cycles, 1.0)
-    text = fractions_text(schedule.fractions)
+    text = fractions_text(ScheduleSpec(Scheme(args.scheme), args.n, args.cycles, 1.0).fractions)
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -243,6 +240,9 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
+    # imported here: no other subcommand needs the Fock-space oracle
+    from .calibration import CALIBRATION_TOL, run_calibration_suite
+
     results = run_calibration_suite(wrong_sign=args.miswired)
     print(f"{'case':<34s} {'exponent obs':>13s} {'exponent pred':>13s} "
           f"{'ratio obs':>12s} {'rel.err':>9s} {'phase':>9s}  status")

@@ -35,7 +35,7 @@ import numpy as np
 
 from .kernel import ConvergenceError, exponent_filters, position_filters
 from .operators import DecouplingGroup, sigma_z
-from .schedules import PulseSchedule
+from .schedules import ScheduleSpec
 
 DEFAULT_TAIL = 1e-10
 DIM_CAP = 2000
@@ -247,7 +247,7 @@ def _validate_inputs(n: int, modes, atom_state: np.ndarray) -> tuple[ModeSpec, .
 
 def evolve_pulsed(
     modes,
-    schedule: PulseSchedule,
+    schedule: ScheduleSpec,
     group: DecouplingGroup,
     atom_state: np.ndarray,
     temperature: float,
@@ -301,7 +301,7 @@ def evolve_pulsed(
 
 
 def discrete_decay_exponent(
-    modes, temperature: float, schedule: PulseSchedule, wrong_sign: bool = False
+    modes, temperature: float, schedule: ScheduleSpec, wrong_sign: bool = False
 ) -> float:
     """Total predicted exponent sum_k (1/2)|j_k chi(w_k)|^2 coth(w_k/(2 Tp)).
 

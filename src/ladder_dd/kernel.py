@@ -70,8 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import schedules
-from .schedules import PulseSchedule, ScheduleSpec, Scheme, build_schedule
+from .schedules import ScheduleSpec, Scheme, build_schedule
 
 GL_ORDER = 15
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)
@@ -250,7 +249,7 @@ def _bessel_sums(z: np.ndarray, orders: np.ndarray, weights: np.ndarray) -> np.n
     return out
 
 
-def _udd_series_orders(omegas: np.ndarray, schedule: PulseSchedule) -> np.ndarray | None:
+def _udd_series_orders(omegas: np.ndarray, schedule: ScheduleSpec) -> np.ndarray | None:
     """Miller start orders at z = w T/2 if the UDD Bessel series costs less than
     the boundary sum for these frequencies, else None."""
     boundary = _SERIES_GAIN * omegas.size * schedule.boundaries.size
@@ -262,7 +261,7 @@ def _udd_series_orders(omegas: np.ndarray, schedule: PulseSchedule) -> np.ndarra
     return orders if series <= boundary else None
 
 
-def position_filters(omegas, schedule: PulseSchedule) -> np.ndarray:
+def position_filters(omegas, schedule: ScheduleSpec) -> np.ndarray:
     """eta_l(w) for all slots at once: (K, n) complex for K frequencies.
 
     Each eta_l is the phase-weighted sum of segment windows, which telescopes
@@ -298,9 +297,8 @@ def position_filters(omegas, schedule: PulseSchedule) -> np.ndarray:
     out = np.empty((omegas.size, n), dtype=complex)
     # the w = 0 quotients are not finite; the limit replaces them below
     with np.errstate(divide="ignore", invalid="ignore"):
-        orders = (_udd_series_orders(omegas, schedule)
-                  if schedule.spec.scheme is Scheme.UDD else None)
-        if schedule.spec.scheme is Scheme.PDD:
+        orders = _udd_series_orders(omegas, schedule) if schedule.scheme is Scheme.UDD else None
+        if schedule.scheme is Scheme.PDD:
             step = total_time / (n * cycles)
             half = (0.5 * n * step) * omegas
             turns = np.rint(half / math.pi)
@@ -340,7 +338,7 @@ def position_filters(omegas, schedule: PulseSchedule) -> np.ndarray:
     return out
 
 
-def exponent_filters(omegas, schedule: PulseSchedule) -> np.ndarray:
+def exponent_filters(omegas, schedule: ScheduleSpec) -> np.ndarray:
     """chi_k(w) for every transition k at once: (K, n-1) complex for K frequencies.
 
     Column k is the cyclic second difference eta_{k-1} - 2*eta_k + eta_{k+1}
@@ -360,18 +358,13 @@ def _thermal_weight(omegas: np.ndarray, bath: BathSpec) -> np.ndarray:
     return out
 
 
-def decay_integrand(omegas, schedule: PulseSchedule, bath: BathSpec) -> np.ndarray:
+def decay_integrand(omegas, schedule: ScheduleSpec, bath: BathSpec) -> np.ndarray:
     """Rows (1/2) I(w) coth(w/(2 Tp)) |chi_k(w)|^2 for every transition k, shape (n-1, K)."""
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     chi = exponent_filters(omegas, schedule)
     # C-ordered rows keep the panel sums in one summation order
     power = np.ascontiguousarray((chi.real**2 + chi.imag**2).T)
     return _thermal_weight(omegas, bath) * power
-
-
-def _fraction_key(spec: ScheduleSpec) -> tuple:
-    """What fixes a schedule's fractions: every spec field but the total time."""
-    return spec.scheme, spec.n, spec.cycles, spec.custom_fractions
 
 
 def _tiling(level: int, upper: float) -> tuple[int, tuple[float, float] | None]:
@@ -391,11 +384,11 @@ class FilterTable:
     Gauss-Legendre panels of one set of pulse fractions and one bath.
 
     With the fractions fixed, chi_k(w; T) = T * chi1_k(w T), where chi1 is the
-    filter of the same fractions over total time 1.  Level L tiles u = w T
-    with the whole panels [k h_L, (k+1) h_L], h_L = 4 pi / 2**L, k = 0, 1, ...,
-    which therefore serve every total time: a point with u up to cutoff*T
-    takes the first floor(cutoff*T/h_L) of them, then a remainder panel
-    [floor(cutoff*T/h_L) h_L, cutoff*T].  Per level the table holds the nodes
+    filter of ``unit``, the sweep's schedule at total time 1.  Level L tiles
+    u = w T with the whole panels [k h_L, (k+1) h_L], h_L = 4 pi / 2**L,
+    k = 0, 1, ..., which therefore serve every total time: a point with u up
+    to cutoff*T takes the first floor(cutoff*T/h_L) of them, then a remainder
+    panel [floor(cutoff*T/h_L) h_L, cutoff*T].  Per level the table holds the nodes
     and weighted rows w_j |chi1_k(u_j)|^2 of a contiguous prefix of whole
     panels, grown only past its end; remainder panels sit in a store keyed by
     (centre, half-width), so a remainder panel that the next level carries
@@ -412,11 +405,8 @@ class FilterTable:
     """
 
     def __init__(self, spec: ScheduleSpec, bath: BathSpec, times):
-        self.key = _fraction_key(spec)
+        self.unit = dataclasses.replace(spec, total_time=1.0)
         self.bath = bath
-        # schedules.build_schedule, not the imported name: perfbench wraps
-        # kernel.build_schedule to count one call per curve point, and this is not one
-        self._unit = schedules.build_schedule(dataclasses.replace(spec, total_time=1.0))
         # nodes and weighted rows, one row per node, of a level's whole-panel prefix
         self._levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._remainders: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
@@ -443,7 +433,7 @@ class FilterTable:
         """Evaluate, in one filter call, the panels past each level's held prefix
         and the remainder panels not yet held that ``tilings`` name."""
         missing, grown, remainders = [], [], {}
-        empty = np.empty(0), np.empty((0, self._unit.n - 1))
+        empty = np.empty(0), np.empty((0, self.unit.n - 1))
         for lvl, level_tilings in tilings.items():
             remainders.update((r, None) for _, r in level_tilings.values()
                               if r is not None and r not in self._remainders)
@@ -459,7 +449,7 @@ class FilterTable:
             return
         centres, halves = np.array(missing).T
         nodes = (centres[:, None] + halves[:, None] * _GL_NODES).ravel()
-        chi = exponent_filters(nodes, self._unit)
+        chi = exponent_filters(nodes, self.unit)
         rows = (chi.real**2 + chi.imag**2) * (halves[:, None] * _GL_WEIGHTS).reshape(-1, 1)
         for lvl, part in grown:
             held_nodes, held_rows = self._levels[lvl]
@@ -563,7 +553,7 @@ def _first_level(upper: float) -> int:
     return level
 
 
-def _level_estimates(schedule: PulseSchedule, table: FilterTable):
+def _level_estimates(schedule: ScheduleSpec, table: FilterTable):
     """Yield (Gamma estimate, node count) at successive levels from the first.
 
     An estimate sums the table's panels below u = cutoff*T, the remainder
@@ -600,7 +590,7 @@ def _max_rel_change(prev: np.ndarray, curr: np.ndarray) -> float:
 
 
 def decay_exponents(
-    schedule: PulseSchedule,
+    schedule: ScheduleSpec,
     bath: BathSpec,
     rel_tol: float = 1e-6,
     extra_levels: int = 0,
@@ -623,8 +613,8 @@ def decay_exponents(
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must be finite and in (0, 1), got {rel_tol}")
     if table is None:
-        table = FilterTable(schedule.spec, bath, [schedule.total_time])
-    elif table.key != _fraction_key(schedule.spec):
+        table = FilterTable(schedule, bath, [schedule.total_time])
+    elif dataclasses.replace(schedule, total_time=1.0) != table.unit:
         raise ValueError("filter table was built for other pulse fractions")
     elif table.bath != bath:
         raise ValueError("filter table was built for another bath")
@@ -650,13 +640,6 @@ def decay_exponents(
     )
 
 
-def coherence_ratio(schedule: PulseSchedule, bath: BathSpec) -> float:
-    """Surviving fraction P(T) = exp(-sum_k Gamma_k) of the (0,1) coherence, the
-    sum running over the exponents of transitions k = 0..n-2."""
-    exponents = decay_exponents(schedule, bath)
-    return float(np.exp(-exponents.gamma.sum()))
-
-
 @dataclass(frozen=True)
 class CoherenceCurve:
     """Sampled (T, P(T)) pairs with each point's final node count and
@@ -671,7 +654,7 @@ class CoherenceCurve:
 def sweep_curve(
     template: ScheduleSpec, bath: BathSpec, t_grid, rel_tol: float = 1e-6
 ) -> CoherenceCurve:
-    """Evaluate P(T) over a grid of total times, rebuilding the schedule each time.
+    """Evaluate P(T) over a grid of total times, for the fractions of ``template``.
 
     The grid must be strictly increasing and positive.  Points run in grid
     order and share one FilterTable, told every point's total time up front:

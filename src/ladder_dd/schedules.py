@@ -5,6 +5,8 @@ strictly inside (0, T), plus one closing pulse at T itself.  A schedule is
 fixed by the ordered fractions delta_1 < ... < delta_M at which the interior
 pulses fire.  With delta_0 = 0 and delta_{nN} = 1 appended, the fraction
 differences give the free-evolution segment lengths, grouped n per cycle.
+ScheduleSpec is the one schedule type: it holds the scheme, n, N and T, and
+derives the fractions, boundaries and segments from them on first use.
 
 Periodic scheduling spaces the pulses uniformly, delta_i = i/(M+1).  Uhrig
 scheduling uses delta_i = sin^2(i*pi/(2M+2)), which crowds pulses toward both
@@ -17,6 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,7 +79,15 @@ def _validate_custom(fractions: tuple[float, ...], expected: int) -> None:
 
 @dataclass(frozen=True)
 class ScheduleSpec:
-    """Scheme, atom dimension, cycle count and total duration of a run."""
+    """A run's pulse schedule: scheme, atom dimension, cycle count and total
+    duration, validated on construction.
+
+    The arrays derive from the fields on first use and are kept.
+    ``boundaries`` holds the nN+1 absolute instants 0 = t_0 < t_1 < ... <
+    t_{nN} = T bounding the free-evolution segments.  ``segments[j-1, i-1]``
+    is the i-th segment of cycle j; segment (j, i) spans the boundary pair
+    with flat index m = (j-1)*n + i.  Equality and hashing see the fields only.
+    """
 
     scheme: Scheme
     n: int
@@ -95,77 +106,33 @@ class ScheduleSpec:
         elif self.custom_fractions is not None:
             raise ValueError(f"scheme {self.scheme.value} does not take custom fractions")
 
+    @cached_property
+    def fractions(self) -> np.ndarray:
+        """The interior pulse fractions, from the scheme's closed form: never
+        accumulated, so large pulse counts do not drift."""
+        m = pulse_count(self.n, self.cycles)
+        if self.scheme is Scheme.PDD:
+            return pdd_fractions(m)
+        if self.scheme is Scheme.UDD:
+            return udd_fractions(m)
+        return np.asarray(self.custom_fractions, dtype=float)
 
-@dataclass(frozen=True)
-class PulseSchedule:
-    """A built schedule: fractions, boundary instants and segment lengths.
+    @cached_property
+    def boundaries(self) -> np.ndarray:
+        return np.concatenate(([0.0], self.fractions, [1.0])) * self.total_time
 
-    ``boundaries`` holds the nN+1 absolute instants 0 = t_0 < t_1 < ... <
-    t_{nN} = T bounding the free-evolution segments.  ``segments[j-1, i-1]``
-    is the i-th segment of cycle j; segment (j, i) spans the boundary pair
-    with flat index m = (j-1)*n + i.
+    @cached_property
+    def segments(self) -> np.ndarray:
+        return np.diff(self.boundaries).reshape(self.cycles, self.n)
+
+
+def build_schedule(spec: ScheduleSpec) -> ScheduleSpec:
+    """Return ``spec``, whose arrays derive on first use.
+
+    Kept as a name only: perfbench counts the curve's points by wrapping
+    ``kernel.build_schedule``, and its reference script calls it.
     """
-
-    spec: ScheduleSpec
-    fractions: np.ndarray
-    boundaries: np.ndarray
-    segments: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.spec.n
-
-    @property
-    def cycles(self) -> int:
-        return self.spec.cycles
-
-    @property
-    def total_time(self) -> float:
-        return self.spec.total_time
-
-
-def build_schedule(spec: ScheduleSpec) -> PulseSchedule:
-    """Evaluate the scheme's closed-form fractions and decompose into segments.
-
-    Fractions are computed directly from the closed forms, never by
-    accumulation, so large pulse counts do not drift.
-    """
-    m = pulse_count(spec.n, spec.cycles)
-    if spec.scheme is Scheme.PDD:
-        fractions = pdd_fractions(m)
-    elif spec.scheme is Scheme.UDD:
-        fractions = udd_fractions(m)
-    else:
-        fractions = np.asarray(spec.custom_fractions, dtype=float)
-    boundaries = np.concatenate(([0.0], fractions, [1.0])) * spec.total_time
-    segments = np.diff(boundaries).reshape(spec.cycles, spec.n)
-    return PulseSchedule(
-        spec=spec,
-        fractions=fractions,
-        boundaries=boundaries,
-        segments=segments,
-    )
-
-
-def make_schedule(
-    scheme: Scheme | str,
-    n: int,
-    cycles: int,
-    total_time: float,
-    custom_fractions: tuple[float, ...] | None = None,
-) -> PulseSchedule:
-    """Convenience wrapper building a schedule from bare parameters."""
-    if isinstance(scheme, str):
-        scheme = Scheme(scheme.lower())
-    return build_schedule(
-        ScheduleSpec(
-            scheme=scheme,
-            n=n,
-            cycles=cycles,
-            total_time=total_time,
-            custom_fractions=custom_fractions,
-        )
-    )
+    return spec
 
 
 def fractions_text(fractions: np.ndarray) -> str:

@@ -29,7 +29,6 @@ from ladder_dd.cli import DEFAULT_T_MAX, EXIT_OK, main
 from ladder_dd.fock_oracle import ModeSpec, discrete_decay_exponent
 from ladder_dd.kernel import (
     BathSpec,
-    coherence_ratio,
     decay_exponents,
     decay_integrand,
 )
@@ -40,10 +39,15 @@ from ladder_dd.operators import (
     sigma_z,
     verify_decoupling,
 )
-from ladder_dd.schedules import Scheme, ScheduleSpec, build_schedule, make_schedule
+from ladder_dd.schedules import Scheme, ScheduleSpec
 from ladder_dd.kernel import sweep_curve
 
 REFERENCE_BATH = BathSpec(alpha=0.25, cutoff=100.0, temperature=150.0)
+
+
+def coherence_ratio(schedule, bath):
+    """Surviving fraction P(T) = exp(-sum_k Gamma_k) of the (0,1) coherence."""
+    return float(np.exp(-decay_exponents(schedule, bath).gamma.sum()))
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -92,7 +96,7 @@ def test_criterion_3_schedule_invariants():
         for cycles in (1, 2, 50):
             for scheme in (Scheme.PDD, Scheme.UDD):
                 total_time = 2.5
-                schedule = make_schedule(scheme, n, cycles, total_time)
+                schedule = ScheduleSpec(scheme, n, cycles, total_time)
                 worst_sum = max(
                     worst_sum, abs(schedule.segments.sum() - total_time) / total_time
                 )
@@ -126,7 +130,7 @@ def test_criterion_5_quadrature_robustness():
     worst_riemann = 0.0
     worst_depth = 0.0
     for scheme in (Scheme.PDD, Scheme.UDD):
-        schedule = make_schedule(scheme, 6, 50, total_time)
+        schedule = ScheduleSpec(scheme, 6, 50, total_time)
         adaptive = decay_exponents(schedule, REFERENCE_BATH)
         width = REFERENCE_BATH.cutoff / panels
         nodes = (np.arange(panels) + 0.5) * width
@@ -156,7 +160,7 @@ def test_criterion_6_reference_scenario_ordering():
     spans = pdd.values.min() <= 0.35 and pdd.values.max() >= 0.99
     # UDD's first cycle-filter passband, 2*pi/(n*gap) at its widest gap,
     # reaches the cutoff at T_U
-    uhrig = build_schedule(_reference_template(Scheme.UDD))
+    uhrig = _reference_template(Scheme.UDD)
     g_max = uhrig.segments.max() / uhrig.total_time
     t_u = 2 * math.pi / (uhrig.n * REFERENCE_BATH.cutoff * g_max)
     lead = udd.values - pdd.values
@@ -180,17 +184,17 @@ def test_criterion_6_reference_scenario_ordering():
 
 
 def test_criterion_7_analytic_limits():
-    template = make_schedule(Scheme.PDD, 6, 50, 1e-9)
+    template = ScheduleSpec(Scheme.PDD, 6, 50, 1e-9)
     short = coherence_ratio(template, REFERENCE_BATH)
     short_ok = abs(short - 1.0) <= 1e-9
 
     decoupled = BathSpec(alpha=0.0, cutoff=100.0, temperature=150.0)
     flat_ok = all(
-        coherence_ratio(make_schedule(Scheme.UDD, 6, 50, t), decoupled) == 1.0
+        coherence_ratio(ScheduleSpec(Scheme.UDD, 6, 50, t), decoupled) == 1.0
         for t in (0.5, 2.0, 3.0)
     )
 
-    schedule = make_schedule(Scheme.PDD, 6, 50, 2.0)
+    schedule = ScheduleSpec(Scheme.PDD, 6, 50, 2.0)
     base = coherence_ratio(schedule, REFERENCE_BATH)
     power_ok = True
     for c in (0.5, 2.0):
@@ -273,7 +277,7 @@ def test_reference_schedule_oracle():
                            total_time=2.5, temperature=20.0, modes=modes)
     result = run_case(case)
     assert result.passed, result.rel_error
-    schedule = make_schedule(case.scheme, case.n, case.cycles, case.total_time)
+    schedule = ScheduleSpec(case.scheme, case.n, case.cycles, case.total_time)
     relabelled = (dataclasses.replace(modes[0], transition=4), modes[1])
     predicted = math.exp(-discrete_decay_exponent(relabelled, case.temperature, schedule))
     miss = abs(result.observed_ratio - predicted) / predicted

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import ladder_dd.calibration as calibration
 import ladder_dd.cli as cli
 from ladder_dd.cli import (
     DEFAULT_T_MAX,
@@ -24,7 +25,7 @@ from ladder_dd.cli import (
     parse_config,
 )
 from ladder_dd.kernel import ConvergenceError
-from ladder_dd.schedules import make_schedule
+from ladder_dd.schedules import Scheme, ScheduleSpec
 
 
 def write(path, text):
@@ -134,7 +135,7 @@ class TestScheduleCommand:
     def test_stdout_listing(self, capsys):
         assert main(["schedule", "--scheme", "udd", "--n", "2", "--cycles", "2"]) == EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
-        expected = make_schedule("udd", 2, 2, 1.0).fractions
+        expected = ScheduleSpec(Scheme.UDD, 2, 2, 1.0).fractions
         assert [float(line) for line in lines] == list(expected)
 
     def test_file_output_round_trips(self, tmp_path):
@@ -142,7 +143,7 @@ class TestScheduleCommand:
         assert main(["schedule", "--scheme", "pdd", "--n", "6", "--cycles", "50",
                      "--out", str(out)]) == EXIT_OK
         values = [float(line) for line in out.read_text().strip().splitlines()]
-        np.testing.assert_array_equal(values, make_schedule("pdd", 6, 50, 10.0).fractions)
+        np.testing.assert_array_equal(values, ScheduleSpec(Scheme.PDD, 6, 50, 10.0).fractions)
 
     def test_invalid_cycles(self, capsys):
         assert main(["schedule", "--scheme", "pdd", "--n", "2",
@@ -334,7 +335,7 @@ class TestOracleCheckCommand:
                                     rel_error=0.0, phase_shift=phase, passed=True)
                     for name, phase in (("noise", -3.6e-19), ("signal", -0.00236))]
 
-        monkeypatch.setattr(cli, "run_calibration_suite", suite)
+        monkeypatch.setattr(calibration, "run_calibration_suite", suite)
         assert main(["oracle-check"]) == EXIT_OK
         noise, signal = capsys.readouterr().out.splitlines()[1:3]
         assert noise.split()[-2:] == ["+0.00000", "ok"]
@@ -364,14 +365,16 @@ class TestMemoryError:
 
 def test_runtime_needs_numpy_alone(tmp_path):
     # every subcommand that computes runs without importing scipy, which is
-    # only the tests' independent reference
+    # only the tests' independent reference, and only oracle-check loads the oracle
     src = Path(cli.__file__).resolve().parents[1]
     code = (
         "import sys\n"
         "from ladder_dd.cli import main\n"
         "assert main(['verify-group', '--n', '3']) == 0\n"
-        "assert main(['oracle-check']) == 0\n"
         f"assert main({['curve', *FAST_CURVE, '--out', str(tmp_path / 'c.csv')]!r}) == 0\n"
+        "for name in ('ladder_dd.calibration', 'ladder_dd.fock_oracle'):\n"
+        "    assert name not in sys.modules, f'{name} was imported'\n"
+        "assert main(['oracle-check']) == 0\n"
         "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}

@@ -30,7 +30,7 @@ from ladder_dd.fock_oracle import (
 )
 from ladder_dd.kernel import ConvergenceError, position_filters
 from ladder_dd.operators import DecouplingGroup, build_decoupling_group, is_unitary
-from ladder_dd.schedules import Scheme, make_schedule
+from ladder_dd.schedules import Scheme, ScheduleSpec
 
 MODE_N2 = ModeSpec(transition=0, omega=1.0, coupling=0.1, fock_dim=25)
 
@@ -201,13 +201,13 @@ class TestModeSpecValidation:
         with pytest.raises(ValueError, match="temperature must be finite and > 0"):
             thermal_state(MODE_N2, temperature)
         with pytest.raises(ValueError, match="temperature must be finite and > 0"):
-            discrete_decay_exponent((MODE_N2,), temperature, make_schedule(Scheme.PDD, 3, 1, 2.0))
+            discrete_decay_exponent((MODE_N2,), temperature, ScheduleSpec(Scheme.PDD, 3, 1, 2.0))
 
 
 class TestEvolvePulsed:
     def _run(self, n, modes, scheme=Scheme.PDD, cycles=1, total_time=2.0,
              temperature=1.0, **kwargs):
-        schedule = make_schedule(scheme, n, cycles, total_time)
+        schedule = ScheduleSpec(scheme, n, cycles, total_time)
         group = build_decoupling_group(n)
         atom = superposition_state(n)
         coherence = evolve_pulsed(modes, schedule, group, atom, temperature, **kwargs)
@@ -279,7 +279,7 @@ class TestEvolvePulsed:
         raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         atom = raw @ raw.conj().T / np.trace(raw @ raw.conj().T)
         mode = ModeSpec(transition=1, omega=1.0, coupling=0.0, fock_dim=4)
-        coherence = evolve_pulsed((mode,), make_schedule(Scheme.UDD, n, 2, 1.0),
+        coherence = evolve_pulsed((mode,), ScheduleSpec(Scheme.UDD, n, 2, 1.0),
                                   group, atom, 0.1)
         u = np.linalg.matrix_power(elements[0].conj().T, 2)  # the two cycles
         assert coherence == pytest.approx((u @ atom @ u.conj().T)[0, 1], abs=1e-14)
@@ -287,7 +287,7 @@ class TestEvolvePulsed:
     @pytest.mark.parametrize("name", list(DENSE_COHERENCE))
     def test_product_form_matches_frozen_dense_coherence(self, name):
         case = _pinned_cases()[name]
-        schedule = make_schedule(case.scheme, case.n, case.cycles, case.total_time)
+        schedule = ScheduleSpec(case.scheme, case.n, case.cycles, case.total_time)
         coherence = evolve_pulsed(case.modes, schedule,
                                   build_decoupling_group(case.n),
                                   superposition_state(case.n), case.temperature)
@@ -348,7 +348,7 @@ class TestEvolvePulsed:
         assert abs(base_decay - fine_decay) <= 1e-8
 
     def test_validation_errors(self):
-        schedule = make_schedule(Scheme.PDD, 2, 1, 1.0)
+        schedule = ScheduleSpec(Scheme.PDD, 2, 1, 1.0)
         group = build_decoupling_group(2)
         atom = superposition_state(2)
         with pytest.raises(ValueError, match="at least one"):
@@ -389,7 +389,7 @@ class TestMonomialSplit:
             _monomial_split(pulse)
         group = DecouplingGroup(dim=2, elements=(np.eye(2, dtype=complex), pulse))
         with pytest.raises(NonMonomialPulseError):
-            evolve_pulsed((MODE_N2,), make_schedule(Scheme.PDD, 2, 1, 1.0), group,
+            evolve_pulsed((MODE_N2,), ScheduleSpec(Scheme.PDD, 2, 1, 1.0), group,
                           superposition_state(2), 1.0)
 
 
@@ -399,7 +399,7 @@ class TestDecouplingSuppression:
         # suppresses the coherence loss by an order of magnitude here
         total_time, temperature = 2.0, 1.0
         free = free_decay_baseline(total_time, (MODE_N2,), temperature, 2)
-        schedule = make_schedule(Scheme.PDD, 2, 2, total_time)
+        schedule = ScheduleSpec(Scheme.PDD, 2, 2, total_time)
         group = build_decoupling_group(2)
         atom = superposition_state(2)
         final = evolve_pulsed((MODE_N2,), schedule, group, atom, temperature)
@@ -409,18 +409,18 @@ class TestDecouplingSuppression:
 
 class TestDiscreteDecayExponent:
     def test_zero_coupling(self):
-        schedule = make_schedule(Scheme.PDD, 2, 1, 2.0)
+        schedule = ScheduleSpec(Scheme.PDD, 2, 1, 2.0)
         mode = ModeSpec(transition=0, omega=1.0, coupling=0.0, fock_dim=4)
         assert discrete_decay_exponent((mode,), 1.0, schedule) == 0.0
 
     def test_coupling_square_scaling_exact(self):
-        schedule = make_schedule(Scheme.UDD, 3, 2, 1.8)
+        schedule = ScheduleSpec(Scheme.UDD, 3, 2, 1.8)
         base = discrete_decay_exponent((ModeSpec(0, 1.1, 0.07, 4),), 0.5, schedule)
         doubled = discrete_decay_exponent((ModeSpec(0, 1.1, 0.14, 4),), 0.5, schedule)
         assert doubled == 4.0 * base
 
     def test_transition_out_of_range(self):
-        schedule = make_schedule(Scheme.PDD, 3, 1, 2.0)
+        schedule = ScheduleSpec(Scheme.PDD, 3, 1, 2.0)
         mode = ModeSpec(transition=2, omega=1.0, coupling=0.1, fock_dim=4)
         with pytest.raises(ValueError, match="transition 2 out of range for n=3"):
             discrete_decay_exponent((mode,), 1.0, schedule)
@@ -428,7 +428,7 @@ class TestDiscreteDecayExponent:
     def test_wrong_sign_flips_upper_neighbour(self):
         # the negative control's filter for transition k is
         # eta_{k-1} - 2 eta_k - eta_{k+1}: the upper neighbour enters negated
-        schedule = make_schedule(Scheme.UDD, 6, 2, 1.1)
+        schedule = ScheduleSpec(Scheme.UDD, 6, 2, 1.1)
         temperature = 0.7
         for omega in (4.2, 95.0):
             eta = position_filters(omega, schedule)[0]
@@ -549,7 +549,7 @@ def calibration_draws(draw):
 @given(calibration_draws())
 def test_random_runs_match_prediction_and_catch_the_control(draw):
     n, cycles, scheme, total_time, temperature, modes = draw
-    schedule = make_schedule(scheme, n, cycles, total_time)
+    schedule = ScheduleSpec(scheme, n, cycles, total_time)
     atom = superposition_state(n)
     end = evolve_pulsed(modes, schedule, build_decoupling_group(n), atom, temperature)
     observed = abs(end) / abs(atom[0, 1])

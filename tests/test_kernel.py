@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ladder_dd.kernel as kernel
+import ladder_dd.schedules as schedules
 from ladder_dd.kernel import (
     BathSpec,
     ConvergenceError,
     FilterTable,
-    coherence_ratio,
     decay_exponents,
     decay_integrand,
     exponent_filters,
@@ -21,7 +21,12 @@ from ladder_dd.kernel import (
     sweep_curve,
 )
 from ladder_dd.operators import ZERO_TOL, build_decoupling_group, max_abs, sigma_z
-from ladder_dd.schedules import Scheme, ScheduleSpec, make_schedule
+from ladder_dd.schedules import Scheme, ScheduleSpec
+
+
+def coherence_ratio(schedule, bath):
+    """Surviving fraction P(T) = exp(-sum_k Gamma_k) of the (0,1) coherence."""
+    return float(np.exp(-decay_exponents(schedule, bath).gamma.sum()))
 
 
 def window(omega, dt):
@@ -69,27 +74,27 @@ def toggling_weights(n):
 
 class TestPositionFilter:
     def test_single_cycle_first_slot_is_bare_kernel(self):
-        schedule = make_schedule(Scheme.UDD, 3, 1, 2.0)
+        schedule = ScheduleSpec(Scheme.UDD, 3, 1, 2.0)
         omega = 1.3
         expected = window(omega, float(schedule.segments[0, 0]))
         assert position_filters(omega, schedule)[0, 0] == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("scheme", [Scheme.PDD, Scheme.UDD])
     def test_zero_frequency_limit(self, scheme):
-        schedule = make_schedule(scheme, 3, 4, 2.0)
+        schedule = ScheduleSpec(scheme, 3, 4, 2.0)
         for l in range(1, 4):
             expected = -1j * schedule.segments[:, l - 1].sum()
             assert position_filters(0.0, schedule)[0, l - 1] == pytest.approx(expected, rel=1e-13)
 
     def test_against_literal_transcription_pdd(self):
-        schedule = make_schedule(Scheme.PDD, 2, 2, 1.0)
+        schedule = ScheduleSpec(Scheme.PDD, 2, 2, 1.0)
         value = position_filters(1.0, schedule)[0, 1]
         assert value == pytest.approx(eta_literal(2, 1.0, schedule), rel=1e-13)
 
     @pytest.mark.parametrize("scheme", [Scheme.PDD, Scheme.UDD])
     @pytest.mark.parametrize("n,cycles", [(2, 3), (4, 2), (6, 2)])
     def test_against_literal_transcription_grid(self, scheme, n, cycles):
-        schedule = make_schedule(scheme, n, cycles, 1.7)
+        schedule = ScheduleSpec(scheme, n, cycles, 1.7)
         for omega in (0.35, 1.0, 7.9):
             for l in range(1, n + 1):
                 got = position_filters(omega, schedule)[0, l - 1]
@@ -128,7 +133,7 @@ class TestFilterForms:
     @pytest.mark.parametrize("n", range(2, 8))
     def test_pdd_closed_form_on_and_near_poles(self, n, cycles):
         # the geometric cycle sum has its poles at w = 2 pi k N / T
-        schedule = make_schedule(Scheme.PDD, n, cycles, self.TOTAL_TIME)
+        schedule = ScheduleSpec(Scheme.PDD, n, cycles, self.TOTAL_TIME)
         rng = np.random.default_rng(100 * n + cycles)
         omegas = [0.0, 1e-9, *rng.uniform(0.0, 4 * math.pi * cycles / self.TOTAL_TIME, 8)]
         for k in (1, 2, 7):
@@ -145,7 +150,7 @@ class TestFilterForms:
     def test_udd_mirrored_boundaries(self, n, cycles, monkeypatch):
         # Uhrig's mirror-symmetric boundaries, through both UDD forms: the
         # Bessel series, up to z = w T/2 = 2 pi N, and the boundary sum
-        schedule = make_schedule(Scheme.UDD, n, cycles, self.TOTAL_TIME)
+        schedule = ScheduleSpec(Scheme.UDD, n, cycles, self.TOTAL_TIME)
         rng = np.random.default_rng(100 * n + cycles)
         omegas = [0.0, *rng.uniform(0.0, 4 * math.pi * cycles / self.TOTAL_TIME, 10)]
         for gain, series in ((math.inf, True), (0.0, False)):
@@ -159,7 +164,7 @@ class TestFilterForms:
     @pytest.mark.parametrize("n,cycles", [(2, 1), (3, 2), (6, 50)])
     def test_custom_boundary_sum(self, n, cycles):
         custom = _custom_fractions(n, cycles)
-        schedule = make_schedule(Scheme.CUSTOM, n, cycles, self.TOTAL_TIME,
+        schedule = ScheduleSpec(Scheme.CUSTOM, n, cycles, self.TOTAL_TIME,
                                  custom_fractions=custom)
         rng = np.random.default_rng(n + cycles)
         omegas = [0.0, *rng.uniform(0.0, 4 * math.pi * cycles / self.TOTAL_TIME, 10)]
@@ -193,24 +198,24 @@ class TestBesselSeries:
     def test_tiny_frequencies_reach_the_zero_limit(self, omega, monkeypatch):
         # z = w T/2 this small overflows a recurrence started at a fixed order
         monkeypatch.setattr(kernel, "_SERIES_GAIN", math.inf)
-        schedule = make_schedule(Scheme.UDD, 6, 50, 1.0)
+        schedule = ScheduleSpec(Scheme.UDD, 6, 50, 1.0)
         limit = -1j * schedule.segments.sum(axis=0)
         np.testing.assert_allclose(position_filters(omega, schedule)[0], limit, rtol=1e-12)
 
     def test_vanishing_udd_run_is_finite(self):
         # cutoff*T = 1e-198: every table node takes the series at tiny z
         bath = BathSpec(alpha=0.25, cutoff=100.0, temperature=150.0)
-        assert coherence_ratio(make_schedule(Scheme.UDD, 6, 50, 1e-200), bath) == 1.0
+        assert coherence_ratio(ScheduleSpec(Scheme.UDD, 6, 50, 1e-200), bath) == 1.0
 
     def test_deep_udd_point_converges_to_round_off(self):
         # the curve-deep benchmark's UDD T = 8 point (N = 400, tolerance 1e-9)
         bath = BathSpec(alpha=0.25, cutoff=100.0, temperature=150.0)
-        result = decay_exponents(make_schedule(Scheme.UDD, 6, 400, 8.0), bath, rel_tol=1e-9)
+        result = decay_exponents(ScheduleSpec(Scheme.UDD, 6, 400, 8.0), bath, rel_tol=1e-9)
         assert result.estimated_relative_error <= 1e-11
 
     def test_few_frequencies_take_the_boundary_sum(self):
         # the oracle's handful of mode frequencies: the boundary sum is cheaper
-        schedule = make_schedule(Scheme.UDD, 6, 50, 1.0)
+        schedule = ScheduleSpec(Scheme.UDD, 6, 50, 1.0)
         assert kernel._udd_series_orders(np.array([1.0, 2.0]), schedule) is None
         many = np.linspace(0.0, 300.0, 5000)
         assert kernel._udd_series_orders(many, schedule) is not None
@@ -220,7 +225,7 @@ class TestBesselSeries:
 
 class TestExponentFilter:
     def test_two_level_reduction(self):
-        schedule = make_schedule(Scheme.UDD, 2, 2, 1.5)
+        schedule = ScheduleSpec(Scheme.UDD, 2, 2, 1.5)
         omega = 2.1
         eta1 = position_filters(omega, schedule)[0, 0]
         eta2 = position_filters(omega, schedule)[0, 1]
@@ -230,13 +235,13 @@ class TestExponentFilter:
     def test_pdd_low_frequency_cancellation(self):
         # equal segments make the omega->0 limits equal across slots, and the
         # (+1, -2, +1) coefficients sum to zero
-        schedule = make_schedule(Scheme.PDD, 4, 3, 2.0)
+        schedule = ScheduleSpec(Scheme.PDD, 4, 3, 2.0)
         for k in range(3):
             # segment sums agree across slots to round-off only
             assert abs(exponent_filters(0.0, schedule)[0, k]) <= 1e-13
 
     def test_six_level_udd_against_transcription(self):
-        schedule = make_schedule(Scheme.UDD, 6, 2, 1.0)
+        schedule = ScheduleSpec(Scheme.UDD, 6, 2, 1.0)
         omega = 0.7 * 100.0
         for k in range(5):
             got = exponent_filters(omega, schedule)[0, k]
@@ -245,7 +250,7 @@ class TestExponentFilter:
     def test_four_level_matches_fixed_index_transcription(self):
         # at n=4 the published index pattern (second filter ending on eta_{n-1})
         # coincides with the cyclic-neighbour combination used here
-        schedule = make_schedule(Scheme.UDD, 4, 2, 1.3)
+        schedule = ScheduleSpec(Scheme.UDD, 4, 2, 1.3)
         omega = 3.1
         eta = [eta_literal(l, omega, schedule) for l in range(1, 5)]
         fixed = {  # transition: published combination
@@ -260,7 +265,7 @@ class TestExponentFilter:
         # the eta_{n-1} variant of the second filter is not the cyclic
         # combination once n > 4; the Fock-space oracle adjudicates in favour
         # of the cyclic one (see test_fock_oracle)
-        schedule = make_schedule(Scheme.UDD, 5, 2, 1.3)
+        schedule = ScheduleSpec(Scheme.UDD, 5, 2, 1.3)
         omega = 2.7
         eta = [eta_literal(l, omega, schedule) for l in range(1, 6)]
         variant = -2 * eta[1] + eta[0] + eta[3]
@@ -269,7 +274,7 @@ class TestExponentFilter:
     def test_hahn_echo_closed_form(self):
         # two levels, single midpoint pulse
         total_time = 1.9
-        schedule = make_schedule(Scheme.PDD, 2, 1, total_time)
+        schedule = ScheduleSpec(Scheme.PDD, 2, 1, total_time)
         for omega in (0.5, 2.0, 9.3):
             phase = np.exp(1j * omega * total_time / 2)
             closed = 4 * abs((1 - phase) - phase * (1 - phase)) ** 2 / omega**2
@@ -284,7 +289,7 @@ def test_stencil_is_group_toggling_weights(n):
     weights = toggling_weights(n)
     omegas = [0.0, 0.35, 4.2, 95.0]
     for scheme in (Scheme.PDD, Scheme.UDD):
-        schedule = make_schedule(scheme, n, 3, 1.7)
+        schedule = ScheduleSpec(scheme, n, 3, 1.7)
         eta = position_filters(omegas, schedule)
         chi = exponent_filters(omegas, schedule)
         assert chi.shape == (len(omegas), n - 1)
@@ -326,7 +331,7 @@ class TestBath:
 class TestDecayIntegrand:
     def test_zero_frequency_finite_and_continuous(self):
         bath = BathSpec(alpha=0.25, cutoff=100.0, temperature=150.0)
-        schedule = make_schedule(Scheme.UDD, 6, 5, 1.2)
+        schedule = ScheduleSpec(Scheme.UDD, 6, 5, 1.2)
         rows = decay_integrand([0.0, 1e-9 * bath.cutoff], schedule, bath)
         assert np.all(np.isfinite(rows))
         assert np.all(rows[:, 0] > 0)
@@ -334,7 +339,7 @@ class TestDecayIntegrand:
 
     def test_rows_nonnegative(self):
         bath = BathSpec(alpha=0.4, cutoff=8.0, temperature=2.0)
-        schedule = make_schedule(Scheme.PDD, 3, 2, 2.0)
+        schedule = ScheduleSpec(Scheme.PDD, 3, 2, 2.0)
         rows = decay_integrand(np.linspace(0, 8.0, 101), schedule, bath)
         assert rows.shape == (2, 101)
         assert np.all(rows >= 0)
@@ -343,14 +348,14 @@ class TestDecayIntegrand:
 class TestDecayExponents:
     def test_decoupled_bath_gives_zero(self):
         bath = BathSpec(alpha=0.0, cutoff=10.0, temperature=1.0)
-        schedule = make_schedule(Scheme.PDD, 3, 2, 2.0)
+        schedule = ScheduleSpec(Scheme.PDD, 3, 2, 2.0)
         result = decay_exponents(schedule, bath)
         assert np.all(result.gamma == 0.0)
         assert coherence_ratio(schedule, bath) == 1.0
 
     def test_short_run_barely_decays(self):
         bath = BathSpec(alpha=0.25, cutoff=100.0, temperature=150.0)
-        schedule = make_schedule(Scheme.UDD, 6, 50, 1e-7)
+        schedule = ScheduleSpec(Scheme.UDD, 6, 50, 1e-7)
         assert coherence_ratio(schedule, bath) == pytest.approx(1.0, abs=1e-9)
 
     def test_vanishing_run_hits_exponent_floor(self):
@@ -358,19 +363,19 @@ class TestDecayExponents:
         # floor must accept them instead of refining forever
         bath = BathSpec(alpha=0.25, cutoff=100.0, temperature=150.0)
         for scheme in (Scheme.PDD, Scheme.UDD):
-            schedule = make_schedule(scheme, 6, 50, 1e-9)
+            schedule = ScheduleSpec(scheme, 6, 50, 1e-9)
             assert coherence_ratio(schedule, bath) == 1.0
 
     def test_exponents_nonnegative(self):
         bath = BathSpec(alpha=0.3, cutoff=20.0, temperature=5.0)
-        schedule = make_schedule(Scheme.UDD, 4, 3, 1.5)
+        schedule = ScheduleSpec(Scheme.UDD, 4, 3, 1.5)
         result = decay_exponents(schedule, bath)
         assert np.all(result.gamma >= 0)
         assert result.estimated_relative_error <= 1e-6
 
     def test_riemann_sum_oracle_small_case(self):
         bath = BathSpec(alpha=0.3, cutoff=5.0, temperature=2.0)
-        schedule = make_schedule(Scheme.UDD, 3, 2, 3.0)
+        schedule = ScheduleSpec(Scheme.UDD, 3, 2, 3.0)
         result = decay_exponents(schedule, bath)
         panels = 200_000
         nodes = (np.arange(panels) + 0.5) * (bath.cutoff / panels)
@@ -382,7 +387,7 @@ class TestDecayExponents:
     def test_riemann_sum_oracle_reference_long_run(self):
         # reference scenario deep in the decay regime (T = 10)
         bath = BathSpec(alpha=0.25, cutoff=100.0, temperature=150.0)
-        schedule = make_schedule(Scheme.PDD, 6, 50, 10.0)
+        schedule = ScheduleSpec(Scheme.PDD, 6, 50, 10.0)
         result = decay_exponents(schedule, bath)
         panels = 2**19
         width = bath.cutoff / panels
@@ -395,13 +400,13 @@ class TestDecayExponents:
 
     def test_refinement_stability(self):
         bath = BathSpec(alpha=0.25, cutoff=100.0, temperature=150.0)
-        schedule = make_schedule(Scheme.PDD, 6, 50, 2.5)
+        schedule = ScheduleSpec(Scheme.PDD, 6, 50, 2.5)
         base = decay_exponents(schedule, bath)
         deeper = decay_exponents(schedule, bath, extra_levels=1)
         np.testing.assert_allclose(base.gamma, deeper.gamma, rtol=1e-6)
 
     def test_coupling_scaling_is_exact(self):
-        schedule = make_schedule(Scheme.UDD, 3, 2, 2.0)
+        schedule = ScheduleSpec(Scheme.UDD, 3, 2, 2.0)
         base = decay_exponents(schedule, BathSpec(alpha=0.2, cutoff=10.0, temperature=3.0))
         doubled = decay_exponents(schedule, BathSpec(alpha=0.4, cutoff=10.0, temperature=3.0))
         halved = decay_exponents(schedule, BathSpec(alpha=0.1, cutoff=10.0, temperature=3.0))
@@ -409,7 +414,7 @@ class TestDecayExponents:
         np.testing.assert_array_equal(halved.gamma, 0.5 * base.gamma)
 
     def test_power_law_in_coupling(self):
-        schedule = make_schedule(Scheme.PDD, 3, 2, 2.0)
+        schedule = ScheduleSpec(Scheme.PDD, 3, 2, 2.0)
         p_base = coherence_ratio(schedule, BathSpec(alpha=0.2, cutoff=10.0, temperature=3.0))
         for c in (0.5, 2.0):
             p_scaled = coherence_ratio(
@@ -420,7 +425,7 @@ class TestDecayExponents:
     def test_unconverged_quadrature_raises_with_estimates(self, monkeypatch):
         monkeypatch.setattr(kernel, "_MAX_DOUBLINGS", 0)
         bath = BathSpec(alpha=0.3, cutoff=4.0, temperature=1.0)
-        schedule = make_schedule(Scheme.PDD, 2, 1, 1.0)
+        schedule = ScheduleSpec(Scheme.PDD, 2, 1, 1.0)
         with pytest.raises(ConvergenceError) as excinfo:
             decay_exponents(schedule, bath)
         assert excinfo.value.previous.shape == (1,)
@@ -430,8 +435,8 @@ class TestDecayExponents:
         # finite but extreme inputs overflow the integrand; refinement cannot
         # repair that, so the first non-finite estimate raises
         bath = BathSpec(alpha=1e308, cutoff=100.0, temperature=1e308)
-        schedule = make_schedule("pdd", 6, 2, 1.556)
-        table = FilterTable(schedule.spec, bath, [schedule.total_time])
+        schedule = ScheduleSpec(Scheme.PDD, 6, 2, 1.556)
+        table = FilterTable(schedule, bath, [schedule.total_time])
         with pytest.raises(ConvergenceError, match="non-finite") as excinfo:
             decay_exponents(schedule, bath, table=table)
         assert not np.isfinite(excinfo.value.current).all()
@@ -443,7 +448,7 @@ class TestDecayExponents:
         # cutoff*T below _MIN_PANELS level-0 panels: the quadrature starts on a
         # finer level; a false convergence would show against the Riemann sum
         bath = BathSpec(alpha=0.25, cutoff=100.0, temperature=150.0)
-        schedule = make_schedule(Scheme.UDD, 6, 50, total_time)
+        schedule = ScheduleSpec(Scheme.UDD, 6, 50, total_time)
         assert bath.cutoff * total_time < kernel._MIN_PANELS * 4 * math.pi
         result = decay_exponents(schedule, bath)
         panels = 2**16
@@ -460,7 +465,7 @@ class TestDecayExponents:
         # narrower than half the previous width and so carries over whole.  A
         # one-point level weighs its nodes w = u/T in one call, in order.
         bath = BathSpec(alpha=0.25, cutoff=100.0, temperature=150.0)
-        schedule = make_schedule(Scheme.UDD, 6, 50, total_time)
+        schedule = ScheduleSpec(Scheme.UDD, 6, 50, total_time)
         levels, weight = [], kernel._thermal_weight
 
         def recording(omegas, bath):
@@ -486,9 +491,9 @@ class TestDecayExponents:
 
         monkeypatch.setattr(kernel, "exponent_filters", never)
         bath = BathSpec(alpha=0.25, cutoff=100.0, temperature=150.0)
-        schedule = make_schedule(Scheme.UDD, 6, 50, 1.0)
+        schedule = ScheduleSpec(Scheme.UDD, 6, 50, 1.0)
         for run in (lambda: decay_exponents(schedule, bath, rel_tol=rel_tol),
-                    lambda: sweep_curve(schedule.spec, bath, [0.5, 1.0], rel_tol=rel_tol)):
+                    lambda: sweep_curve(schedule, bath, [0.5, 1.0], rel_tol=rel_tol)):
             with pytest.raises(ValueError, match=r"rel_tol must be finite and in \(0, 1\)"):
                 run()
 
@@ -497,11 +502,11 @@ class TestDecayExponents:
         # and are not tiled past _MAX_PANELS level-0 panels
         bath = BathSpec(alpha=0.25, cutoff=1e-10, temperature=1.0)
         with pytest.raises(ValueError, match="smallest normal float"):
-            decay_exponents(make_schedule(Scheme.PDD, 2, 1, 1e-300), bath)
+            decay_exponents(ScheduleSpec(Scheme.PDD, 2, 1, 1e-300), bath)
         bath = BathSpec(alpha=0.25, cutoff=1e300, temperature=1.0)
         for total_time in (1e10, 1.0):  # cutoff*T = inf, then the finite 1e300
             with pytest.raises(ValueError, match=r"cutoff \* total time = .* panels"):
-                decay_exponents(make_schedule(Scheme.PDD, 2, 1, total_time), bath)
+                decay_exponents(ScheduleSpec(Scheme.PDD, 2, 1, total_time), bath)
 
     def test_sweep_checks_every_range_before_any_filter(self, monkeypatch):
         # the first point's table batch tiles every point, so the last point's
@@ -521,7 +526,7 @@ class TestDecayExponents:
         # whole by the next level, so refinement never checks it: its 15-node
         # sum must already match the same panel split into 64
         bath = BathSpec(alpha=0.25, cutoff=100.0, temperature=150.0)
-        schedule = make_schedule(Scheme.UDD, 6, 50, total_time)
+        schedule = ScheduleSpec(Scheme.UDD, 6, 50, total_time)
         upper = bath.cutoff * total_time
         scale = decay_exponents(schedule, bath).gamma.sum()
         first = kernel._first_level(upper)
@@ -547,13 +552,13 @@ class TestDecayExponents:
         table = FilterTable(ScheduleSpec(scheme=Scheme.PDD, n=3, cycles=2, total_time=1.0),
                             bath, [1.0])
         with pytest.raises(ValueError, match="other pulse fractions"):
-            decay_exponents(make_schedule(Scheme.UDD, 3, 2, 1.0), bath, table=table)
+            decay_exponents(ScheduleSpec(Scheme.UDD, 3, 2, 1.0), bath, table=table)
 
     def test_table_for_other_bath_rejected(self):
         # the table weighs its estimates by its own bath and keeps them
         bath = BathSpec(alpha=0.25, cutoff=100.0, temperature=150.0)
-        schedule = make_schedule(Scheme.PDD, 3, 2, 1.0)
-        table = FilterTable(schedule.spec, bath, [1.0])
+        schedule = ScheduleSpec(Scheme.PDD, 3, 2, 1.0)
+        table = FilterTable(schedule, bath, [1.0])
         decay_exponents(schedule, bath, table=table)
         for other in (BathSpec(alpha=0.5, cutoff=100.0, temperature=150.0),
                       BathSpec(alpha=0.25, cutoff=50.0, temperature=150.0),
@@ -575,7 +580,7 @@ class TestDecayExponents:
 def test_every_finite_spec_converges_or_names_its_error(
         n, cycles, scheme, total_time, alpha, cutoff, temperature):
     try:
-        p = coherence_ratio(make_schedule(scheme, n, cycles, total_time),
+        p = coherence_ratio(ScheduleSpec(scheme, n, cycles, total_time),
                             BathSpec(alpha=alpha, cutoff=cutoff, temperature=temperature))
     except (ValueError, ConvergenceError):
         return
@@ -666,6 +671,18 @@ class TestSweepCurve:
         levels = firsts | {first + 1 for first in firsts}
         assert 0 < len(calls) <= len(levels)
 
+    def test_sweep_derives_its_fractions_once(self, monkeypatch):
+        # the table's unit schedule holds the fractions; a point needs only its T
+        calls, fractions = [], schedules.udd_fractions
+
+        def counting(m):
+            calls.append(m)
+            return fractions(m)
+
+        monkeypatch.setattr(schedules, "udd_fractions", counting)
+        sweep_curve(self._template(Scheme.UDD), self._bath(), self.DEFAULT_GRID)
+        assert calls == [299]
+
     def test_memory_does_not_grow_with_points_near_the_cap(self):
         # a level's reduction pads its points to the longest; near the
         # _MAX_PANELS cap it takes them a few at a time, so that 16 points
@@ -720,7 +737,7 @@ class TestSharedTable:
                                 custom_fractions=custom)
         curve = sweep_curve(template, self.BATH, self.GRID)
         for t, value in zip(self.GRID, curve.values):
-            schedule = make_schedule(scheme, n, cycles, t, custom_fractions=custom)
+            schedule = ScheduleSpec(scheme, n, cycles, t, custom_fractions=custom)
             single = coherence_ratio(schedule, self.BATH)
             assert value == pytest.approx(single, rel=1e-12, abs=0)
             (one,) = sweep_curve(template, self.BATH, [t]).values
@@ -771,7 +788,7 @@ class TestSharedTable:
         # levels; the last point, one level past its convergence, then extends
         # level 2, which the batch filled only up to the third point's range
         table, calls = self._recorded_sweep(monkeypatch, Scheme.UDD, rel_tol=1e-14)
-        last = make_schedule(Scheme.UDD, 6, 3, self.GRID[-1])
+        last = ScheduleSpec(Scheme.UDD, 6, 3, self.GRID[-1])
         decay_exponents(last, self.BATH, rel_tol=1e-14, extra_levels=1, table=table)
         assert len(calls) >= 3
         every = np.concatenate([nodes for nodes, _, _ in calls])
@@ -797,7 +814,7 @@ class TestSharedTable:
         table = FilterTable(ScheduleSpec(scheme=Scheme.UDD, n=6, cycles=3, total_time=1.0),
                             self.BATH, self.GRID)
         for t in self.GRID:
-            decay_exponents(make_schedule(Scheme.UDD, 6, 3, t), self.BATH, rel_tol=1e-14,
+            decay_exponents(ScheduleSpec(Scheme.UDD, 6, 3, t), self.BATH, rel_tol=1e-14,
                             table=table)
         assert len(table._estimates) > 2 * len(self.GRID)
         for (level, t), (gamma, count) in table._estimates.items():
@@ -813,10 +830,10 @@ class TestSharedTable:
     @pytest.mark.parametrize("total_time", [2.0, 16.0])
     def test_exact_multiple_skips_remainder_panel(self, total_time):
         # a time just past the multiple keeps a sliver of a remainder panel
-        nearby = decay_exponents(make_schedule(Scheme.UDD, 3, 4, total_time * (1 + 1e-12)),
+        nearby = decay_exponents(ScheduleSpec(Scheme.UDD, 3, 4, total_time * (1 + 1e-12)),
                                  self.BATH)
-        schedule = make_schedule(Scheme.UDD, 3, 4, total_time)
-        table = FilterTable(schedule.spec, self.BATH, [total_time])
+        schedule = ScheduleSpec(Scheme.UDD, 3, 4, total_time)
+        table = FilterTable(schedule, self.BATH, [total_time])
         result = decay_exponents(schedule, self.BATH, table=table)
         assert remainder_panels(table) == []
         assert result.quadrature_points % (kernel._MIN_PANELS * kernel.GL_ORDER) == 0

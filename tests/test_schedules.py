@@ -1,15 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from ladder_dd.schedules import (
-    PulseSchedule,
     ScheduleSpec,
     Scheme,
     build_schedule,
     fractions_text,
-    make_schedule,
     parse_fractions_text,
     pdd_fractions,
     pulse_count,
@@ -65,13 +64,13 @@ class TestFractions:
 
 class TestBuildSchedule:
     def test_pdd_two_level_single_cycle(self):
-        schedule = make_schedule(Scheme.PDD, 2, 1, 1.0)
+        schedule = ScheduleSpec(Scheme.PDD, 2, 1, 1.0)
         np.testing.assert_allclose(schedule.segments, [[0.5, 0.5]], atol=0)
         np.testing.assert_allclose(schedule.segments.sum(axis=1), [1.0], atol=0)
 
     def test_udd_two_level_two_cycles_derived(self):
         # fractions from the closed form, segments by differencing
-        schedule = make_schedule(Scheme.UDD, 2, 2, 1.0)
+        schedule = ScheduleSpec(Scheme.UDD, 2, 2, 1.0)
         np.testing.assert_allclose(schedule.fractions, [UDD3_LO, 0.5, UDD3_HI], atol=1e-16)
         np.testing.assert_allclose(
             schedule.segments,
@@ -81,13 +80,13 @@ class TestBuildSchedule:
         np.testing.assert_allclose(schedule.segments.sum(axis=1), [0.5, 0.5], atol=1e-15)
 
     def test_pdd_reference_uniform(self):
-        schedule = make_schedule(Scheme.PDD, 6, 50, 10.0)
+        schedule = ScheduleSpec(Scheme.PDD, 6, 50, 10.0)
         assert schedule.segments.shape == (50, 6)
         np.testing.assert_allclose(schedule.segments, 10.0 / 300.0, rtol=1e-12)
 
     def test_two_level_single_cycle_schemes_coincide(self):
-        pdd = make_schedule(Scheme.PDD, 2, 1, 3.0)
-        udd = make_schedule(Scheme.UDD, 2, 1, 3.0)
+        pdd = ScheduleSpec(Scheme.PDD, 2, 1, 3.0)
+        udd = ScheduleSpec(Scheme.UDD, 2, 1, 3.0)
         np.testing.assert_allclose(pdd.fractions, udd.fractions, atol=1e-16)
 
 
@@ -95,8 +94,8 @@ class TestBuildSchedule:
 @pytest.mark.parametrize("n", range(2, 7))
 @pytest.mark.parametrize("cycles", [1, 2, 50])
 class TestScheduleInvariants:
-    def _schedule(self, scheme, n, cycles, total_time=2.5) -> PulseSchedule:
-        return make_schedule(scheme, n, cycles, total_time)
+    def _schedule(self, scheme, n, cycles, total_time=2.5) -> ScheduleSpec:
+        return ScheduleSpec(scheme, n, cycles, total_time)
 
     def test_segments_positive_and_sum_to_total(self, scheme, n, cycles):
         schedule = self._schedule(scheme, n, cycles)
@@ -139,22 +138,47 @@ class TestScheduleInvariants:
             np.testing.assert_allclose(flat, flat[::-1], rtol=0, atol=1e-12 * total)
 
 
+class TestDerivedArrays:
+    def test_read_arrays_leave_equality_and_hash(self):
+        read = ScheduleSpec(Scheme.UDD, 3, 2, 1.5)
+        assert read.segments.shape == (2, 3)  # derives the other arrays too
+        fresh = ScheduleSpec(Scheme.UDD, 3, 2, 1.5)
+        assert read == fresh
+        assert hash(read) == hash(fresh)
+
+    def test_replace_derives_its_own_arrays(self):
+        spec = ScheduleSpec(Scheme.PDD, 2, 1, 1.5)
+        assert spec.boundaries[-1] == 1.5
+        assert dataclasses.replace(spec, total_time=3.0).boundaries[-1] == 3.0
+
+    def test_arrays_cannot_be_assigned(self):
+        spec = ScheduleSpec(Scheme.PDD, 2, 1, 1.0)
+        for _ in range(2):  # before and after the first read
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                spec.boundaries = np.zeros(3)
+            assert spec.boundaries.tolist() == [0.0, 0.5, 1.0]
+
+    def test_build_schedule_returns_its_argument(self):
+        spec = ScheduleSpec(Scheme.UDD, 2, 2, 1.0)
+        assert build_schedule(spec) is spec
+
+
 class TestCustomScheme:
     def test_valid_custom(self):
-        schedule = make_schedule(Scheme.CUSTOM, 2, 1, 2.0, custom_fractions=(0.4,))
+        schedule = ScheduleSpec(Scheme.CUSTOM, 2, 1, 2.0, custom_fractions=(0.4,))
         np.testing.assert_allclose(schedule.segments, [[0.8, 1.2]], atol=1e-15)
 
     def test_count_mismatch(self):
         with pytest.raises(ValueError, match="expected 3"):
-            make_schedule(Scheme.CUSTOM, 2, 2, 1.0, custom_fractions=(0.2, 0.5))
+            ScheduleSpec(Scheme.CUSTOM, 2, 2, 1.0, custom_fractions=(0.2, 0.5))
 
     def test_out_of_range_names_index(self):
         with pytest.raises(ValueError, match="index 2"):
-            make_schedule(Scheme.CUSTOM, 2, 2, 1.0, custom_fractions=(0.2, 0.5, 1.5))
+            ScheduleSpec(Scheme.CUSTOM, 2, 2, 1.0, custom_fractions=(0.2, 0.5, 1.5))
 
     def test_non_monotonic_names_index(self):
         with pytest.raises(ValueError, match="index 1"):
-            make_schedule(Scheme.CUSTOM, 2, 2, 1.0, custom_fractions=(0.5, 0.2, 0.7))
+            ScheduleSpec(Scheme.CUSTOM, 2, 2, 1.0, custom_fractions=(0.5, 0.2, 0.7))
 
     def test_custom_fractions_rejected_for_pdd(self):
         with pytest.raises(ValueError, match="does not take"):

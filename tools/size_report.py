@@ -1,0 +1,64 @@
+"""Print the size of the package: its line count and its settable values.
+
+A settable value is anything a caller can set without editing the code,
+counted over the syntax tree of every module under ``src/``:
+
+* a parameter with a default value, positional or keyword-only;
+* a ``**kwargs`` parameter;
+* a field of a class decorated with ``@dataclass``;
+* an ``add_argument`` call (one command-line option or positional).
+
+Run from the repository root:  python3 tools/size_report.py [SRC_DIR]
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+import sys
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+        if name == "dataclass":
+            return True
+    return False
+
+
+def settable_values(tree: ast.AST) -> dict[str, int]:
+    """Counts of each kind of settable value in one module's syntax tree."""
+    counts = {"fields": 0, "defaults": 0, "options": 0}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            counts["fields"] += sum(isinstance(item, ast.AnnAssign) for item in node.body)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            counts["defaults"] += len(args.defaults)
+            counts["defaults"] += sum(d is not None for d in args.kw_defaults)
+            counts["defaults"] += args.kwarg is not None
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "add_argument"):
+            counts["options"] += 1
+    return counts
+
+
+def main(argv: list[str]) -> int:
+    root = pathlib.Path(argv[1] if len(argv) > 1 else "src")
+    lines = 0
+    totals = {"fields": 0, "defaults": 0, "options": 0}
+    for path in sorted(root.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines += len(text.splitlines())
+        for kind, count in settable_values(ast.parse(text, filename=str(path))).items():
+            totals[kind] += count
+    print(f"src lines: {lines}")
+    print(f"settable values: {sum(totals.values())} "
+          f"({totals['fields']} dataclass fields, {totals['defaults']} defaults and "
+          f"**kwargs, {totals['options']} command-line options)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
