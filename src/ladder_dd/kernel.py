@@ -56,8 +56,9 @@ Refinement halves the panel width until every exponent settles to the
 requested relative error; deeper levels are evaluated and summed one point
 at a time.  Each point's sum adds its terms in node order, without BLAS, so
 with numpy's unfused einsum it does not depend on the other points of its
-level; a frequency's filter does not depend on the other frequencies of its
-call, except through the size that picks the UDD form: which points filled
+level.  A frequency's filter depends on the other frequencies of its call
+through the size that picks the UDD form, and through BLAS in a UDD call
+more than about 4170 frequencies wide (see _BLOCK_ROWS): which points filled
 the table changes a value at round-off at most.
 """
 
@@ -78,9 +79,12 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)
 # Cap on elements of a temporary array inside the filter evaluation (memory bound).
 _CHUNK_ELEMS = 2**18
 
-# Rows J_k(z) per product with the UDD weights.  Blocks are counted from the
-# lowest order, so a frequency's sums do not depend on the other frequencies of
-# its call, and calls take at most _CHUNK_ELEMS // _BLOCK_ROWS frequencies.
+# Rows J_k(z) per product with the UDD weights; calls take at most
+# _CHUNK_ELEMS // _BLOCK_ROWS frequencies.  Blocks are counted from the lowest
+# order, so a frequency's sums depend on the others of its call only where
+# BLAS gives a column other bits in a product of another width.  OpenBLAS
+# 0.3.31 on one thread gives the same bits from 2 to about 4170 columns, but
+# past that takes the last N mod 8 of N columns from another kernel.
 # Values from 8 to 32 time within noise of each other and change the sums at round-off only.
 _BLOCK_ROWS = 20
 
@@ -212,36 +216,42 @@ def _bessel_sums(z: np.ndarray, orders: np.ndarray, weights: np.ndarray) -> np.n
     Miller's backward recurrence J_{k-1} = 2k J_k/z - J_{k+1} runs for all z
     together, each z seeded at its own start order, and is normalised at the
     end by J_0 + 2 sum_k J_2k = 1.  Sorted by descending order, the started z
-    are a prefix, and each step touches only them.  The rows J_k that carry a
-    weight are multiplied into the sums _BLOCK_ROWS at a time, in blocks
-    counted from the lowest order, so a z's sums do not depend on the others.
+    are a prefix, and each step copies, multiplies and indexes only them.  The
+    rows J_k that carry a weight are multiplied into the sums _BLOCK_ROWS at a
+    time, over that prefix and in blocks counted from the lowest order, so a
+    z's sums depend on the others only through BLAS's width (see _BLOCK_ROWS).
     """
     size = z.size
     perm = np.argsort(-orders, kind="stable")
     z = z[perm]
     top = int(orders[perm[0]])
     # started[k]: how many z start at order k or above
-    started = np.searchsorted(-orders[perm], -np.arange(top + 2), side="right")
+    started = np.searchsorted(-orders[perm], -np.arange(top + 2), side="right").tolist()
     weighted = np.zeros(top + 1, dtype=bool)
     weighted[1 : len(weights) + 1] = weights[:top].any(axis=1)
-    rank = np.cumsum(weighted) - 1  # of a weighted order among the weighted ones
-    block, held = np.empty((_BLOCK_ROWS, size)), []
+    rank = (np.cumsum(weighted) - 1).tolist()  # of a weighted order among the weighted ones
+    weighted = weighted.tolist()
+    block, held = np.zeros((_BLOCK_ROWS, size)), []
     sums = np.zeros((weights.shape[1], size))
     cur, nxt, step, even = np.zeros(size), np.zeros(size), np.empty(size), np.zeros(size)
     for k in range(top, 0, -1):
         live = started[k]
-        cur[started[k + 1] : live] = _MILLER_SEED
+        if live > started[k + 1]:
+            cur[started[k + 1] : live] = _MILLER_SEED
+        now, then, scaled = cur[:live], nxt[:live], step[:live]
         if weighted[k]:
-            block[len(held)] = cur
+            block[len(held), :live] = now
             held.append(k - 1)
             if rank[k] % _BLOCK_ROWS == 0:
-                sums += weights[held].T @ block[: len(held)]
+                # past live the rows are zeros; two columns keep BLAS's matrix kernel
+                width = max(live, 2)
+                sums[:, :width] += weights[held].T @ block[: len(held), :width]
                 held.clear()
         if k % 2 == 0:
-            even[:live] += cur[:live]
-        np.multiply(cur[:live], 2.0 * k, out=step[:live])
-        np.divide(step[:live], z[:live], out=step[:live])
-        np.subtract(step[:live], nxt[:live], out=nxt[:live])
+            even[:live] += now
+        np.multiply(now, 2.0 * k, out=scaled)
+        np.divide(scaled, z[:live], out=scaled)
+        np.subtract(scaled, then, out=then)
         cur, nxt = nxt, cur
     sums /= cur + 2.0 * even  # cur holds J_0
     out = np.empty((size, weights.shape[1]))
@@ -539,11 +549,16 @@ class DecayExponents:
 def _first_level(upper: float) -> int:
     """Coarsest level with at least _MIN_PANELS whole panels below ``upper``.
 
-    Raises ValueError unless ``upper`` = cutoff*T is a normal float of at
-    most _MAX_PANELS level-0 panels: no table tiles a range it rejects.
+    Raises ValueError unless ``upper`` = cutoff*T is at most _MAX_PANELS
+    level-0 panels and 1/u is finite at the next level's first node,
+    u = h (1 + _GL_NODES[0])/4 for a first-level panel width h: no table
+    tiles a range it rejects.
     """
-    if not upper >= sys.float_info.min:
-        raise ValueError(f"cutoff * total time = {upper!r} is below the smallest normal float")
+    lowest = _MIN_PANELS * math.ldexp(_PANEL_WIDTH, -math.floor(
+        math.log2(math.pi * (1.0 + _GL_NODES[0]) * sys.float_info.max)))
+    if not upper >= lowest:
+        raise ValueError(f"cutoff * total time = {upper!r} is below {lowest:.6g}, where 1/w "
+                         f"overflows at the smallest quadrature node")
     if not upper <= _MAX_PANELS * _PANEL_WIDTH:
         raise ValueError(f"cutoff * total time = {upper!r} exceeds {_MAX_PANELS} panels "
                          f"of width 4 pi")

@@ -303,6 +303,27 @@ class TestCurveCommand:
         assert "cutoff * total time" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scheme", ["pdd", "udd"])
+    def test_tiny_frequency_span_is_input_error_without_numpy_warning(self, tmp_path,
+                                                                      capsys, scheme):
+        # from the smallest normal float up to about 1.8e-305, 1/w overflows at
+        # the smallest quadrature nodes: the run stops with a named error before
+        # any filter is evaluated, while a larger cutoff*T still runs
+        out = tmp_path / "curve.csv"
+        args = ["curve", "--cutoff", "1", "--t-points", "1", "--scheme", scheme,
+                "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t_max in ("2.3e-308", "1e-306", "1e-305", "1.78e-305"):
+                assert main([*args, "--t-max", t_max]) == EXIT_VALIDATION
+                err = capsys.readouterr().err
+                assert f"cutoff * total time = {t_max} is below 1.78951e-305" in err
+                assert "RuntimeWarning" not in err
+                assert not out.exists()
+            for t_max in ("1.79e-305", "1e-300"):
+                assert main([*args, "--t-max", t_max]) == EXIT_OK
+                assert out.read_text().splitlines()[1] == f"{t_max},1"
+
     def test_convergence_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):
             raise ConvergenceError("no convergence (while evaluating T=1)",

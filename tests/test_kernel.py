@@ -213,6 +213,22 @@ class TestBesselSeries:
         result = decay_exponents(ScheduleSpec(Scheme.UDD, 6, 400, 8.0), bath, rel_tol=1e-9)
         assert result.estimated_relative_error <= 1e-11
 
+    def test_sparse_call_sums_do_not_depend_on_the_other_frequencies(self):
+        # orders from 1 to about 2130 span 54 blocks of weighted rows: each
+        # subset starts its frequencies at other steps, multiplies other live
+        # prefixes, and must still give every frequency the bits of the full call
+        rng = np.random.default_rng(17)
+        z = np.concatenate(([0.0, 0.0, 2000.0], rng.uniform(0.0, 2000.0, 61)))
+        z[-4:] = z[3:7]  # duplicates
+        orders = kernel._miller_orders(z)
+        weights = kernel._udd_weights(int(orders.max()), 6, 400)
+        with np.errstate(divide="ignore", invalid="ignore"):  # J_0 of z = 0
+            full = kernel._bessel_sums(z, orders, weights)
+            for size in range(2, z.size):
+                pick = rng.choice(z.size, size, replace=False)
+                np.testing.assert_array_equal(
+                    kernel._bessel_sums(z[pick], orders[pick], weights), full[pick])
+
     def test_few_frequencies_take_the_boundary_sum(self):
         # the oracle's handful of mode frequencies: the boundary sum is cheaper
         schedule = ScheduleSpec(Scheme.UDD, 6, 50, 1.0)
@@ -499,10 +515,17 @@ class TestDecayExponents:
 
     def test_subnormal_frequency_range_rejected(self):
         # u = w*T panels cannot be formed once cutoff*T leaves the normal floats,
-        # and are not tiled past _MAX_PANELS level-0 panels
+        # nor below about 1.8e-305, where 1/u overflows at the smallest node of
+        # the first two levels, and are not tiled past _MAX_PANELS level-0 panels
+        floor = r"is below 1\.78951e-305, where 1/w overflows at the smallest quadrature node"
         bath = BathSpec(alpha=0.25, cutoff=1e-10, temperature=1.0)
-        with pytest.raises(ValueError, match="smallest normal float"):
+        with pytest.raises(ValueError, match=floor):
             decay_exponents(ScheduleSpec(Scheme.PDD, 2, 1, 1e-300), bath)
+        bath = BathSpec(alpha=0.25, cutoff=1.0, temperature=1.0)
+        for scheme in (Scheme.PDD, Scheme.UDD):
+            for upper in (3e-308, 1e-306, 1e-305, 1.78e-305):
+                with pytest.raises(ValueError, match=floor):
+                    decay_exponents(ScheduleSpec(scheme, 6, 50, upper), bath)
         bath = BathSpec(alpha=0.25, cutoff=1e300, temperature=1.0)
         for total_time in (1e10, 1.0):  # cutoff*T = inf, then the finite 1e300
             with pytest.raises(ValueError, match=r"cutoff \* total time = .* panels"):
