@@ -47,19 +47,16 @@ A FilterTable holds |chi1_k|^2 on Gauss-Legendre panels of width 4 pi / 2**L
 in u: per level L a contiguous prefix of whole panels from u = 0, of which a
 point up to u = cutoff*T takes the first floor(cutoff*T 2**L / 4 pi), and a
 store of remainder panels up to each point's cutoff*T.  The points of a
-sweep share one table.  At its first use it evaluates the panels of every
-point's first two levels in one filter call (a UDD call costs O(max wT)
-numpy steps however many frequencies it takes), then, per level, weighs
-every point's nodes by the bath in one call and sums them in one reduction,
-or a few near the panel cap: a point's estimate is a row of that reduction.
-Refinement halves the panel width until every exponent settles to the
-requested relative error; deeper levels are evaluated and summed one point
-at a time.  Each point's sum adds its terms in node order, without BLAS, so
-with numpy's unfused einsum it does not depend on the other points of its
-level.  A frequency's filter depends on the other frequencies of its call
-through the size that picks the UDD form, and through BLAS in a UDD call
-more than about 4170 frequencies wide (see _BLOCK_ROWS): which points filled
-the table changes a value at round-off at most.
+sweep share one table.  At its first use it tiles every point's first two
+levels at once, evaluates their panels in one filter call (a UDD call costs
+O(max wT) numpy steps however many frequencies it takes), sums each level
+for all its points in one reduction, or a few near the panel cap, and keeps
+every estimate with its convergence test: a point that settles there costs
+a lookup.  A deeper level is the same batch over one point.  A point's sum
+adds its terms in node order, without BLAS, so with numpy's unfused einsum
+it does not depend on the other points of its level; a frequency's filter
+depends on the others of its call only through the call size, which picks
+the UDD form (see _SLICE_COLUMNS), and so at round-off at most.
 """
 
 from __future__ import annotations
@@ -81,12 +78,14 @@ _CHUNK_ELEMS = 2**18
 
 # Rows J_k(z) per product with the UDD weights; calls take at most
 # _CHUNK_ELEMS // _BLOCK_ROWS frequencies.  Blocks are counted from the lowest
-# order, so a frequency's sums depend on the others of its call only where
-# BLAS gives a column other bits in a product of another width.  OpenBLAS
-# 0.3.31 on one thread gives the same bits from 2 to about 4170 columns, but
-# past that takes the last N mod 8 of N columns from another kernel.
-# Values from 8 to 32 time within noise of each other and change the sums at round-off only.
+# order.  Values from 8 to 32 time within noise of each other and change the
+# sums at round-off only.
 _BLOCK_ROWS = 20
+
+# Most columns of one such product.  OpenBLAS 0.3.31 gives a column the same
+# bits in products 2 to about 4170 columns wide, but past that takes the last
+# N mod 8 of N columns from another kernel: wider products go in equal slices.
+_SLICE_COLUMNS = 4096
 
 # log of double precision, for the start orders of Miller's recurrence.
 _LOG_EPS = math.log(2.0**-53)
@@ -218,10 +217,12 @@ def _bessel_sums(z: np.ndarray, orders: np.ndarray, weights: np.ndarray) -> np.n
     end by J_0 + 2 sum_k J_2k = 1.  Sorted by descending order, the started z
     are a prefix, and each step copies, multiplies and indexes only them.  The
     rows J_k that carry a weight are multiplied into the sums _BLOCK_ROWS at a
-    time, over that prefix and in blocks counted from the lowest order, so a
-    z's sums depend on the others only through BLAS's width (see _BLOCK_ROWS).
+    time, over that prefix, in blocks counted from the lowest order and in
+    slices of at most _SLICE_COLUMNS z.  A block whose rows weigh nothing in
+    the first half of the columns (UDD's odd orders: the real parts) adds
+    only to the second half.
     """
-    size = z.size
+    size, half = z.size, weights.shape[1] // 2
     perm = np.argsort(-orders, kind="stable")
     z = z[perm]
     top = int(orders[perm[0]])
@@ -231,6 +232,7 @@ def _bessel_sums(z: np.ndarray, orders: np.ndarray, weights: np.ndarray) -> np.n
     weighted[1 : len(weights) + 1] = weights[:top].any(axis=1)
     rank = (np.cumsum(weighted) - 1).tolist()  # of a weighted order among the weighted ones
     weighted = weighted.tolist()
+    real = weights[:, :half].any(axis=1).tolist()  # rows weighing the first half
     block, held = np.zeros((_BLOCK_ROWS, size)), []
     sums = np.zeros((weights.shape[1], size))
     cur, nxt, step, even = np.zeros(size), np.zeros(size), np.empty(size), np.zeros(size)
@@ -245,7 +247,11 @@ def _bessel_sums(z: np.ndarray, orders: np.ndarray, weights: np.ndarray) -> np.n
             if rank[k] % _BLOCK_ROWS == 0:
                 # past live the rows are zeros; two columns keep BLAS's matrix kernel
                 width = max(live, 2)
-                sums[:, :width] += weights[held].T @ block[: len(held), :width]
+                parts = -(-width // _SLICE_COLUMNS)
+                cols = slice(0 if any(real[j] for j in held) else half, None)
+                for part in range(parts):
+                    span = slice(part * width // parts, (part + 1) * width // parts)
+                    sums[cols, span] += weights[held, cols].T @ block[: len(held), span]
                 held.clear()
         if k % 2 == 0:
             even[:live] += now
@@ -377,16 +383,30 @@ def decay_integrand(omegas, schedule: ScheduleSpec, bath: BathSpec) -> np.ndarra
     return _thermal_weight(omegas, bath) * power
 
 
-def _tiling(level: int, upper: float) -> tuple[int, tuple[float, float] | None]:
-    """How the panels of ``level`` tile [0, upper]: the count of whole panels
-    [k h, (k+1) h], h = 4 pi / 2**level, then the (centre, half-width) of the
-    remainder panel, or None if ``upper`` is a multiple of h."""
-    width = math.ldexp(_PANEL_WIDTH, -level)
-    whole = math.floor(upper / width)
-    if whole * width < upper:
-        half = 0.5 * (upper - whole * width)
-        return whole, (upper - half, half)
-    return whole, None
+def _tilings(levels: np.ndarray, uppers: np.ndarray):
+    """How each level tiles [0, upper], elementwise: the count of whole panels
+    [k h, (k+1) h], h = 4 pi / 2**level, whether a remainder panel is left, and
+    its centre and half-width (meaningless where none is)."""
+    width = np.ldexp(_PANEL_WIDTH, -levels)
+    whole = np.floor(uppers / width)
+    rest = whole * width < uppers
+    half = 0.5 * (uppers - whole * width)
+    return whole.astype(int), rest, uppers - half, half
+
+
+def _rel_changes(prev: np.ndarray, curr: np.ndarray) -> np.ndarray:
+    """Per row, the largest |c - p| / max(|c|, |p|) over the entries whose scale
+    exceeds _ZERO_FLOOR, else 0; NaN where ``prev`` is NaN (nothing to compare)."""
+    scale = np.maximum(np.abs(curr), np.abs(prev))
+    with np.errstate(invalid="ignore", over="ignore"):
+        change = np.abs(curr - prev) / scale
+    change[scale <= _ZERO_FLOOR] = 0.0
+    return change.max(axis=1)
+
+
+def _fractions_key(spec: ScheduleSpec) -> tuple:
+    """The fields that fix a schedule's pulse fractions: all but its total time."""
+    return spec.scheme, spec.n, spec.cycles, spec.custom_fractions
 
 
 class FilterTable:
@@ -400,106 +420,150 @@ class FilterTable:
     to cutoff*T takes the first floor(cutoff*T/h_L) of them, then a remainder
     panel [floor(cutoff*T/h_L) h_L, cutoff*T].  Per level the table holds the nodes
     and weighted rows w_j |chi1_k(u_j)|^2 of a contiguous prefix of whole
-    panels, grown only past its end; remainder panels sit in a store keyed by
-    (centre, half-width), so a remainder panel that the next level carries
-    over whole is held once.  Only panels the table does not hold are
+    panels, grown only past its end.  Remainder panels are held in one store,
+    appended per fill, each once: a panel that the next level carries over
+    whole is not evaluated again.  Only panels the table does not hold are
     evaluated.
 
     ``times`` lists the total times of a sweep's points.  The table's first
-    use evaluates the panels of every listed point's first two levels in one
-    filter call, because a UDD filter call costs O(max u) numpy steps whatever
-    its size, then weighs and sums each level for all of its points in one
-    reduction, or a few near the panel cap; the estimates are kept per
-    (level, T).  A later level is the same reduction over one point.  Using
-    the table mutates it: do not share one table between threads.
+    use is one batch over every listed point's first two levels: one tiling
+    of them all, one filter call (a UDD call costs O(max u) numpy steps
+    whatever its size) and per level one reduction, or a few near the panel
+    cap.  Per (level, T) it keeps the estimate, its node count, its
+    finiteness and its relative change from the level before: a settled
+    point is a lookup.  A deeper level is the same batch over one point.
+    Using the table mutates it: do not share one table between threads.
     """
 
     def __init__(self, spec: ScheduleSpec, bath: BathSpec, times):
         self.unit = dataclasses.replace(spec, total_time=1.0)
+        self.key = _fractions_key(spec)
         self.bath = bath
         # nodes and weighted rows, one row per node, of a level's whole-panel prefix
         self._levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._remainders: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
-        # (Gamma estimate, node count) per (level, total time)
-        self._estimates: dict[tuple[int, float], tuple[np.ndarray, int]] = {}
+        # every remainder panel held: its place by (centre, half-width), then
+        # the nodes and weighted rows of all of them, in that order
+        self._places: dict[tuple[float, float], int] = {}
+        self._panel_nodes, self._panel_rows = np.empty(0), np.empty((0, self.unit.n - 1))
+        # per (level, T): Gamma estimate, node count, finite, change from the level before
+        self._estimates: dict[tuple[int, float], tuple[np.ndarray, int, bool, float]] = {}
+        self._first: dict[float, int] = {}  # per T
         self._planned = list(times)
 
-    def estimate(self, level: int, total_time: float) -> tuple[np.ndarray, int]:
-        """Gamma estimate of the point at ``total_time`` on ``level``, and its node count."""
-        if (level, total_time) not in self._estimates:
-            # per level, the tiling of each point to estimate, in order and once each
-            tilings = {level: {total_time: _tiling(level, self.bath.cutoff * total_time)}}
-            for t in self._planned:
-                first = _first_level(self.bath.cutoff * t)
-                for lvl in (first, first + 1):
-                    tilings.setdefault(lvl, {})[t] = _tiling(lvl, self.bath.cutoff * t)
-            self._planned = []
-            self._fill(tilings)
-            for lvl, level_tilings in tilings.items():
-                self._reduce(lvl, level_tilings)
-        return self._estimates[level, total_time]
+    def first_level(self, total_time: float) -> int:
+        """The first level of the point at ``total_time`` (see _first_level)."""
+        if total_time not in self._first:
+            self._first[total_time] = _first_level(self.bath.cutoff * total_time)
+        return self._first[total_time]
 
-    def _fill(self, tilings: dict[int, dict[float, tuple]]) -> None:
-        """Evaluate, in one filter call, the panels past each level's held prefix
-        and the remainder panels not yet held that ``tilings`` name."""
-        missing, grown, remainders = [], [], {}
+    def estimate(self, level: int, total_time: float) -> tuple[np.ndarray, int, float]:
+        """Gamma estimate of the point at ``total_time`` on ``level``, its node
+        count and its relative change from the level before (NaN on the first
+        level).  Raises ConvergenceError if the estimate is not finite:
+        refinement cannot repair an overflowed integrand."""
+        key = level, total_time
+        if key not in self._estimates:
+            pairs = [key]
+            for t in self._planned:
+                first = self.first_level(t)
+                pairs += [(first, t), (first + 1, t)]
+            self._planned = []
+            self._batch(pairs)
+        gamma, nodes, finite, change = self._estimates[key]
+        if not finite:
+            raise ConvergenceError(
+                f"non-finite decay exponent estimate on {nodes} nodes "
+                f"(while evaluating T={total_time:.6g})",
+                previous=self._estimates.get((level - 1, total_time), (gamma,))[0],
+                current=gamma,
+            )
+        return gamma, nodes, change
+
+    def _batch(self, pairs: list[tuple[int, float]]) -> None:
+        """Estimate Gamma for every (level, total time) of ``pairs``, each once,
+        grouped by level in order of first appearance.  A level sums its points
+        in groups padded to the longest, each keeping its (point, node) pairs
+        within the nodes of the first two levels of a point at _MAX_PANELS: the
+        table's memory stays set by its filter calls, however many points share it.
+        """
+        pairs = list(dict.fromkeys(pairs))
+        order = list(dict.fromkeys(level for level, _ in pairs))
+        pairs.sort(key=lambda pair: order.index(pair[0]))
+        levels, times = map(np.array, zip(*pairs))
+        whole, rest, centres, halves = _tilings(levels, self.bath.cutoff * times)
+        starts = [0, *(np.flatnonzero(np.diff(levels)) + 1).tolist(), len(pairs)]
+        groups = [(int(levels[a]), slice(a, b)) for a, b in zip(starts, starts[1:])]
+        panels = self._fill(groups, whole, rest, centres, halves)
+        gamma = np.empty((len(pairs), self.unit.n - 1))
+        for level, part in groups:
+            size = max(1, 3 * _MAX_PANELS // (int(whole[part].max()) + 1) - 1)
+            for start in range(part.start, part.stop, size):
+                group = slice(start, min(start + size, part.stop))
+                gamma[group] = self._reduce_group(level, times[group], whole[group],
+                                                  panels[group])
+        # each estimate's change from its point's level before, in this batch or an earlier one
+        batch = dict(zip(pairs, gamma))
+        blank = (np.full(gamma.shape[1], np.nan),)
+        previous = np.array([batch[key] if key in batch else self._estimates.get(key, blank)[0]
+                             for key in ((level - 1, t) for level, t in pairs)])
+        counts = GL_ORDER * (whole + (panels >= 0))
+        records = zip(gamma, counts.tolist(), np.isfinite(gamma).all(axis=1).tolist(),
+                      _rel_changes(previous, gamma).tolist())
+        self._estimates.update(zip(pairs, records))
+
+    def _fill(self, groups, whole, rest, centres, halves) -> np.ndarray:
+        """Evaluate in one filter call the panels of a batch's tilings that the
+        table lacks, past the held prefix of each level in ``groups`` (level,
+        slice of the batch) and not yet held; return each pair's remainder
+        place, -1 for none."""
+        missing = []
         empty = np.empty(0), np.empty((0, self.unit.n - 1))
-        for lvl, level_tilings in tilings.items():
-            remainders.update((r, None) for _, r in level_tilings.values()
-                              if r is not None and r not in self._remainders)
-            whole = max(w for w, _ in level_tilings.values())
-            held = self._levels.setdefault(lvl, empty)[0].size // GL_ORDER
-            if whole > held:
-                width, start = math.ldexp(_PANEL_WIDTH, -lvl), len(missing) * GL_ORDER
-                missing += [((k + 0.5) * width, 0.5 * width) for k in range(held, whole)]
-                grown.append((lvl, slice(start, len(missing) * GL_ORDER)))
-        first_remainder = len(missing)
-        missing += remainders
-        if not missing:
-            return
-        centres, halves = np.array(missing).T
+        for level, part in groups:
+            top = int(whole[part].max())
+            held = self._levels.setdefault(level, empty)[0].size // GL_ORDER
+            if top > held:
+                width = math.ldexp(_PANEL_WIDTH, -level)
+                missing.append((level, (np.arange(held, top) + 0.5) * width,
+                                np.full(top - held, 0.5 * width)))
+        # each remainder panel's place in the store: held, or new in order of first use
+        places = dict(self._places)
+        panels = np.full(whole.size, -1)
+        panels[rest] = [places.setdefault(key, len(places))
+                        for key in zip(centres[rest].tolist(), halves[rest].tolist())]
+        fresh = np.array(list(places)[len(self._places):]).reshape(-1, 2)
+        if not missing and not fresh.size:
+            return panels
+        centres = np.concatenate([c for _, c, _ in missing] + [fresh[:, 0]])
+        halves = np.concatenate([h for _, _, h in missing] + [fresh[:, 1]])
         nodes = (centres[:, None] + halves[:, None] * _GL_NODES).ravel()
         chi = exponent_filters(nodes, self.unit)
         rows = (chi.real**2 + chi.imag**2) * (halves[:, None] * _GL_WEIGHTS).reshape(-1, 1)
-        for lvl, part in grown:
-            held_nodes, held_rows = self._levels[lvl]
-            self._levels[lvl] = (np.concatenate((held_nodes, nodes[part])),
-                                 np.concatenate((held_rows, rows[part])))
-        for i, panel in enumerate(remainders, first_remainder):
-            part = slice(i * GL_ORDER, (i + 1) * GL_ORDER)
-            # copies, so that the batch's arrays are freed
-            self._remainders[panel] = nodes[part].copy(), rows[part].copy()
+        start = 0
+        for level, grown, _ in missing:
+            stop = start + grown.size * GL_ORDER
+            held_nodes, held_rows = self._levels[level]
+            self._levels[level] = (np.concatenate((held_nodes, nodes[start:stop])),
+                                   np.concatenate((held_rows, rows[start:stop])))
+            start = stop
+        # copies, so that the batch's arrays are freed
+        self._panel_nodes = np.concatenate((self._panel_nodes, nodes[start:]))
+        self._panel_rows = np.concatenate((self._panel_rows, rows[start:]))
+        self._places = places
+        return panels
 
-    def _reduce(self, level: int, tilings: dict[float, tuple]) -> None:
-        """Estimate Gamma on ``level`` for every point of ``tilings`` (total
-        time: tiling), one reduction per group of points.
-
-        A group pads its points to the longest, so it takes as many points as
-        keep its (point, node) pairs within the nodes of the first two levels
-        of a point at _MAX_PANELS: the table's memory stays set by its filter
-        calls, however many points share it.
-        """
-        points = list(tilings.items())
-        span = GL_ORDER * (max(whole for whole, _ in tilings.values()) + 1)
-        size = max(1, 3 * GL_ORDER * _MAX_PANELS // span - 1)
-        for start in range(0, len(points), size):
-            self._reduce_group(level, dict(points[start:start + size]))
-
-    def _reduce_group(self, level: int, tilings: dict[float, tuple]) -> None:
-        """Estimate Gamma on ``level`` at once for every point of ``tilings``.
+    def _reduce_group(self, level: int, times, whole, panels) -> np.ndarray:
+        """Gamma estimates on ``level``, one row per point at ``times`` with
+        ``whole`` panels and remainder ``panels`` (store places, -1 for none).
 
         One bath weight call covers every point's nodes.  Each point's sum then
         runs in node order over its whole panels, then over its remainder
-        panel, as a sum over that point alone would: no point's sum depends on
-        the others.
+        panel, as a sum over that point alone would.
         """
         nodes, rows = self._levels[level]
-        times = np.array(list(tilings))
-        ends = GL_ORDER * np.array([whole for whole, _ in tilings.values()])
-        rest = [i for i, (_, panel) in enumerate(tilings.values()) if panel is not None]
-        held = [self._remainders[panel] for _, panel in tilings.values() if panel is not None]
+        ends = GL_ORDER * whole
+        rest = np.flatnonzero(panels >= 0)
         span, width, count = int(ends.max()), rows.shape[1], times.size
-        rest_nodes = np.array([panel_nodes for panel_nodes, _ in held]).reshape(-1, GL_ORDER)
+        rest_nodes = self._panel_nodes.reshape(-1, GL_ORDER)[panels[rest]]
         # Per point, then one all-zero point: weights of its whole panels, zero
         # past its own, then of its remainder panel, zero if it has none.  With
         # at least two points, the reductions below loop over points innermost
@@ -510,9 +574,8 @@ class FilterTable:
         used[rest, span:] = True
         weights = np.zeros(used.shape)
         panel_rows = np.zeros((count + 1, GL_ORDER, width))
-        panel_rows[rest] = np.array([held_rows for _, held_rows in held]).reshape(
-            -1, GL_ORDER, width)
-        # an overflow is reported once, as _level_estimates' ConvergenceError
+        panel_rows[rest] = self._panel_rows.reshape(-1, GL_ORDER, width)[panels[rest]]
+        # an overflow is reported once, as estimate's ConvergenceError
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             # w = u/T of every used (point, node) pair, then its bath weight
             np.divide(nodes[:span], np.append(times, 1.0)[:, None], out=weights[:, :span],
@@ -530,10 +593,7 @@ class FilterTable:
             # then its remainder panel's terms
             np.multiply(weights[:, span:].T[..., None], panel_rows.transpose(1, 0, 2),
                         out=terms[1:])
-            gamma = times[:, None] * terms.sum(axis=0)[:-1]
-        ends[rest] += GL_ORDER
-        for t, point, size in zip(tilings, gamma, ends.tolist()):
-            self._estimates[level, t] = point, size
+            return times[:, None] * terms.sum(axis=0)[:-1]
 
 
 @dataclass(frozen=True)
@@ -568,42 +628,6 @@ def _first_level(upper: float) -> int:
     return level
 
 
-def _level_estimates(schedule: ScheduleSpec, table: FilterTable):
-    """Yield (Gamma estimate, node count) at successive levels from the first.
-
-    An estimate sums the table's panels below u = cutoff*T, the remainder
-    panel up to the cutoff included, weighted by the bath at w = u/T.  Raises
-    ConvergenceError at the first non-finite estimate: refinement cannot
-    repair an overflowed integrand.
-    """
-    total_time = schedule.total_time
-    level = _first_level(table.bath.cutoff * total_time)
-    prev = None
-    while True:
-        gamma, nodes = table.estimate(level, total_time)
-        if not np.isfinite(gamma).all():
-            raise ConvergenceError(
-                f"non-finite decay exponent estimate on {nodes} nodes "
-                f"(while evaluating T={total_time:.6g})",
-                previous=gamma if prev is None else prev,
-                current=gamma,
-            )
-        yield gamma, nodes
-        prev = gamma
-        level += 1
-
-
-def _max_rel_change(prev: np.ndarray, curr: np.ndarray) -> float:
-    """Largest relative change between two finite estimates."""
-    err = 0.0
-    for p, c in zip(prev.tolist(), curr.tolist()):
-        scale = max(abs(c), abs(p))
-        if scale <= _ZERO_FLOOR:
-            continue
-        err = max(err, abs(c - p) / scale)
-    return err
-
-
 def decay_exponents(
     schedule: ScheduleSpec,
     bath: BathSpec,
@@ -629,30 +653,26 @@ def decay_exponents(
         raise ValueError(f"rel_tol must be finite and in (0, 1), got {rel_tol}")
     if table is None:
         table = FilterTable(schedule, bath, [schedule.total_time])
-    elif dataclasses.replace(schedule, total_time=1.0) != table.unit:
+    elif _fractions_key(schedule) != table.key:
         raise ValueError("filter table was built for other pulse fractions")
     elif table.bath != bath:
         raise ValueError("filter table was built for another bath")
-    levels = _level_estimates(schedule, table)
-    curr, points = next(levels)
+    total_time = schedule.total_time
+    level = table.first_level(total_time)
+    curr, points, _ = table.estimate(level, total_time)
     prev = curr
-    for _ in range(_MAX_DOUBLINGS):
-        prev, (curr, points) = curr, next(levels)
-        if _max_rel_change(prev, curr) <= rel_tol:
-            for _ in range(extra_levels):
-                prev, (curr, points) = curr, next(levels)
-            return DecayExponents(
-                gamma=curr,
-                quadrature_points=points,
-                estimated_relative_error=_max_rel_change(prev, curr),
-            )
+    for level in range(level + 1, level + _MAX_DOUBLINGS + 1):
+        prev, (curr, points, change) = curr, table.estimate(level, total_time)
+        if change <= rel_tol:
+            for level in range(level + 1, level + extra_levels + 1):
+                curr, points, change = table.estimate(level, total_time)
+            return DecayExponents(gamma=curr, quadrature_points=points,
+                                  estimated_relative_error=change)
     raise ConvergenceError(
         f"decay exponents did not converge to rel_tol={rel_tol:g} within "
         f"{_MAX_DOUBLINGS} doublings ({points} nodes) "
-        f"(while evaluating T={schedule.total_time:.6g})",
-        previous=prev,
-        current=curr,
-    )
+        f"(while evaluating T={total_time:.6g})",
+        previous=prev, current=curr)
 
 
 @dataclass(frozen=True)

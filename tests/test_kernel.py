@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,6 +232,31 @@ class TestBesselSeries:
                 pick = rng.choice(z.size, size, replace=False)
                 np.testing.assert_array_equal(
                     kernel._bessel_sums(z[pick], orders[pick], weights), full[pick])
+
+    @pytest.mark.parametrize("cycles", [3, 400])
+    def test_wide_call_sums_do_not_depend_on_the_other_frequencies(self, cycles):
+        # on one thread, past about 4170 columns, OpenBLAS takes a product's
+        # last columns from another kernel; sliced products keep every
+        # frequency's bits.  At N = 3 every block weighs the real parts, at
+        # N = 400 (orders to about 480) no block does.
+        code = (
+            "import numpy as np\n"
+            "import ladder_dd.kernel as kernel\n"
+            "rng = np.random.default_rng(4170)\n"
+            "z = rng.uniform(0.0, 400.0, 6000)\n"
+            "orders = kernel._miller_orders(z)\n"
+            f"weights = kernel._udd_weights(int(orders.max()), 6, {cycles})\n"
+            "full = kernel._bessel_sums(z, orders, weights)\n"
+            "for size in rng.integers(4170, z.size, 24).tolist():\n"
+            "    pick = rng.choice(z.size, size, replace=False)\n"
+            "    np.testing.assert_array_equal(\n"
+            "        kernel._bessel_sums(z[pick], orders[pick], weights), full[pick])\n"
+        )
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": str(Path(kernel.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_few_frequencies_take_the_boundary_sum(self):
         # the oracle's handful of mode frequencies: the boundary sum is cheaper
@@ -554,7 +583,7 @@ class TestDecayExponents:
         scale = decay_exponents(schedule, bath).gamma.sum()
         first = kernel._first_level(upper)
         levels = range(first, first + kernel._MAX_DOUBLINGS + 1)
-        remainders = [kernel._tiling(level, upper)[1] for level in (*levels, levels[-1] + 1)]
+        remainders = [tiling(level, upper)[1] for level in (*levels, levels[-1] + 1)]
         carried = {panel for panel, finer in zip(remainders, remainders[1:])
                    if panel is not None and panel == finer}
         assert carried
@@ -738,7 +767,31 @@ def _custom_fractions(n, cycles):
 
 def remainder_panels(table):
     """(centre, half-width) of the remainder panels a FilterTable holds."""
-    return list(table._remainders)
+    return list(table._places)
+
+
+def tiling(level, upper):
+    """The rule kernel._tilings applies elementwise: the count of whole panels
+    [k h, (k+1) h], h = 4 pi / 2**level, below ``upper``, then the (centre,
+    half-width) of the remainder panel, or None if ``upper`` is a multiple of h."""
+    width = math.ldexp(kernel._PANEL_WIDTH, -level)
+    whole = math.floor(upper / width)
+    if whole * width < upper:
+        half = 0.5 * (upper - whole * width)
+        return whole, (upper - half, half)
+    return whole, None
+
+
+def max_rel_change(prev, curr):
+    """The rule kernel._rel_changes applies per row: the largest relative
+    change between two finite estimates, over entries above _ZERO_FLOOR."""
+    err = 0.0
+    for p, c in zip(prev.tolist(), curr.tolist()):
+        scale = max(abs(c), abs(p))
+        if scale <= kernel._ZERO_FLOOR:
+            continue
+        err = max(err, abs(c - p) / scale)
+    return err
 
 
 class TestSharedTable:
@@ -769,7 +822,7 @@ class TestSharedTable:
     def _recorded_sweep(self, monkeypatch, scheme, rel_tol=1e-6):
         """Sweep GRID at n = 6, N = 3.  Returns the sweep's table and, per
         filter call of the table, its nodes with the table's prefix sizes per
-        level and remainder panels just before the call."""
+        level and remainder panels' node count just before the call."""
         tables, calls = [], []
 
         class Recorded(kernel.FilterTable):
@@ -781,7 +834,7 @@ class TestSharedTable:
             if schedule.total_time == 1.0:  # the table's unit schedule
                 (table,) = tables
                 sizes = {level: nodes.size for level, (nodes, _) in table._levels.items()}
-                calls.append((np.asarray(omegas), sizes, set(table._remainders)))
+                calls.append((np.asarray(omegas), sizes, table._panel_nodes.size))
             return filters(omegas, schedule)
 
         filters = kernel.exponent_filters
@@ -818,14 +871,14 @@ class TestSharedTable:
         assert np.unique(every).size == every.size
         held = {level: nodes.size for level, (nodes, _) in table._levels.items()}
         after = [(sizes, panels) for _, sizes, panels in calls[1:]]
-        after.append((held, set(table._remainders)))
+        after.append((held, table._panel_nodes.size))
         extended = False
         for (nodes, sizes, panels), (sizes_after, panels_after) in zip(calls, after):
             # a call holds the panels past each level's held prefix and the
             # remainder panels not yet held, nothing else
             added = [table._levels[level][0][sizes.get(level, 0) : size]
                      for level, size in sizes_after.items()]
-            added += [table._remainders[panel][0] for panel in panels_after - panels]
+            added.append(table._panel_nodes[panels:panels_after])
             np.testing.assert_array_equal(np.sort(nodes), np.sort(np.concatenate(added)))
             extended |= any(0 < sizes.get(level, 0) < size for level, size in sizes_after.items())
         assert extended
@@ -840,11 +893,14 @@ class TestSharedTable:
             decay_exponents(ScheduleSpec(Scheme.UDD, 6, 3, t), self.BATH, rel_tol=1e-14,
                             table=table)
         assert len(table._estimates) > 2 * len(self.GRID)
-        for (level, t), (gamma, count) in table._estimates.items():
-            whole, remainder = kernel._tiling(level, self.BATH.cutoff * t)
+        panels = remainder_panels(table)
+        for (level, t), (gamma, count, _, _) in table._estimates.items():
+            whole, remainder = tiling(level, self.BATH.cutoff * t)
             nodes, rows = (held[: whole * kernel.GL_ORDER] for held in table._levels[level])
             if remainder is not None:
-                rest_nodes, rest_rows = table._remainders[remainder]
+                start = kernel.GL_ORDER * panels.index(remainder)
+                part = slice(start, start + kernel.GL_ORDER)
+                rest_nodes, rest_rows = table._panel_nodes[part], table._panel_rows[part]
                 nodes, rows = np.concatenate((nodes, rest_nodes)), np.concatenate((rows, rest_rows))
             terms = kernel._thermal_weight(nodes / t, self.BATH)[:, None] * rows
             assert count == nodes.size
@@ -861,3 +917,96 @@ class TestSharedTable:
         assert remainder_panels(table) == []
         assert result.quadrature_points % (kernel._MIN_PANELS * kernel.GL_ORDER) == 0
         np.testing.assert_allclose(result.gamma, nearby.gamma, rtol=1e-9)
+
+
+class TestTableRecords:
+    """The table's batch arrays against the per-point rules they replace."""
+
+    BATH = BathSpec(alpha=0.25, cutoff=100.0, temperature=150.0)
+
+    def test_tilings_match_the_scalar_rule(self):
+        rng = np.random.default_rng(305)
+        floor, cap = 1.7896e-305, kernel._MAX_PANELS * kernel._PANEL_WIDTH  # 1.78951e-305 rejected
+        uppers = [floor, np.nextafter(floor, 1.0), 1.79e-305, cap, np.nextafter(cap, 0.0),
+                  *np.exp(rng.uniform(math.log(floor), math.log(cap), 200)).tolist()]
+        # multiples of the panel width, the deepest ones subnormal
+        for level, counts in ((0, (8, 9, 1000, 2**14)), (3, (8, 1001)), (40, (8, 2**20)),
+                              (1019, (8, 9, 1000)), (1031, (2**16, 2**16 + 1, 3 * 2**15))):
+            width = math.ldexp(kernel._PANEL_WIDTH, -level)
+            uppers += [k * width for k in counts]
+        levels, upper_of = [], []
+        for upper in uppers:
+            first = kernel._first_level(upper)
+            levels += range(first, first + kernel._MAX_DOUBLINGS + 2)
+            upper_of += [upper] * (kernel._MAX_DOUBLINGS + 2)
+        whole, rest, centres, halves = kernel._tilings(np.array(levels), np.array(upper_of))
+        want = [tiling(level, upper) for level, upper in zip(levels, upper_of)]
+        assert whole.tolist() == [count for count, _ in want]
+        assert rest.tolist() == [panel is not None for _, panel in want]
+        assert not rest.all()  # the multiples leave none
+        panels = np.array([panel for _, panel in want if panel is not None])
+        got = np.column_stack((centres[rest], halves[rest]))
+        np.testing.assert_array_equal(got.view(np.int64), panels.view(np.int64))
+
+    def test_changes_match_the_scalar_rule(self):
+        rng = np.random.default_rng(15)
+        floor = kernel._ZERO_FLOOR
+        values = np.array([0.0, -0.0, floor, -floor, np.nextafter(floor, 1.0),
+                           np.nextafter(floor, 0.0), 5e-324, -2e-310, 1e-300, 3e-16, 1e-12,
+                           -1e-12, 0.5, -2.0, 1e308, -1e308])
+        prev = rng.choice(values, (400, 5))
+        curr = rng.choice(values, (400, 5))
+        curr[::2] = prev[::2] * (1.0 + rng.uniform(-1e-6, 1e-6, (200, 5)))
+        got = kernel._rel_changes(prev, curr)
+        want = [max_rel_change(p, c) for p, c in zip(prev, curr)]
+        np.testing.assert_array_equal(got.view(np.int64), np.array(want).view(np.int64))
+        assert np.isnan(kernel._rel_changes(np.full((1, 5), np.nan), curr[:1])).all()
+
+    @pytest.mark.parametrize("scheme", [Scheme.PDD, Scheme.UDD])
+    def test_settled_points_are_lookups(self, scheme, monkeypatch):
+        # the first point's batch fills the table once and sums every point's
+        # first two levels; every later point settles on them and only reads
+        events = []
+
+        def recording(name, function):
+            def wrapped(*args, **kwargs):
+                events.append(name)
+                return function(*args, **kwargs)
+            return wrapped
+
+        for name in ("_fill", "_reduce_group"):
+            monkeypatch.setattr(FilterTable, name, recording(name, getattr(FilterTable, name)))
+        monkeypatch.setattr(kernel, "decay_exponents", recording("point", decay_exponents))
+        template = ScheduleSpec(scheme=scheme, n=6, cycles=50, total_time=1.0)
+        grid = TestSweepCurve.DEFAULT_GRID
+        sweep_curve(template, self.BATH, grid)
+        second = events.index("point", 1)
+        assert events[:2] == ["point", "_fill"] and "_fill" not in events[2:second]
+        assert events[second:] == ["point"] * (grid.size - 1)
+
+    @pytest.mark.parametrize("scheme", [Scheme.PDD, Scheme.UDD])
+    def test_on_demand_levels_match_one_point_tables(self, scheme, monkeypatch):
+        # at 1e-13 points refine past the first batch, so deeper levels run
+        # as one-point batches whose changes compare with an earlier batch's
+        # estimates.  The UDD series is forced, so that a node's filter does
+        # not depend on the size of its call.
+        monkeypatch.setattr(kernel, "_SERIES_GAIN", math.inf)
+        fills, fill = [], FilterTable._fill
+
+        def counting(*args):
+            fills.append(1)
+            return fill(*args)
+
+        monkeypatch.setattr(FilterTable, "_fill", counting)
+        template = ScheduleSpec(scheme=scheme, n=6, cycles=50, total_time=1.0)
+        grid = TestSweepCurve.DEFAULT_GRID
+        curve = sweep_curve(template, self.BATH, grid, rel_tol=1e-13)
+        assert len(fills) > 1
+        alone = [decay_exponents(ScheduleSpec(scheme, 6, 50, t), self.BATH, rel_tol=1e-13)
+                 for t in grid.tolist()]
+        np.testing.assert_array_equal(
+            curve.values, [np.exp(-point.gamma.sum()) for point in alone])
+        np.testing.assert_array_equal(
+            curve.quadrature_points, [point.quadrature_points for point in alone])
+        np.testing.assert_array_equal(
+            curve.estimated_relative_error, [point.estimated_relative_error for point in alone])
