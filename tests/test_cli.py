@@ -386,14 +386,15 @@ class TestMemoryError:
 
 def test_runtime_needs_numpy_alone(tmp_path):
     # every subcommand that computes runs without importing scipy, which is
-    # only the tests' independent reference, and only oracle-check loads the oracle
+    # only the tests' independent reference, only oracle-check loads the
+    # oracle, and the curve's Gauss-Legendre rule is literal, not numpy.polynomial
     src = Path(cli.__file__).resolve().parents[1]
     code = (
         "import sys\n"
         "from ladder_dd.cli import main\n"
         "assert main(['verify-group', '--n', '3']) == 0\n"
         f"assert main({['curve', *FAST_CURVE, '--out', str(tmp_path / 'c.csv')]!r}) == 0\n"
-        "for name in ('ladder_dd.calibration', 'ladder_dd.fock_oracle'):\n"
+        "for name in ('ladder_dd.calibration', 'ladder_dd.fock_oracle', 'numpy.polynomial'):\n"
         "    assert name not in sys.modules, f'{name} was imported'\n"
         "assert main(['oracle-check']) == 0\n"
         "assert 'scipy' not in sys.modules, 'scipy was imported'\n"

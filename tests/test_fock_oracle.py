@@ -1,3 +1,4 @@
+import cmath
 import math
 from functools import partial
 
@@ -29,7 +30,7 @@ from ladder_dd.fock_oracle import (
     thermal_state,
 )
 from ladder_dd.kernel import ConvergenceError, position_filters
-from ladder_dd.operators import DecouplingGroup, build_decoupling_group, is_unitary
+from ladder_dd.operators import DecouplingGroup, build_decoupling_group, is_unitary, sigma_z
 from ladder_dd.schedules import Scheme, ScheduleSpec
 
 MODE_N2 = ModeSpec(transition=0, omega=1.0, coupling=0.1, fock_dim=25)
@@ -127,6 +128,69 @@ def _substep_pairs():
              scipy.linalg.expm(generator))]
 
 
+def _bits(value):
+    return np.asarray(value, dtype=complex).tobytes()
+
+
+def uncached_expm(dim, z):
+    """The displacement formula with a fresh eigh, arange and .flat diagonal."""
+    a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1)
+    lam, vecs = np.linalg.eigh(1j * (a.T - a))
+    rotated = np.exp(1j * cmath.phase(z) * np.arange(dim))[:, None] * vecs
+    out = (rotated * np.expm1(-1j * abs(z) * lam)) @ rotated.conj().T
+    out.flat[:: dim + 1] += 1.0
+    return out
+
+
+def identity_started_coherence(case, substeps=None):
+    """evolve_pulsed's product form with every chain multiplied onto the
+    identity, a per-step argsort of each pulse permutation and numpy scalars
+    for the segments and level weights."""
+    n = case.n
+    schedule = ScheduleSpec(case.scheme, n, case.cycles, case.total_time)
+    elements = build_decoupling_group(n).elements
+    pulses = [elements[l] @ elements[l - 1].conj().T for l in range(1, n)]
+    splits = []
+    for pulse in pulses + [elements[n - 1].conj().T]:
+        perm = np.argmax(pulse != 0, axis=0)
+        splits.append((perm, pulse[perm, np.arange(n)]))
+    steps = [(float(schedule.boundaries[j * n + l]), float(schedule.segments[j, l]), splits[l])
+             for j in range(case.cycles) for l in range(n)]
+
+    def substep_segment(mode, weight, t_start, dt):
+        step = dt / substeps
+        block = np.eye(mode.fock_dim, dtype=complex)
+        for s in range(substeps):
+            drive = mode.coupling * cmath.exp(1j * mode.omega * (t_start + (s + 0.5) * step))
+            block = fock_oracle.expm(mode.fock_dim, -1j * weight * drive * step) @ block
+        return block
+
+    segment = fock_oracle._segment_exact if substeps is None else substep_segment
+    a, b = 0, 1
+    for *_, split in reversed(steps):
+        inverse = np.argsort(split[0])
+        a, b = inverse[a], inverse[b]
+    atom = superposition_state(n)
+    factor = complex(atom[a, b])
+    path = []
+    for t_start, dt, (perm, phases) in steps:
+        if dt > 0:
+            path.append((t_start, dt, a, b))
+        factor *= phases[a] * np.conj(phases[b])
+        a, b = perm[a], perm[b]
+    for mode in case.modes:
+        rho = thermal_state(mode, case.temperature)
+        weights = np.real(np.diag(sigma_z(n, mode.transition)))
+        left = right = np.eye(mode.fock_dim, dtype=complex)
+        for t_start, dt, row, col in path:
+            if weights[row] != 0.0:
+                left = segment(mode, weights[row], t_start, dt) @ left
+            if weights[col] != 0.0:
+                right = segment(mode, weights[col], t_start, dt) @ right
+        factor *= np.trace(left @ rho @ right.conj().T)
+    return complex(factor)
+
+
 class TestExpm:
     @pytest.mark.parametrize("pairs", [
         *(partial(_random_displacements, dim) for dim in (2, 3, 12, 25, 50)),
@@ -138,6 +202,13 @@ class TestExpm:
         for propagator, reference in pairs():
             assert np.max(np.abs(propagator - reference)) <= 1e-12
             assert is_unitary(propagator)
+
+    def test_cached_factors_keep_every_bit(self):
+        # the level indices and diagonal positions cached with the basis give
+        # the bits of the formula that rebuilt them at every call
+        for dim in range(2, 26):
+            for z in (0.0, 0.4, -0.4, 5.0, -5.0, 2.5j, -1e-9j, 1.7 - 3.2j, -3.0 + 3.9j, 1e-300):
+                assert _bits(fock_oracle.expm(dim, z)) == _bits(uncached_expm(dim, z)), (dim, z)
 
 
 class TestThermalState:
@@ -294,6 +365,35 @@ class TestEvolvePulsed:
         dense = DENSE_COHERENCE[name]
         assert abs(coherence - dense) <= 1e-12 * abs(dense)
 
+    def test_chains_keep_the_bits_of_identity_started_products(self):
+        # each side starts from its first propagator, the inverses are taken
+        # once per pulse and the weights are Python floats: same bits
+        for case in default_calibration_cases():
+            got = evolve_pulsed(case.modes, ScheduleSpec(case.scheme, case.n, case.cycles,
+                                                         case.total_time),
+                                build_decoupling_group(case.n), superposition_state(case.n),
+                                case.temperature)
+            assert _bits(got) == _bits(identity_started_coherence(case)), case.name
+        case = default_calibration_cases()[2]
+        schedule = ScheduleSpec(case.scheme, case.n, case.cycles, case.total_time)
+        got = evolve_pulsed(case.modes, schedule, build_decoupling_group(case.n),
+                            superposition_state(case.n), case.temperature,
+                            substeps=4, substep_tol=1.0)
+        assert _bits(got) == _bits(identity_started_coherence(case, substeps=8))
+
+    def test_one_expm_per_displacement_on_the_frozen_suite(self, monkeypatch):
+        calls = []
+
+        def counting_expm(dim, z):
+            calls.append(dim)
+            return expm(dim, z)
+
+        expm = fock_oracle.expm
+        monkeypatch.setattr(fock_oracle, "expm", counting_expm)
+        assert all(result.passed for result in run_calibration_suite(
+            default_calibration_cases()[:5]))
+        assert len(calls) == 60
+
     def test_substep_refinement_failure_raises(self):
         with pytest.raises(ConvergenceError, match="sub-step"):
             self._run(2, (MODE_N2,), substeps=1, substep_tol=1e-14)
@@ -373,8 +473,9 @@ class TestMonomialSplit:
         pulses = [*elements, elements[n - 1].conj().T]
         pulses += [elements[l] @ elements[l - 1].conj().T for l in range(1, n)]
         for pulse in pulses:
-            perm, phases = _monomial_split(pulse)
+            perm, inverse, phases = _monomial_split(pulse)
             assert sorted(perm) == list(range(n))
+            assert [inverse[level] for level in perm] == list(range(n))
             rebuilt = np.zeros((n, n), dtype=complex)
             rebuilt[perm, np.arange(n)] = phases
             np.testing.assert_array_equal(rebuilt, pulse)
@@ -383,10 +484,15 @@ class TestMonomialSplit:
         np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0),  # Hadamard
         np.array([[1.0, 1.0], [0.0, 0.0]]),  # one per column, two in row 0
         np.array([[1.0, 0.0], [0.0, 0.0]]),  # empty column
+        np.array([[1.0, 0.0], [1.0, 0.0]]),  # one per row, two in column 0
     ])
     def test_non_monomial_pulse_is_rejected(self, pulse):
-        with pytest.raises(NonMonomialPulseError, match="not monomial"):
+        nonzero = pulse != 0
+        message = (f"pulse is not monomial: nonzero entries per column {nonzero.sum(axis=0)}, "
+                   f"per row {nonzero.sum(axis=1)}")
+        with pytest.raises(NonMonomialPulseError) as raised:
             _monomial_split(pulse)
+        assert str(raised.value) == message
         group = DecouplingGroup(dim=2, elements=(np.eye(2, dtype=complex), pulse))
         with pytest.raises(NonMonomialPulseError):
             evolve_pulsed((MODE_N2,), ScheduleSpec(Scheme.PDD, 2, 1, 1.0), group,

@@ -316,6 +316,29 @@ class TestExponentFilter:
         variant = -2 * eta[1] + eta[0] + eta[3]
         assert abs(exponent_filters(omega, schedule)[0, 1] - variant) > 1e-3
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_slices_equal_the_rolled_stencil(self, n, monkeypatch):
+        # column slices add the same terms in the same order as two full
+        # np.roll copies, so chi keeps its bits in every filter form
+        rng = np.random.default_rng(n)
+        omegas = np.array([0.0, *rng.uniform(0.0, 300.0, 40)])
+        schedules = [ScheduleSpec(Scheme.PDD, n, 7, 2.3),
+                     ScheduleSpec(Scheme.CUSTOM, n, 5, 2.3,
+                                  custom_fractions=_custom_fractions(n, 5))]
+        forms = [(Scheme.PDD, None), (Scheme.CUSTOM, None),
+                 (Scheme.UDD, math.inf), (Scheme.UDD, 0.0)]
+        for scheme, gain in forms:
+            schedule = (ScheduleSpec(Scheme.UDD, n, 7, 2.3) if scheme is Scheme.UDD
+                        else schedules[scheme is Scheme.CUSTOM])
+            if gain is not None:  # the Bessel series, then the boundary sum
+                monkeypatch.setattr(kernel, "_SERIES_GAIN", gain)
+                series = kernel._udd_series_orders(omegas, schedule) is not None
+                assert series == (gain == math.inf)
+            eta = position_filters(omegas, schedule)
+            rolled = np.roll(eta, 1, axis=1) - 2.0 * eta + np.roll(eta, -1, axis=1)
+            got = exponent_filters(omegas, schedule)
+            assert got.tobytes() == rolled[:, : n - 1].tobytes(), (scheme, gain)
+
     def test_hahn_echo_closed_form(self):
         # two levels, single midpoint pulse
         total_time = 1.9
@@ -391,6 +414,11 @@ class TestDecayIntegrand:
 
 
 class TestDecayExponents:
+    def test_literal_rule_is_leggauss_bit_for_bit(self):
+        nodes, weights = np.polynomial.legendre.leggauss(kernel.GL_ORDER)
+        assert kernel._GL_NODES.tobytes() == nodes.tobytes()
+        assert kernel._GL_WEIGHTS.tobytes() == weights.tobytes()
+
     def test_decoupled_bath_gives_zero(self):
         bath = BathSpec(alpha=0.0, cutoff=10.0, temperature=1.0)
         schedule = ScheduleSpec(Scheme.PDD, 3, 2, 2.0)
