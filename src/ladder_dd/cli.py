@@ -46,7 +46,7 @@ exit codes:
   0  success
   1  a verification check did not pass (verify-group, oracle-check)
   2  invalid arguments, configuration or input files, or too large for memory
-  3  quadrature or sub-step refinement did not converge
+  3  quadrature refinement did not converge
   4  file system failure while writing output
 """
 

@@ -40,6 +40,10 @@ from .schedules import ScheduleSpec
 DEFAULT_TAIL = 1e-10
 DIM_CAP = 2000
 
+# Largest coherence change between the sub-stepped runs at substeps and
+# 2 * substeps that evolve_pulsed accepts.
+SUBSTEP_TOL = 1e-8
+
 
 class TruncationError(ValueError):
     """Truncated Fock space too small for the requested thermal state."""
@@ -266,7 +270,6 @@ def evolve_pulsed(
     atom_state: np.ndarray,
     temperature: float,
     substeps: int | None = None,
-    substep_tol: float = 1e-8,
 ) -> complex:
     """(0,1) coherence after the full pulsed sequence, evolved exactly.
 
@@ -276,14 +279,11 @@ def evolve_pulsed(
     closed-form Magnus propagator or, with ``substeps`` set, the cross-check:
     that many piecewise-constant midpoint exponentials, run again at doubled
     resolution, raising ConvergenceError if the coherence moves by more than
-    ``substep_tol``.  ``substeps`` must be an int >= 1 and ``substep_tol``
-    finite and > 0.
+    SUBSTEP_TOL.  ``substeps`` must be an int >= 1.
     """
     if substeps is not None and (isinstance(substeps, bool)
                                  or not isinstance(substeps, (int, np.integer)) or substeps < 1):
         raise ValueError(f"substeps must be an int >= 1, got {substeps!r}")
-    if not (math.isfinite(substep_tol) and substep_tol > 0):
-        raise ValueError(f"substep_tol must be finite and > 0, got {substep_tol!r}")
     n = schedule.n
     if group.dim != n:
         raise ValueError(f"dimension mismatch: schedule n={n}, group n={group.dim}")
@@ -305,9 +305,9 @@ def evolve_pulsed(
         for count in (substeps, 2 * substeps)
     )
     drift = abs(coarse - fine)
-    if drift > substep_tol:
+    if drift > SUBSTEP_TOL:
         raise ConvergenceError(
-            f"sub-step halving moved the coherence by {drift:.3e} > {substep_tol:g}; "
+            f"sub-step halving moved the coherence by {drift:.3e} > {SUBSTEP_TOL:g}; "
             f"increase substeps (ran {substeps} and {2 * substeps})",
             previous=np.array([coarse]),
             current=np.array([fine]),

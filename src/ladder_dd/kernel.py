@@ -43,20 +43,21 @@ filter of the same fractions over total time 1, so in u = w T
     Gamma_k(T) = T * integral_0^{w_c T} W(u/T) |chi1_k(u)|^2 du,
     W(w) = I(w) coth(w/(2 Tp)) / 2.
 
-A FilterTable holds |chi1_k|^2 on Gauss-Legendre panels of width 4 pi / 2**L
-in u: per level L a contiguous prefix of whole panels from u = 0, of which a
-point up to u = cutoff*T takes the first floor(cutoff*T 2**L / 4 pi), and a
-store of remainder panels up to each point's cutoff*T.  The points of a
-sweep share one table.  At its first use it tiles every point's first two
-levels at once, evaluates their panels in one filter call (a UDD call costs
-O(max wT) numpy steps however many frequencies it takes), sums each level
-for all its points in one reduction, or a few near the panel cap, and keeps
-every estimate with its convergence test: a point that settles there costs
-a lookup.  A deeper level is the same batch over one point.  A point's sum
-adds its terms in node order, without BLAS, so with numpy's unfused einsum
-it does not depend on the other points of its level; a frequency's filter
-depends on the others of its call only through the call size, which picks
-the UDD form (see _SLICE_COLUMNS), and so at round-off at most.
+A FilterTable sums |chi1_k|^2 on Gauss-Legendre panels of width 4 pi / 2**L
+in u: per level L the whole panels from u = 0, of which a point up to
+u = cutoff*T takes the first floor(cutoff*T 2**L / 4 pi), then one remainder
+panel up to its cutoff*T.  The points of a sweep share one table.  At its
+first use it tiles every point's first two levels at once, evaluates their
+panels in one filter call (a UDD call costs O(max wT) numpy steps however
+many frequencies it takes), sums each level for all its points in one
+reduction, or a few near the panel cap, frees the nodes and keeps every
+estimate with its convergence test: a point that settles there costs a
+lookup.  A deeper level is the same batch over one point's whole tiling.  A
+point's sum adds its terms in node order, without BLAS, so with numpy's
+unfused einsum it does not depend on the other points of its level; a
+frequency's filter depends on the others of its call only through the call
+size, which picks the UDD form (see _SLICE_COLUMNS), and so at round-off at
+most.
 """
 
 from __future__ import annotations
@@ -438,43 +439,25 @@ class FilterTable:
     u = w T with the whole panels [k h_L, (k+1) h_L], h_L = 4 pi / 2**L,
     k = 0, 1, ..., which therefore serve every total time: a point with u up
     to cutoff*T takes the first floor(cutoff*T/h_L) of them, then a remainder
-    panel [floor(cutoff*T/h_L) h_L, cutoff*T].  Per level the table holds the nodes
-    and weighted rows w_j |chi1_k(u_j)|^2 of a contiguous prefix of whole
-    panels, grown only past its end.  Remainder panels are held in one store,
-    appended per fill, each once: a panel that the next level carries over
-    whole is not evaluated again.  Only panels the table does not hold are
-    evaluated.
+    panel [floor(cutoff*T/h_L) h_L, cutoff*T].
 
     ``times`` lists the total times of a sweep's points.  The table's first
     use is one batch over every listed point's first two levels: one tiling
     of them all, one filter call (a UDD call costs O(max u) numpy steps
     whatever its size) and per level one reduction, or a few near the panel
-    cap.  Per (level, T) it keeps the estimate, its node count, its
-    finiteness and its relative change from the level before: a settled
-    point is a lookup.  A deeper level is the same batch over one point.
-    Using the table mutates it: do not share one table between threads.
+    cap.  The batch's nodes are freed when it returns; per (level, T) the
+    table keeps only the estimate, its node count, its finiteness and its
+    relative change from the level before: a settled point is a lookup.  A
+    deeper level is the same batch over one point's whole tiling.  Using the
+    table mutates it: do not share one table between threads.
     """
 
     def __init__(self, spec: ScheduleSpec, bath: BathSpec, times):
         self.unit = dataclasses.replace(spec, total_time=1.0)
-        self.key = _fractions_key(spec)
         self.bath = bath
-        # nodes and weighted rows, one row per node, of a level's whole-panel prefix
-        self._levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # every remainder panel held: its place by (centre, half-width), then
-        # the nodes and weighted rows of all of them, in that order
-        self._places: dict[tuple[float, float], int] = {}
-        self._panel_nodes, self._panel_rows = np.empty(0), np.empty((0, self.unit.n - 1))
         # per (level, T): Gamma estimate, node count, finite, change from the level before
         self._estimates: dict[tuple[int, float], tuple[np.ndarray, int, bool, float]] = {}
-        self._first: dict[float, int] = {}  # per T
         self._planned = list(times)
-
-    def first_level(self, total_time: float) -> int:
-        """The first level of the point at ``total_time`` (see _first_level)."""
-        if total_time not in self._first:
-            self._first[total_time] = _first_level(self.bath.cutoff * total_time)
-        return self._first[total_time]
 
     def estimate(self, level: int, total_time: float) -> tuple[np.ndarray, int, float]:
         """Gamma estimate of the point at ``total_time`` on ``level``, its node
@@ -485,7 +468,7 @@ class FilterTable:
         if key not in self._estimates:
             pairs = [key]
             for t in self._planned:
-                first = self.first_level(t)
+                first = _first_level(self.bath.cutoff * t)
                 pairs += [(first, t), (first + 1, t)]
             self._planned = []
             self._batch(pairs)
@@ -501,10 +484,14 @@ class FilterTable:
 
     def _batch(self, pairs: list[tuple[int, float]]) -> None:
         """Estimate Gamma for every (level, total time) of ``pairs``, each once,
-        grouped by level in order of first appearance.  A level sums its points
-        in groups padded to the longest, each keeping its (point, node) pairs
-        within the nodes of the first two levels of a point at _MAX_PANELS: the
-        table's memory stays set by its filter calls, however many points share it.
+        grouped by level in order of first appearance.
+
+        One filter call evaluates each level's whole panels from u = 0 up to
+        its longest point's, then the batch's distinct remainder panels in
+        order of first use.  A level sums its points in groups padded to the
+        longest, each keeping its (point, node) pairs within the nodes of the
+        first two levels of a point at _MAX_PANELS: the table's memory stays
+        set by its filter calls, however many points share it.
         """
         pairs = list(dict.fromkeys(pairs))
         order = list(dict.fromkeys(level for level, _ in pairs))
@@ -512,15 +499,28 @@ class FilterTable:
         levels, times = map(np.array, zip(*pairs))
         whole, rest, centres, halves = _tilings(levels, self.bath.cutoff * times)
         starts = [0, *(np.flatnonzero(np.diff(levels)) + 1).tolist(), len(pairs)]
-        groups = [(int(levels[a]), slice(a, b)) for a, b in zip(starts, starts[1:])]
-        panels = self._fill(groups, whole, rest, centres, halves)
+        tops = np.maximum.reduceat(whole, starts[:-1]).tolist()  # per level, in ``order``
+        places, panels = {}, np.full(whole.size, -1)
+        panels[rest] = [places.setdefault(key, len(places))
+                        for key in zip(centres[rest].tolist(), halves[rest].tolist())]
+        panels[rest] += sum(tops)  # the call's remainder panels follow all its whole panels
+        width = np.repeat(np.ldexp(_PANEL_WIDTH, -np.array(order)), tops)
+        index = np.concatenate([np.arange(top) for top in tops])
+        centres = np.append((index + 0.5) * width, [centre for centre, _ in places])
+        halves = np.append(0.5 * width, [half for _, half in places])
+        nodes = (centres[:, None] + halves[:, None] * _GL_NODES).ravel()
+        chi = exponent_filters(nodes, self.unit)
+        rows = (chi.real**2 + chi.imag**2) * (halves[:, None] * _GL_WEIGHTS).reshape(-1, 1)
+        del chi  # held through the reductions, it costs a curve-reference pass ~690 page faults
         gamma = np.empty((len(pairs), self.unit.n - 1))
-        for level, part in groups:
-            size = max(1, 3 * _MAX_PANELS // (int(whole[part].max()) + 1) - 1)
-            for start in range(part.start, part.stop, size):
-                group = slice(start, min(start + size, part.stop))
-                gamma[group] = self._reduce_group(level, times[group], whole[group],
-                                                  panels[group])
+        first = 0  # the level's first node
+        for a, b, top in zip(starts, starts[1:], tops):
+            size = max(1, 3 * _MAX_PANELS // (top + 1) - 1)
+            for start in range(a, b, size):
+                group = slice(start, min(start + size, b))
+                gamma[group] = self._reduce_group(nodes, rows, first, times[group],
+                                                  whole[group], panels[group])
+            first += GL_ORDER * top
         # each estimate's change from its point's level before, in this batch or an earlier one
         batch = dict(zip(pairs, gamma))
         blank = (np.full(gamma.shape[1], np.nan),)
@@ -531,59 +531,22 @@ class FilterTable:
                       _rel_changes(previous, gamma).tolist())
         self._estimates.update(zip(pairs, records))
 
-    def _fill(self, groups, whole, rest, centres, halves) -> np.ndarray:
-        """Evaluate in one filter call the panels of a batch's tilings that the
-        table lacks, past the held prefix of each level in ``groups`` (level,
-        slice of the batch) and not yet held; return each pair's remainder
-        place, -1 for none."""
-        missing = []
-        empty = np.empty(0), np.empty((0, self.unit.n - 1))
-        for level, part in groups:
-            top = int(whole[part].max())
-            held = self._levels.setdefault(level, empty)[0].size // GL_ORDER
-            if top > held:
-                width = math.ldexp(_PANEL_WIDTH, -level)
-                missing.append((level, (np.arange(held, top) + 0.5) * width,
-                                np.full(top - held, 0.5 * width)))
-        # each remainder panel's place in the store: held, or new in order of first use
-        places = dict(self._places)
-        panels = np.full(whole.size, -1)
-        panels[rest] = [places.setdefault(key, len(places))
-                        for key in zip(centres[rest].tolist(), halves[rest].tolist())]
-        fresh = np.array(list(places)[len(self._places):]).reshape(-1, 2)
-        if not missing and not fresh.size:
-            return panels
-        centres = np.concatenate([c for _, c, _ in missing] + [fresh[:, 0]])
-        halves = np.concatenate([h for _, _, h in missing] + [fresh[:, 1]])
-        nodes = (centres[:, None] + halves[:, None] * _GL_NODES).ravel()
-        chi = exponent_filters(nodes, self.unit)
-        rows = (chi.real**2 + chi.imag**2) * (halves[:, None] * _GL_WEIGHTS).reshape(-1, 1)
-        start = 0
-        for level, grown, _ in missing:
-            stop = start + grown.size * GL_ORDER
-            held_nodes, held_rows = self._levels[level]
-            self._levels[level] = (np.concatenate((held_nodes, nodes[start:stop])),
-                                   np.concatenate((held_rows, rows[start:stop])))
-            start = stop
-        # copies, so that the batch's arrays are freed
-        self._panel_nodes = np.concatenate((self._panel_nodes, nodes[start:]))
-        self._panel_rows = np.concatenate((self._panel_rows, rows[start:]))
-        self._places = places
-        return panels
-
-    def _reduce_group(self, level: int, times, whole, panels) -> np.ndarray:
-        """Gamma estimates on ``level``, one row per point at ``times`` with
-        ``whole`` panels and remainder ``panels`` (store places, -1 for none).
+    def _reduce_group(self, nodes, rows, first, times, whole, panels) -> np.ndarray:
+        """Gamma estimates, one row per point at ``times`` with ``whole``
+        panels and remainder ``panels`` (-1 for none), from a batch's filter
+        call: its ``nodes`` and weighted rows w_j |chi1_k(u_j)|^2, the level's
+        whole panels from node ``first`` on, and the remainder panels at
+        their panel index.
 
         One bath weight call covers every point's nodes.  Each point's sum then
         runs in node order over its whole panels, then over its remainder
         panel, as a sum over that point alone would.
         """
-        nodes, rows = self._levels[level]
         ends = GL_ORDER * whole
         rest = np.flatnonzero(panels >= 0)
         span, width, count = int(ends.max()), rows.shape[1], times.size
-        rest_nodes = self._panel_nodes.reshape(-1, GL_ORDER)[panels[rest]]
+        level = slice(first, first + span)
+        rest_nodes = nodes.reshape(-1, GL_ORDER)[panels[rest]]
         # Per point, then one all-zero point: weights of its whole panels, zero
         # past its own, then of its remainder panel, zero if it has none.  With
         # at least two points, the reductions below loop over points innermost
@@ -594,11 +557,11 @@ class FilterTable:
         used[rest, span:] = True
         weights = np.zeros(used.shape)
         panel_rows = np.zeros((count + 1, GL_ORDER, width))
-        panel_rows[rest] = self._panel_rows.reshape(-1, GL_ORDER, width)[panels[rest]]
+        panel_rows[rest] = rows.reshape(-1, GL_ORDER, width)[panels[rest]]
         # an overflow is reported once, as estimate's ConvergenceError
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             # w = u/T of every used (point, node) pair, then its bath weight
-            np.divide(nodes[:span], np.append(times, 1.0)[:, None], out=weights[:, :span],
+            np.divide(nodes[level], np.append(times, 1.0)[:, None], out=weights[:, :span],
                       where=used[:, :span])
             weights[rest, span:] = rest_nodes / times[rest, None]
             weights[used] = _thermal_weight(weights[used], self.bath)
@@ -609,7 +572,7 @@ class FilterTable:
             # what makes a point's bits those of the point alone.
             terms = np.empty((1 + GL_ORDER, count + 1, width))
             node_major = np.ascontiguousarray(weights[:, :span].T)
-            terms[0] = np.einsum("jp,jk->kp", node_major, rows[:span]).T
+            terms[0] = np.einsum("jp,jk->kp", node_major, rows[level]).T
             # then its remainder panel's terms
             np.multiply(weights[:, span:].T[..., None], panel_rows.transpose(1, 0, 2),
                         out=terms[1:])
@@ -673,12 +636,12 @@ def decay_exponents(
         raise ValueError(f"rel_tol must be finite and in (0, 1), got {rel_tol}")
     if table is None:
         table = FilterTable(schedule, bath, [schedule.total_time])
-    elif _fractions_key(schedule) != table.key:
+    elif _fractions_key(schedule) != _fractions_key(table.unit):
         raise ValueError("filter table was built for other pulse fractions")
     elif table.bath != bath:
         raise ValueError("filter table was built for another bath")
     total_time = schedule.total_time
-    level = table.first_level(total_time)
+    level = _first_level(bath.cutoff * total_time)
     curr, points, _ = table.estimate(level, total_time)
     prev = curr
     for level in range(level + 1, level + _MAX_DOUBLINGS + 1):
@@ -715,7 +678,7 @@ def sweep_curve(
     order and share one FilterTable, told every point's total time up front:
     the first point checks every point's range, evaluates the first two levels
     of all of them in one filter call and sums each level in one reduction,
-    and a point that refines further evaluates only the panels no point needed.
+    and a point that refines further evaluates its whole tiling per level.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:

@@ -331,7 +331,8 @@ class TestEvolvePulsed:
         self._run(2, (MODE_N2,), cycles=3)
         assert len(expms) == 12
         expms.clear()
-        self._run(2, (MODE_N2,), cycles=3, substeps=4, substep_tol=1.0)
+        monkeypatch.setattr(fock_oracle, "SUBSTEP_TOL", 1.0)
+        self._run(2, (MODE_N2,), cycles=3, substeps=4)
         assert len(expms) == 6 * 2 * (4 + 8)
         assert eighs == [(11, 11), (9, 9), (25, 25)]
 
@@ -365,7 +366,7 @@ class TestEvolvePulsed:
         dense = DENSE_COHERENCE[name]
         assert abs(coherence - dense) <= 1e-12 * abs(dense)
 
-    def test_chains_keep_the_bits_of_identity_started_products(self):
+    def test_chains_keep_the_bits_of_identity_started_products(self, monkeypatch):
         # each side starts from its first propagator, the inverses are taken
         # once per pulse and the weights are Python floats: same bits
         for case in default_calibration_cases():
@@ -376,9 +377,9 @@ class TestEvolvePulsed:
             assert _bits(got) == _bits(identity_started_coherence(case)), case.name
         case = default_calibration_cases()[2]
         schedule = ScheduleSpec(case.scheme, case.n, case.cycles, case.total_time)
+        monkeypatch.setattr(fock_oracle, "SUBSTEP_TOL", 1.0)
         got = evolve_pulsed(case.modes, schedule, build_decoupling_group(case.n),
-                            superposition_state(case.n), case.temperature,
-                            substeps=4, substep_tol=1.0)
+                            superposition_state(case.n), case.temperature, substeps=4)
         assert _bits(got) == _bits(identity_started_coherence(case, substeps=8))
 
     def test_one_expm_per_displacement_on_the_frozen_suite(self, monkeypatch):
@@ -394,23 +395,20 @@ class TestEvolvePulsed:
             default_calibration_cases()[:5]))
         assert len(calls) == 60
 
-    def test_substep_refinement_failure_raises(self):
+    def test_substep_refinement_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(fock_oracle, "SUBSTEP_TOL", 1e-14)
         with pytest.raises(ConvergenceError, match="sub-step"):
-            self._run(2, (MODE_N2,), substeps=1, substep_tol=1e-14)
+            self._run(2, (MODE_N2,), substeps=1)
 
     @pytest.mark.parametrize("kwargs,name", [
         (dict(substeps=0), "substeps"),
         (dict(substeps=-1), "substeps"),
         (dict(substeps=2.0), "substeps"),
         (dict(substeps=True), "substeps"),
-        (dict(substeps=4, substep_tol=math.nan), "substep_tol"),
-        (dict(substeps=4, substep_tol=math.inf), "substep_tol"),
-        (dict(substeps=4, substep_tol=0.0), "substep_tol"),
-        (dict(substeps=4, substep_tol=-1e-8), "substep_tol"),
     ])
     def test_bad_substep_settings_rejected_before_evolution(self, kwargs, name, monkeypatch):
-        # substeps=-1 once returned the unevolved coherence, substeps=0 raised a
-        # bare ZeroDivisionError and a NaN tolerance accepted any drift
+        # substeps=-1 once returned the unevolved coherence and substeps=0 raised
+        # a bare ZeroDivisionError
         def never(*args, **kwargs):
             raise AssertionError("evolved with an invalid sub-step setting")
 

@@ -504,17 +504,17 @@ class TestDecayExponents:
         assert excinfo.value.previous.shape == (1,)
         assert excinfo.value.current.shape == (1,)
 
-    def test_non_finite_estimates_never_converge(self):
+    def test_non_finite_estimates_never_converge(self, monkeypatch):
         # finite but extreme inputs overflow the integrand; refinement cannot
         # repair that, so the first non-finite estimate raises
         bath = BathSpec(alpha=1e308, cutoff=100.0, temperature=1e308)
         schedule = ScheduleSpec(Scheme.PDD, 6, 2, 1.556)
-        table = FilterTable(schedule, bath, [schedule.total_time])
+        calls = recorded_table_calls(monkeypatch)
         with pytest.raises(ConvergenceError, match="non-finite") as excinfo:
-            decay_exponents(schedule, bath, table=table)
+            decay_exponents(schedule, bath)
         assert not np.isfinite(excinfo.value.current).all()
-        # one level reached: only the first batch's two remainder panels exist
-        assert len(remainder_panels(table)) <= 2
+        # one level reached: only the first batch's filter call ran
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("total_time", [0.3, 16 * math.pi / 100.0])
     def test_small_run_against_riemann_sum(self, total_time):
@@ -700,15 +700,7 @@ class TestSweepCurve:
 
     def test_table_panels_evaluated_once(self, monkeypatch):
         # every table panel is evaluated by the first point that needs it only
-        table_nodes = []
-
-        def recording(omegas, schedule):
-            if schedule.total_time == 1.0:
-                table_nodes.append(np.asarray(omegas))
-            return filters(omegas, schedule)
-
-        filters = kernel.exponent_filters
-        monkeypatch.setattr(kernel, "exponent_filters", recording)
+        table_nodes = recorded_table_calls(monkeypatch)
         grid = np.linspace(0.1, 2.5, 12)
         assert 1.0 not in grid  # total time 1 marks the table's unit schedule
         sweep_curve(self._template(), self._bath(), grid)
@@ -793,9 +785,29 @@ def _custom_fractions(n, cycles):
     return tuple(np.sort(rng.uniform(0.0, 1.0, n * cycles - 1)).tolist())
 
 
-def remainder_panels(table):
-    """(centre, half-width) of the remainder panels a FilterTable holds."""
-    return list(table._places)
+def recorded_table_calls(monkeypatch):
+    """The nodes of every kernel.exponent_filters call on a filter table's
+    unit schedule (total time 1), appended as the calls run."""
+    calls, filters = [], kernel.exponent_filters
+
+    def recording(omegas, schedule):
+        if schedule.total_time == 1.0:
+            calls.append(np.asarray(omegas))
+        return filters(omegas, schedule)
+
+    monkeypatch.setattr(kernel, "exponent_filters", recording)
+    return calls
+
+
+def whole_panels(level, count):
+    """(centre, half-width) of the first ``count`` whole panels of ``level``."""
+    width = math.ldexp(kernel._PANEL_WIDTH, -level)
+    return [((k + 0.5) * width, 0.5 * width) for k in range(count)]
+
+
+def panel_nodes(panels):
+    """The Gauss-Legendre nodes of ``panels`` (centre, half-width), in order."""
+    return np.concatenate([centre + half * kernel._GL_NODES for centre, half in panels])
 
 
 def tiling(level, upper):
@@ -847,102 +859,98 @@ class TestSharedTable:
             (one,) = sweep_curve(template, self.BATH, [t]).values
             assert one == pytest.approx(single, rel=1e-12, abs=0)
 
-    def _recorded_sweep(self, monkeypatch, scheme, rel_tol=1e-6):
-        """Sweep GRID at n = 6, N = 3.  Returns the sweep's table and, per
-        filter call of the table, its nodes with the table's prefix sizes per
-        level and remainder panels' node count just before the call."""
-        tables, calls = [], []
-
-        class Recorded(kernel.FilterTable):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                tables.append(self)
-
-        def recording(omegas, schedule):
-            if schedule.total_time == 1.0:  # the table's unit schedule
-                (table,) = tables
-                sizes = {level: nodes.size for level, (nodes, _) in table._levels.items()}
-                calls.append((np.asarray(omegas), sizes, table._panel_nodes.size))
-            return filters(omegas, schedule)
-
-        filters = kernel.exponent_filters
-        monkeypatch.setattr(kernel, "FilterTable", Recorded)
-        monkeypatch.setattr(kernel, "exponent_filters", recording)
-        template = ScheduleSpec(scheme=scheme, n=6, cycles=3, total_time=1.0)
-        sweep_curve(template, self.BATH, self.GRID, rel_tol=rel_tol)
-        return tables[0], calls
+    def _panels(self, level, total_time):
+        """(centre, half-width) of the panels of the point at ``total_time`` on
+        ``level``, from tiling(): its whole panels in order, then its
+        remainder panel if it has one."""
+        whole, remainder = tiling(level, self.BATH.cutoff * total_time)
+        return whole_panels(level, whole) + ([remainder] if remainder is not None else [])
 
     @pytest.mark.parametrize("scheme", [Scheme.PDD, Scheme.UDD])
     def test_levels_hold_each_whole_panel_once(self, scheme, monkeypatch):
-        # a level holds its whole panels [k h, (k+1) h], k = 0, 1, ..., in
-        # order and without gaps, so a point's panels are a prefix of them
-        table, _ = self._recorded_sweep(monkeypatch, scheme)
-        assert table._levels
-        for level, (nodes, rows) in table._levels.items():
-            assert nodes.size % kernel.GL_ORDER == 0
-            assert np.all(np.diff(nodes) > 0)
-            width = math.ldexp(kernel._PANEL_WIDTH, -level)
-            centres = (np.arange(nodes.size // kernel.GL_ORDER) + 0.5) * width
-            want = centres[:, None] + (0.5 * width) * kernel._GL_NODES
-            np.testing.assert_array_equal(nodes, want.ravel())
-            assert rows.shape == (nodes.size, 5)
+        # the first batch's call holds, per level in order of first use, its
+        # whole panels [k h, (k+1) h], k = 0 .. top-1, in order and without
+        # gaps, so a point's panels are a prefix of them; then each distinct
+        # remainder panel of the batch once, in order of first use
+        calls = recorded_table_calls(monkeypatch)
+        sweep_curve(ScheduleSpec(scheme=scheme, n=6, cycles=3, total_time=1.0), self.BATH,
+                    self.GRID)
+        tops, remainders = {}, {}
+        for t in self.GRID:
+            first = kernel._first_level(self.BATH.cutoff * t)
+            for level in (first, first + 1):
+                whole, remainder = tiling(level, self.BATH.cutoff * t)
+                tops[level] = max(tops.get(level, 0), whole)
+                if remainder is not None:
+                    remainders.setdefault(remainder, None)
+        assert remainders  # the grid leaves remainder panels to hold
+        want = [panel for level, top in tops.items() for panel in whole_panels(level, top)]
+        np.testing.assert_array_equal(calls[0], panel_nodes(want + list(remainders)))
 
-    def test_refinement_evaluates_only_panels_past_the_prefix(self, monkeypatch):
-        # at this tolerance the first point refines past the first batch's two
-        # levels; the last point, one level past its convergence, then extends
-        # level 2, which the batch filled only up to the third point's range
-        table, calls = self._recorded_sweep(monkeypatch, Scheme.UDD, rel_tol=1e-14)
-        last = ScheduleSpec(Scheme.UDD, 6, 3, self.GRID[-1])
-        decay_exponents(last, self.BATH, rel_tol=1e-14, extra_levels=1, table=table)
-        assert len(calls) >= 3
-        every = np.concatenate([nodes for nodes, _, _ in calls])
-        assert np.unique(every).size == every.size
-        held = {level: nodes.size for level, (nodes, _) in table._levels.items()}
-        after = [(sizes, panels) for _, sizes, panels in calls[1:]]
-        after.append((held, table._panel_nodes.size))
-        extended = False
-        for (nodes, sizes, panels), (sizes_after, panels_after) in zip(calls, after):
-            # a call holds the panels past each level's held prefix and the
-            # remainder panels not yet held, nothing else
-            added = [table._levels[level][0][sizes.get(level, 0) : size]
-                     for level, size in sizes_after.items()]
-            added.append(table._panel_nodes[panels:panels_after])
-            np.testing.assert_array_equal(np.sort(nodes), np.sort(np.concatenate(added)))
-            extended |= any(0 < sizes.get(level, 0) < size for level, size in sizes_after.items())
-        assert extended
+    def test_deeper_levels_evaluate_their_points_whole_tiling(self, monkeypatch):
+        # at this tolerance points refine past the first batch's two levels;
+        # each deeper level is one call over exactly its point's tiling there,
+        # the last point's forced extra level included
+        made, estimate = [], FilterTable.estimate  # (level, T) requested, nodes evaluated
 
-    def test_estimates_sum_each_points_own_nodes(self):
-        # every estimate of the level-wide reduction, first batch and deeper
-        # levels alike, against an in-order sum over the point's own nodes:
-        # its whole panels, then its remainder panel
-        table = FilterTable(ScheduleSpec(scheme=Scheme.UDD, n=6, cycles=3, total_time=1.0),
-                            self.BATH, self.GRID)
+        def requesting(table, level, total_time):
+            before = len(calls)
+            result = estimate(table, level, total_time)
+            made.extend(((level, total_time), nodes) for nodes in calls[before:])
+            return result
+
+        monkeypatch.setattr(FilterTable, "estimate", requesting)
+        calls = recorded_table_calls(monkeypatch)
+        template = ScheduleSpec(scheme=Scheme.UDD, n=6, cycles=3, total_time=1.0)
+        table = FilterTable(template, self.BATH, self.GRID)
         for t in self.GRID:
             decay_exponents(ScheduleSpec(Scheme.UDD, 6, 3, t), self.BATH, rel_tol=1e-14,
                             table=table)
+        last = ScheduleSpec(Scheme.UDD, 6, 3, self.GRID[-1])
+        decay_exponents(last, self.BATH, rel_tol=1e-14, extra_levels=1, table=table)
+        assert len(made) == len(calls) >= 3
+        for (level, t), nodes in made[1:]:  # made[0] is the first batch
+            np.testing.assert_array_equal(nodes, panel_nodes(self._panels(level, t)))
+
+    def test_estimates_sum_each_points_own_nodes(self, monkeypatch):
+        # every estimate of the level-wide reduction, first batch and deeper
+        # levels alike, against an in-order sum over the point's own nodes:
+        # its whole panels, then its remainder panel
+        unit = ScheduleSpec(scheme=Scheme.UDD, n=6, cycles=3, total_time=1.0)
+        calls = recorded_table_calls(monkeypatch)
+        table = FilterTable(unit, self.BATH, self.GRID)
+        for t in self.GRID:
+            decay_exponents(ScheduleSpec(Scheme.UDD, 6, 3, t), self.BATH, rel_tol=1e-14,
+                            table=table)
+        monkeypatch.undo()
         assert len(table._estimates) > 2 * len(self.GRID)
-        panels = remainder_panels(table)
+        evaluated = np.concatenate(calls)
         for (level, t), (gamma, count, _, _) in table._estimates.items():
-            whole, remainder = tiling(level, self.BATH.cutoff * t)
-            nodes, rows = (held[: whole * kernel.GL_ORDER] for held in table._levels[level])
-            if remainder is not None:
-                start = kernel.GL_ORDER * panels.index(remainder)
-                part = slice(start, start + kernel.GL_ORDER)
-                rest_nodes, rest_rows = table._panel_nodes[part], table._panel_rows[part]
-                nodes, rows = np.concatenate((nodes, rest_nodes)), np.concatenate((rows, rest_rows))
+            panels = self._panels(level, t)
+            nodes = panel_nodes(panels)
+            assert np.isin(nodes, evaluated).all()
+            halves = [half for _, half in panels]
+            chi = exponent_filters(nodes, unit)
+            rows = (chi.real**2 + chi.imag**2) * np.outer(halves, kernel._GL_WEIGHTS).reshape(-1, 1)
             terms = kernel._thermal_weight(nodes / t, self.BATH)[:, None] * rows
             assert count == nodes.size
             np.testing.assert_allclose(gamma, t * np.add.accumulate(terms)[-1], rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("total_time", [2.0, 16.0])
-    def test_exact_multiple_skips_remainder_panel(self, total_time):
+    def test_exact_multiple_skips_remainder_panel(self, total_time, monkeypatch):
         # a time just past the multiple keeps a sliver of a remainder panel
         nearby = decay_exponents(ScheduleSpec(Scheme.UDD, 3, 4, total_time * (1 + 1e-12)),
                                  self.BATH)
         schedule = ScheduleSpec(Scheme.UDD, 3, 4, total_time)
-        table = FilterTable(schedule, self.BATH, [total_time])
-        result = decay_exponents(schedule, self.BATH, table=table)
-        assert remainder_panels(table) == []
+        calls = recorded_table_calls(monkeypatch)
+        result = decay_exponents(schedule, self.BATH)
+        # the one call holds the whole panels of the first two levels, nothing else
+        first = kernel._first_level(self.BATH.cutoff * total_time)
+        panels = self._panels(first, total_time) + self._panels(first + 1, total_time)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], panel_nodes(panels))
+        assert [tiling(level, self.BATH.cutoff * total_time)[1]
+                for level in (first, first + 1)] == [None, None]
         assert result.quadrature_points % (kernel._MIN_PANELS * kernel.GL_ORDER) == 0
         np.testing.assert_allclose(result.gamma, nearby.gamma, rtol=1e-9)
 
@@ -1002,14 +1010,22 @@ class TestTableRecords:
                 return function(*args, **kwargs)
             return wrapped
 
-        for name in ("_fill", "_reduce_group"):
-            monkeypatch.setattr(FilterTable, name, recording(name, getattr(FilterTable, name)))
+        filters = kernel.exponent_filters
+
+        def filtering(omegas, schedule):
+            if schedule.total_time == 1.0:  # the table's unit schedule
+                events.append("filter")
+            return filters(omegas, schedule)
+
+        monkeypatch.setattr(kernel, "exponent_filters", filtering)
+        monkeypatch.setattr(FilterTable, "_reduce_group",
+                            recording("_reduce_group", FilterTable._reduce_group))
         monkeypatch.setattr(kernel, "decay_exponents", recording("point", decay_exponents))
         template = ScheduleSpec(scheme=scheme, n=6, cycles=50, total_time=1.0)
         grid = TestSweepCurve.DEFAULT_GRID
         sweep_curve(template, self.BATH, grid)
         second = events.index("point", 1)
-        assert events[:2] == ["point", "_fill"] and "_fill" not in events[2:second]
+        assert events[:2] == ["point", "filter"] and "filter" not in events[2:second]
         assert events[second:] == ["point"] * (grid.size - 1)
 
     @pytest.mark.parametrize("scheme", [Scheme.PDD, Scheme.UDD])
@@ -1019,17 +1035,11 @@ class TestTableRecords:
         # estimates.  The UDD series is forced, so that a node's filter does
         # not depend on the size of its call.
         monkeypatch.setattr(kernel, "_SERIES_GAIN", math.inf)
-        fills, fill = [], FilterTable._fill
-
-        def counting(*args):
-            fills.append(1)
-            return fill(*args)
-
-        monkeypatch.setattr(FilterTable, "_fill", counting)
+        calls = recorded_table_calls(monkeypatch)
         template = ScheduleSpec(scheme=scheme, n=6, cycles=50, total_time=1.0)
         grid = TestSweepCurve.DEFAULT_GRID
         curve = sweep_curve(template, self.BATH, grid, rel_tol=1e-13)
-        assert len(fills) > 1
+        assert len(calls) > 1
         alone = [decay_exponents(ScheduleSpec(scheme, 6, 50, t), self.BATH, rel_tol=1e-13)
                  for t in grid.tolist()]
         np.testing.assert_array_equal(
