@@ -128,9 +128,8 @@ def run_case(case: CalibrationCase, wrong_sign: bool = False) -> CalibrationResu
     """
     schedule = ScheduleSpec(case.scheme, case.n, case.cycles, case.total_time)
     group = build_decoupling_group(case.n)
-    atom = superposition_state(case.n)
-    end = evolve_pulsed(case.modes, schedule, group, atom, case.temperature)
-    start = complex(atom[0, 1])
+    end = evolve_pulsed(case.modes, schedule, group, case.temperature)
+    start = complex(superposition_state(case.n)[0, 1])
     observed = abs(end) / abs(start)
     exponent = discrete_decay_exponent(
         case.modes, case.temperature, schedule, wrong_sign=wrong_sign

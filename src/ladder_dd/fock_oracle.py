@@ -4,6 +4,7 @@ The analytic decay exponents rest on a chain of frame transformations and
 index bookkeeping that is easy to get subtly wrong.  This module checks them
 from the other end: evolve the atom and a few explicit oscillator modes
 through the pulsed sequence and read the surviving (0,1) coherence directly.
+Every run starts from the equal superposition of levels 0 and 1.
 
 For purely dephasing coupling the interaction-picture Hamiltonian commutes
 with itself at different times up to a c-number, so the Magnus series of a
@@ -18,10 +19,10 @@ monomial, so the final (0,1) block descends from one initial block (a, b):
 
     coherence = rho_atom[a, b] * (pulse phases) * prod_k Tr[L_k rho_k R_k^dag],
 
-with L_k (R_k) the time-ordered product of mode k's own fock_dim x fock_dim
-segment propagators at the levels the row (column) index visits.  Each
-fock_dim is capped at DIM_CAP: this is a desk-scale validator, not a
-production path.
+where rho_atom is the (0,1) superposition and L_k (R_k) is the time-ordered
+product of mode k's own fock_dim x fock_dim segment propagators at the levels
+the row (column) index visits.  Each fock_dim is capped at DIM_CAP: this is a
+desk-scale validator, not a production path.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from functools import cache, partial
 import numpy as np
 
 from .kernel import ConvergenceError, exponent_filters, position_filters
-from .operators import DecouplingGroup, sigma_z
+from .operators import sigma_z
 from .schedules import ScheduleSpec
 
 DEFAULT_TAIL = 1e-10
@@ -73,8 +74,9 @@ class ModeSpec:
                              f"got {self.omega}")
         if not cmath.isfinite(self.coupling):
             raise ValueError(f"mode coupling must be finite, got {self.coupling}")
-        if self.fock_dim < 2:
-            raise ValueError(f"fock_dim must be >= 2, got {self.fock_dim}")
+        if not 2 <= self.fock_dim <= DIM_CAP:
+            raise ValueError(f"fock_dim must be >= 2 and within the per-mode cap {DIM_CAP}, "
+                             f"got {self.fock_dim}")
         if self.transition < 0:
             raise ValueError(f"transition index must be >= 0, got {self.transition}")
 
@@ -129,11 +131,15 @@ def thermal_state(mode: ModeSpec, temperature: float) -> np.ndarray:
     return np.diag(populations).astype(complex)
 
 
+@cache
 def superposition_state(n: int) -> np.ndarray:
-    """Pure equal superposition of atom levels 0 and 1 (maximal coherence)."""
+    """Pure equal superposition of atom levels 0 and 1 (maximal coherence),
+    the start of every run; built once per n and read-only."""
     vec = np.zeros(n, dtype=complex)
     vec[0] = vec[1] = 1.0 / math.sqrt(2.0)
-    return np.outer(vec, vec.conj())
+    state = np.outer(vec, vec.conj())
+    state.flags.writeable = False
+    return state
 
 
 def _monomial_split(pulse: np.ndarray) -> tuple[list[int], list[int], np.ndarray]:
@@ -215,7 +221,7 @@ def _segment_substeps(mode: ModeSpec, weight: float, t_start: float, dt: float,
                          mode.fock_dim)
 
 
-def _coherence(n, modes, steps, atom_state, temperature, segment) -> complex:
+def _coherence(n, modes, steps, temperature, segment) -> complex:
     """Final (0,1) coherence after ``steps`` of (t_start, dt, monomial split of
     the pulse or None); ``segment(mode, weight, t_start, dt)`` is one mode's
     propagator over a free segment at a level of nonzero dephasing weight."""
@@ -225,7 +231,7 @@ def _coherence(n, modes, steps, atom_state, temperature, segment) -> complex:
         if split is not None:
             inverse = split[1]
             a, b = inverse[a], inverse[b]
-    factor = complex(atom_state[a, b])
+    factor = complex(superposition_state(n)[a, b])
     rows, columns = [], []  # (t_start, dt, level) of each free segment, per side
     for t_start, dt, split in steps:
         if dt > 0:
@@ -247,33 +253,18 @@ def _coherence(n, modes, steps, atom_state, temperature, segment) -> complex:
     return complex(factor)
 
 
-def _validate_inputs(n: int, modes, atom_state: np.ndarray) -> tuple[ModeSpec, ...]:
-    modes = tuple(modes)
-    if not modes:
-        raise ValueError("at least one bath mode is required")
-    for mode in modes:
-        _check_transition(mode, n)
-        if mode.fock_dim > DIM_CAP:
-            raise ValueError(f"fock_dim {mode.fock_dim} exceeds the per-mode cap {DIM_CAP}")
-    atom_state = np.asarray(atom_state)
-    if atom_state.shape != (n, n):
-        raise ValueError(f"atom state shape {atom_state.shape} does not match n={n}")
-    if abs(atom_state[0, 1]) == 0.0:
-        raise ValueError("initial atom state must carry nonzero (0,1) coherence")
-    return modes
-
-
 def evolve_pulsed(
     modes,
     schedule: ScheduleSpec,
-    group: DecouplingGroup,
-    atom_state: np.ndarray,
+    group: tuple[np.ndarray, ...],
     temperature: float,
     substeps: int | None = None,
 ) -> complex:
-    """(0,1) coherence after the full pulsed sequence, evolved exactly.
+    """(0,1) coherence after the full pulsed sequence, evolved exactly from
+    superposition_state(n).
 
-    The atom has the schedule's dimension n.  Free segments follow the
+    The atom has the schedule's dimension n, and ``group`` is its n monomial
+    elements g_0 ... g_{n-1}.  Free segments follow the
     schedule; after segment l of each cycle the atom pulse g_l g_{l-1}^dag
     fires, and the cycle closes with g_{n-1}^dag.  Each segment is the
     closed-form Magnus propagator or, with ``substeps`` set, the cross-check:
@@ -285,12 +276,15 @@ def evolve_pulsed(
                                  or not isinstance(substeps, (int, np.integer)) or substeps < 1):
         raise ValueError(f"substeps must be an int >= 1, got {substeps!r}")
     n = schedule.n
-    if group.dim != n:
-        raise ValueError(f"dimension mismatch: schedule n={n}, group n={group.dim}")
-    modes = _validate_inputs(n, modes, atom_state)
-    elements = group.elements
-    pulses = [elements[l] @ elements[l - 1].conj().T for l in range(1, n)]
-    splits = [_monomial_split(pulse) for pulse in pulses + [elements[n - 1].conj().T]]
+    if len(group) != n:
+        raise ValueError(f"dimension mismatch: schedule n={n}, group of {len(group)} elements")
+    modes = tuple(modes)
+    if not modes:
+        raise ValueError("at least one bath mode is required")
+    for mode in modes:
+        _check_transition(mode, n)
+    pulses = [group[l] @ group[l - 1].conj().T for l in range(1, n)]
+    splits = [_monomial_split(pulse) for pulse in pulses + [group[n - 1].conj().T]]
     starts, lengths = schedule.boundaries.tolist(), schedule.segments.tolist()
     steps = [
         (starts[j * n + l], lengths[j][l], splits[l])
@@ -298,10 +292,9 @@ def evolve_pulsed(
         for l in range(n)
     ]
     if substeps is None:
-        return _coherence(n, modes, steps, atom_state, temperature, _segment_exact)
+        return _coherence(n, modes, steps, temperature, _segment_exact)
     coarse, fine = (
-        _coherence(n, modes, steps, atom_state, temperature,
-                   partial(_segment_substeps, substeps=count))
+        _coherence(n, modes, steps, temperature, partial(_segment_substeps, substeps=count))
         for count in (substeps, 2 * substeps)
     )
     drift = abs(coarse - fine)
@@ -341,15 +334,3 @@ def discrete_decay_exponent(
         total += 0.5 * abs(mode.coupling) ** 2 * abs(chi) ** 2 * coth
     return total
 
-
-def free_decay_baseline(total_time: float, modes, temperature: float, n: int) -> float:
-    """Unpulsed decay exponent -ln|rho01(T)/rho01(0)|: one segment, no pulses,
-    starting from the equal superposition of levels 0 and 1."""
-    atom_state = superposition_state(n)
-    modes = _validate_inputs(n, modes, atom_state)
-    if not (math.isfinite(total_time) and total_time >= 0):
-        raise ValueError(f"total_time must be finite and >= 0, got {total_time}")
-    steps = [(0.0, float(total_time), None)]
-    final = _coherence(n, modes, steps, atom_state, temperature, _segment_exact)
-    start = abs(atom_state[0, 1])
-    return -math.log(abs(final) / start)

@@ -4,13 +4,12 @@ A ladder (Xi-type) n-level atom couples each level |k> only to its neighbours
 |k+1> and |k-1>.  Pure dephasing acts through the diagonal transition
 operators sigma_z on each (k, k+1) pair.  A single generator pulse built from
 pi/2 x-rotations on every transition cyclically permutes the levels, and the
-group {I, g, g^2, ..., g^(n-1)} it generates averages every sigma_z to zero.
-That group average is the decoupling condition verified here.
+group (I, g, g^2, ..., g^(n-1)) it generates, a tuple of its n elements,
+averages every sigma_z to zero.  That group average is the decoupling
+condition verified here.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,22 +65,13 @@ def x_pulse(n: int, k: int) -> np.ndarray:
     return op
 
 
-@dataclass(frozen=True)
-class DecouplingGroup:
-    """Cyclic pulse group {I, g, g^2, ..., g^(n-1)} of an n-level ladder atom.
+def build_decoupling_group(n: int) -> tuple[np.ndarray, ...]:
+    """The cyclic pulse group (I, g, g^2, ..., g^(n-1)) of an n-level ladder atom.
 
-    ``elements[m]`` is the m-th power of the generator ``elements[1]``; the
-    generator itself is the ordered product of x_pulse factors over all
-    transitions, lowest transition leftmost.  The n-th power of the generator
-    is a unit-modulus scalar times the identity.
+    Element m is the m-th power of the generator g, the ordered product of
+    x_pulse factors over all transitions, lowest transition leftmost.  The
+    n-th power of g is a unit-modulus scalar times the identity.
     """
-
-    dim: int
-    elements: tuple[np.ndarray, ...]
-
-
-def build_decoupling_group(n: int) -> DecouplingGroup:
-    """Construct the decoupling group for an n-level ladder atom."""
     if n < 2:
         raise ValueError(f"atom dimension must be >= 2, got n={n}")
     g = x_pulse(n, 0)
@@ -90,20 +80,19 @@ def build_decoupling_group(n: int) -> DecouplingGroup:
     elements = [np.eye(n, dtype=complex)]
     for _ in range(n - 1):
         elements.append(elements[-1] @ g)
-    return DecouplingGroup(dim=n, elements=tuple(elements))
+    return tuple(elements)
 
 
-def group_average(group: DecouplingGroup, op: np.ndarray) -> np.ndarray:
+def group_average(group: tuple[np.ndarray, ...], op: np.ndarray) -> np.ndarray:
     """(1/|G|) sum_m g_m^dag op g_m over all group elements."""
     op = np.asarray(op, dtype=complex)
-    if op.shape != (group.dim, group.dim):
-        raise ValueError(
-            f"operator shape {op.shape} does not match group dimension {group.dim}"
-        )
+    if op.shape != group[0].shape:
+        raise ValueError(f"operator shape {op.shape} does not match the group's "
+                         f"dimension {len(group[0])}")
     acc = np.zeros_like(op)
-    for g in group.elements:
+    for g in group:
         acc += g.conj().T @ op @ g
-    return acc / len(group.elements)
+    return acc / len(group)
 
 
 def max_abs(op: np.ndarray) -> float:
@@ -111,31 +100,8 @@ def max_abs(op: np.ndarray) -> float:
     return float(np.max(np.abs(op)))
 
 
-def is_unitary(op: np.ndarray) -> bool:
-    op = np.asarray(op)
-    return max_abs(op.conj().T @ op - np.eye(op.shape[0])) <= ZERO_TOL
-
-
-@dataclass(frozen=True)
-class DecouplingReport:
-    """Per-transition residuals of the group-averaged dephasing operators."""
-
-    residuals: tuple[float, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(r <= ZERO_TOL for r in self.residuals)
-
-
-def verify_decoupling(n: int) -> DecouplingReport:
-    """Check that the group average annihilates sigma_z on every transition.
-
-    Returns the max-entry magnitude of the averaged operator for each
-    transition; the group decouples pure dephasing iff all residuals are
-    at the round-off floor, ZERO_TOL.
-    """
+def verify_decoupling(n: int) -> tuple[float, ...]:
+    """Max-entry magnitude of the group-averaged sigma_z of every transition; the
+    group decouples pure dephasing iff each is at the round-off floor, ZERO_TOL."""
     group = build_decoupling_group(n)
-    residuals = tuple(
-        max_abs(group_average(group, sigma_z(n, k))) for k in range(n - 1)
-    )
-    return DecouplingReport(residuals=residuals)
+    return tuple(max_abs(group_average(group, sigma_z(n, k))) for k in range(n - 1))

@@ -130,6 +130,13 @@ class TestVerifyGroup:
         assert main(["verify-group", "--n", "1"]) == EXIT_VALIDATION
         assert "n=1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("residuals", [(0.0, 2e-12, 0.0), (0.0, float("nan"), 0.0)],
+                             ids=["above-tolerance", "nan"])
+    def test_residual_off_the_floor_fails(self, residuals, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "verify_decoupling", lambda n: residuals)
+        assert main(["verify-group", "--n", "4"]) == EXIT_CHECK_FAILED
+        assert capsys.readouterr().out.splitlines()[-1] == "overall: FAIL"
+
 
 class TestScheduleCommand:
     def test_stdout_listing(self, capsys):
@@ -251,6 +258,22 @@ class TestCurveCommand:
     def test_missing_fraction_file_is_io_error(self, tmp_path, capsys):
         assert main(["curve", *FAST_CURVE, "--scheme", "custom",
                      "--custom-fractions", str(tmp_path / "nope.txt")]) == EXIT_IO
+
+    @pytest.mark.parametrize("command", [
+        ["curve", *FAST_CURVE],
+        ["schedule", "--scheme", "pdd", "--n", "2", "--cycles", "1"],
+    ], ids=["curve", "schedule"])
+    @pytest.mark.parametrize("target", ["missing-dir/out.csv", "a-directory"])
+    def test_write_failure_names_the_given_path(self, command, target, tmp_path, capsys):
+        # the file is written beside its path and renamed: the error names the
+        # path given, not the temporary file, and no temporary file is left
+        (tmp_path / "a-directory").mkdir()
+        out = str(tmp_path / target)
+        assert main([*command, "--out", out]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("ladder-dd: ") and f"'{out}'" in err
+        assert ".tmp" not in err
+        assert [path.name for path in tmp_path.rglob("*")] == ["a-directory"]
 
     def test_invalid_flag_value(self, capsys):
         assert main(["curve", "--alpha", "-3"]) == EXIT_VALIDATION

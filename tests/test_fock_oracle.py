@@ -24,13 +24,12 @@ from ladder_dd.fock_oracle import (
     _monomial_split,
     discrete_decay_exponent,
     evolve_pulsed,
-    free_decay_baseline,
     min_fock_dim,
     superposition_state,
     thermal_state,
 )
 from ladder_dd.kernel import ConvergenceError, position_filters
-from ladder_dd.operators import DecouplingGroup, build_decoupling_group, is_unitary, sigma_z
+from ladder_dd.operators import ZERO_TOL, build_decoupling_group, max_abs, sigma_z
 from ladder_dd.schedules import Scheme, ScheduleSpec
 
 MODE_N2 = ModeSpec(transition=0, omega=1.0, coupling=0.1, fock_dim=25)
@@ -79,6 +78,14 @@ def _pinned_cases():
 def window(omega, dt):
     """Window amplitude (1 - exp(i w dt))/w of one free segment, w > 0."""
     return (1 - np.exp(1j * omega * dt)) / omega
+
+
+def free_decay(total_time, modes, temperature, n):
+    """Unpulsed decay exponent -ln|rho01(T)/rho01(0)|: the product form over
+    one free segment with no pulse, from the (0,1) superposition."""
+    final = fock_oracle._coherence(n, modes, [(0.0, total_time, None)], temperature,
+                                   fock_oracle._segment_exact)
+    return -math.log(abs(final) / abs(superposition_state(n)[0, 1]))
 
 
 def brute_min_dim(omega, temperature, tail=1e-10):
@@ -148,7 +155,7 @@ def identity_started_coherence(case, substeps=None):
     for the segments and level weights."""
     n = case.n
     schedule = ScheduleSpec(case.scheme, n, case.cycles, case.total_time)
-    elements = build_decoupling_group(n).elements
+    elements = build_decoupling_group(n)
     pulses = [elements[l] @ elements[l - 1].conj().T for l in range(1, n)]
     splits = []
     for pulse in pulses + [elements[n - 1].conj().T]:
@@ -201,7 +208,7 @@ class TestExpm:
     def test_matches_scipy_and_is_unitary(self, pairs):
         for propagator, reference in pairs():
             assert np.max(np.abs(propagator - reference)) <= 1e-12
-            assert is_unitary(propagator)
+            assert max_abs(propagator.conj().T @ propagator - np.eye(len(propagator))) <= ZERO_TOL
 
     def test_cached_factors_keep_every_bit(self):
         # the level indices and diagonal positions cached with the basis give
@@ -254,6 +261,11 @@ class TestModeSpecValidation:
         with pytest.raises(ValueError, match="transition"):
             ModeSpec(transition=-1, omega=1.0, coupling=0.1, fock_dim=4)
 
+    def test_fock_dim_cap(self):
+        ModeSpec(transition=0, omega=1.0, coupling=0.1, fock_dim=DIM_CAP)  # at the cap
+        with pytest.raises(ValueError, match="cap"):
+            ModeSpec(transition=0, omega=1.0, coupling=0.1, fock_dim=DIM_CAP + 1)
+
     @pytest.mark.parametrize(
         "field,value",
         [("omega", math.inf), ("omega", math.nan), ("coupling", math.nan),
@@ -279,10 +291,9 @@ class TestEvolvePulsed:
     def _run(self, n, modes, scheme=Scheme.PDD, cycles=1, total_time=2.0,
              temperature=1.0, **kwargs):
         schedule = ScheduleSpec(scheme, n, cycles, total_time)
-        group = build_decoupling_group(n)
-        atom = superposition_state(n)
-        coherence = evolve_pulsed(modes, schedule, group, atom, temperature, **kwargs)
-        return atom, coherence
+        coherence = evolve_pulsed(modes, schedule, build_decoupling_group(n), temperature,
+                                  **kwargs)
+        return superposition_state(n), coherence
 
     def test_zero_coupling_preserves_coherence(self):
         mode = ModeSpec(transition=0, omega=1.0, coupling=0.0, fock_dim=25)
@@ -336,33 +347,45 @@ class TestEvolvePulsed:
         assert len(expms) == 6 * 2 * (4 + 8)
         assert eighs == [(11, 11), (9, 9), (25, 25)]
 
+    def test_start_state_is_shared_and_read_only(self):
+        # every run of dimension n reads one cached superposition, so no
+        # caller may change it under the next run
+        state = superposition_state(3)
+        assert superposition_state(3) is state
+        np.testing.assert_array_equal(state[:2, :2], np.full((2, 2), 0.5 - 2**-53))
+        assert not state[2].any() and not state[:, 2].any()
+        with pytest.raises(ValueError, match="read-only"):
+            state[0, 1] = 0.0
+
     def test_uncoupled_run_is_atom_conjugation(self):
         # with no coupling the bath stays inert and the run is U rho U^dag on
         # the atom; a first element that is not the identity leaves each cycle
-        # a net permutation with phases, which the decoupling group never does
+        # a net permutation with phases, which the decoupling group never does.
+        # Here it swaps levels 0 and 1, so over three cycles the (0,1)
+        # superposition keeps its modulus and picks up a relative phase
         rng = np.random.default_rng(5)
         n = 3
         elements = []
-        for perm in ([1, 2, 0], [0, 2, 1], [2, 1, 0]):
+        for perm in ([1, 0, 2], [0, 2, 1], [2, 1, 0]):
             element = np.zeros((n, n), dtype=complex)
             element[perm, np.arange(n)] = np.exp(1j * rng.uniform(0.0, 2 * np.pi, n))
             elements.append(element)
-        group = DecouplingGroup(dim=n, elements=tuple(elements))
-        raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        atom = raw @ raw.conj().T / np.trace(raw @ raw.conj().T)
         mode = ModeSpec(transition=1, omega=1.0, coupling=0.0, fock_dim=4)
-        coherence = evolve_pulsed((mode,), ScheduleSpec(Scheme.UDD, n, 2, 1.0),
-                                  group, atom, 0.1)
-        u = np.linalg.matrix_power(elements[0].conj().T, 2)  # the two cycles
-        assert coherence == pytest.approx((u @ atom @ u.conj().T)[0, 1], abs=1e-14)
+        coherence = evolve_pulsed((mode,), ScheduleSpec(Scheme.UDD, n, 3, 1.0),
+                                  tuple(elements), 0.1)
+        atom = superposition_state(n)
+        u = np.linalg.matrix_power(elements[0].conj().T, 3)  # the three cycles
+        expected = (u @ atom @ u.conj().T)[0, 1]
+        assert abs(expected) == pytest.approx(0.5, abs=1e-15)
+        assert abs(expected - atom[0, 1]) > 1e-3  # a relative phase far above the tolerance
+        assert coherence == pytest.approx(expected, abs=1e-14)
 
     @pytest.mark.parametrize("name", list(DENSE_COHERENCE))
     def test_product_form_matches_frozen_dense_coherence(self, name):
         case = _pinned_cases()[name]
         schedule = ScheduleSpec(case.scheme, case.n, case.cycles, case.total_time)
-        coherence = evolve_pulsed(case.modes, schedule,
-                                  build_decoupling_group(case.n),
-                                  superposition_state(case.n), case.temperature)
+        coherence = evolve_pulsed(case.modes, schedule, build_decoupling_group(case.n),
+                                  case.temperature)
         dense = DENSE_COHERENCE[name]
         assert abs(coherence - dense) <= 1e-12 * abs(dense)
 
@@ -372,14 +395,13 @@ class TestEvolvePulsed:
         for case in default_calibration_cases():
             got = evolve_pulsed(case.modes, ScheduleSpec(case.scheme, case.n, case.cycles,
                                                          case.total_time),
-                                build_decoupling_group(case.n), superposition_state(case.n),
-                                case.temperature)
+                                                build_decoupling_group(case.n), case.temperature)
             assert _bits(got) == _bits(identity_started_coherence(case)), case.name
         case = default_calibration_cases()[2]
         schedule = ScheduleSpec(case.scheme, case.n, case.cycles, case.total_time)
         monkeypatch.setattr(fock_oracle, "SUBSTEP_TOL", 1.0)
         got = evolve_pulsed(case.modes, schedule, build_decoupling_group(case.n),
-                            superposition_state(case.n), case.temperature, substeps=4)
+                            case.temperature, substeps=4)
         assert _bits(got) == _bits(identity_started_coherence(case, substeps=8))
 
     def test_one_expm_per_displacement_on_the_frozen_suite(self, monkeypatch):
@@ -448,26 +470,18 @@ class TestEvolvePulsed:
     def test_validation_errors(self):
         schedule = ScheduleSpec(Scheme.PDD, 2, 1, 1.0)
         group = build_decoupling_group(2)
-        atom = superposition_state(2)
         with pytest.raises(ValueError, match="at least one"):
-            evolve_pulsed((), schedule, group, atom, 1.0)
+            evolve_pulsed((), schedule, group, 1.0)
         with pytest.raises(ValueError, match="transition 1"):
-            evolve_pulsed((ModeSpec(1, 1.0, 0.1, 4),), schedule, group, atom, 1.0)
-        with pytest.raises(ValueError, match="coherence"):
-            evolve_pulsed((MODE_N2,), schedule, group,
-                          np.diag([1.0, 0.0]).astype(complex), 1.0)
-        with pytest.raises(ValueError, match="cap"):
-            evolve_pulsed((ModeSpec(0, 1.0, 0.1, DIM_CAP + 1),), schedule, group, atom, 1.0)
+            evolve_pulsed((ModeSpec(1, 1.0, 0.1, 4),), schedule, group, 1.0)
         with pytest.raises(ValueError, match="mismatch"):
-            evolve_pulsed((ModeSpec(0, 1.0, 0.1, 4),),
-                          schedule, build_decoupling_group(3),
-                          superposition_state(3), 1.0)
+            evolve_pulsed((ModeSpec(0, 1.0, 0.1, 4),), schedule, build_decoupling_group(3), 1.0)
 
 
 class TestMonomialSplit:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_group_pulses_rebuild_exactly(self, n):
-        elements = build_decoupling_group(n).elements
+        elements = build_decoupling_group(n)
         pulses = [*elements, elements[n - 1].conj().T]
         pulses += [elements[l] @ elements[l - 1].conj().T for l in range(1, n)]
         for pulse in pulses:
@@ -491,10 +505,9 @@ class TestMonomialSplit:
         with pytest.raises(NonMonomialPulseError) as raised:
             _monomial_split(pulse)
         assert str(raised.value) == message
-        group = DecouplingGroup(dim=2, elements=(np.eye(2, dtype=complex), pulse))
         with pytest.raises(NonMonomialPulseError):
-            evolve_pulsed((MODE_N2,), ScheduleSpec(Scheme.PDD, 2, 1, 1.0), group,
-                          superposition_state(2), 1.0)
+            evolve_pulsed((MODE_N2,), ScheduleSpec(Scheme.PDD, 2, 1, 1.0),
+                          (np.eye(2, dtype=complex), pulse), 1.0)
 
 
 class TestDecouplingSuppression:
@@ -502,11 +515,10 @@ class TestDecouplingSuppression:
         # the entire point: cyclic pulsing at rate above the mode frequency
         # suppresses the coherence loss by an order of magnitude here
         total_time, temperature = 2.0, 1.0
-        free = free_decay_baseline(total_time, (MODE_N2,), temperature, 2)
+        free = free_decay(total_time, (MODE_N2,), temperature, 2)
         schedule = ScheduleSpec(Scheme.PDD, 2, 2, total_time)
-        group = build_decoupling_group(2)
         atom = superposition_state(2)
-        final = evolve_pulsed((MODE_N2,), schedule, group, atom, temperature)
+        final = evolve_pulsed((MODE_N2,), schedule, build_decoupling_group(2), temperature)
         pulsed = -math.log(abs(final) / abs(atom[0, 1]))
         assert pulsed < free / 10
 
@@ -548,25 +560,20 @@ class TestDiscreteDecayExponent:
 class TestFreeDecayBaseline:
     def test_zero_coupling(self):
         mode = ModeSpec(transition=0, omega=1.0, coupling=0.0, fock_dim=24)
-        assert free_decay_baseline(2.0, (mode,), 1.0, 2) == pytest.approx(0.0, abs=1e-12)
+        assert free_decay(2.0, (mode,), 1.0, 2) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_duration(self):
-        assert free_decay_baseline(0.0, (MODE_N2,), 1.0, 2) == pytest.approx(0.0, abs=1e-12)
-
-    @pytest.mark.parametrize("total_time", [math.nan, math.inf, -1.0])
-    def test_total_time_must_be_finite_and_non_negative(self, total_time):
-        with pytest.raises(ValueError, match="total_time must be finite and >= 0"):
-            free_decay_baseline(total_time, (MODE_N2,), 1.0, 2)
+        assert free_decay(0.0, (MODE_N2,), 1.0, 2) == pytest.approx(0.0, abs=1e-12)
 
     def test_regression_fixture(self):
         # frozen output of this very computation (omega=1, j=0.1, T'=1, T=2, d=25)
-        value = free_decay_baseline(2.0, (MODE_N2,), 1.0, 2)
+        value = free_decay(2.0, (MODE_N2,), 1.0, 2)
         assert value == pytest.approx(0.12257903122938255, rel=1e-12)
 
     def test_matches_unpulsed_closed_form(self):
         # one segment, no pulses: chi = -2 j zeta, exponent 2|j zeta|^2 coth
         total_time, temperature = 2.0, 1.0
-        value = free_decay_baseline(total_time, (MODE_N2,), temperature, 2)
+        value = free_decay(total_time, (MODE_N2,), temperature, 2)
         zeta = window(MODE_N2.omega, total_time)
         closed = (
             2.0
@@ -578,7 +585,7 @@ class TestFreeDecayBaseline:
     def test_mode_beyond_first_two_levels_does_not_touch_01_coherence(self):
         # transition (2,3) has zero dephasing weight on levels 0 and 1
         mode = ModeSpec(transition=2, omega=1.2, coupling=0.1, fock_dim=10)
-        value = free_decay_baseline(2.0, (mode,), 0.5, 4)
+        value = free_decay(2.0, (mode,), 0.5, 4)
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_middle_transition_mode_dephases_through_level_one(self):
@@ -586,7 +593,7 @@ class TestFreeDecayBaseline:
         # (0,1) coherence decays at a quarter of the transition-(0,1) rate
         total_time, temperature = 2.0, 0.5
         mode = ModeSpec(transition=1, omega=1.2, coupling=0.1, fock_dim=12)
-        value = free_decay_baseline(total_time, (mode,), temperature, 3)
+        value = free_decay(total_time, (mode,), temperature, 3)
         zeta = window(mode.omega, total_time)
         closed = 0.5 * abs(mode.coupling * zeta) ** 2 / math.tanh(
             mode.omega / (2 * temperature)
@@ -655,7 +662,7 @@ def test_random_runs_match_prediction_and_catch_the_control(draw):
     n, cycles, scheme, total_time, temperature, modes = draw
     schedule = ScheduleSpec(scheme, n, cycles, total_time)
     atom = superposition_state(n)
-    end = evolve_pulsed(modes, schedule, build_decoupling_group(n), atom, temperature)
+    end = evolve_pulsed(modes, schedule, build_decoupling_group(n), temperature)
     observed = abs(end) / abs(atom[0, 1])
     predicted = math.exp(-discrete_decay_exponent(modes, temperature, schedule))
     control = math.exp(-discrete_decay_exponent(modes, temperature, schedule,

@@ -64,7 +64,7 @@ def toggling_weights(n):
     """W[k, l]: weight of transition k's sigma_z on the (0,1) coherence in slot l,
     diag(g_l^dag sigma_z(k) g_l)[0] - [1] over the elements g_l of the pulse group.
     Asserts that every toggled sigma_z is diagonal."""
-    elements = build_decoupling_group(n).elements
+    elements = build_decoupling_group(n)
     weights = np.empty((n - 1, n))
     for k in range(n - 1):
         for l, g in enumerate(elements):
@@ -364,6 +364,34 @@ def test_stencil_is_group_toggling_weights(n):
         # relative to each frequency's filter scale: PDD cancels at w = 0
         scale = np.abs(eta).max(axis=1, keepdims=True)
         assert np.all(np.abs(chi - eta @ weights.T) <= 1e-13 * scale), scheme
+
+
+
+class TestStaticFilterTerm:
+    """chi_k(0) = -i sum_l W[k, l] tau_l, tau_l the total time of slot l: the
+    group average removes a static dephasing only when the n slots get equal
+    total time.  PDD's slots do at every n, and Uhrig's at n = 2; at n >= 3
+    Uhrig's unequal slot times leave c_n T / N^2, so UDD's filters tend to a
+    nonzero constant as w -> 0."""
+
+    @pytest.mark.parametrize("scheme, n", [*((Scheme.PDD, n) for n in range(2, 9)),
+                                           (Scheme.UDD, 2)])
+    def test_equal_slot_times_leave_round_off(self, scheme, n):
+        for cycles in (1, 4, 50):
+            for total_time in (1.0, 7.0):
+                chi = exponent_filters(0.0, ScheduleSpec(scheme, n, cycles, total_time))
+                assert np.abs(chi).max() <= 1e-13 * total_time, (cycles, total_time)
+
+    @pytest.mark.parametrize("n, c_n", [(3, 0.3656), (4, 0.1542), (6, 0.0914)])
+    def test_udd_leaves_a_static_term(self, n, c_n):
+        weights = toggling_weights(n)
+        for total_time in (1.0, 7.0):
+            schedule = ScheduleSpec(Scheme.UDD, n, 50, total_time)
+            chi = exponent_filters(0.0, schedule)[0]
+            assert 50**2 * np.abs(chi).max() / total_time == pytest.approx(c_n, abs=5e-5)
+            slot_times = schedule.segments.sum(axis=0)
+            np.testing.assert_allclose(chi, -1j * weights @ slot_times,
+                                       rtol=0, atol=1e-13 * total_time)
 
 
 class TestBath:

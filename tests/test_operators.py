@@ -3,10 +3,9 @@ import pytest
 from scipy.linalg import expm
 
 from ladder_dd.operators import (
-    DecouplingGroup,
+    ZERO_TOL,
     build_decoupling_group,
     group_average,
-    is_unitary,
     max_abs,
     sigma_x,
     sigma_z,
@@ -15,6 +14,11 @@ from ladder_dd.operators import (
 )
 
 TOL = 1e-12
+
+
+def is_unitary(op):
+    """U^dag U = I to ZERO_TOL in the max-entry norm."""
+    return max_abs(op.conj().T @ op - np.eye(len(op))) <= ZERO_TOL
 
 
 class TestSigmaOperators:
@@ -76,9 +80,9 @@ class TestXPulse:
 class TestDecouplingGroup:
     def test_two_level_elements(self):
         group = build_decoupling_group(2)
-        assert len(group.elements) == 2
-        np.testing.assert_allclose(group.elements[0], np.eye(2), atol=0)
-        np.testing.assert_allclose(group.elements[1], 1j * sigma_x(2, 0), atol=0)
+        assert isinstance(group, tuple) and len(group) == 2
+        np.testing.assert_allclose(group[0], np.eye(2), atol=0)
+        np.testing.assert_allclose(group[1], 1j * sigma_x(2, 0), atol=0)
 
     def test_three_level_generator_by_direct_multiplication(self):
         # independent construction: hard-coded closed-form factors
@@ -86,11 +90,11 @@ class TestDecouplingGroup:
         factor_21 = np.array([[1, 0, 0], [0, 0, 1j], [0, 1j, 0]], dtype=complex)
         expected = factor_10 @ factor_21
         group = build_decoupling_group(3)
-        assert max_abs(group.elements[1] - expected) <= TOL
+        assert max_abs(group[1] - expected) <= TOL
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_generator_is_phased_permutation(self, n):
-        g = build_decoupling_group(n).elements[1]
+        g = build_decoupling_group(n)[1]
         magnitudes = np.abs(g)
         # exactly one unit-modulus entry per row and per column
         assert np.allclose(np.sort(magnitudes, axis=1)[:, :-1], 0, atol=TOL)
@@ -100,17 +104,18 @@ class TestDecouplingGroup:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_elements_are_powers_and_unitary(self, n):
         group = build_decoupling_group(n)
-        assert len(group.elements) == n
+        assert len(group) == n
         power = np.eye(n, dtype=complex)
-        for element in group.elements:
+        for element in group:
+            assert element.shape == (n, n)
             assert is_unitary(element)
             assert max_abs(element - power) <= TOL
-            power = power @ group.elements[1]
+            power = power @ group[1]
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_generator_nth_power_is_scalar(self, n):
         group = build_decoupling_group(n)
-        nth = np.linalg.matrix_power(group.elements[1], n)
+        nth = np.linalg.matrix_power(group[1], n)
         scalar = nth[0, 0]
         assert abs(abs(scalar) - 1) <= TOL
         assert max_abs(nth - scalar * np.eye(n)) <= TOL
@@ -154,13 +159,12 @@ class TestGroupAverage:
 
 class TestVerifyDecoupling:
     def test_two_level_exact(self):
-        report = verify_decoupling(2)
-        assert report.passed
-        assert max(report.residuals) <= 1e-15
+        residuals = verify_decoupling(2)
+        assert len(residuals) == 1
+        assert max(residuals) <= 1e-15
 
     @pytest.mark.parametrize("n", [6, 8])
     def test_larger_dimensions(self, n):
-        report = verify_decoupling(n)
-        assert len(report.residuals) == n - 1
-        assert report.passed
-        assert max(report.residuals) <= TOL
+        residuals = verify_decoupling(n)
+        assert len(residuals) == n - 1
+        assert max(residuals) <= TOL
