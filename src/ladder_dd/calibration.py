@@ -42,7 +42,6 @@ class CalibrationResult:
     observed_exponent: float
     predicted_exponent: float
     observed_ratio: float
-    predicted_ratio: float
     rel_error: float  # relative mismatch of the coherence ratios
     phase_shift: float
     passed: bool
@@ -141,7 +140,6 @@ def run_case(case: CalibrationCase, wrong_sign: bool = False) -> CalibrationResu
         observed_exponent=-math.log(observed),
         predicted_exponent=exponent,
         observed_ratio=observed,
-        predicted_ratio=predicted,
         rel_error=rel_error,
         phase_shift=cmath.phase(end / start),
         passed=rel_error <= CALIBRATION_TOL,

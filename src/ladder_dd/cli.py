@@ -144,50 +144,30 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     return RunConfig(**values)
 
 
-def _scheme_template(config: RunConfig) -> list[tuple[str, ScheduleSpec]]:
-    """Column label and schedule template per requested scheme."""
+def _curve_csv(config: RunConfig) -> str:
+    """P(T) per requested scheme, one row per grid time at 17 significant digits.
+
+    The fraction file is read and every schedule built before any sweep.
+    T = 0 is the analytic no-evolution point: nothing decays, so P = 1.
+    """
     schemes = _COLUMNS[config.scheme]
     custom = None
     if Scheme.CUSTOM in schemes:
         with open(config.custom_fractions_path, "r", encoding="utf-8") as handle:
             custom = parse_fractions_text(handle.read())
-    out = []
-    for scheme in schemes:
-        template = ScheduleSpec(
-            scheme=scheme,
-            n=config.n,
-            cycles=config.cycles,
-            total_time=1.0,
-            custom_fractions=custom if scheme is Scheme.CUSTOM else None,
-        )
-        out.append((f"P_{scheme.value}", template))
-    return out
-
-
-def _format_row(values: list[float]) -> str:
-    return ",".join(f"{value:.17g}" for value in values)
-
-
-def _curve_csv(config: RunConfig) -> str:
-    bath = config.bath()
+    templates = [ScheduleSpec(scheme, config.n, config.cycles, 1.0,
+                              custom if scheme is Scheme.CUSTOM else None)
+                 for scheme in schemes]
     grid = np.linspace(config.resolved_t_min(), config.t_max, config.t_points)
-    zero_head = grid.size > 0 and grid[0] == 0.0
-    positive = grid[1:] if zero_head else grid
-
-    columns = _scheme_template(config)
-    results = []
-    for _, template in columns:
-        if positive.size:
-            values = sweep_curve(template, bath, positive, rel_tol=config.quad_tolerance).values
-        else:
-            values = np.empty(0)
-        # T = 0 is the analytic no-evolution point: nothing decays
-        results.append(np.concatenate(([1.0], values)) if zero_head else values)
-
-    lines = ["T," + ",".join(label for label, _ in columns)]
-    for idx, t in enumerate(grid):
-        lines.append(_format_row([t] + [column[idx] for column in results]))
-    return "\n".join(lines) + "\n"
+    first = int(grid[0] == 0.0)
+    columns = [np.ones(grid.size) for _ in schemes]
+    if first < grid.size:
+        for column, template in zip(columns, templates):
+            column[first:] = sweep_curve(template, config.bath(), grid[first:],
+                                         rel_tol=config.quad_tolerance).values
+    header = ",".join(["T", *(f"P_{scheme.value}" for scheme in schemes)])
+    rows = (",".join(f"{value:.17g}" for value in row) for row in zip(grid, *columns))
+    return "\n".join([header, *rows]) + "\n"
 
 
 def _write_atomic(path: str, text: str) -> None:

@@ -74,9 +74,10 @@ class ModeSpec:
                              f"got {self.omega}")
         if not cmath.isfinite(self.coupling):
             raise ValueError(f"mode coupling must be finite, got {self.coupling}")
-        if not 2 <= self.fock_dim <= DIM_CAP:
-            raise ValueError(f"fock_dim must be >= 2 and within the per-mode cap {DIM_CAP}, "
-                             f"got {self.fock_dim}")
+        # a float dimension would pass the range check and fail as an index inside expm
+        if not (isinstance(self.fock_dim, (int, np.integer)) and 2 <= self.fock_dim <= DIM_CAP):
+            raise ValueError(f"fock_dim must be an int >= 2 and within the per-mode cap "
+                             f"{DIM_CAP}, got {self.fock_dim!r}")
         if self.transition < 0:
             raise ValueError(f"transition index must be >= 0, got {self.transition}")
 
@@ -223,24 +224,21 @@ def _segment_substeps(mode: ModeSpec, weight: float, t_start: float, dt: float,
 
 def _coherence(n, modes, steps, temperature, segment) -> complex:
     """Final (0,1) coherence after ``steps`` of (t_start, dt, monomial split of
-    the pulse or None); ``segment(mode, weight, t_start, dt)`` is one mode's
-    propagator over a free segment at a level of nonzero dephasing weight."""
+    the pulse that ends the segment); ``segment(mode, weight, t_start, dt)`` is
+    one mode's propagator over a free segment at a level of nonzero dephasing
+    weight."""
     thermal = [thermal_state(mode, temperature) for mode in modes]
     a, b = 0, 1
-    for *_, split in reversed(steps):
-        if split is not None:
-            inverse = split[1]
-            a, b = inverse[a], inverse[b]
+    for *_, (_, inverse, _) in reversed(steps):
+        a, b = inverse[a], inverse[b]
     factor = complex(superposition_state(n)[a, b])
     rows, columns = [], []  # (t_start, dt, level) of each free segment, per side
-    for t_start, dt, split in steps:
+    for t_start, dt, (perm, _, phases) in steps:
         if dt > 0:
             rows.append((t_start, dt, a))
             columns.append((t_start, dt, b))
-        if split is not None:
-            perm, _, phases = split
-            factor *= phases[a] * np.conj(phases[b])
-            a, b = perm[a], perm[b]
+        factor *= phases[a] * np.conj(phases[b])
+        a, b = perm[a], perm[b]
     for mode, rho in zip(modes, thermal):
         weights = np.diag(sigma_z(n, mode.transition)).real.tolist()
         # a zero weight leaves the mode alone

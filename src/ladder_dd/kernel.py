@@ -132,6 +132,10 @@ _MIN_PANELS = 8
 # far below it (127 panels for N = 400 at T = 16).
 _MAX_PANELS = 2**14
 
+# Smallest cutoff*T that _first_level accepts (see there).
+_LOWEST_UPPER = _MIN_PANELS * math.ldexp(_PANEL_WIDTH, -math.floor(
+    math.log2(math.pi * (1.0 + _GL_NODES[0]) * sys.float_info.max)))
+
 # Panel halvings after the first level before the quadrature gives up.
 _MAX_DOUBLINGS = 12
 
@@ -597,11 +601,9 @@ def _first_level(upper: float) -> int:
     u = h (1 + _GL_NODES[0])/4 for a first-level panel width h: no table
     tiles a range it rejects.
     """
-    lowest = _MIN_PANELS * math.ldexp(_PANEL_WIDTH, -math.floor(
-        math.log2(math.pi * (1.0 + _GL_NODES[0]) * sys.float_info.max)))
-    if not upper >= lowest:
-        raise ValueError(f"cutoff * total time = {upper!r} is below {lowest:.6g}, where 1/w "
-                         f"overflows at the smallest quadrature node")
+    if not upper >= _LOWEST_UPPER:
+        raise ValueError(f"cutoff * total time = {upper!r} is below {_LOWEST_UPPER:.6g}, "
+                         f"where 1/w overflows at the smallest quadrature node")
     if not upper <= _MAX_PANELS * _PANEL_WIDTH:
         raise ValueError(f"cutoff * total time = {upper!r} exceeds {_MAX_PANELS} panels "
                          f"of width 4 pi")
@@ -660,10 +662,9 @@ def decay_exponents(
 
 @dataclass(frozen=True)
 class CoherenceCurve:
-    """Sampled (T, P(T)) pairs with each point's final node count and
-    estimated relative error."""
+    """P(T) at each time of a sweep's grid, with each point's final node count
+    and estimated relative error."""
 
-    times: np.ndarray
     values: np.ndarray
     quadrature_points: np.ndarray
     estimated_relative_error: np.ndarray
@@ -699,7 +700,6 @@ def sweep_curve(
         points[i] = exponents.quadrature_points
         errors[i] = exponents.estimated_relative_error
     return CoherenceCurve(
-        times=t_grid,
         values=values,
         quadrature_points=points,
         estimated_relative_error=errors,

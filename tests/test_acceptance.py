@@ -116,7 +116,7 @@ def test_criterion_4_oracle_equivalence():
     results = run_calibration_suite()
     for result in results:
         print(f"  case {result.case.name}: observed {result.observed_ratio:.9f} "
-              f"predicted {result.predicted_ratio:.9f} rel {result.rel_error:.2e}")
+              f"predicted {math.exp(-result.predicted_exponent):.9f} rel {result.rel_error:.2e}")
     worst = max(result.rel_error for result in results)
     _report(4, "Fock evolution vs filter formulas (n=2..6)",
             all(result.passed for result in results),

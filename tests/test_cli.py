@@ -24,7 +24,7 @@ from ladder_dd.cli import (
     main,
     parse_config,
 )
-from ladder_dd.kernel import ConvergenceError
+from ladder_dd.kernel import BathSpec, ConvergenceError, sweep_curve
 from ladder_dd.schedules import Scheme, ScheduleSpec
 
 
@@ -206,6 +206,29 @@ class TestCurveCommand:
                      "--out", str(out)]) == EXIT_OK
         first = out.read_text().splitlines()[1]
         assert first == "0,1"
+
+    def test_zero_t_min_alone_is_not_swept(self, tmp_path, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("swept a grid that holds only T = 0")
+
+        monkeypatch.setattr(cli, "sweep_curve", never)
+        out = tmp_path / "zero.csv"
+        assert main(["curve", "--scheme", "both", "--t-min", "0", "--t-max", "1",
+                     "--t-points", "1", "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == b"T,P_pdd,P_udd\n0,1,1\n"
+
+    def test_zero_t_min_head_then_swept_values(self, tmp_path):
+        out = tmp_path / "zero.csv"
+        args = FAST_CURVE[:-1] + ["5"]
+        assert main(["curve", *args, "--t-min", "0", "--out", str(out)]) == EXIT_OK
+        grid = np.linspace(0.0, 2.0, 5)
+        bath = BathSpec(alpha=0.2, cutoff=5.0, temperature=2.0)
+        swept = [sweep_curve(ScheduleSpec(scheme, 2, 1, 1.0), bath, grid[1:]).values
+                 for scheme in (Scheme.PDD, Scheme.UDD)]
+        lines = out.read_text().splitlines()
+        assert lines[:2] == ["T,P_pdd,P_udd", "0,1,1"]
+        rows = np.array([[float(value) for value in line.split(",")] for line in lines[2:]])
+        np.testing.assert_array_equal(rows, np.column_stack([grid[1:], *swept]))
 
     def test_csv_values_reparse_bit_exact(self, tmp_path):
         out = tmp_path / "curve.csv"

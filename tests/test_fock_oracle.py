@@ -82,9 +82,9 @@ def window(omega, dt):
 
 def free_decay(total_time, modes, temperature, n):
     """Unpulsed decay exponent -ln|rho01(T)/rho01(0)|: the product form over
-    one free segment with no pulse, from the (0,1) superposition."""
-    final = fock_oracle._coherence(n, modes, [(0.0, total_time, None)], temperature,
-                                   fock_oracle._segment_exact)
+    one free segment ended by the identity pulse, from the (0,1) superposition."""
+    final = fock_oracle._coherence(n, modes, [(0.0, total_time, _monomial_split(np.eye(n)))],
+                                   temperature, fock_oracle._segment_exact)
     return -math.log(abs(final) / abs(superposition_state(n)[0, 1]))
 
 
@@ -256,6 +256,19 @@ class TestModeSpecValidation:
     def test_bad_fock_dim(self):
         with pytest.raises(ValueError, match="fock_dim"):
             ModeSpec(transition=0, omega=1.0, coupling=0.1, fock_dim=1)
+
+    @pytest.mark.parametrize("fock_dim", [25.0, 24.5, "25"])
+    def test_non_integer_fock_dim_is_named(self, fock_dim):
+        # a float dimension once passed and failed inside expm as a bare IndexError
+        with pytest.raises(ValueError, match="fock_dim must be an int"):
+            ModeSpec(transition=0, omega=1.0, coupling=0.1, fock_dim=fock_dim)
+
+    def test_numpy_integer_fock_dim(self):
+        schedule = ScheduleSpec(Scheme.PDD, 2, 1, 2.0)
+        group = build_decoupling_group(2)
+        numpy_dim = ModeSpec(transition=0, omega=1.0, coupling=0.1, fock_dim=np.int64(25))
+        assert _bits(evolve_pulsed((numpy_dim,), schedule, group, 1.0)) == _bits(
+            evolve_pulsed((MODE_N2,), schedule, group, 1.0))
 
     def test_bad_transition(self):
         with pytest.raises(ValueError, match="transition"):
@@ -632,7 +645,7 @@ class TestCalibration:
         result = run_case(case)
         assert result.passed
         assert result.observed_ratio == pytest.approx(1.0, abs=1e-12)
-        assert result.predicted_ratio == 1.0
+        assert result.predicted_exponent == 0.0
 
 
 @st.composite

@@ -176,6 +176,19 @@ class TestFilterForms:
             schedule, omegas, 1e-13,
             lambda w: 2 * cycles / w if w else self.TOTAL_TIME)
 
+    @pytest.mark.parametrize("scheme", [Scheme.UDD, Scheme.CUSTOM])
+    def test_boundary_sum_is_the_same_across_chunks(self, scheme, monkeypatch):
+        # 301 boundaries give chunks of 868 frequencies, so 2000 frequencies run
+        # through three chunks of the reused phasor and difference buffers
+        monkeypatch.setattr(kernel, "_SERIES_GAIN", 0.0)  # UDD takes the boundary sum
+        custom = _custom_fractions(6, 50) if scheme is Scheme.CUSTOM else None
+        schedule = ScheduleSpec(scheme, 6, 50, self.TOTAL_TIME, custom_fractions=custom)
+        assert kernel._CHUNK_ELEMS // (schedule.boundaries.size + 1) == 868
+        omegas = np.random.default_rng(50).uniform(0.0, 4 * math.pi * 50 / self.TOTAL_TIME, 2000)
+        omegas[[0, 900, 1999]] = 0.0  # the w = 0 limit in each chunk
+        want = np.array([position_filters([omega], schedule)[0] for omega in omegas])
+        assert position_filters(omegas, schedule).tobytes() == want.tobytes()
+
 
 class TestBesselSeries:
     """Miller's recurrence and the form selection behind the UDD filters."""
@@ -704,7 +717,7 @@ class TestSweepCurve:
 
     def test_single_point_grid(self):
         curve = sweep_curve(self._template(), self._bath(), [2.0])
-        assert curve.times.shape == (1,)
+        assert curve.values.shape == (1,)
         assert 0 < curve.values[0] <= 1
 
     def test_decoupled_curve_is_flat(self):
