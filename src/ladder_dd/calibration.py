@@ -39,12 +39,23 @@ class CalibrationCase:
 @dataclass(frozen=True)
 class CalibrationResult:
     case: CalibrationCase
-    observed_exponent: float
-    predicted_exponent: float
     observed_ratio: float
-    rel_error: float  # relative mismatch of the coherence ratios
     phase_shift: float
-    passed: bool
+    predicted_exponent: float
+
+    @property
+    def observed_exponent(self) -> float:
+        return -math.log(self.observed_ratio)
+
+    @property
+    def rel_error(self) -> float:
+        """Relative mismatch of the observed and predicted coherence ratios."""
+        predicted = math.exp(-self.predicted_exponent)
+        return abs(self.observed_ratio - predicted) / predicted
+
+    @property
+    def passed(self) -> bool:
+        return self.rel_error <= CALIBRATION_TOL
 
 
 def _mode_per_transition(n: int, omega: float, coupling: float,
@@ -129,20 +140,12 @@ def run_case(case: CalibrationCase, wrong_sign: bool = False) -> CalibrationResu
     group = build_decoupling_group(case.n)
     end = evolve_pulsed(case.modes, schedule, group, case.temperature)
     start = complex(superposition_state(case.n)[0, 1])
-    observed = abs(end) / abs(start)
-    exponent = discrete_decay_exponent(
-        case.modes, case.temperature, schedule, wrong_sign=wrong_sign
-    )
-    predicted = math.exp(-exponent)
-    rel_error = abs(observed - predicted) / predicted
     return CalibrationResult(
         case=case,
-        observed_exponent=-math.log(observed),
-        predicted_exponent=exponent,
-        observed_ratio=observed,
-        rel_error=rel_error,
+        observed_ratio=abs(end) / abs(start),
         phase_shift=cmath.phase(end / start),
-        passed=rel_error <= CALIBRATION_TOL,
+        predicted_exponent=discrete_decay_exponent(
+            case.modes, case.temperature, schedule, wrong_sign=wrong_sign),
     )
 
 

@@ -24,6 +24,7 @@ from .operators import ZERO_TOL, verify_decoupling
 from .schedules import (
     Scheme,
     ScheduleSpec,
+    check_count,
     fractions_text,
     parse_fractions_text,
     pulse_count,
@@ -78,8 +79,7 @@ class RunConfig:
         self.bath()
         if self.scheme not in _COLUMNS:
             raise ValueError(f"scheme must be one of {'/'.join(_COLUMNS)}, got {self.scheme!r}")
-        if self.t_points < 1:
-            raise ValueError(f"t_points must be >= 1, got {self.t_points}")
+        check_count("t_points", "t_points", self.t_points, 1)
         if not (math.isfinite(self.t_max) and self.t_max > 0):
             raise ValueError(f"t_max must be finite and > 0, got {self.t_max}")
         t_min = self.resolved_t_min()
@@ -193,8 +193,7 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    if args.workers < 1:
-        raise ValueError(f"workers must be >= 1, got {args.workers}")
+    check_count("workers", "workers", args.workers, 1)
     overrides = {key: getattr(args, key) for key in _KEY_TYPES}
     config = parse_config(args.config, overrides)
     _write_atomic(config.output_path, _curve_csv(config))
@@ -314,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as err:
         print(f"ladder-dd: convergence failure: {err}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (ValueError, IndexError, MemoryError) as err:
+    except (ValueError, MemoryError) as err:
         print(f"ladder-dd: {str(err) or type(err).__name__}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as err:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .kernel import ConvergenceError, exponent_filters, position_filters
 from .operators import sigma_z
-from .schedules import ScheduleSpec
+from .schedules import ScheduleSpec, check_count
 
 DEFAULT_TAIL = 1e-10
 DIM_CAP = 2000
@@ -74,12 +74,11 @@ class ModeSpec:
                              f"got {self.omega}")
         if not cmath.isfinite(self.coupling):
             raise ValueError(f"mode coupling must be finite, got {self.coupling}")
-        # a float dimension would pass the range check and fail as an index inside expm
-        if not (isinstance(self.fock_dim, (int, np.integer)) and 2 <= self.fock_dim <= DIM_CAP):
-            raise ValueError(f"fock_dim must be an int >= 2 and within the per-mode cap "
-                             f"{DIM_CAP}, got {self.fock_dim!r}")
-        if self.transition < 0:
-            raise ValueError(f"transition index must be >= 0, got {self.transition}")
+        check_count("fock_dim", "fock_dim", self.fock_dim, 2)
+        if self.fock_dim > DIM_CAP:
+            raise ValueError(f"fock_dim must be <= the per-mode cap {DIM_CAP}, "
+                             f"got {self.fock_dim}")
+        check_count("transition index", "transition", self.transition, 0)
 
 
 def _check_temperature(temperature: float) -> None:
@@ -270,9 +269,8 @@ def evolve_pulsed(
     resolution, raising ConvergenceError if the coherence moves by more than
     SUBSTEP_TOL.  ``substeps`` must be an int >= 1.
     """
-    if substeps is not None and (isinstance(substeps, bool)
-                                 or not isinstance(substeps, (int, np.integer)) or substeps < 1):
-        raise ValueError(f"substeps must be an int >= 1, got {substeps!r}")
+    if substeps is not None:
+        check_count("substeps", "substeps", substeps, 1)
     n = schedule.n
     if len(group) != n:
         raise ValueError(f"dimension mismatch: schedule n={n}, group of {len(group)} elements")

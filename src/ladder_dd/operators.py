@@ -13,18 +13,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from .schedules import check_count, pulse_count
+
 # Max-entry tolerance for "zero" and "unitary": ~1e4 x double epsilon,
 # absorbing round-off from repeated small matrix products.
 ZERO_TOL = 1e-12
 
 
 def _check_transition(n: int, k: int) -> None:
-    if n < 2:
-        raise ValueError(f"atom dimension must be >= 2, got n={n}")
-    if not 0 <= k <= n - 2:
-        raise IndexError(
-            f"transition index k={k} out of range for n={n} (need 0 <= k <= n-2)"
-        )
+    pulse_count(n, 1)  # checks that n is an int >= 2
+    if k not in range(n - 1):
+        raise ValueError(f"transition k={k!r} out of range for n={n} (need 0 <= k <= n-2)")
+    check_count("transition index", "k", k, 0)
 
 
 def sigma_x(n: int, k: int) -> np.ndarray:
@@ -72,9 +72,7 @@ def build_decoupling_group(n: int) -> tuple[np.ndarray, ...]:
     x_pulse factors over all transitions, lowest transition leftmost.  The
     n-th power of g is a unit-modulus scalar times the identity.
     """
-    if n < 2:
-        raise ValueError(f"atom dimension must be >= 2, got n={n}")
-    g = x_pulse(n, 0)
+    g = x_pulse(n, 0)  # checks n
     for k in range(1, n - 1):
         g = g @ x_pulse(n, k)
     elements = [np.eye(n, dtype=complex)]

@@ -30,19 +30,22 @@ class Scheme(enum.Enum):
     CUSTOM = "custom"
 
 
+def check_count(label: str, name: str, value, low: int) -> None:
+    """Raise a ValueError unless ``value`` is an int or numpy integer (no bool) >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{label} must be an int >= {low}, got {name}={value!r}")
+
+
 def pulse_count(n: int, cycles: int) -> int:
     """Number of interior pulses, n*cycles - 1 (the pulse at T is separate)."""
-    if n < 2:
-        raise ValueError(f"atom dimension must be >= 2, got n={n}")
-    if cycles < 1:
-        raise ValueError(f"cycle count must be >= 1, got cycles={cycles}")
+    check_count("atom dimension", "n", n, 2)
+    check_count("cycle count", "cycles", cycles, 1)
     return n * cycles - 1
 
 
 def pdd_fractions(m: int) -> np.ndarray:
     """Equidistant pulse fractions i/(M+1), i = 1..M."""
-    if m < 1:
-        raise ValueError(f"pulse count must be >= 1, got M={m}")
+    check_count("pulse count", "M", m, 1)
     return np.arange(1, m + 1, dtype=float) / (m + 1)
 
 
@@ -51,8 +54,7 @@ def udd_fractions(m: int) -> np.ndarray:
 
     Symmetric about 1/2: delta_i + delta_{M+1-i} = 1 up to round-off.
     """
-    if m < 1:
-        raise ValueError(f"pulse count must be >= 1, got M={m}")
+    check_count("pulse count", "M", m, 1)
     i = np.arange(1, m + 1, dtype=float)
     return np.sin(i * math.pi / (2 * m + 2)) ** 2
 

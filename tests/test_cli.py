@@ -99,6 +99,13 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=field):
             parse_config(None, overrides)
 
+    @pytest.mark.parametrize("field, value", [("t_points", 2.0), ("t_points", True),
+                                              ("n", 6.0), ("cycles", True)])
+    def test_integer_field_rejects_other_types(self, field, value):
+        # t_points=2.0 once passed and failed later with a bare TypeError
+        with pytest.raises(ValueError, match=f"must be an int >= ., got {field}={value!r}$"):
+            parse_config(None, {field: value})
+
     def test_readme_example_is_the_defaults(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
@@ -129,6 +136,15 @@ class TestVerifyGroup:
     def test_invalid_dimension(self, capsys):
         assert main(["verify-group", "--n", "1"]) == EXIT_VALIDATION
         assert "n=1" in capsys.readouterr().err
+
+    def test_index_error_is_a_bug_not_invalid_input(self, monkeypatch):
+        # no input raises IndexError: one that escapes is not reported as exit 2
+        def boom(n):
+            raise IndexError("index 7 is out of bounds")
+
+        monkeypatch.setattr(cli, "verify_decoupling", boom)
+        with pytest.raises(IndexError, match="out of bounds"):
+            main(["verify-group", "--n", "4"])
 
     @pytest.mark.parametrize("residuals", [(0.0, 2e-12, 0.0), (0.0, float("nan"), 0.0)],
                              ids=["above-tolerance", "nan"])
@@ -428,6 +444,59 @@ class TestMemoryError:
         err = capsys.readouterr().err
         assert err == f"ladder-dd: {str(error) or 'MemoryError'}\n"
         assert list(tmp_path.iterdir()) == []
+
+
+# Small curve runs for the edge table: one cycle, two grid points up to T = 0.5.
+EDGE_CURVE = ["curve", "--cycles", "1", "--t-points", "2", "--t-max", "0.5"]
+EDGE_CUSTOM = ["--scheme", "custom", "--n", "2", "--custom-fractions", "{dir}/fractions.txt"]
+
+
+class TestEdgeInputs:
+    """Every edge input ends in a documented exit code, at most one named stderr
+    line and no numpy warning; a run that exits 0 wrote the requested grid with
+    finite P in [0, 1]."""
+
+    @pytest.mark.parametrize("argv, files", [
+        *(([*EDGE_CURVE, f"--{flag}={value}"], {}) for flag, value in [
+            ("alpha", "0"), ("alpha", "-0"), ("alpha", "5e-324"), ("alpha", "1e300"),
+            ("alpha", "nan"), ("temperature", "5e-324"), ("temperature", "1e300"),
+            ("temperature", "-inf"), ("cutoff", "-0"), ("cutoff", "5e-324"),
+            ("cutoff", "1e300"), ("t-min", "0"), ("t-min", "-1"), ("t-min", "nan"),
+            ("t-max", "inf"), ("t-max", "5e-324"), ("quad-tolerance", "1e300"),
+            ("quad-tolerance", "nan"), ("quad-tolerance", "-1"),
+            ("n", "0"), ("cycles", "-1"), ("t-points", "0"), ("t-points", "-1"),
+            ("workers", "0"),
+        ]),
+        (["verify-group", "--n=0"], {}),
+        (["schedule", "--scheme=udd", "--n=2", "--cycles=-1"], {}),
+        ([*EDGE_CURVE, *EDGE_CUSTOM], {"fractions.txt": ""}),
+        ([*EDGE_CURVE, *EDGE_CUSTOM], {"fractions.txt": "0.25\n"}),
+        ([*EDGE_CURVE, *EDGE_CUSTOM], {"fractions.txt": "nan\n"}),
+        ([*EDGE_CURVE, "--config", "{dir}/run.cfg"], {"run.cfg": "n = 3\nn = 2\n"}),
+    ], ids=lambda value: (" ".join(value).replace(" ".join(EDGE_CURVE), "curve")
+                          if isinstance(value, list)
+                          else " ".join(f"{name}={text!r}" for name, text in value.items())))
+    def test_edge_input(self, argv, files, tmp_path, capsys):
+        for name, text in files.items():
+            write(tmp_path / name, text)
+        out = tmp_path / "curve.csv"
+        argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
+        if argv[0] == "curve":
+            argv += ["--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_CONVERGENCE, EXIT_IO), err
+        assert err == "" or (err.startswith("ladder-dd: ") and err.count("\n") == 1), err
+        if code == EXIT_OK and argv[0] == "curve":
+            args = cli._build_parser().parse_args(argv)
+            config = parse_config(args.config, {key: getattr(args, key) for key in cli._KEY_TYPES})
+            rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+            grid = np.linspace(config.resolved_t_min(), config.t_max, config.t_points)
+            assert [float(row[0]) for row in rows] == grid.tolist()
+            values = np.array([row[1:] for row in rows], dtype=float)
+            assert np.all(np.isfinite(values)) and np.all((values >= 0) & (values <= 1))
 
 
 def test_runtime_needs_numpy_alone(tmp_path):

@@ -274,6 +274,24 @@ class TestModeSpecValidation:
         with pytest.raises(ValueError, match="transition"):
             ModeSpec(transition=-1, omega=1.0, coupling=0.1, fock_dim=4)
 
+    @pytest.mark.parametrize("transition", [1.0, 0.5, "1", True])
+    def test_non_integer_transition_is_named(self, transition):
+        # 1.0 and 0.5 once failed inside evolve_pulsed with a bare IndexError, and
+        # True evolved transition 1 while discrete_decay_exponent returned an array
+        with pytest.raises(ValueError,
+                           match="transition index must be an int >= 0, got transition="):
+            ModeSpec(transition=transition, omega=1.0, coupling=0.1, fock_dim=30)
+
+    def test_numpy_integer_transition(self):
+        schedule = ScheduleSpec(Scheme.PDD, 3, 1, 2.0)
+        group = build_decoupling_group(3)
+        plain, numpy_index = (ModeSpec(transition=k, omega=1.0, coupling=0.1, fock_dim=30)
+                              for k in (1, np.int64(1)))
+        assert _bits(evolve_pulsed((numpy_index,), schedule, group, 1.0)) == _bits(
+            evolve_pulsed((plain,), schedule, group, 1.0))
+        assert _bits(discrete_decay_exponent((numpy_index,), 1.0, schedule)) == _bits(
+            discrete_decay_exponent((plain,), 1.0, schedule))
+
     def test_fock_dim_cap(self):
         ModeSpec(transition=0, omega=1.0, coupling=0.1, fock_dim=DIM_CAP)  # at the cap
         with pytest.raises(ValueError, match="cap"):

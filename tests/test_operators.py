@@ -48,9 +48,9 @@ class TestSigmaOperators:
 
     @pytest.mark.parametrize("bad_k", [-1, 1])
     def test_sigma_index_error_names_arguments(self, bad_k):
-        with pytest.raises(IndexError, match="k=.*n=2"):
+        with pytest.raises(ValueError, match="k=.*n=2"):
             sigma_x(2, bad_k)
-        with pytest.raises(IndexError, match="k=.*n=2"):
+        with pytest.raises(ValueError, match="k=.*n=2"):
             sigma_z(2, bad_k)
 
     def test_dimension_error(self):
@@ -73,7 +73,7 @@ class TestXPulse:
             assert max_abs(x_pulse(n, k) - generic) <= TOL
 
     def test_index_error(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match="k=3.*n=4"):
             x_pulse(4, 3)
 
 

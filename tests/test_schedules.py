@@ -8,6 +8,7 @@ from ladder_dd.schedules import (
     ScheduleSpec,
     Scheme,
     build_schedule,
+    check_count,
     fractions_text,
     parse_fractions_text,
     pdd_fractions,
@@ -18,6 +19,19 @@ from ladder_dd.schedules import (
 # sin^2(pi/8) and sin^2(3*pi/8), i.e. (1 -/+ sqrt(2)/2)/2
 UDD3_LO = 0.14644660940672624
 UDD3_HI = 0.85355339059327373
+
+
+class TestCheckCount:
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3), 10**30])
+    def test_integers_at_or_above_the_bound_pass(self, value):
+        check_count("cycle count", "cycles", value, 3)
+
+    @pytest.mark.parametrize("value", [2, np.int64(2), -1, 3.0, 3.5, "3", True, np.bool_(True),
+                                       None, math.nan])
+    def test_everything_else_is_named(self, value):
+        with pytest.raises(ValueError) as excinfo:
+            check_count("cycle count", "cycles", value, 3)
+        assert str(excinfo.value) == f"cycle count must be an int >= 3, got cycles={value!r}"
 
 
 class TestPulseCount:
@@ -199,6 +213,13 @@ class TestSpecValidation:
     def test_bad_dimension(self):
         with pytest.raises(ValueError, match="n=1"):
             ScheduleSpec(scheme=Scheme.PDD, n=1, cycles=1, total_time=1.0)
+
+    @pytest.mark.parametrize("field, value", [("n", 2.0), ("cycles", 1.0), ("cycles", True)])
+    def test_non_integer_count_is_named(self, field, value):
+        # each once passed and failed later with a bare TypeError
+        counts = dict(n=2, cycles=1) | {field: value}
+        with pytest.raises(ValueError, match=f"must be an int >= ., got {field}={value!r}$"):
+            ScheduleSpec(scheme=Scheme.PDD, total_time=1.0, **counts)
 
 
 class TestSerialization:
