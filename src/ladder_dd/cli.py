@@ -87,8 +87,9 @@ class RunConfig:
             raise ValueError(f"t_min must be finite and >= 0, got {t_min}")
         if not (self.t_max > t_min or (self.t_points == 1 and self.t_max == t_min)):
             raise ValueError(f"t_max must be > t_min, got t_max={self.t_max}, t_min={t_min}")
-        if not 0 < self.quad_tolerance <= 1e-2:
-            raise ValueError(f"quad_tolerance must be in (0, 1e-2], got {self.quad_tolerance}")
+        # below 1e-14 successive estimates differ by round-off: no run could converge
+        if not 1e-14 <= self.quad_tolerance <= 1e-2:
+            raise ValueError(f"quad_tolerance must be in [1e-14, 1e-2], got {self.quad_tolerance}")
         if Scheme.CUSTOM in _COLUMNS[self.scheme] and self.custom_fractions_path is None:
             raise ValueError(f"scheme {self.scheme!r} requires custom_fractions_path")
 
@@ -107,7 +108,7 @@ _KEY_TYPES = {
 
 
 def _parse_config_file(path: str) -> dict:
-    values: dict = {}
+    values, lines = {}, {}  # each key's value and the line that set it
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -115,11 +116,12 @@ def _parse_config_file(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, _, text = line.partition("=")
-            key = key.strip()
-            text = text.strip()
+            key, _, text = (part.strip() for part in line.partition("="))
             if key not in _KEY_TYPES:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if lines.setdefault(key, lineno) != lineno:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} is already set "
+                                 f"on line {lines[key]}")
             kind = _KEY_TYPES[key]
             try:
                 values[key] = kind(text)

@@ -8,16 +8,11 @@ ladder transition k picks up, per segment, the window amplitude
 
 weighted by the start-time phase exp(i w t_start) and by the level occupied
 in the toggled frame.  Summing over all N cycles at fixed intra-cycle slot l
-gives the position filter eta_l(w), l = 0..n-1.  Summed literally it costs
-the phasors exp(i w t) at all nN+1 pulse boundaries; position_filters uses
-each scheme's structure instead, each form an exact rearrangement of the
-same sum.  PDD's equal segments make the cycle sum a geometric series (n
-phasors per frequency, its poles removed by reducing the argument modulo
-pi).  Uhrig's boundaries t_b = (T/2)(1 - cos(pi b/nN)) turn each phasor
-into a Jacobi-Anger series in J_k(wT/2), whose cycle sum is again geometric:
-UDD filters cost O(wT) real multiply-adds per frequency, from one Miller
-recurrence over all the frequencies of a call, unless the boundary sum is
-cheaper.  Custom fractions take every boundary phasor.
+gives the position filter eta_l(w), l = 0..n-1.  position_filters evaluates
+it by each scheme's exact rearrangement of the boundary sum: n phasors per
+frequency for PDD, O(wT) real multiply-adds for UDD from one Miller
+recurrence over all the frequencies of a call (or the boundary sum where
+that is cheaper), and every boundary phasor for custom fractions.
 
 The decay exponent of the (0,1) coherence collects, per transition
 k = 0..n-2, the cyclic second difference of position filters centred on
@@ -26,8 +21,7 @@ slot k,
     chi_k(w) = eta_{k-1}(w) - 2 eta_k(w) + eta_{k+1}(w)   (slots mod n).
 
 In the toggled frame the (0,1) coherence sees the sigma_z of transition k
-with weight -2 in slot k, +1 in its two neighbours and 0 elsewhere; the
-tests derive this stencil from the group elements.  For a continuum Ohmic
+with weight -2 in slot k, +1 in its two neighbours.  For a continuum Ohmic
 bath with spectral density I(w) = (alpha/4) w exp(-w/w_c) at temperature Tp
 (units hbar = k_B = 1) the exponents are
 
@@ -43,21 +37,15 @@ filter of the same fractions over total time 1, so in u = w T
     Gamma_k(T) = T * integral_0^{w_c T} W(u/T) |chi1_k(u)|^2 du,
     W(w) = I(w) coth(w/(2 Tp)) / 2.
 
-A FilterTable sums |chi1_k|^2 on Gauss-Legendre panels of width 4 pi / 2**L
-in u: per level L the whole panels from u = 0, of which a point up to
-u = cutoff*T takes the first floor(cutoff*T 2**L / 4 pi), then one remainder
-panel up to its cutoff*T.  The points of a sweep share one table.  At its
-first use it tiles every point's first two levels at once, evaluates their
-panels in one filter call (a UDD call costs O(max wT) numpy steps however
-many frequencies it takes), sums each level for all its points in one
-reduction, or a few near the panel cap, frees the nodes and keeps every
-estimate with its convergence test: a point that settles there costs a
-lookup.  A deeper level is the same batch over one point's whole tiling.  A
-point's sum adds its terms in node order, without BLAS, so with numpy's
-unfused einsum it does not depend on the other points of its level; a
-frequency's filter depends on the others of its call only through the call
-size, which picks the UDD form (see _SLICE_COLUMNS), and so at round-off at
-most.
+A FilterTable, shared by the points of a sweep, sums |chi1_k|^2 on
+Gauss-Legendre panels of width 4 pi / 2**L in u.  Its first use evaluates
+every point's first two levels in one batch, which streams eta -> chi ->
+weighted rows through node chunks and so peaks near its rows, 8(n-1) bytes a
+node, plus one reduction group and one chunk; a point that settles there
+costs a lookup.  A point's sum adds its terms in node order, without BLAS, so
+with numpy's unfused einsum it does not depend on the other points of its
+level; a frequency's filter depends on the others of its call only through
+the call size, which picks the UDD form (see _SLICE_COLUMNS): at round-off.
 """
 
 from __future__ import annotations
@@ -69,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedules import ScheduleSpec, Scheme, build_schedule
+from .schedules import ScheduleSpec, Scheme, build_schedule, check_count
 
 GL_ORDER = 15
 # np.polynomial.legendre.leggauss(GL_ORDER), written out bit for bit: importing
@@ -125,11 +113,10 @@ _PANEL_WIDTH = 4.0 * math.pi
 _MIN_PANELS = 8
 
 # Most level-0 panels below u = cutoff*T (memory bound).  A table's first batch
-# evaluates two levels of every point: at this cap about 7e5 nodes, in a filter
-# call whose allocations peak near 210 MiB at n = 6.  A level's reduction takes
-# its points in groups of about as many padded (point, node) pairs, which peak
-# near 60 MiB, however many points share the table.  The reference sweeps stay
-# far below it (127 panels for N = 400 at T = 16).
+# evaluates two levels of every point: at this cap about 7e5 nodes, whose rows
+# take 28 MiB at n = 6, plus one node chunk and one reduction group of about as
+# many padded (point, node) pairs: 55 MiB, however many points share the table.
+# The reference sweeps stay far below the cap (127 panels for N = 400 at T = 16).
 _MAX_PANELS = 2**14
 
 # Smallest cutoff*T that _first_level accepts (see there).
@@ -229,8 +216,9 @@ def _miller_orders(z: np.ndarray) -> np.ndarray:
 
 
 def _bessel_sums(z: np.ndarray, orders: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_{k=1..len(weights)} J_k(z) weights[k-1] for every z at once: shape
-    (z.size, weights.shape[1]); ``orders`` from _miller_orders(z).
+    """sum_{k=1..len(weights)} J_k(z) weights[k-1] for every z at once, the first
+    half of the columns as real parts and the second as imaginary parts: shape
+    (z.size, weights.shape[1] // 2) complex; ``orders`` from _miller_orders(z).
 
     Miller's backward recurrence J_{k-1} = 2k J_k/z - J_{k+1} runs for all z
     together, each z seeded at its own start order, and is normalised at the
@@ -238,9 +226,8 @@ def _bessel_sums(z: np.ndarray, orders: np.ndarray, weights: np.ndarray) -> np.n
     are a prefix, and each step copies, multiplies and indexes only them.  The
     rows J_k that carry a weight are multiplied into the sums _BLOCK_ROWS at a
     time, over that prefix, in blocks counted from the lowest order and in
-    slices of at most _SLICE_COLUMNS z.  A block whose rows weigh nothing in
-    the first half of the columns (UDD's odd orders: the real parts) adds
-    only to the second half.
+    slices of at most _SLICE_COLUMNS z; a block that weighs no real part (UDD's
+    odd orders) adds only to the imaginary half.
     """
     size, half = z.size, weights.shape[1] // 2
     perm = np.argsort(-orders, kind="stable")
@@ -280,8 +267,10 @@ def _bessel_sums(z: np.ndarray, orders: np.ndarray, weights: np.ndarray) -> np.n
         np.subtract(scaled, then, out=then)
         cur, nxt = nxt, cur
     sums /= cur + 2.0 * even  # cur holds J_0
-    out = np.empty((size, weights.shape[1]))
-    out[perm] = sums.T
+    del block, cur, nxt, step, even, now, then, scaled, z  # freed before the result exists
+    out = np.empty((size, half), dtype=complex)
+    out.real[perm] = sums[:half].T
+    out.imag[perm] = sums[half:].T
     return out
 
 
@@ -328,50 +317,10 @@ def position_filters(omegas, schedule: ScheduleSpec) -> np.ndarray:
     The w = 0 entries use the limit -i * sum_j dt_j(l).
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    boundaries = schedule.boundaries
-    n, cycles, total_time = schedule.n, schedule.cycles, schedule.total_time
-    out = np.empty((omegas.size, n), dtype=complex)
-    # the w = 0 quotients are not finite; the limit replaces them below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        orders = _udd_series_orders(omegas, schedule) if schedule.scheme is Scheme.UDD else None
-        if schedule.scheme is Scheme.PDD:
-            step = total_time / (n * cycles)
-            half = (0.5 * n * step) * omegas
-            turns = np.rint(half / math.pi)
-            delta = half - turns * math.pi
-            ratio = np.where(delta == 0.0, cycles, np.sin(cycles * delta) / np.sin(delta))
-            ratio *= 1.0 - 2.0 * (turns * (cycles - 1) % 2.0)  # (-1)^(k(N-1))
-            centres = 0.5 * (total_time + (2.0 * np.arange(n) + (1 - n)) * step)
-            np.multiply(omegas[:, None], centres, out=out.imag)
-            out.real = 0.0
-            np.exp(out, out=out)
-            out *= (-2j * np.sin((0.5 * step) * omegas) * ratio / omegas)[:, None]
-        elif orders is not None:
-            z = 0.5 * total_time * omegas
-            weights = _udd_weights(int(orders.max()), n, cycles)
-            chunk = _CHUNK_ELEMS // _BLOCK_ROWS
-            for start in range(0, omegas.size, chunk):
-                part = slice(start, start + chunk)
-                sums = _bessel_sums(z[part], orders[part], weights)
-                out.real[part], out.imag[part] = sums[:, :n], sums[:, n:]
-            out *= (np.exp(1j * z) / omegas)[:, None]
-        else:
-            size = boundaries.size
-            chunk = max(1, _CHUNK_ELEMS // (size + 1))
-            # one phasor and one difference buffer for all chunks, written in place
-            buffer = np.empty((min(chunk, omegas.size), size), dtype=complex)
-            diff_buffer = np.empty((buffer.shape[0], size - 1), dtype=complex)
-            for start in range(0, omegas.size, chunk):
-                w = omegas[start : start + chunk]
-                edge, diffs = buffer[: w.size], diff_buffer[: w.size]
-                np.multiply(w[:, None], boundaries, out=edge.imag)
-                edge.real = 0.0
-                np.exp(edge, out=edge)
-                np.subtract(edge[:, :-1], edge[:, 1:], out=diffs)
-                sums = diffs.reshape(w.size, cycles, n).sum(axis=1)
-                out[start : start + chunk] = sums / w[:, None]
-    out[omegas == 0.0] = -1j * schedule.segments.sum(axis=0)
-    return out
+    eta = np.empty((omegas.size, schedule.n), dtype=complex)
+    for part, values in _position_chunks(omegas, schedule):
+        eta[part] = values
+    return eta
 
 
 def exponent_filters(omegas, schedule: ScheduleSpec) -> np.ndarray:
@@ -381,14 +330,78 @@ def exponent_filters(omegas, schedule: ScheduleSpec) -> np.ndarray:
     centred on 0-based slot k (slots mod n); at n=2 both neighbours are the
     other slot.  The tests derive these weights from the pulse group.
     """
-    eta = position_filters(omegas, schedule)
-    n = schedule.n
-    # in place: two more (K, n-1) temporaries cost a curve-deep pass about
-    # 1000 more page faults
-    chi = eta[:, np.arange(-1, n - 2)]  # slot k-1 mod n of each column k < n-1
-    chi -= 2.0 * eta[:, : n - 1]
-    chi += eta[:, 1:n]
-    return chi
+    return _exponent_rows(omegas, schedule, None)
+
+
+def _exponent_rows(omegas, schedule: ScheduleSpec, weights: np.ndarray | None) -> np.ndarray:
+    """exponent_filters(omegas, schedule), or for (K, 1) ``weights`` the table's
+    rows weights[j] |chi_k(w_j)|^2, filled in place a chunk of _position_chunks
+    at a time: no eta or chi exists for all of ``omegas``."""
+    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    n, out = schedule.n, None
+    for part, eta in _position_chunks(omegas, schedule):
+        chi = eta[:, np.arange(-1, n - 2)]  # slot k-1 mod n of each column k < n-1
+        chi -= 2.0 * eta[:, : n - 1]
+        chi += eta[:, 1:n]
+        if out is None:  # above the first chunk's temporaries: a curve pass re-faults no pages
+            out = np.empty((omegas.size, n - 1), dtype=complex if weights is None else float)
+        if weights is None:
+            out[part] = chi
+        else:
+            block = np.square(chi.real, out=out[part])
+            block += np.square(chi.imag, out=chi.imag)
+            block *= weights[part]
+    return out
+
+
+def _position_chunks(omegas: np.ndarray, schedule: ScheduleSpec):
+    """Yield (part, position_filters(omegas[part], schedule)) over consecutive
+    slices, each with temporaries of about _CHUNK_ELEMS elements.  UDD's form is
+    chosen for all of ``omegas``, so a chunk has the bits of one whole call."""
+    boundaries, limit = schedule.boundaries, -1j * schedule.segments.sum(axis=0)
+    n, cycles, total_time = schedule.n, schedule.cycles, schedule.total_time
+    orders = _udd_series_orders(omegas, schedule) if schedule.scheme is Scheme.UDD else None
+    if schedule.scheme is Scheme.PDD:
+        step = total_time / (n * cycles)
+        centres = 0.5 * (total_time + (2.0 * np.arange(n) + (1 - n)) * step)
+        chunk = max(1, _CHUNK_ELEMS // n)
+    elif orders is not None:
+        weights = _udd_weights(int(orders.max()), n, cycles)
+        chunk = max(1, _CHUNK_ELEMS // _BLOCK_ROWS)
+    else:
+        chunk = max(1, _CHUNK_ELEMS // (boundaries.size + 1))
+        # one phasor and one difference buffer for all chunks, written in place
+        buffer = np.empty((min(chunk, omegas.size), boundaries.size), dtype=complex)
+        diff_buffer = np.empty((buffer.shape[0], boundaries.size - 1), dtype=complex)
+    for start in range(0, omegas.size or 1, chunk):  # an empty call yields one empty chunk
+        part = slice(start, start + chunk)
+        w = omegas[part]
+        # the w = 0 quotients are not finite; the limit replaces them below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if schedule.scheme is Scheme.PDD:
+                half = (0.5 * n * step) * w
+                turns = np.rint(half / math.pi)
+                delta = half - turns * math.pi
+                ratio = np.where(delta == 0.0, cycles, np.sin(cycles * delta) / np.sin(delta))
+                ratio *= 1.0 - 2.0 * (turns * (cycles - 1) % 2.0)  # (-1)^(k(N-1))
+                eta = np.empty((w.size, n), dtype=complex)
+                np.multiply(w[:, None], centres, out=eta.imag)
+                eta.real = 0.0
+                np.exp(eta, out=eta)
+                eta *= (-2j * np.sin((0.5 * step) * w) * ratio / w)[:, None]
+            elif orders is not None:
+                z = 0.5 * total_time * w
+                eta = _bessel_sums(z, orders[part], weights)
+                eta *= (np.exp(1j * z) / w)[:, None]
+            else:
+                edge, diffs = buffer[: w.size], diff_buffer[: w.size]
+                np.multiply(w[:, None], boundaries, out=edge.imag)
+                edge.real = 0.0
+                np.exp(edge, out=edge)
+                np.subtract(edge[:, :-1], edge[:, 1:], out=diffs)
+                eta = diffs.reshape(w.size, cycles, n).sum(axis=1) / w[:, None]
+        eta[w == 0.0] = limit
+        yield part, eta
 
 
 def _thermal_weight(omegas: np.ndarray, bath: BathSpec) -> np.ndarray:
@@ -402,10 +415,8 @@ def _thermal_weight(omegas: np.ndarray, bath: BathSpec) -> np.ndarray:
 def decay_integrand(omegas, schedule: ScheduleSpec, bath: BathSpec) -> np.ndarray:
     """Rows (1/2) I(w) coth(w/(2 Tp)) |chi_k(w)|^2 for every transition k, shape (n-1, K)."""
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    chi = exponent_filters(omegas, schedule)
-    # C-ordered rows keep the panel sums in one summation order
-    power = np.ascontiguousarray((chi.real**2 + chi.imag**2).T)
-    return _thermal_weight(omegas, bath) * power
+    rows = _exponent_rows(omegas, schedule, _thermal_weight(omegas, bath)[:, None])
+    return np.ascontiguousarray(rows.T)  # C-ordered: panel sums in one summation order
 
 
 def _tilings(levels: np.ndarray, uppers: np.ndarray):
@@ -446,14 +457,13 @@ class FilterTable:
     panel [floor(cutoff*T/h_L) h_L, cutoff*T].
 
     ``times`` lists the total times of a sweep's points.  The table's first
-    use is one batch over every listed point's first two levels: one tiling
-    of them all, one filter call (a UDD call costs O(max u) numpy steps
-    whatever its size) and per level one reduction, or a few near the panel
-    cap.  The batch's nodes are freed when it returns; per (level, T) the
+    use is one batch over every listed point's first two levels: one filter
+    call (a UDD call costs O(max u) numpy steps whatever its size) and per
+    level one reduction, or a few near the panel cap.  Per (level, T) the
     table keeps only the estimate, its node count, its finiteness and its
-    relative change from the level before: a settled point is a lookup.  A
-    deeper level is the same batch over one point's whole tiling.  Using the
-    table mutates it: do not share one table between threads.
+    relative change from the level before.  A deeper level is the same batch
+    over one point's whole tiling.  Using the table mutates it: do not share
+    one table between threads.
     """
 
     def __init__(self, spec: ScheduleSpec, bath: BathSpec, times):
@@ -478,24 +488,20 @@ class FilterTable:
             self._batch(pairs)
         gamma, nodes, finite, change = self._estimates[key]
         if not finite:
-            raise ConvergenceError(
-                f"non-finite decay exponent estimate on {nodes} nodes "
-                f"(while evaluating T={total_time:.6g})",
-                previous=self._estimates.get((level - 1, total_time), (gamma,))[0],
-                current=gamma,
-            )
+            previous = self._estimates.get((level - 1, total_time), (gamma,))[0]
+            raise ConvergenceError(f"non-finite decay exponent estimate on {nodes} nodes "
+                                   f"(while evaluating T={total_time:.6g})", previous, gamma)
         return gamma, nodes, change
 
     def _batch(self, pairs: list[tuple[int, float]]) -> None:
         """Estimate Gamma for every (level, total time) of ``pairs``, each once,
         grouped by level in order of first appearance.
 
-        One filter call evaluates each level's whole panels from u = 0 up to
-        its longest point's, then the batch's distinct remainder panels in
-        order of first use.  A level sums its points in groups padded to the
-        longest, each keeping its (point, node) pairs within the nodes of the
-        first two levels of a point at _MAX_PANELS: the table's memory stays
-        set by its filter calls, however many points share it.
+        One filter call weighs each level's whole panels from u = 0 up to its
+        longest point's, then the batch's distinct remainder panels in order
+        of first use; only its nodes and rows outlive it.  A level sums its
+        points in groups padded to the longest, each within about the nodes of
+        a point's first two levels at _MAX_PANELS, however many points share it.
         """
         pairs = list(dict.fromkeys(pairs))
         order = list(dict.fromkeys(level for level, _ in pairs))
@@ -513,9 +519,7 @@ class FilterTable:
         centres = np.append((index + 0.5) * width, [centre for centre, _ in places])
         halves = np.append(0.5 * width, [half for _, half in places])
         nodes = (centres[:, None] + halves[:, None] * _GL_NODES).ravel()
-        chi = exponent_filters(nodes, self.unit)
-        rows = (chi.real**2 + chi.imag**2) * (halves[:, None] * _GL_WEIGHTS).reshape(-1, 1)
-        del chi  # held through the reductions, it costs a curve-reference pass ~690 page faults
+        rows = _exponent_rows(nodes, self.unit, (halves[:, None] * _GL_WEIGHTS).reshape(-1, 1))
         gamma = np.empty((len(pairs), self.unit.n - 1))
         first = 0  # the level's first node
         for a, b, top in zip(starts, starts[1:], tops):
@@ -542,20 +546,18 @@ class FilterTable:
         whole panels from node ``first`` on, and the remainder panels at
         their panel index.
 
-        One bath weight call covers every point's nodes.  Each point's sum then
-        runs in node order over its whole panels, then over its remainder
+        The bath weights are taken a node chunk at a time.  Each point's sum
+        then runs in node order over its whole panels, then over its remainder
         panel, as a sum over that point alone would.
         """
         ends = GL_ORDER * whole
         rest = np.flatnonzero(panels >= 0)
         span, width, count = int(ends.max()), rows.shape[1], times.size
         level = slice(first, first + span)
-        rest_nodes = nodes.reshape(-1, GL_ORDER)[panels[rest]]
-        # Per point, then one all-zero point: weights of its whole panels, zero
-        # past its own, then of its remainder panel, zero if it has none.  With
-        # at least two points, the reductions below loop over points innermost
-        # and add each point's nodes in order, for a point swept alone as in a
-        # batch.
+        # Per point, then one all-zero point: weights of its whole panels, zero past
+        # its own, then of its remainder panel, zero if it has none.  With at least
+        # two points, the reductions below loop over points innermost and add each
+        # point's nodes in order, for a point swept alone as in a batch.
         used = np.zeros((count + 1, span + GL_ORDER), dtype=bool)
         used[:count, :span] = np.arange(span) < ends[:, None]
         used[rest, span:] = True
@@ -567,8 +569,11 @@ class FilterTable:
             # w = u/T of every used (point, node) pair, then its bath weight
             np.divide(nodes[level], np.append(times, 1.0)[:, None], out=weights[:, :span],
                       where=used[:, :span])
-            weights[rest, span:] = rest_nodes / times[rest, None]
-            weights[used] = _thermal_weight(weights[used], self.bath)
+            weights[rest, span:] = nodes.reshape(-1, GL_ORDER)[panels[rest]] / times[rest, None]
+            step = max(1, _CHUNK_ELEMS // (count + 1))  # pairs a node chunk at a time
+            for start in range(0, span + GL_ORDER, step):
+                view, mask = weights[:, start : start + step], used[:, start : start + step]
+                view[mask] = _thermal_weight(view[mask], self.bath)
             # row 0: each point's sum over its whole panels, by einsum without
             # optimize (not BLAS, whose order may vary with its threads) over
             # node-major weights, looping innermost over points.  numpy's einsum
@@ -624,18 +629,19 @@ def decay_exponents(
 
     The first level has at least ``_MIN_PANELS`` panels of at most two filter
     oscillations each; each further level halves the panel width, until
-    successive estimates of every Gamma_k agree within ``rel_tol``, for at
-    most ``_MAX_DOUBLINGS`` halvings.  ``extra_levels`` forces further
-    halvings after convergence (used to probe quadrature stability).
-    Exponents whose successive estimates both sit below ``_ZERO_FLOOR`` count
-    as converged zeros.  ``table`` is a FilterTable for the schedule's
-    fractions and ``bath``, shared by the points of a sweep; without one a
-    one-point table is built.  ``rel_tol`` must be finite and in (0, 1).  Raises
+    successive estimates of every Gamma_k agree within ``rel_tol``, finite and
+    in (0, 1), for at most ``_MAX_DOUBLINGS`` halvings.  ``extra_levels``, an
+    int >= 0, forces that many more halvings after convergence (to probe
+    quadrature stability).  Exponents whose successive estimates both sit
+    below ``_ZERO_FLOOR`` count as converged zeros.  ``table`` is a
+    FilterTable for the schedule's fractions and ``bath``, shared by the
+    points of a sweep; without one a one-point table is built.  Raises
     ConvergenceError, carrying the last two estimate vectors and naming T, if
     the target is never met or an estimate is not finite.
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must be finite and in (0, 1), got {rel_tol}")
+    check_count("extra levels", "extra_levels", extra_levels, 0)
     if table is None:
         table = FilterTable(schedule, bath, [schedule.total_time])
     elif _fractions_key(schedule) != _fractions_key(table.unit):
@@ -653,11 +659,9 @@ def decay_exponents(
                 curr, points, change = table.estimate(level, total_time)
             return DecayExponents(gamma=curr, quadrature_points=points,
                                   estimated_relative_error=change)
-    raise ConvergenceError(
-        f"decay exponents did not converge to rel_tol={rel_tol:g} within "
-        f"{_MAX_DOUBLINGS} doublings ({points} nodes) "
-        f"(while evaluating T={total_time:.6g})",
-        previous=prev, current=curr)
+    raise ConvergenceError(f"decay exponents did not converge to rel_tol={rel_tol:g} within "
+                           f"{_MAX_DOUBLINGS} doublings ({points} nodes) "
+                           f"(while evaluating T={total_time:.6g})", prev, curr)
 
 
 @dataclass(frozen=True)
@@ -676,10 +680,8 @@ def sweep_curve(
     """Evaluate P(T) over a grid of total times, for the fractions of ``template``.
 
     The grid must be strictly increasing and positive.  Points run in grid
-    order and share one FilterTable, told every point's total time up front:
-    the first point checks every point's range, evaluates the first two levels
-    of all of them in one filter call and sums each level in one reduction,
-    and a point that refines further evaluates its whole tiling per level.
+    order and share one FilterTable, told every point's total time up front,
+    so the first point checks every point's range before any filter call.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
@@ -699,8 +701,4 @@ def sweep_curve(
         values[i] = np.exp(-exponents.gamma.sum())
         points[i] = exponents.quadrature_points
         errors[i] = exponents.estimated_relative_error
-    return CoherenceCurve(
-        values=values,
-        quadrature_points=points,
-        estimated_relative_error=errors,
-    )
+    return CoherenceCurve(values=values, quadrature_points=points, estimated_relative_error=errors)

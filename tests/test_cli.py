@@ -67,6 +67,17 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="'alpah'"):
             parse_config(path)
 
+    def test_duplicate_key_names_both_lines(self, tmp_path, capsys):
+        # the second line once silently replaced the first: n = 3 then n = 2 ran n = 2
+        path = write(tmp_path / "run.cfg", "n = 3\nalpha = 0.5\n# n = 4\n n=2\n")
+        with pytest.raises(ValueError) as excinfo:
+            parse_config(path)
+        assert str(excinfo.value) == f"{path}:4: config key 'n' is already set on line 1"
+        out = tmp_path / "curve.csv"
+        assert main(["curve", "--config", path, "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"ladder-dd: {excinfo.value}\n"
+        assert not out.exists()
+
     def test_malformed_value_names_key(self, tmp_path):
         path = write(tmp_path / "run.cfg", "alpha = abc\n")
         with pytest.raises(ValueError, match="'alpha'"):
@@ -98,6 +109,15 @@ class TestParseConfig:
     def test_bound_violations_name_field(self, overrides, field):
         with pytest.raises(ValueError, match=field):
             parse_config(None, overrides)
+
+    @pytest.mark.parametrize("value", [5e-324, 1e-15, 9.99e-15])
+    def test_quad_tolerance_below_round_off_rejected(self, value):
+        with pytest.raises(ValueError, match=r"quad_tolerance must be in \[1e-14, 1e-2\], got "):
+            parse_config(None, {"quad_tolerance": value})
+
+    def test_quad_tolerance_range_is_closed(self):
+        for value in (1e-14, 1e-2):
+            assert parse_config(None, {"quad_tolerance": value}).quad_tolerance == value
 
     @pytest.mark.parametrize("field, value", [("t_points", 2.0), ("t_points", True),
                                               ("n", 6.0), ("cycles", True)])
@@ -449,6 +469,29 @@ class TestMemoryError:
 # Small curve runs for the edge table: one cycle, two grid points up to T = 0.5.
 EDGE_CURVE = ["curve", "--cycles", "1", "--t-points", "2", "--t-max", "0.5"]
 EDGE_CUSTOM = ["--scheme", "custom", "--n", "2", "--custom-fractions", "{dir}/fractions.txt"]
+
+
+class TestQuadTolerance:
+    def test_subnormal_tolerance_exits_before_any_sweep(self, tmp_path, capsys, monkeypatch):
+        # it once refined through every doubling (977850 nodes, 1.7 s) to exit 3
+        def never(*args, **kwargs):
+            raise AssertionError("swept with an unreachable tolerance")
+
+        monkeypatch.setattr(cli, "sweep_curve", never)
+        out = tmp_path / "curve.csv"
+        argv = [*EDGE_CURVE, "--quad-tolerance=5e-324", "--out", str(out)]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "ladder-dd: quad_tolerance must be in [1e-14, 1e-2], got 5e-324\n")
+        assert not out.exists()
+
+    def test_tight_tolerance_still_writes_its_csv(self, tmp_path):
+        out = tmp_path / "curve.csv"
+        assert main([*EDGE_CURVE, "--quad-tolerance", "1e-13", "--out", str(out)]) == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()]
+        assert rows[0] == ["T", "P_pdd", "P_udd"]
+        assert [float(row[0]) for row in rows[1:]] == [0.25, 0.5]
+        assert all(0.0 < float(p) <= 1.0 for row in rows[1:] for p in row[1:])
 
 
 class TestEdgeInputs:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -190,6 +191,63 @@ class TestFilterForms:
         assert position_filters(omegas, schedule).tobytes() == want.tobytes()
 
 
+class TestFilterChunks:
+    """The filter call evaluates its nodes, and a reduction its bath weights, in
+    chunks of _CHUNK_ELEMS elements: every form gives each node the bits of one
+    call over all of them."""
+
+    BATH = BathSpec(alpha=0.25, cutoff=100.0, temperature=150.0)
+    GRID = np.linspace(0.5, 3.112, 6)
+
+    @pytest.mark.parametrize("scheme, gain", [
+        (Scheme.PDD, None), (Scheme.UDD, None), (Scheme.UDD, 0.0), (Scheme.CUSTOM, None),
+    ], ids=["pdd", "udd-series", "udd-boundary-sum", "custom"])
+    def test_chunked_sweep_is_bit_identical(self, scheme, gain, monkeypatch):
+        if gain is not None:
+            monkeypatch.setattr(kernel, "_SERIES_GAIN", gain)  # UDD takes the boundary sum
+        custom = _custom_fractions(6, 50) if scheme is Scheme.CUSTOM else None
+        template = ScheduleSpec(scheme, 6, 50, 1.0, custom_fractions=custom)
+        counts, recurrences = [], []  # chunks of each filter call; Bessel runs
+        chunks, bessel = kernel._position_chunks, kernel._bessel_sums
+
+        def counting(omegas, schedule):
+            counts.append(0)
+            for item in chunks(omegas, schedule):
+                counts[-1] += 1
+                yield item
+
+        def recording(*args):
+            recurrences.append(args[0].size)
+            return bessel(*args)
+
+        monkeypatch.setattr(kernel, "_position_chunks", counting)
+        monkeypatch.setattr(kernel, "_bessel_sums", recording)
+        series = (scheme, gain) == (Scheme.UDD, None)
+        whole = sweep_curve(template, self.BATH, self.GRID)
+        # one filter call; only the boundary sum's 301 phasors a node need chunks
+        assert len(counts) == 1 and len(recurrences) == series
+        unpatched = counts.pop()
+        recurrences.clear()
+        monkeypatch.setattr(kernel, "_CHUNK_ELEMS", 2**10)
+        chunked = sweep_curve(template, self.BATH, self.GRID)
+        assert len(counts) == 1 and counts[0] >= max(3, 10 * unpatched)
+        assert len(recurrences) == (counts[0] if series else 0)  # one recurrence a chunk
+        for field in ("values", "quadrature_points", "estimated_relative_error"):
+            assert getattr(chunked, field).tobytes() == getattr(whole, field).tobytes()
+
+    @pytest.mark.parametrize("scheme", [Scheme.PDD, Scheme.UDD, Scheme.CUSTOM])
+    def test_filters_match_across_chunks(self, scheme, monkeypatch):
+        # the oracle's and the tests' whole arrays come from the same chunks
+        custom = _custom_fractions(6, 50) if scheme is Scheme.CUSTOM else None
+        schedule = ScheduleSpec(scheme, 6, 50, 1.3, custom_fractions=custom)
+        omegas = np.random.default_rng(6).uniform(0.0, 500.0, 3000)
+        omegas[[0, 1500, 2999]] = 0.0
+        eta, chi = position_filters(omegas, schedule), exponent_filters(omegas, schedule)
+        monkeypatch.setattr(kernel, "_CHUNK_ELEMS", 2**12)
+        assert position_filters(omegas, schedule).tobytes() == eta.tobytes()
+        assert exponent_filters(omegas, schedule).tobytes() == chi.tobytes()
+
+
 class TestBesselSeries:
     """Miller's recurrence and the form selection behind the UDD filters."""
 
@@ -200,16 +258,20 @@ class TestBesselSeries:
         orders = kernel._miller_orders(z)
         top = int(orders.max())
         picks = np.unique(np.r_[1:41, np.linspace(1, top, 400).astype(int)])
-        weights = np.zeros((top, picks.size))
+        # the same unit weights in both halves: the real and the imaginary parts
+        weights = np.zeros((top, 2 * picks.size))
         weights[picks - 1, np.arange(picks.size)] = 1.0
-        got = kernel._bessel_sums(z, orders, weights)  # every z in one recurrence
+        weights[:, picks.size :] = weights[:, : picks.size]
+        sums = kernel._bessel_sums(z, orders, weights)  # every z in one recurrence
+        assert sums.shape == (z.size, picks.size) and sums.dtype == complex
         want = jv(picks[None, :], z[:, None])
         # largest |J_k(z)|, k >= 1; scipy's jv itself is off by about 2e-16 z
         # there at large z (checked against mpmath), the recurrence by ~1e-16
         scale = np.array([np.abs(jv(np.arange(1, int(o) + 40), x)).max()
                           for x, o in zip(z, orders)])
         tol = 5e-16 * np.maximum(z, 20.0) * scale
-        assert np.all(np.abs(got - want) <= tol[:, None])
+        for got in (sums.real, sums.imag):
+            assert np.all(np.abs(got - want) <= tol[:, None])
 
     @pytest.mark.parametrize("omega", [1e-300, 1e-250, 1e-20])
     def test_tiny_frequencies_reach_the_zero_limit(self, omega, monkeypatch):
@@ -603,13 +665,35 @@ class TestDecayExponents:
         def never(*args, **kwargs):
             raise AssertionError("filters evaluated for an invalid rel_tol")
 
-        monkeypatch.setattr(kernel, "exponent_filters", never)
+        monkeypatch.setattr(kernel, "_exponent_rows", never)
         bath = BathSpec(alpha=0.25, cutoff=100.0, temperature=150.0)
         schedule = ScheduleSpec(Scheme.UDD, 6, 50, 1.0)
         for run in (lambda: decay_exponents(schedule, bath, rel_tol=rel_tol),
                     lambda: sweep_curve(schedule, bath, [0.5, 1.0], rel_tol=rel_tol)):
             with pytest.raises(ValueError, match=r"rel_tol must be finite and in \(0, 1\)"):
                 run()
+
+    @pytest.mark.parametrize("extra_levels", [-3, 1.5, True, None, "1"])
+    def test_extra_levels_must_be_a_count(self, extra_levels, monkeypatch):
+        # -3 once ran as 0 and 1.5 raised a bare TypeError from range()
+        def never(*args, **kwargs):
+            raise AssertionError("filters evaluated for an invalid extra_levels")
+
+        monkeypatch.setattr(kernel, "_exponent_rows", never)
+        bath = BathSpec(alpha=0.25, cutoff=100.0, temperature=150.0)
+        schedule = ScheduleSpec(Scheme.PDD, 6, 50, 1.0)
+        message = f"extra levels must be an int >= 0, got extra_levels={extra_levels!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            decay_exponents(schedule, bath, extra_levels=extra_levels)
+
+    def test_numpy_integer_extra_levels(self):
+        bath = BathSpec(alpha=0.25, cutoff=100.0, temperature=150.0)
+        schedule = ScheduleSpec(Scheme.PDD, 6, 50, 1.0)
+        plain = decay_exponents(schedule, bath, extra_levels=1)
+        numpy = decay_exponents(schedule, bath, extra_levels=np.int64(1))
+        assert numpy.gamma.tobytes() == plain.gamma.tobytes()
+        assert numpy.quadrature_points == plain.quadrature_points
+        assert plain.quadrature_points > decay_exponents(schedule, bath).quadrature_points
 
     def test_subnormal_frequency_range_rejected(self):
         # u = w*T panels cannot be formed once cutoff*T leaves the normal floats,
@@ -635,7 +719,7 @@ class TestDecayExponents:
         def never(*args, **kwargs):
             raise AssertionError("filters evaluated before an out-of-range point was seen")
 
-        monkeypatch.setattr(kernel, "exponent_filters", never)
+        monkeypatch.setattr(kernel, "_exponent_rows", never)
         bath = BathSpec(alpha=0.25, cutoff=1e300, temperature=1.0)
         template = ScheduleSpec(scheme=Scheme.UDD, n=6, cycles=50, total_time=1.0)
         with pytest.raises(ValueError, match=r"cutoff \* total time = inf"):
@@ -813,6 +897,30 @@ class TestSweepCurve:
                 tracemalloc.stop()
         assert peaks[1] <= 1.05 * peaks[0]
 
+    def test_near_cap_batch_peaks_near_its_rows(self):
+        # one n = 6 PDD point near the cap: its first batch weighs about 7e5
+        # nodes of two levels into rows of 8(n-1) bytes a node.  Its filter call
+        # once held eta, chi and their temporaries for all of them (187 MiB
+        # traced); in node chunks the batch adds to its rows its nodes, a chunk
+        # and one reduction group (55 MiB in all)
+        bath = self._bath()
+        upper = 0.999 * kernel._MAX_PANELS * kernel._PANEL_WIDTH
+        first = kernel._first_level(upper)
+        nodes = 0
+        for level in (first, first + 1):
+            whole, rest = tiling(level, upper)
+            nodes += kernel.GL_ORDER * (whole + (rest is not None))
+        rows = 8 * 5 * nodes
+        chunk = 16 * kernel._CHUNK_ELEMS  # one complex temporary of a filter chunk
+        tracemalloc.start()
+        try:
+            sweep_curve(self._template(), bath, [upper / bath.cutoff])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows > 25 * 2**20
+        assert peak <= rows + 8 * chunk, (peak / 2**20, rows / 2**20)
+
     def test_convergence_error_names_failing_time(self, monkeypatch):
         monkeypatch.setattr(kernel, "_MAX_DOUBLINGS", 0)
         template = ScheduleSpec(scheme=Scheme.PDD, n=2, cycles=1, total_time=1.0)
@@ -827,16 +935,16 @@ def _custom_fractions(n, cycles):
 
 
 def recorded_table_calls(monkeypatch):
-    """The nodes of every kernel.exponent_filters call on a filter table's
+    """The nodes of every kernel._exponent_rows call on a filter table's
     unit schedule (total time 1), appended as the calls run."""
-    calls, filters = [], kernel.exponent_filters
+    calls, filters = [], kernel._exponent_rows
 
-    def recording(omegas, schedule):
+    def recording(omegas, schedule, weights):
         if schedule.total_time == 1.0:
             calls.append(np.asarray(omegas))
-        return filters(omegas, schedule)
+        return filters(omegas, schedule, weights)
 
-    monkeypatch.setattr(kernel, "exponent_filters", recording)
+    monkeypatch.setattr(kernel, "_exponent_rows", recording)
     return calls
 
 
@@ -1051,14 +1159,14 @@ class TestTableRecords:
                 return function(*args, **kwargs)
             return wrapped
 
-        filters = kernel.exponent_filters
+        filters = kernel._exponent_rows
 
-        def filtering(omegas, schedule):
+        def filtering(omegas, schedule, weights):
             if schedule.total_time == 1.0:  # the table's unit schedule
                 events.append("filter")
-            return filters(omegas, schedule)
+            return filters(omegas, schedule, weights)
 
-        monkeypatch.setattr(kernel, "exponent_filters", filtering)
+        monkeypatch.setattr(kernel, "_exponent_rows", filtering)
         monkeypatch.setattr(FilterTable, "_reduce_group",
                             recording("_reduce_group", FilterTable._reduce_group))
         monkeypatch.setattr(kernel, "decay_exponents", recording("point", decay_exponents))
