@@ -13,12 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .fock_oracle import (
-    ModeSpec,
-    discrete_decay_exponent,
-    evolve_pulsed,
-    superposition_state,
-)
+from .fock_oracle import ModeSpec, discrete_decay_exponent, evolve_pulsed
 from .operators import build_decoupling_group
 from .schedules import ScheduleSpec, Scheme
 
@@ -138,12 +133,11 @@ def run_case(case: CalibrationCase, wrong_sign: bool = False) -> CalibrationResu
     """
     schedule = ScheduleSpec(case.scheme, case.n, case.cycles, case.total_time)
     group = build_decoupling_group(case.n)
-    end = evolve_pulsed(case.modes, schedule, group, case.temperature)
-    start = complex(superposition_state(case.n)[0, 1])
+    factor = evolve_pulsed(case.modes, schedule, group, case.temperature)
     return CalibrationResult(
         case=case,
-        observed_ratio=abs(end) / abs(start),
-        phase_shift=cmath.phase(end / start),
+        observed_ratio=abs(factor),
+        phase_shift=cmath.phase(factor),
         predicted_exponent=discrete_decay_exponent(
             case.modes, case.temperature, schedule, wrong_sign=wrong_sign),
     )

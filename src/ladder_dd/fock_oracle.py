@@ -3,8 +3,9 @@
 The analytic decay exponents rest on a chain of frame transformations and
 index bookkeeping that is easy to get subtly wrong.  This module checks them
 from the other end: evolve the atom and a few explicit oscillator modes
-through the pulsed sequence and read the surviving (0,1) coherence directly.
-Every run starts from the equal superposition of levels 0 and 1.
+through the pulsed sequence and read how much of the (0,1) coherence
+survives: every run starts from the equal superposition of levels 0 and 1
+and returns the factor rho_01(T) / rho_01(0).
 
 For purely dephasing coupling the interaction-picture Hamiltonian commutes
 with itself at different times up to a c-number, so the Magnus series of a
@@ -17,12 +18,13 @@ The evolution is exact in product form.  Segment propagators are
 block-diagonal in the atom level and factor over modes, and every pulse is
 monomial, so the final (0,1) block descends from one initial block (a, b):
 
-    coherence = rho_atom[a, b] * (pulse phases) * prod_k Tr[L_k rho_k R_k^dag],
+    factor = [{a, b} = {0, 1}] * (pulse phases) * prod_k sum_ij p_j L_ij conj(R_ij),
 
-where rho_atom is the (0,1) superposition and L_k (R_k) is the time-ordered
-product of mode k's own fock_dim x fock_dim segment propagators at the levels
-the row (column) index visits.  Each fock_dim is capped at DIM_CAP: this is a
-desk-scale validator, not a production path.
+the start state's (a, b) entry over its (0,1) entry, times each mode's
+Tr[L diag(p) R^dag]: p_j are the mode's Boltzmann populations and L (R) is the
+time-ordered product of its own fock_dim x fock_dim segment propagators at the
+levels the row (column) index visits.  Each fock_dim is capped at DIM_CAP:
+this is a desk-scale validator, not a production path.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from .schedules import ScheduleSpec, check_count
 DEFAULT_TAIL = 1e-10
 DIM_CAP = 2000
 
-# Largest coherence change between the sub-stepped runs at substeps and
-# 2 * substeps that evolve_pulsed accepts.
+# Largest change of the coherence factor between the sub-stepped runs at
+# substeps and 2 * substeps that evolve_pulsed accepts.
 SUBSTEP_TOL = 1e-8
 
 
@@ -101,6 +103,9 @@ def min_fock_dim(omega: float, temperature: float) -> int:
     """
     _check_temperature(temperature)
     q = math.exp(-omega / temperature)
+    if not q < 1.0:  # omega/temperature below double resolution rounds q to 1
+        raise ValueError(f"no truncation bounds the thermal tail: exp(-omega/temperature) "
+                         f"= {q!r} is not below 1 for omega={omega}, temperature={temperature}")
     if q == 0.0:
         return 2
     d = max(2, math.ceil(math.log(DEFAULT_TAIL) / math.log(q)))
@@ -109,8 +114,9 @@ def min_fock_dim(omega: float, temperature: float) -> int:
     return d
 
 
-def thermal_state(mode: ModeSpec, temperature: float) -> np.ndarray:
-    """Diagonal Boltzmann state on the truncated mode space, trace one.
+def thermal_populations(mode: ModeSpec, temperature: float) -> np.ndarray:
+    """Boltzmann weights p_j proportional to q**j, q = exp(-omega/temperature),
+    on the truncated mode's fock_dim levels; they sum to one.
 
     Raises TruncationError if the discarded tail weight is not below
     ``DEFAULT_TAIL``, advising the dimension that bounds the thermal tail; the
@@ -127,19 +133,7 @@ def thermal_state(mode: ModeSpec, temperature: float) -> np.ndarray:
             required_dim=needed,
         )
     populations = q ** np.arange(mode.fock_dim, dtype=float)
-    populations /= populations.sum()
-    return np.diag(populations).astype(complex)
-
-
-@cache
-def superposition_state(n: int) -> np.ndarray:
-    """Pure equal superposition of atom levels 0 and 1 (maximal coherence),
-    the start of every run; built once per n and read-only."""
-    vec = np.zeros(n, dtype=complex)
-    vec[0] = vec[1] = 1.0 / math.sqrt(2.0)
-    state = np.outer(vec, vec.conj())
-    state.flags.writeable = False
-    return state
+    return populations / populations.sum()
 
 
 def _monomial_split(pulse: np.ndarray) -> tuple[list[int], list[int], np.ndarray]:
@@ -222,15 +216,15 @@ def _segment_substeps(mode: ModeSpec, weight: float, t_start: float, dt: float,
 
 
 def _coherence(n, modes, steps, temperature, segment) -> complex:
-    """Final (0,1) coherence after ``steps`` of (t_start, dt, monomial split of
-    the pulse that ends the segment); ``segment(mode, weight, t_start, dt)`` is
-    one mode's propagator over a free segment at a level of nonzero dephasing
-    weight."""
-    thermal = [thermal_state(mode, temperature) for mode in modes]
+    """Coherence factor rho_01(T) / rho_01(0) after ``steps`` of (t_start, dt,
+    monomial split of the pulse that ends the segment); ``segment(mode,
+    weight, t_start, dt)`` is one mode's propagator over a free segment at a
+    level of nonzero dephasing weight."""
+    populations = [thermal_populations(mode, temperature) for mode in modes]
     a, b = 0, 1
     for *_, (_, inverse, _) in reversed(steps):
         a, b = inverse[a], inverse[b]
-    factor = complex(superposition_state(n)[a, b])
+    factor = 1.0 if {a, b} == {0, 1} else 0.0  # the start state over its (0,1) entry
     rows, columns = [], []  # (t_start, dt, level) of each free segment, per side
     for t_start, dt, (perm, _, phases) in steps:
         if dt > 0:
@@ -238,7 +232,7 @@ def _coherence(n, modes, steps, temperature, segment) -> complex:
             columns.append((t_start, dt, b))
         factor *= phases[a] * np.conj(phases[b])
         a, b = perm[a], perm[b]
-    for mode, rho in zip(modes, thermal):
+    for mode, p in zip(modes, populations):
         weights = np.diag(sigma_z(n, mode.transition)).real.tolist()
         # a zero weight leaves the mode alone
         left, right = (
@@ -246,7 +240,8 @@ def _coherence(n, modes, steps, temperature, segment) -> complex:
                            for t_start, dt, level in path if weights[level] != 0.0),
                           mode.fock_dim)
             for path in (rows, columns))
-        factor *= np.trace(left @ rho @ right.conj().T)
+        # Tr[L diag(p) R^dag] elementwise, so no BLAS call sets its rounding
+        factor *= np.sum(left * right.conj() * p)
     return complex(factor)
 
 
@@ -257,8 +252,8 @@ def evolve_pulsed(
     temperature: float,
     substeps: int | None = None,
 ) -> complex:
-    """(0,1) coherence after the full pulsed sequence, evolved exactly from
-    superposition_state(n).
+    """Coherence factor rho_01(T) / rho_01(0) after the full pulsed sequence,
+    evolved exactly from the equal superposition of levels 0 and 1.
 
     The atom has the schedule's dimension n, and ``group`` is its n monomial
     elements g_0 ... g_{n-1}.  Free segments follow the
@@ -266,7 +261,7 @@ def evolve_pulsed(
     fires, and the cycle closes with g_{n-1}^dag.  Each segment is the
     closed-form Magnus propagator or, with ``substeps`` set, the cross-check:
     that many piecewise-constant midpoint exponentials, run again at doubled
-    resolution, raising ConvergenceError if the coherence moves by more than
+    resolution, raising ConvergenceError if the factor moves by more than
     SUBSTEP_TOL.  ``substeps`` must be an int >= 1.
     """
     if substeps is not None:
@@ -296,7 +291,7 @@ def evolve_pulsed(
     drift = abs(coarse - fine)
     if drift > SUBSTEP_TOL:
         raise ConvergenceError(
-            f"sub-step halving moved the coherence by {drift:.3e} > {SUBSTEP_TOL:g}; "
+            f"sub-step halving moved the coherence factor by {drift:.3e} > {SUBSTEP_TOL:g}; "
             f"increase substeps (ran {substeps} and {2 * substeps})",
             previous=np.array([coarse]),
             current=np.array([fine]),

@@ -679,15 +679,16 @@ def sweep_curve(
 ) -> CoherenceCurve:
     """Evaluate P(T) over a grid of total times, for the fractions of ``template``.
 
-    The grid must be strictly increasing and positive.  Points run in grid
+    The grid must be strictly increasing, finite and positive.  Points run in grid
     order and share one FilterTable, told every point's total time up front,
     so the first point checks every point's range before any filter call.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise ValueError("time grid must be a non-empty 1-D array")
-    if np.any(t_grid <= 0):
-        raise ValueError("time grid values must be > 0")
+    bad = t_grid[~(np.isfinite(t_grid) & (t_grid > 0))]
+    if bad.size:
+        raise ValueError(f"time grid values must be finite and > 0, got {bad[0]}")
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("time grid must be strictly increasing")
 

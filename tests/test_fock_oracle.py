@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -25,14 +26,17 @@ from ladder_dd.fock_oracle import (
     discrete_decay_exponent,
     evolve_pulsed,
     min_fock_dim,
-    superposition_state,
-    thermal_state,
+    thermal_populations,
 )
 from ladder_dd.kernel import ConvergenceError, position_filters
 from ladder_dd.operators import ZERO_TOL, build_decoupling_group, max_abs, sigma_z
 from ladder_dd.schedules import Scheme, ScheduleSpec
 
 MODE_N2 = ModeSpec(transition=0, omega=1.0, coupling=0.1, fock_dim=25)
+
+# rho_01(0) of the (0,1) superposition every run starts from: a coherence is
+# START times evolve_pulsed's factor, exactly
+START = 0.5
 
 # (0,1) coherence of the dense joint-space evolution (atom x all modes, one
 # n*prod(fock_dim) density matrix) that the product form replaced, for the
@@ -85,7 +89,7 @@ def free_decay(total_time, modes, temperature, n):
     one free segment ended by the identity pulse, from the (0,1) superposition."""
     final = fock_oracle._coherence(n, modes, [(0.0, total_time, _monomial_split(np.eye(n)))],
                                    temperature, fock_oracle._segment_exact)
-    return -math.log(abs(final) / abs(superposition_state(n)[0, 1]))
+    return -math.log(abs(final))
 
 
 def brute_min_dim(omega, temperature, tail=1e-10):
@@ -149,10 +153,12 @@ def uncached_expm(dim, z):
     return out
 
 
-def identity_started_coherence(case, substeps=None):
+def identity_started_coherence(case, substeps=None, dense=False):
     """evolve_pulsed's product form with every chain multiplied onto the
-    identity, a per-step argsort of each pulse permutation and numpy scalars
-    for the segments and level weights."""
+    identity, a per-step argsort of each pulse permutation, numpy scalars for
+    the segments and level weights and the start state normalised by its (0,1)
+    entry.  ``dense`` takes each mode's trace as Tr[L diag(p) R^dag] through
+    two matrix products."""
     n = case.n
     schedule = ScheduleSpec(case.scheme, n, case.cycles, case.total_time)
     elements = build_decoupling_group(n)
@@ -177,8 +183,9 @@ def identity_started_coherence(case, substeps=None):
     for *_, split in reversed(steps):
         inverse = np.argsort(split[0])
         a, b = inverse[a], inverse[b]
-    atom = superposition_state(n)
-    factor = complex(atom[a, b])
+    start = np.zeros((n, n))
+    start[:2, :2] = 1.0  # the (0,1) superposition over its (0,1) entry
+    factor = complex(start[a, b])
     path = []
     for t_start, dt, (perm, phases) in steps:
         if dt > 0:
@@ -186,7 +193,7 @@ def identity_started_coherence(case, substeps=None):
         factor *= phases[a] * np.conj(phases[b])
         a, b = perm[a], perm[b]
     for mode in case.modes:
-        rho = thermal_state(mode, case.temperature)
+        p = thermal_populations(mode, case.temperature)
         weights = np.real(np.diag(sigma_z(n, mode.transition)))
         left = right = np.eye(mode.fock_dim, dtype=complex)
         for t_start, dt, row, col in path:
@@ -194,7 +201,10 @@ def identity_started_coherence(case, substeps=None):
                 left = segment(mode, weights[row], t_start, dt) @ left
             if weights[col] != 0.0:
                 right = segment(mode, weights[col], t_start, dt) @ right
-        factor *= np.trace(left @ rho @ right.conj().T)
+        if dense:
+            factor *= np.trace(left @ np.diag(p).astype(complex) @ right.conj().T)
+        else:
+            factor *= np.sum(left * right.conj() * p)
     return complex(factor)
 
 
@@ -221,24 +231,32 @@ class TestExpm:
 class TestThermalState:
     def test_cold_bath_is_ground_state(self):
         mode = ModeSpec(transition=0, omega=1.0, coupling=0.1, fock_dim=4)
-        state = thermal_state(mode, temperature=1e-3)
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0, 0] = 1.0
-        np.testing.assert_allclose(state, expected, atol=1e-300)
+        populations = thermal_populations(mode, temperature=1e-3)
+        np.testing.assert_allclose(populations, [1.0, 0.0, 0.0, 0.0], atol=1e-300)
 
     def test_half_ratio_populations(self):
         # omega/T = ln 2 gives populations proportional to 1, 1/2, 1/4, ...
         mode = ModeSpec(transition=0, omega=math.log(2.0), coupling=0.1, fock_dim=40)
-        state = thermal_state(mode, temperature=1.0)
-        populations = np.real(np.diag(state))
+        populations = thermal_populations(mode, temperature=1.0)
         geometric = 0.5 ** np.arange(40)
         np.testing.assert_allclose(populations, geometric / geometric.sum(), rtol=1e-12)
-        assert np.trace(state) == pytest.approx(1.0, abs=1e-14)
+        assert math.fsum(populations) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("omega,temperature,fock_dim",
+                             [(1.0, 1.0, 25), (1.4, 0.5, 9), (95.0, 20.0, 12), (100.0, 150.0, 40)])
+    def test_populations_are_normalised_boltzmann_weights(self, omega, temperature, fock_dim):
+        mode = ModeSpec(transition=0, omega=omega, coupling=0.1, fock_dim=fock_dim)
+        populations = thermal_populations(mode, temperature)
+        q = math.exp(-omega / temperature)
+        geometric = [q**j for j in range(fock_dim)]
+        np.testing.assert_allclose(populations, np.array(geometric) / math.fsum(geometric),
+                                   rtol=1e-15)
+        assert math.fsum(populations) == pytest.approx(1.0, abs=1e-15)
 
     def test_truncation_error_advises_dimension(self):
         mode = ModeSpec(transition=0, omega=100.0, coupling=0.1, fock_dim=5)
         with pytest.raises(TruncationError, match="fock_dim.*thermal tail only") as excinfo:
-            thermal_state(mode, temperature=150.0)
+            thermal_populations(mode, temperature=150.0)
         assert excinfo.value.required_dim == brute_min_dim(100.0, 150.0)
 
     @pytest.mark.parametrize(
@@ -246,6 +264,21 @@ class TestThermalState:
     )
     def test_min_fock_dim_matches_brute_force(self, omega, temperature):
         assert min_fock_dim(omega, temperature) == brute_min_dim(omega, temperature)
+
+    @pytest.mark.parametrize("omega,temperature", [(1e-17, 1.0), (1.0, 1e17)])
+    def test_unresolvable_ratio_is_named(self, omega, temperature):
+        # exp(-omega/temperature) rounds to 1.0 here, so log(q) is 0: this once
+        # raised a bare ZeroDivisionError from all three calls
+        message = re.escape(f"no truncation bounds the thermal tail: exp(-omega/temperature) "
+                            f"= 1.0 is not below 1 for omega={omega}, temperature={temperature}")
+        mode = ModeSpec(transition=0, omega=omega, coupling=0.1, fock_dim=25)
+        with pytest.raises(ValueError, match=message):
+            min_fock_dim(omega, temperature)
+        with pytest.raises(ValueError, match=message):
+            thermal_populations(mode, temperature)
+        with pytest.raises(ValueError, match=message):
+            evolve_pulsed((mode,), ScheduleSpec(Scheme.PDD, 2, 1, 2.0),
+                          build_decoupling_group(2), temperature)
 
 
 class TestModeSpecValidation:
@@ -313,7 +346,7 @@ class TestModeSpecValidation:
         with pytest.raises(ValueError, match="temperature must be finite and > 0"):
             min_fock_dim(1.0, temperature)
         with pytest.raises(ValueError, match="temperature must be finite and > 0"):
-            thermal_state(MODE_N2, temperature)
+            thermal_populations(MODE_N2, temperature)
         with pytest.raises(ValueError, match="temperature must be finite and > 0"):
             discrete_decay_exponent((MODE_N2,), temperature, ScheduleSpec(Scheme.PDD, 3, 1, 2.0))
 
@@ -322,31 +355,28 @@ class TestEvolvePulsed:
     def _run(self, n, modes, scheme=Scheme.PDD, cycles=1, total_time=2.0,
              temperature=1.0, **kwargs):
         schedule = ScheduleSpec(scheme, n, cycles, total_time)
-        coherence = evolve_pulsed(modes, schedule, build_decoupling_group(n), temperature,
-                                  **kwargs)
-        return superposition_state(n), coherence
+        return evolve_pulsed(modes, schedule, build_decoupling_group(n), temperature, **kwargs)
 
     def test_zero_coupling_preserves_coherence(self):
         mode = ModeSpec(transition=0, omega=1.0, coupling=0.0, fock_dim=25)
-        atom, coherence = self._run(2, (mode,))
-        assert abs(coherence) == pytest.approx(abs(atom[0, 1]), abs=1e-12)
+        assert abs(START * self._run(2, (mode,))) == pytest.approx(START, abs=1e-12)
 
     def test_vanishing_duration_no_decay(self):
-        atom, coherence = self._run(2, (MODE_N2,), total_time=1e-12)
-        assert abs(coherence) == pytest.approx(abs(atom[0, 1]), abs=1e-10)
+        factor = self._run(2, (MODE_N2,), total_time=1e-12)
+        assert abs(START * factor) == pytest.approx(START, abs=1e-10)
 
     def test_final_state_is_physical(self):
-        atom, coherence = self._run(3, (
+        factor = self._run(3, (
             ModeSpec(transition=0, omega=1.1, coupling=0.07, fock_dim=11),
             ModeSpec(transition=1, omega=1.4, coupling=0.06, fock_dim=9),
         ), temperature=0.5)
-        assert isinstance(coherence, complex)
-        assert abs(coherence) <= abs(atom[0, 1])
+        assert isinstance(factor, complex)
+        assert abs(factor) <= 1.0
 
     def test_substeps_cross_validate_exact_generator(self):
-        atom, exact = self._run(2, (MODE_N2,))
-        _, stepped = self._run(2, (MODE_N2,), substeps=512)
-        assert abs(stepped - exact) <= 1e-7
+        exact = self._run(2, (MODE_N2,))
+        stepped = self._run(2, (MODE_N2,), substeps=512)
+        assert abs(START * stepped - START * exact) <= 1e-7
 
     def test_one_eigendecomposition_per_fock_dim(self, monkeypatch):
         # every propagator rotates the one cached basis of its fock_dim; at
@@ -378,16 +408,6 @@ class TestEvolvePulsed:
         assert len(expms) == 6 * 2 * (4 + 8)
         assert eighs == [(11, 11), (9, 9), (25, 25)]
 
-    def test_start_state_is_shared_and_read_only(self):
-        # every run of dimension n reads one cached superposition, so no
-        # caller may change it under the next run
-        state = superposition_state(3)
-        assert superposition_state(3) is state
-        np.testing.assert_array_equal(state[:2, :2], np.full((2, 2), 0.5 - 2**-53))
-        assert not state[2].any() and not state[:, 2].any()
-        with pytest.raises(ValueError, match="read-only"):
-            state[0, 1] = 0.0
-
     def test_uncoupled_run_is_atom_conjugation(self):
         # with no coupling the bath stays inert and the run is U rho U^dag on
         # the atom; a first element that is not the identity leaves each cycle
@@ -402,23 +422,55 @@ class TestEvolvePulsed:
             element[perm, np.arange(n)] = np.exp(1j * rng.uniform(0.0, 2 * np.pi, n))
             elements.append(element)
         mode = ModeSpec(transition=1, omega=1.0, coupling=0.0, fock_dim=4)
-        coherence = evolve_pulsed((mode,), ScheduleSpec(Scheme.UDD, n, 3, 1.0),
-                                  tuple(elements), 0.1)
-        atom = superposition_state(n)
+        factor = evolve_pulsed((mode,), ScheduleSpec(Scheme.UDD, n, 3, 1.0),
+                               tuple(elements), 0.1)
+        atom = np.zeros((n, n))
+        atom[:2, :2] = START
         u = np.linalg.matrix_power(elements[0].conj().T, 3)  # the three cycles
         expected = (u @ atom @ u.conj().T)[0, 1]
-        assert abs(expected) == pytest.approx(0.5, abs=1e-15)
-        assert abs(expected - atom[0, 1]) > 1e-3  # a relative phase far above the tolerance
-        assert coherence == pytest.approx(expected, abs=1e-14)
+        assert abs(expected) == pytest.approx(START, abs=1e-15)
+        assert abs(expected - START) > 1e-3  # a relative phase far above the tolerance
+        assert START * factor == pytest.approx(expected, abs=1e-14)
+
+    def test_group_carrying_another_block_into_01_gives_zero(self):
+        # g_0 moves level 0 to level 2, so each cycle's net pulse g_0^dag
+        # carries block (2, .) into (0, 1); the start state has no such entry
+        # and the factor is exactly 0 however strongly the modes couple
+        rng = np.random.default_rng(7)
+        n = 3
+        elements = []
+        for perm in ([2, 0, 1], [1, 2, 0], [0, 1, 2]):
+            element = np.zeros((n, n), dtype=complex)
+            element[perm, np.arange(n)] = np.exp(1j * rng.uniform(0.0, 2 * np.pi, n))
+            elements.append(element)
+        modes = (ModeSpec(0, 1.1, 0.4, 30), ModeSpec(1, 1.4, 0.3, 30))
+        for cycles in (1, 2):
+            schedule = ScheduleSpec(Scheme.PDD, n, cycles, 2.0)
+            assert evolve_pulsed(modes, schedule, tuple(elements), 0.5) == 0.0, cycles
 
     @pytest.mark.parametrize("name", list(DENSE_COHERENCE))
     def test_product_form_matches_frozen_dense_coherence(self, name):
         case = _pinned_cases()[name]
         schedule = ScheduleSpec(case.scheme, case.n, case.cycles, case.total_time)
-        coherence = evolve_pulsed(case.modes, schedule, build_decoupling_group(case.n),
-                                  case.temperature)
+        coherence = START * evolve_pulsed(case.modes, schedule, build_decoupling_group(case.n),
+                                          case.temperature)
         dense = DENSE_COHERENCE[name]
         assert abs(coherence - dense) <= 1e-12 * abs(dense)
+
+    def test_contraction_matches_dense_trace_on_a_deep_truncation(self):
+        # the truncation case behind the open oracle item (PDD n = 2, N = 1,
+        # T = 2, omega 1, j = 2 at temperature 1), at fock_dim 96 where it is
+        # trusted: the elementwise contraction equals Tr[L diag(p) R^dag].  The
+        # trace sums terms p_j L_ij conj(R_ij) of total modulus up to 1 (L and R
+        # are unitary, p sums to 1) to a factor of 4.4e-7, so the two roundings
+        # agree to 1e-13 of that scale, and to 1e-9 of the factor
+        case = CalibrationCase("deep-truncation", 2, 1, Scheme.PDD, 2.0, 1.0,
+                               (ModeSpec(0, 1.0, 2.0, 96),))
+        factor = evolve_pulsed(case.modes, ScheduleSpec(Scheme.PDD, 2, 1, 2.0),
+                               build_decoupling_group(2), case.temperature)
+        dense = identity_started_coherence(case, dense=True)
+        assert abs(factor - dense) <= 1e-13
+        assert abs(factor - dense) <= 1e-9 * abs(dense)
 
     def test_chains_keep_the_bits_of_identity_started_products(self, monkeypatch):
         # each side starts from its first propagator, the inverses are taken
@@ -492,11 +544,9 @@ class TestEvolvePulsed:
     )
     def test_fock_dimension_convergence(self, case_modes, case_kwargs, doubled):
         n = case_kwargs.pop("n")
-        atom, base = self._run(n, case_modes, **case_kwargs)
-        _, fine = self._run(n, doubled, **case_kwargs)
-        base_decay = abs(base) / abs(atom[0, 1])
-        fine_decay = abs(fine) / abs(atom[0, 1])
-        assert abs(base_decay - fine_decay) <= 1e-8
+        base = self._run(n, case_modes, **case_kwargs)
+        fine = self._run(n, doubled, **case_kwargs)
+        assert abs(abs(base) - abs(fine)) <= 1e-8
 
     def test_validation_errors(self):
         schedule = ScheduleSpec(Scheme.PDD, 2, 1, 1.0)
@@ -548,9 +598,8 @@ class TestDecouplingSuppression:
         total_time, temperature = 2.0, 1.0
         free = free_decay(total_time, (MODE_N2,), temperature, 2)
         schedule = ScheduleSpec(Scheme.PDD, 2, 2, total_time)
-        atom = superposition_state(2)
         final = evolve_pulsed((MODE_N2,), schedule, build_decoupling_group(2), temperature)
-        pulsed = -math.log(abs(final) / abs(atom[0, 1]))
+        pulsed = -math.log(abs(final))
         assert pulsed < free / 10
 
 
@@ -692,9 +741,7 @@ def calibration_draws(draw):
 def test_random_runs_match_prediction_and_catch_the_control(draw):
     n, cycles, scheme, total_time, temperature, modes = draw
     schedule = ScheduleSpec(scheme, n, cycles, total_time)
-    atom = superposition_state(n)
-    end = evolve_pulsed(modes, schedule, build_decoupling_group(n), temperature)
-    observed = abs(end) / abs(atom[0, 1])
+    observed = abs(evolve_pulsed(modes, schedule, build_decoupling_group(n), temperature))
     predicted = math.exp(-discrete_decay_exponent(modes, temperature, schedule))
     control = math.exp(-discrete_decay_exponent(modes, temperature, schedule,
                                                 wrong_sign=True))

@@ -816,6 +816,13 @@ class TestSweepCurve:
         with pytest.raises(ValueError, match="non-empty"):
             sweep_curve(self._template(), self._bath(), [])
 
+    @pytest.mark.parametrize("grid", [[1.0, math.nan], [math.nan], [1.0, math.inf]])
+    def test_non_finite_grid_value_is_named(self, grid):
+        # every comparison with nan is False, so [1.0, nan] once passed the
+        # grid checks and failed in the table as "cutoff * total time = nan"
+        with pytest.raises(ValueError, match="^time grid values must be finite and > 0, got"):
+            sweep_curve(self._template(), self._bath(), grid)
+
     def test_points_report_their_quadrature(self):
         grid = [0.2, 1.0, 2.5]
         curve = sweep_curve(self._template(Scheme.UDD), self._bath(), grid, rel_tol=1e-7)
