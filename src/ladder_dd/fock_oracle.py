@@ -10,9 +10,10 @@ and returns the factor rho_01(T) / rho_01(0).
 For purely dephasing coupling the interaction-picture Hamiltonian commutes
 with itself at different times up to a c-number, so the Magnus series of a
 segment terminates at its second term: the propagator is a displacement of
-the mode times a c-number phase.  A sub-stepped piecewise-constant product of
-short displacements cross-checks it independently.  Every displacement is a
-phase rotation of exp(s(adag - a)), from one eigendecomposition per fock_dim.
+the mode times a c-number phase, the one exact path here; the tests
+cross-check it with sub-stepped piecewise-constant products of short
+displacements.  Every displacement is a phase rotation of exp(s(adag - a)),
+from one eigendecomposition per fock_dim.
 
 The evolution is exact in product form.  Segment propagators are
 block-diagonal in the atom level and factor over modes, and every pulse is
@@ -32,28 +33,20 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
-from .kernel import ConvergenceError, exponent_filters, position_filters
+from .kernel import exponent_filters, position_filters
 from .operators import sigma_z
 from .schedules import ScheduleSpec, check_count
 
 DEFAULT_TAIL = 1e-10
 DIM_CAP = 2000
 
-# Largest change of the coherence factor between the sub-stepped runs at
-# substeps and 2 * substeps that evolve_pulsed accepts.
-SUBSTEP_TOL = 1e-8
-
 
 class TruncationError(ValueError):
     """Truncated Fock space too small for the requested thermal state."""
-
-    def __init__(self, message: str, required_dim: int):
-        super().__init__(message)
-        self.required_dim = required_dim
 
 
 class NonMonomialPulseError(ValueError):
@@ -93,45 +86,23 @@ def _check_transition(mode: ModeSpec, n: int) -> None:
         raise ValueError(f"mode transition {mode.transition} out of range for n={n}")
 
 
-def min_fock_dim(omega: float, temperature: float) -> int:
-    """Smallest truncation with Boltzmann tail weight below ``DEFAULT_TAIL``.
-
-    The normalized occupation distribution is geometric with ratio
-    q = exp(-omega/temperature); the weight beyond level d-1 is q**d.  This
-    bounds the thermal tail only: a run's displacements lift the mode to
-    higher levels and need their own margin, checked by doubling fock_dim.
-    """
-    _check_temperature(temperature)
-    q = math.exp(-omega / temperature)
-    if not q < 1.0:  # omega/temperature below double resolution rounds q to 1
-        raise ValueError(f"no truncation bounds the thermal tail: exp(-omega/temperature) "
-                         f"= {q!r} is not below 1 for omega={omega}, temperature={temperature}")
-    if q == 0.0:
-        return 2
-    d = max(2, math.ceil(math.log(DEFAULT_TAIL) / math.log(q)))
-    while q**d >= DEFAULT_TAIL:
-        d += 1
-    return d
-
-
 def thermal_populations(mode: ModeSpec, temperature: float) -> np.ndarray:
     """Boltzmann weights p_j proportional to q**j, q = exp(-omega/temperature),
     on the truncated mode's fock_dim levels; they sum to one.
 
-    Raises TruncationError if the discarded tail weight is not below
-    ``DEFAULT_TAIL``, advising the dimension that bounds the thermal tail; the
-    displacements need more (see min_fock_dim).
+    Raises TruncationError, naming the kept tail weight q**fock_dim, unless it
+    is below ``DEFAULT_TAIL``.  That bounds the thermal tail only: a run's
+    displacements lift the mode to higher levels and need their own margin.
     """
-    needed = min_fock_dim(mode.omega, temperature)  # checks the temperature
+    _check_temperature(temperature)
     q = math.exp(-mode.omega / temperature)
-    if q > 0.0 and q**mode.fock_dim >= DEFAULT_TAIL:
+    tail = q**mode.fock_dim
+    if tail >= DEFAULT_TAIL:
+        beyond = (f"; no fock_dim up to the cap {DIM_CAP} bounds it"
+                  if q**DIM_CAP >= DEFAULT_TAIL else "")
         raise TruncationError(
-            f"fock_dim={mode.fock_dim} keeps tail weight {q**mode.fock_dim:.3e} "
-            f">= {DEFAULT_TAIL:g} for omega={mode.omega}, temperature={temperature}; "
-            f"use fock_dim >= {needed}, which bounds the thermal tail only: "
-            f"the displacements need their own margin",
-            required_dim=needed,
-        )
+            f"fock_dim={mode.fock_dim} keeps thermal tail weight {tail:.3e} >= "
+            f"{DEFAULT_TAIL:g} for omega={mode.omega}, temperature={temperature}{beyond}")
     populations = q ** np.arange(mode.fock_dim, dtype=float)
     return populations / populations.sum()
 
@@ -203,23 +174,9 @@ def _time_ordered(factors, dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex) if block is None else block
 
 
-def _segment_substeps(mode: ModeSpec, weight: float, t_start: float, dt: float,
-                      substeps: int) -> np.ndarray:
-    """Piecewise-constant propagator, midpoint-sampled; cross-checks the exact
-    one.  Each sub-step exp(-i weight h step), h = drive adag + conj(drive) a,
-    is the displacement by -i weight drive step."""
-    step = dt / substeps
-    drives = (mode.coupling * cmath.exp(1j * mode.omega * (t_start + (s + 0.5) * step))
-              for s in range(substeps))
-    return _time_ordered((expm(mode.fock_dim, -1j * weight * drive * step) for drive in drives),
-                         mode.fock_dim)
-
-
-def _coherence(n, modes, steps, temperature, segment) -> complex:
+def _coherence(n, modes, steps, temperature) -> complex:
     """Coherence factor rho_01(T) / rho_01(0) after ``steps`` of (t_start, dt,
-    monomial split of the pulse that ends the segment); ``segment(mode,
-    weight, t_start, dt)`` is one mode's propagator over a free segment at a
-    level of nonzero dephasing weight."""
+    monomial split of the pulse that ends the segment)."""
     populations = [thermal_populations(mode, temperature) for mode in modes]
     a, b = 0, 1
     for *_, (_, inverse, _) in reversed(steps):
@@ -236,7 +193,7 @@ def _coherence(n, modes, steps, temperature, segment) -> complex:
         weights = np.diag(sigma_z(n, mode.transition)).real.tolist()
         # a zero weight leaves the mode alone
         left, right = (
-            _time_ordered((segment(mode, weights[level], t_start, dt)
+            _time_ordered((_segment_exact(mode, weights[level], t_start, dt)
                            for t_start, dt, level in path if weights[level] != 0.0),
                           mode.fock_dim)
             for path in (rows, columns))
@@ -250,7 +207,6 @@ def evolve_pulsed(
     schedule: ScheduleSpec,
     group: tuple[np.ndarray, ...],
     temperature: float,
-    substeps: int | None = None,
 ) -> complex:
     """Coherence factor rho_01(T) / rho_01(0) after the full pulsed sequence,
     evolved exactly from the equal superposition of levels 0 and 1.
@@ -259,13 +215,9 @@ def evolve_pulsed(
     elements g_0 ... g_{n-1}.  Free segments follow the
     schedule; after segment l of each cycle the atom pulse g_l g_{l-1}^dag
     fires, and the cycle closes with g_{n-1}^dag.  Each segment is the
-    closed-form Magnus propagator or, with ``substeps`` set, the cross-check:
-    that many piecewise-constant midpoint exponentials, run again at doubled
-    resolution, raising ConvergenceError if the factor moves by more than
-    SUBSTEP_TOL.  ``substeps`` must be an int >= 1.
+    closed-form Magnus propagator; the sub-stepped midpoint products that
+    cross-check it live in the tests.
     """
-    if substeps is not None:
-        check_count("substeps", "substeps", substeps, 1)
     n = schedule.n
     if len(group) != n:
         raise ValueError(f"dimension mismatch: schedule n={n}, group of {len(group)} elements")
@@ -282,21 +234,7 @@ def evolve_pulsed(
         for j in range(schedule.cycles)
         for l in range(n)
     ]
-    if substeps is None:
-        return _coherence(n, modes, steps, temperature, _segment_exact)
-    coarse, fine = (
-        _coherence(n, modes, steps, temperature, partial(_segment_substeps, substeps=count))
-        for count in (substeps, 2 * substeps)
-    )
-    drift = abs(coarse - fine)
-    if drift > SUBSTEP_TOL:
-        raise ConvergenceError(
-            f"sub-step halving moved the coherence factor by {drift:.3e} > {SUBSTEP_TOL:g}; "
-            f"increase substeps (ran {substeps} and {2 * substeps})",
-            previous=np.array([coarse]),
-            current=np.array([fine]),
-        )
-    return fine
+    return _coherence(n, modes, steps, temperature)
 
 
 def discrete_decay_exponent(

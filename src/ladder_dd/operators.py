@@ -27,15 +27,6 @@ def _check_transition(n: int, k: int) -> None:
     check_count("transition index", "k", k, 0)
 
 
-def sigma_x(n: int, k: int) -> np.ndarray:
-    """Off-diagonal coupling of levels k and k+1: entries (k,k+1)=(k+1,k)=1."""
-    _check_transition(n, k)
-    op = np.zeros((n, n), dtype=complex)
-    op[k, k + 1] = 1.0
-    op[k + 1, k] = 1.0
-    return op
-
-
 def sigma_z(n: int, k: int) -> np.ndarray:
     """Diagonal dephasing operator of the (k, k+1) transition.
 
@@ -51,10 +42,11 @@ def sigma_z(n: int, k: int) -> np.ndarray:
 
 
 def x_pulse(n: int, k: int) -> np.ndarray:
-    """exp(i * sigma_x(n, k) * pi/2) in closed form.
+    """exp(i * X * pi/2) in closed form, X the off-diagonal coupling of levels
+    k and k+1 (entries (k,k+1) = (k+1,k) = 1, zero elsewhere).
 
     Identity outside the {k, k+1} subspace; on the subspace the exponential
-    collapses to i*sigma_x because cos(pi/2)=0 and sin(pi/2)=1.
+    collapses to i*X because cos(pi/2)=0 and sin(pi/2)=1.
     """
     _check_transition(n, k)
     op = np.eye(n, dtype=complex)

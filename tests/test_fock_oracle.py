@@ -25,10 +25,9 @@ from ladder_dd.fock_oracle import (
     _monomial_split,
     discrete_decay_exponent,
     evolve_pulsed,
-    min_fock_dim,
     thermal_populations,
 )
-from ladder_dd.kernel import ConvergenceError, position_filters
+from ladder_dd.kernel import position_filters
 from ladder_dd.operators import ZERO_TOL, build_decoupling_group, max_abs, sigma_z
 from ladder_dd.schedules import Scheme, ScheduleSpec
 
@@ -88,7 +87,7 @@ def free_decay(total_time, modes, temperature, n):
     """Unpulsed decay exponent -ln|rho01(T)/rho01(0)|: the product form over
     one free segment ended by the identity pulse, from the (0,1) superposition."""
     final = fock_oracle._coherence(n, modes, [(0.0, total_time, _monomial_split(np.eye(n)))],
-                                   temperature, fock_oracle._segment_exact)
+                                   temperature)
     return -math.log(abs(final))
 
 
@@ -129,13 +128,13 @@ def _displacement_pairs():
 
 
 def _substep_pairs():
-    # -i w h dt, one sub-step's generator: weight 1, t = 0.3 - dt/2, dt = 2/256,
-    # so the midpoint sample falls at t = 0.3
+    # -i w h dt, one midpoint sub-step's generator at weight 1, t = 0.3 and
+    # dt = 2/256, h = drive adag + conj(drive) a: the displacement by -i drive dt
     a = _lowering(MODE_N2.fock_dim)
     drive = 0.1 * np.exp(0.3j)
     step = 2.0 / 256
     generator = -1j * (drive * a.conj().T + np.conj(drive) * a) * step
-    return [(fock_oracle._segment_substeps(MODE_N2, 1.0, 0.3 - step / 2, step, substeps=1),
+    return [(fock_oracle.expm(MODE_N2.fock_dim, -1j * drive * step),
              scipy.linalg.expm(generator))]
 
 
@@ -157,8 +156,10 @@ def identity_started_coherence(case, substeps=None, dense=False):
     """evolve_pulsed's product form with every chain multiplied onto the
     identity, a per-step argsort of each pulse permutation, numpy scalars for
     the segments and level weights and the start state normalised by its (0,1)
-    entry.  ``dense`` takes each mode's trace as Tr[L diag(p) R^dag] through
-    two matrix products."""
+    entry.  ``substeps`` replaces each closed-form segment propagator by that
+    many piecewise-constant midpoint exponentials, the cross-check of its
+    Magnus phase.  ``dense`` takes each mode's trace as Tr[L diag(p) R^dag]
+    through two matrix products."""
     n = case.n
     schedule = ScheduleSpec(case.scheme, n, case.cycles, case.total_time)
     elements = build_decoupling_group(n)
@@ -253,30 +254,45 @@ class TestThermalState:
                                    rtol=1e-15)
         assert math.fsum(populations) == pytest.approx(1.0, abs=1e-15)
 
-    def test_truncation_error_advises_dimension(self):
+    def test_truncation_error_names_tail_weight(self):
         mode = ModeSpec(transition=0, omega=100.0, coupling=0.1, fock_dim=5)
-        with pytest.raises(TruncationError, match="fock_dim.*thermal tail only") as excinfo:
+        with pytest.raises(TruncationError) as excinfo:
             thermal_populations(mode, temperature=150.0)
-        assert excinfo.value.required_dim == brute_min_dim(100.0, 150.0)
+        tail = math.exp(-100.0 / 150.0) ** 5
+        assert str(excinfo.value) == (f"fock_dim=5 keeps thermal tail weight {tail:.3e} >= 1e-10 "
+                                      f"for omega=100.0, temperature=150.0")
 
     @pytest.mark.parametrize(
         "omega,temperature", [(100.0, 150.0), (1.0, 1.0), (1.4, 0.5), (1.5, 0.25)]
     )
     def test_min_fock_dim_matches_brute_force(self, omega, temperature):
-        assert min_fock_dim(omega, temperature) == brute_min_dim(omega, temperature)
+        # the smallest fock_dim whose thermal tail thermal_populations accepts
+        smallest = brute_min_dim(omega, temperature)
+        thermal_populations(ModeSpec(0, omega, 0.1, smallest), temperature)
+        with pytest.raises(TruncationError):
+            thermal_populations(ModeSpec(0, omega, 0.1, smallest - 1), temperature)
+
+    def test_mode_beyond_the_cap_is_named(self):
+        # no fock_dim up to DIM_CAP bounds this tail: the error once advised
+        # fock_dim >= 23026, which ModeSpec rejects
+        with pytest.raises(TruncationError) as excinfo:
+            thermal_populations(ModeSpec(0, 1e-3, 0.1, DIM_CAP), 1.0)
+        tail = math.exp(-1e-3) ** DIM_CAP
+        assert str(excinfo.value) == (
+            f"fock_dim={DIM_CAP} keeps thermal tail weight {tail:.3e} >= 1e-10 for "
+            f"omega=0.001, temperature=1.0; no fock_dim up to the cap {DIM_CAP} bounds it")
 
     @pytest.mark.parametrize("omega,temperature", [(1e-17, 1.0), (1.0, 1e17)])
     def test_unresolvable_ratio_is_named(self, omega, temperature):
-        # exp(-omega/temperature) rounds to 1.0 here, so log(q) is 0: this once
-        # raised a bare ZeroDivisionError from all three calls
-        message = re.escape(f"no truncation bounds the thermal tail: exp(-omega/temperature) "
-                            f"= 1.0 is not below 1 for omega={omega}, temperature={temperature}")
+        # exp(-omega/temperature) rounds to 1.0 here: this once raised a bare
+        # ZeroDivisionError
+        message = re.escape(f"fock_dim=25 keeps thermal tail weight 1.000e+00 >= 1e-10 for "
+                            f"omega={omega}, temperature={temperature}; no fock_dim up to "
+                            f"the cap {DIM_CAP} bounds it")
         mode = ModeSpec(transition=0, omega=omega, coupling=0.1, fock_dim=25)
-        with pytest.raises(ValueError, match=message):
-            min_fock_dim(omega, temperature)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(TruncationError, match=f"^{message}$"):
             thermal_populations(mode, temperature)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(TruncationError, match=f"^{message}$"):
             evolve_pulsed((mode,), ScheduleSpec(Scheme.PDD, 2, 1, 2.0),
                           build_decoupling_group(2), temperature)
 
@@ -344,9 +360,10 @@ class TestModeSpecValidation:
     @pytest.mark.parametrize("temperature", [math.inf, math.nan, 0.0, -1.0])
     def test_temperature_must_be_finite_and_positive(self, temperature):
         with pytest.raises(ValueError, match="temperature must be finite and > 0"):
-            min_fock_dim(1.0, temperature)
-        with pytest.raises(ValueError, match="temperature must be finite and > 0"):
             thermal_populations(MODE_N2, temperature)
+        with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+            evolve_pulsed((MODE_N2,), ScheduleSpec(Scheme.PDD, 2, 1, 2.0),
+                          build_decoupling_group(2), temperature)
         with pytest.raises(ValueError, match="temperature must be finite and > 0"):
             discrete_decay_exponent((MODE_N2,), temperature, ScheduleSpec(Scheme.PDD, 3, 1, 2.0))
 
@@ -374,9 +391,13 @@ class TestEvolvePulsed:
         assert abs(factor) <= 1.0
 
     def test_substeps_cross_validate_exact_generator(self):
+        # the sub-stepped midpoint products converge onto the closed-form
+        # Magnus propagator: halving the step moves the factor by <= 1e-8
+        case = CalibrationCase("substeps", 2, 1, Scheme.PDD, 2.0, 1.0, (MODE_N2,))
         exact = self._run(2, (MODE_N2,))
-        stepped = self._run(2, (MODE_N2,), substeps=512)
-        assert abs(START * stepped - START * exact) <= 1e-7
+        coarse, fine = (identity_started_coherence(case, substeps=count) for count in (512, 1024))
+        assert abs(coarse - fine) <= 1e-8
+        assert abs(START * fine - START * exact) <= 1e-7
 
     def test_one_eigendecomposition_per_fock_dim(self, monkeypatch):
         # every propagator rotates the one cached basis of its fock_dim; at
@@ -402,10 +423,6 @@ class TestEvolvePulsed:
         expms.clear()
         self._run(2, (MODE_N2,), cycles=3)
         assert len(expms) == 12
-        expms.clear()
-        monkeypatch.setattr(fock_oracle, "SUBSTEP_TOL", 1.0)
-        self._run(2, (MODE_N2,), cycles=3, substeps=4)
-        assert len(expms) == 6 * 2 * (4 + 8)
         assert eighs == [(11, 11), (9, 9), (25, 25)]
 
     def test_uncoupled_run_is_atom_conjugation(self):
@@ -472,7 +489,7 @@ class TestEvolvePulsed:
         assert abs(factor - dense) <= 1e-13
         assert abs(factor - dense) <= 1e-9 * abs(dense)
 
-    def test_chains_keep_the_bits_of_identity_started_products(self, monkeypatch):
+    def test_chains_keep_the_bits_of_identity_started_products(self):
         # each side starts from its first propagator, the inverses are taken
         # once per pulse and the weights are Python floats: same bits
         for case in default_calibration_cases():
@@ -480,12 +497,6 @@ class TestEvolvePulsed:
                                                          case.total_time),
                                                 build_decoupling_group(case.n), case.temperature)
             assert _bits(got) == _bits(identity_started_coherence(case)), case.name
-        case = default_calibration_cases()[2]
-        schedule = ScheduleSpec(case.scheme, case.n, case.cycles, case.total_time)
-        monkeypatch.setattr(fock_oracle, "SUBSTEP_TOL", 1.0)
-        got = evolve_pulsed(case.modes, schedule, build_decoupling_group(case.n),
-                            case.temperature, substeps=4)
-        assert _bits(got) == _bits(identity_started_coherence(case, substeps=8))
 
     def test_one_expm_per_displacement_on_the_frozen_suite(self, monkeypatch):
         calls = []
@@ -499,27 +510,6 @@ class TestEvolvePulsed:
         assert all(result.passed for result in run_calibration_suite(
             default_calibration_cases()[:5]))
         assert len(calls) == 60
-
-    def test_substep_refinement_failure_raises(self, monkeypatch):
-        monkeypatch.setattr(fock_oracle, "SUBSTEP_TOL", 1e-14)
-        with pytest.raises(ConvergenceError, match="sub-step"):
-            self._run(2, (MODE_N2,), substeps=1)
-
-    @pytest.mark.parametrize("kwargs,name", [
-        (dict(substeps=0), "substeps"),
-        (dict(substeps=-1), "substeps"),
-        (dict(substeps=2.0), "substeps"),
-        (dict(substeps=True), "substeps"),
-    ])
-    def test_bad_substep_settings_rejected_before_evolution(self, kwargs, name, monkeypatch):
-        # substeps=-1 once returned the unevolved coherence and substeps=0 raised
-        # a bare ZeroDivisionError
-        def never(*args, **kwargs):
-            raise AssertionError("evolved with an invalid sub-step setting")
-
-        monkeypatch.setattr(fock_oracle, "_coherence", never)
-        with pytest.raises(ValueError, match=f"^{name} must be"):
-            self._run(2, (MODE_N2,), **kwargs)
 
     @pytest.mark.parametrize(
         "case_modes,case_kwargs,doubled",
@@ -730,7 +720,7 @@ def calibration_draws(draw):
         coupling = draw(st.floats(0.01, 0.1))
         # every displacement along the run stays below 4 j T; the margin keeps
         # the truncation error far below CALIBRATION_TOL
-        fock_dim = (min_fock_dim(omega, temperature)
+        fock_dim = (brute_min_dim(omega, temperature)
                     + math.ceil(6 * (4 * coupling * total_time) ** 2) + 6)
         modes.append(ModeSpec(draw(st.integers(0, n - 2)), omega, coupling, fock_dim))
     return n, cycles, scheme, total_time, temperature, tuple(modes)

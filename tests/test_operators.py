@@ -7,7 +7,6 @@ from ladder_dd.operators import (
     build_decoupling_group,
     group_average,
     max_abs,
-    sigma_x,
     sigma_z,
     verify_decoupling,
     x_pulse,
@@ -22,19 +21,6 @@ def is_unitary(op):
 
 
 class TestSigmaOperators:
-    def test_sigma_x_two_level(self):
-        np.testing.assert_array_equal(sigma_x(2, 0), np.array([[0, 1], [1, 0]], dtype=complex))
-
-    def test_sigma_x_three_level_middle(self):
-        expected = np.zeros((3, 3), dtype=complex)
-        expected[1, 2] = expected[2, 1] = 1
-        np.testing.assert_array_equal(sigma_x(3, 1), expected)
-
-    def test_sigma_x_six_level_top(self):
-        expected = np.zeros((6, 6), dtype=complex)
-        expected[4, 5] = expected[5, 4] = 1
-        np.testing.assert_array_equal(sigma_x(6, 4), expected)
-
     def test_sigma_z_two_level(self):
         np.testing.assert_array_equal(sigma_z(2, 0), np.diag([-1, 1]).astype(complex))
 
@@ -49,13 +35,11 @@ class TestSigmaOperators:
     @pytest.mark.parametrize("bad_k", [-1, 1])
     def test_sigma_index_error_names_arguments(self, bad_k):
         with pytest.raises(ValueError, match="k=.*n=2"):
-            sigma_x(2, bad_k)
-        with pytest.raises(ValueError, match="k=.*n=2"):
             sigma_z(2, bad_k)
 
     def test_dimension_error(self):
         with pytest.raises(ValueError, match="n=1"):
-            sigma_x(1, 0)
+            sigma_z(1, 0)
 
 
 class TestXPulse:
@@ -69,7 +53,9 @@ class TestXPulse:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_generic_matrix_exponential(self, n):
         for k in range(n - 1):
-            generic = expm(1j * sigma_x(n, k) * np.pi / 2)
+            sigma_x = np.zeros((n, n), dtype=complex)  # couples levels k and k+1
+            sigma_x[k, k + 1] = sigma_x[k + 1, k] = 1.0
+            generic = expm(1j * sigma_x * np.pi / 2)
             assert max_abs(x_pulse(n, k) - generic) <= TOL
 
     def test_index_error(self):
@@ -82,7 +68,7 @@ class TestDecouplingGroup:
         group = build_decoupling_group(2)
         assert isinstance(group, tuple) and len(group) == 2
         np.testing.assert_allclose(group[0], np.eye(2), atol=0)
-        np.testing.assert_allclose(group[1], 1j * sigma_x(2, 0), atol=0)
+        np.testing.assert_allclose(group[1], np.array([[0, 1j], [1j, 0]]), atol=0)
 
     def test_three_level_generator_by_direct_multiplication(self):
         # independent construction: hard-coded closed-form factors

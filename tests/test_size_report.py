@@ -1,0 +1,26 @@
+import pathlib
+import runpy
+
+SIZE_REPORT = runpy.run_path(str(pathlib.Path(__file__).parents[1] / "tools" / "size_report.py"))
+
+
+def test_lists_the_definitions_no_module_names(tmp_path, capsys):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text(
+        "import math\n"
+        "from .b import used_by_import\n\n"
+        "def caller(x=1):\n    return helper(x) + math.pi\n\n"
+        "def helper(x):\n    return x\n\n"
+        "class Orphan:\n    pass\n",
+        encoding="utf-8")
+    (package / "b.py").write_text(
+        "from . import a\n\n"
+        "def used_by_import():\n    return a.caller()\n\n"
+        "def orphan():\n    return 0\n",
+        encoding="utf-8")
+    assert SIZE_REPORT["main"](["size_report.py", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "src lines: 18"
+    assert lines[1].startswith("settable values: 1 ")
+    assert lines[2] == f"defined but named nowhere in {tmp_path}: pkg/a.py:Orphan, pkg/b.py:orphan"

@@ -8,6 +8,10 @@ counted over the syntax tree of every module under ``src/``:
 * a field of a class decorated with ``@dataclass``;
 * an ``add_argument`` call (one command-line option or positional).
 
+It also lists the top-level functions and classes that no code under ``src/``
+names (as a name, an attribute or an import), which only tests, tools or
+benchmarks can reach.
+
 Run from the repository root:  python3 tools/size_report.py [SRC_DIR]
 """
 
@@ -44,19 +48,39 @@ def settable_values(tree: ast.AST) -> dict[str, int]:
     return counts
 
 
+def _names(tree: ast.AST) -> set[str]:
+    """Every identifier that one module's code refers to."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
 def main(argv: list[str]) -> int:
     root = pathlib.Path(argv[1] if len(argv) > 1 else "src")
     lines = 0
     totals = {"fields": 0, "defaults": 0, "options": 0}
+    defined, named = [], set()
     for path in sorted(root.rglob("*.py")):
         text = path.read_text(encoding="utf-8")
         lines += len(text.splitlines())
-        for kind, count in settable_values(ast.parse(text, filename=str(path))).items():
+        tree = ast.parse(text, filename=str(path))
+        for kind, count in settable_values(tree).items():
             totals[kind] += count
+        defined += [(path.relative_to(root), node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        named |= _names(tree)
     print(f"src lines: {lines}")
     print(f"settable values: {sum(totals.values())} "
           f"({totals['fields']} dataclass fields, {totals['defaults']} defaults and "
           f"**kwargs, {totals['options']} command-line options)")
+    unnamed = [f"{path}:{name}" for path, name in defined if name not in named]
+    print(f"defined but named nowhere in {root}: {', '.join(unnamed) or 'none'}")
     return 0
 
 
