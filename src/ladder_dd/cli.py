@@ -216,12 +216,12 @@ def cmd_verify_group(args: argparse.Namespace) -> int:
 
 def cmd_schedule(args: argparse.Namespace) -> int:
     # fractions do not depend on the total time
-    text = fractions_text(ScheduleSpec(Scheme(args.scheme), args.n, args.cycles, 1.0).fractions)
+    fractions = ScheduleSpec(Scheme(args.scheme), args.n, args.cycles, 1.0).fractions
     if args.out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(fractions_text(fractions))
     else:
-        _write_atomic(args.out, text)
-        print(f"wrote {pulse_count(args.n, args.cycles)} fractions to {args.out}")
+        _write_atomic(args.out, fractions_text(fractions))
+        print(f"wrote {len(fractions)} fractions to {args.out}")
     return EXIT_OK
 
 

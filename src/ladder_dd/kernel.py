@@ -430,14 +430,15 @@ def _tilings(levels: np.ndarray, uppers: np.ndarray):
     return whole.astype(int), rest, uppers - half, half
 
 
-def _rel_changes(prev: np.ndarray, curr: np.ndarray) -> np.ndarray:
-    """Per row, the largest |c - p| / max(|c|, |p|) over the entries whose scale
-    exceeds _ZERO_FLOOR, else 0; NaN where ``prev`` is NaN (nothing to compare)."""
-    scale = np.maximum(np.abs(curr), np.abs(prev))
-    with np.errstate(invalid="ignore", over="ignore"):
-        change = np.abs(curr - prev) / scale
-    change[scale <= _ZERO_FLOOR] = 0.0
-    return change.max(axis=1)
+def _rel_change(prev: np.ndarray, curr: np.ndarray) -> float:
+    """The largest |c - p| / max(|c|, |p|) over the entries of two finite
+    estimates whose scale exceeds _ZERO_FLOOR, else 0."""
+    change = 0.0
+    for p, c in zip(prev.tolist(), curr.tolist()):  # Python floats: no numpy call per point
+        scale = abs(c) if abs(c) > abs(p) else abs(p)
+        if scale > _ZERO_FLOOR and abs(c - p) / scale > change:
+            change = abs(c - p) / scale
+    return change
 
 
 def _fractions_key(spec: ScheduleSpec) -> tuple:
@@ -460,23 +461,21 @@ class FilterTable:
     use is one batch over every listed point's first two levels: one filter
     call (a UDD call costs O(max u) numpy steps whatever its size) and per
     level one reduction, or a few near the panel cap.  Per (level, T) the
-    table keeps only the estimate, its node count, its finiteness and its
-    relative change from the level before.  A deeper level is the same batch
-    over one point's whole tiling.  Using the table mutates it: do not share
-    one table between threads.
+    table keeps only the estimate, its node count and its finiteness.  A
+    deeper level is the same batch over one point's whole tiling.  Using the
+    table mutates it: do not share one table between threads.
     """
 
     def __init__(self, spec: ScheduleSpec, bath: BathSpec, times):
         self.unit = dataclasses.replace(spec, total_time=1.0)
         self.bath = bath
-        # per (level, T): Gamma estimate, node count, finite, change from the level before
-        self._estimates: dict[tuple[int, float], tuple[np.ndarray, int, bool, float]] = {}
+        # per (level, T): Gamma estimate, node count, finite
+        self._estimates: dict[tuple[int, float], tuple[np.ndarray, int, bool]] = {}
         self._planned = list(times)
 
-    def estimate(self, level: int, total_time: float) -> tuple[np.ndarray, int, float]:
-        """Gamma estimate of the point at ``total_time`` on ``level``, its node
-        count and its relative change from the level before (NaN on the first
-        level).  Raises ConvergenceError if the estimate is not finite:
+    def estimate(self, level: int, total_time: float) -> tuple[np.ndarray, int]:
+        """Gamma estimate of the point at ``total_time`` on ``level`` and its
+        node count.  Raises ConvergenceError if the estimate is not finite:
         refinement cannot repair an overflowed integrand."""
         key = level, total_time
         if key not in self._estimates:
@@ -486,12 +485,12 @@ class FilterTable:
                 pairs += [(first, t), (first + 1, t)]
             self._planned = []
             self._batch(pairs)
-        gamma, nodes, finite, change = self._estimates[key]
+        gamma, nodes, finite = self._estimates[key]
         if not finite:
             previous = self._estimates.get((level - 1, total_time), (gamma,))[0]
             raise ConvergenceError(f"non-finite decay exponent estimate on {nodes} nodes "
                                    f"(while evaluating T={total_time:.6g})", previous, gamma)
-        return gamma, nodes, change
+        return gamma, nodes
 
     def _batch(self, pairs: list[tuple[int, float]]) -> None:
         """Estimate Gamma for every (level, total time) of ``pairs``, each once,
@@ -529,14 +528,8 @@ class FilterTable:
                 gamma[group] = self._reduce_group(nodes, rows, first, times[group],
                                                   whole[group], panels[group])
             first += GL_ORDER * top
-        # each estimate's change from its point's level before, in this batch or an earlier one
-        batch = dict(zip(pairs, gamma))
-        blank = (np.full(gamma.shape[1], np.nan),)
-        previous = np.array([batch[key] if key in batch else self._estimates.get(key, blank)[0]
-                             for key in ((level - 1, t) for level, t in pairs)])
         counts = GL_ORDER * (whole + (panels >= 0))
-        records = zip(gamma, counts.tolist(), np.isfinite(gamma).all(axis=1).tolist(),
-                      _rel_changes(previous, gamma).tolist())
+        records = zip(gamma, counts.tolist(), np.isfinite(gamma).all(axis=1).tolist())
         self._estimates.update(zip(pairs, records))
 
     def _reduce_group(self, nodes, rows, first, times, whole, panels) -> np.ndarray:
@@ -650,13 +643,14 @@ def decay_exponents(
         raise ValueError("filter table was built for another bath")
     total_time = schedule.total_time
     level = _first_level(bath.cutoff * total_time)
-    curr, points, _ = table.estimate(level, total_time)
+    curr, points = table.estimate(level, total_time)
     prev = curr
     for level in range(level + 1, level + _MAX_DOUBLINGS + 1):
-        prev, (curr, points, change) = curr, table.estimate(level, total_time)
-        if change <= rel_tol:
+        prev, (curr, points) = curr, table.estimate(level, total_time)
+        if (change := _rel_change(prev, curr)) <= rel_tol:
             for level in range(level + 1, level + extra_levels + 1):
-                curr, points, change = table.estimate(level, total_time)
+                prev, (curr, points) = curr, table.estimate(level, total_time)
+                change = _rel_change(prev, curr)
             return DecayExponents(gamma=curr, quadrature_points=points,
                                   estimated_relative_error=change)
     raise ConvergenceError(f"decay exponents did not converge to rel_tol={rel_tol:g} within "

@@ -1,4 +1,4 @@
-"""Pulse timing schedules: periodic and Uhrig fraction generators.
+"""Pulse timing schedules: periodic, Uhrig and custom pulse fractions.
 
 A run of N decoupling cycles on an n-level atom places M = n*N - 1 pulses
 strictly inside (0, T), plus one closing pulse at T itself.  A schedule is
@@ -41,22 +41,6 @@ def pulse_count(n: int, cycles: int) -> int:
     check_count("atom dimension", "n", n, 2)
     check_count("cycle count", "cycles", cycles, 1)
     return n * cycles - 1
-
-
-def pdd_fractions(m: int) -> np.ndarray:
-    """Equidistant pulse fractions i/(M+1), i = 1..M."""
-    check_count("pulse count", "M", m, 1)
-    return np.arange(1, m + 1, dtype=float) / (m + 1)
-
-
-def udd_fractions(m: int) -> np.ndarray:
-    """Uhrig pulse fractions sin^2(i*pi/(2M+2)), i = 1..M.
-
-    Symmetric about 1/2: delta_i + delta_{M+1-i} = 1 up to round-off.
-    """
-    check_count("pulse count", "M", m, 1)
-    i = np.arange(1, m + 1, dtype=float)
-    return np.sin(i * math.pi / (2 * m + 2)) ** 2
 
 
 def _validate_custom(fractions: tuple[float, ...], expected: int) -> None:
@@ -110,14 +94,16 @@ class ScheduleSpec:
 
     @cached_property
     def fractions(self) -> np.ndarray:
-        """The interior pulse fractions, from the scheme's closed form: never
-        accumulated, so large pulse counts do not drift."""
-        m = pulse_count(self.n, self.cycles)
+        """The interior pulse fractions delta_i, i = 1..M, from the scheme's
+        closed form: never accumulated, so large pulse counts do not drift.
+        UDD's are symmetric: delta_i + delta_{M+1-i} = 1 up to round-off."""
+        if self.scheme is Scheme.CUSTOM:
+            return np.asarray(self.custom_fractions, dtype=float)
+        m = self.n * self.cycles - 1
+        i = np.arange(1, m + 1, dtype=float)
         if self.scheme is Scheme.PDD:
-            return pdd_fractions(m)
-        if self.scheme is Scheme.UDD:
-            return udd_fractions(m)
-        return np.asarray(self.custom_fractions, dtype=float)
+            return i / (m + 1)
+        return np.sin(i * math.pi / (2 * m + 2)) ** 2
 
     @cached_property
     def boundaries(self) -> np.ndarray:

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ladder_dd.kernel as kernel
-import ladder_dd.schedules as schedules
 from ladder_dd.kernel import (
     BathSpec,
     ConvergenceError,
@@ -877,15 +876,18 @@ class TestSweepCurve:
 
     def test_sweep_derives_its_fractions_once(self, monkeypatch):
         # the table's unit schedule holds the fractions; a point needs only its T
-        calls, fractions = [], schedules.udd_fractions
+        seen, exponents = [], decay_exponents
 
-        def counting(m):
-            calls.append(m)
-            return fractions(m)
+        def recording(schedule, bath, rel_tol, table):
+            seen.append((schedule, table))
+            return exponents(schedule, bath, rel_tol=rel_tol, table=table)
 
-        monkeypatch.setattr(schedules, "udd_fractions", counting)
+        monkeypatch.setattr(kernel, "decay_exponents", recording)
         sweep_curve(self._template(Scheme.UDD), self._bath(), self.DEFAULT_GRID)
-        assert calls == [299]
+        assert len(seen) == self.DEFAULT_GRID.size
+        assert len({id(table) for _, table in seen}) == 1
+        assert "fractions" in vars(seen[0][1].unit)
+        assert not any("fractions" in vars(schedule) for schedule, _ in seen)
 
     def test_memory_does_not_grow_with_points_near_the_cap(self):
         # a level's reduction pads its points to the longest; near the
@@ -979,8 +981,8 @@ def tiling(level, upper):
 
 
 def max_rel_change(prev, curr):
-    """The rule kernel._rel_changes applies per row: the largest relative
-    change between two finite estimates, over entries above _ZERO_FLOOR."""
+    """The rule kernel._rel_change applies: the largest relative change
+    between two finite estimates, over entries above _ZERO_FLOOR."""
     err = 0.0
     for p, c in zip(prev.tolist(), curr.tolist()):
         scale = max(abs(c), abs(p))
@@ -1081,7 +1083,7 @@ class TestSharedTable:
         monkeypatch.undo()
         assert len(table._estimates) > 2 * len(self.GRID)
         evaluated = np.concatenate(calls)
-        for (level, t), (gamma, count, _, _) in table._estimates.items():
+        for (level, t), (gamma, count, _) in table._estimates.items():
             panels = self._panels(level, t)
             nodes = panel_nodes(panels)
             assert np.isin(nodes, evaluated).all()
@@ -1149,10 +1151,29 @@ class TestTableRecords:
         prev = rng.choice(values, (400, 5))
         curr = rng.choice(values, (400, 5))
         curr[::2] = prev[::2] * (1.0 + rng.uniform(-1e-6, 1e-6, (200, 5)))
-        got = kernel._rel_changes(prev, curr)
+        got = [kernel._rel_change(p, c) for p, c in zip(prev, curr)]
         want = [max_rel_change(p, c) for p, c in zip(prev, curr)]
-        np.testing.assert_array_equal(got.view(np.int64), np.array(want).view(np.int64))
-        assert np.isnan(kernel._rel_changes(np.full((1, 5), np.nan), curr[:1])).all()
+        np.testing.assert_array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+
+    # (scheme, T, rel_tol, levels past the first asked for up front) at the
+    # CLI's default bath.  A level asked for before the level below it must
+    # still be compared with that level when the point reaches it; a table
+    # that stored each level's change found nothing to compare, so the point
+    # refined past it (5730 nodes for 2865, 2295 for 1155) or, at UDD 1e-14,
+    # failed after 12 doublings.
+    @pytest.mark.parametrize("scheme,total_time,rel_tol,ahead", [
+        (Scheme.PDD, 3.0, 1e-14, 3), (Scheme.UDD, 0.3, 1e-13, 3), (Scheme.UDD, 0.3, 1e-14, 8)])
+    def test_table_answers_do_not_depend_on_query_order(self, scheme, total_time, rel_tol,
+                                                         ahead):
+        schedule = ScheduleSpec(scheme, 6, 50, total_time)
+        fresh = decay_exponents(schedule, self.BATH, rel_tol=rel_tol)
+        table = FilterTable(schedule, self.BATH, [total_time])
+        table.estimate(kernel._first_level(self.BATH.cutoff * total_time) + ahead, total_time)
+        asked = decay_exponents(schedule, self.BATH, rel_tol=rel_tol, table=table)
+        np.testing.assert_array_equal(asked.gamma.view(np.int64), fresh.gamma.view(np.int64))
+        assert asked.quadrature_points == fresh.quadrature_points
+        assert (np.float64(asked.estimated_relative_error).view(np.int64)
+                == np.float64(fresh.estimated_relative_error).view(np.int64))
 
     @pytest.mark.parametrize("scheme", [Scheme.PDD, Scheme.UDD])
     def test_settled_points_are_lookups(self, scheme, monkeypatch):
@@ -1187,9 +1208,9 @@ class TestTableRecords:
     @pytest.mark.parametrize("scheme", [Scheme.PDD, Scheme.UDD])
     def test_on_demand_levels_match_one_point_tables(self, scheme, monkeypatch):
         # at 1e-13 points refine past the first batch, so deeper levels run
-        # as one-point batches whose changes compare with an earlier batch's
-        # estimates.  The UDD series is forced, so that a node's filter does
-        # not depend on the size of its call.
+        # as one-point batches whose estimates decay_exponents compares with
+        # an earlier batch's.  The UDD series is forced, so that a node's
+        # filter does not depend on the size of its call.
         monkeypatch.setattr(kernel, "_SERIES_GAIN", math.inf)
         calls = recorded_table_calls(monkeypatch)
         template = ScheduleSpec(scheme=scheme, n=6, cycles=50, total_time=1.0)

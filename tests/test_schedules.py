@@ -11,9 +11,7 @@ from ladder_dd.schedules import (
     check_count,
     fractions_text,
     parse_fractions_text,
-    pdd_fractions,
     pulse_count,
-    udd_fractions,
 )
 
 # sin^2(pi/8) and sin^2(3*pi/8), i.e. (1 -/+ sqrt(2)/2)/2
@@ -51,29 +49,30 @@ class TestPulseCount:
             pulse_count(3, 0)
 
 
+def fractions(scheme, n, cycles):
+    """The M = n*cycles - 1 interior fractions of ``scheme``."""
+    return ScheduleSpec(scheme, n, cycles, 1.0).fractions
+
+
 class TestFractions:
     def test_pdd_single(self):
-        np.testing.assert_array_equal(pdd_fractions(1), [0.5])
+        np.testing.assert_array_equal(fractions(Scheme.PDD, 2, 1), [0.5])
 
     def test_pdd_three(self):
-        np.testing.assert_allclose(pdd_fractions(3), [0.25, 0.5, 0.75], rtol=0, atol=0)
+        np.testing.assert_allclose(fractions(Scheme.PDD, 2, 2), [0.25, 0.5, 0.75], rtol=0, atol=0)
 
     def test_pdd_299_first(self):
-        assert pdd_fractions(299)[0] == 1.0 / 300.0
+        assert fractions(Scheme.PDD, 6, 50)[0] == 1.0 / 300.0
 
     def test_udd_single(self):
-        np.testing.assert_allclose(udd_fractions(1), [0.5], atol=1e-16)
+        np.testing.assert_allclose(fractions(Scheme.UDD, 2, 1), [0.5], atol=1e-16)
 
     def test_udd_two(self):
-        np.testing.assert_allclose(udd_fractions(2), [0.25, 0.75], atol=1e-16)
+        np.testing.assert_allclose(fractions(Scheme.UDD, 3, 1), [0.25, 0.75], atol=1e-16)
 
     def test_udd_three_half_angle_values(self):
-        np.testing.assert_allclose(udd_fractions(3), [UDD3_LO, 0.5, UDD3_HI], atol=1e-16)
-
-    @pytest.mark.parametrize("fn", [pdd_fractions, udd_fractions])
-    def test_errors(self, fn):
-        with pytest.raises(ValueError, match="M=0"):
-            fn(0)
+        np.testing.assert_allclose(fractions(Scheme.UDD, 2, 2), [UDD3_LO, 0.5, UDD3_HI],
+                                   atol=1e-16)
 
 
 class TestBuildSchedule:
@@ -224,11 +223,11 @@ class TestSpecValidation:
 
 class TestSerialization:
     def test_round_trip_is_exact(self):
-        fractions = udd_fractions(299)
-        text = fractions_text(fractions)
+        udd = fractions(Scheme.UDD, 6, 50)
+        text = fractions_text(udd)
         parsed = np.array(parse_fractions_text(text))
         assert text.count("\n") == 299
-        np.testing.assert_array_equal(parsed, fractions)
+        np.testing.assert_array_equal(parsed, udd)
 
     def test_parse_skips_comments_and_blanks(self):
         assert parse_fractions_text("# header\n\n0.25\n 0.75 \n") == (0.25, 0.75)
