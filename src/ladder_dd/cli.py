@@ -10,7 +10,6 @@ bit-identical floats and identical runs produce identical bytes.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import tempfile
@@ -21,14 +20,8 @@ import numpy as np
 
 from .kernel import BathSpec, ConvergenceError, sweep_curve
 from .operators import ZERO_TOL, verify_decoupling
-from .schedules import (
-    Scheme,
-    ScheduleSpec,
-    check_count,
-    fractions_text,
-    parse_fractions_text,
-    pulse_count,
-)
+from .schedules import (Scheme, ScheduleSpec, as_number, check_count, check_real,
+                        fractions_text, parse_fractions_text, pulse_count)
 
 # Reference-scenario time axis: with the default bath and schedule the
 # periodic-scheme coherence falls to ~0.30 at T = 3.112; calibrated once
@@ -80,15 +73,14 @@ class RunConfig:
         if self.scheme not in _COLUMNS:
             raise ValueError(f"scheme must be one of {'/'.join(_COLUMNS)}, got {self.scheme!r}")
         check_count("t_points", "t_points", self.t_points, 1)
-        if not (math.isfinite(self.t_max) and self.t_max > 0):
-            raise ValueError(f"t_max must be finite and > 0, got {self.t_max}")
+        object.__setattr__(self, "t_max", check_real("t_max", "t_max", self.t_max, 0, True))
+        if self.t_min is not None:
+            object.__setattr__(self, "t_min", check_real("t_min", "t_min", self.t_min, 0, False))
         t_min = self.resolved_t_min()
-        if not (math.isfinite(t_min) and t_min >= 0):
-            raise ValueError(f"t_min must be finite and >= 0, got {t_min}")
         if not (self.t_max > t_min or (self.t_points == 1 and self.t_max == t_min)):
             raise ValueError(f"t_max must be > t_min, got t_max={self.t_max}, t_min={t_min}")
         # below 1e-14 successive estimates differ by round-off: no run could converge
-        if not 1e-14 <= self.quad_tolerance <= 1e-2:
+        if not 1e-14 <= as_number(self.quad_tolerance, float) <= 1e-2:
             raise ValueError(f"quad_tolerance must be in [1e-14, 1e-2], got {self.quad_tolerance}")
         if Scheme.CUSTOM in _COLUMNS[self.scheme] and self.custom_fractions_path is None:
             raise ValueError(f"scheme {self.scheme!r} requires custom_fractions_path")

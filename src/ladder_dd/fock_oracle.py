@@ -38,8 +38,8 @@ from functools import cache
 import numpy as np
 
 from .kernel import exponent_filters, position_filters
-from .operators import sigma_z
-from .schedules import ScheduleSpec, check_count
+from .operators import check_transition, sigma_z
+from .schedules import ScheduleSpec, as_number, check_count, check_real
 
 DEFAULT_TAIL = 1e-10
 DIM_CAP = 2000
@@ -64,26 +64,16 @@ class ModeSpec:
     fock_dim: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"mode omega (frequency) must be finite and > 0, "
-                             f"got {self.omega}")
-        if not cmath.isfinite(self.coupling):
-            raise ValueError(f"mode coupling must be finite, got {self.coupling}")
+        object.__setattr__(self, "omega",
+                           check_real("mode omega (frequency)", "omega", self.omega, 0, True))
+        coupling = as_number(self.coupling, complex)
+        if not cmath.isfinite(coupling):
+            raise ValueError(f"mode coupling must be finite, got coupling={self.coupling!r}")
+        object.__setattr__(self, "coupling", coupling)
         check_count("fock_dim", "fock_dim", self.fock_dim, 2)
         if self.fock_dim > DIM_CAP:
-            raise ValueError(f"fock_dim must be <= the per-mode cap {DIM_CAP}, "
-                             f"got {self.fock_dim}")
+            raise ValueError(f"fock_dim must be <= the per-mode cap {DIM_CAP}, got {self.fock_dim}")
         check_count("transition index", "transition", self.transition, 0)
-
-
-def _check_temperature(temperature: float) -> None:
-    if not (math.isfinite(temperature) and temperature > 0):
-        raise ValueError(f"temperature must be finite and > 0, got {temperature}")
-
-
-def _check_transition(mode: ModeSpec, n: int) -> None:
-    if mode.transition > n - 2:
-        raise ValueError(f"mode transition {mode.transition} out of range for n={n}")
 
 
 def thermal_populations(mode: ModeSpec, temperature: float) -> np.ndarray:
@@ -94,7 +84,7 @@ def thermal_populations(mode: ModeSpec, temperature: float) -> np.ndarray:
     is below ``DEFAULT_TAIL``.  That bounds the thermal tail only: a run's
     displacements lift the mode to higher levels and need their own margin.
     """
-    _check_temperature(temperature)
+    temperature = check_real("temperature", "temperature", temperature, 0, True)
     q = math.exp(-mode.omega / temperature)
     tail = q**mode.fock_dim
     if tail >= DEFAULT_TAIL:
@@ -225,7 +215,7 @@ def evolve_pulsed(
     if not modes:
         raise ValueError("at least one bath mode is required")
     for mode in modes:
-        _check_transition(mode, n)
+        check_transition(n, mode.transition)
     pulses = [group[l] @ group[l - 1].conj().T for l in range(1, n)]
     splits = [_monomial_split(pulse) for pulse in pulses + [group[n - 1].conj().T]]
     starts, lengths = schedule.boundaries.tolist(), schedule.segments.tolist()
@@ -248,9 +238,9 @@ def discrete_decay_exponent(
     negative control: the upper neighbour slot enters each filter with the
     wrong sign, as under a wrong toggling-sign convention.
     """
-    _check_temperature(temperature)
+    temperature = check_real("temperature", "temperature", temperature, 0, True)
     for mode in modes:
-        _check_transition(mode, schedule.n)
+        check_transition(schedule.n, mode.transition)
     omegas = [mode.omega for mode in modes]
     filters = exponent_filters(omegas, schedule)
     if wrong_sign:

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedules import ScheduleSpec, Scheme, build_schedule, check_count
+from .schedules import ScheduleSpec, Scheme, as_number, build_schedule, check_count, check_real
 
 GL_ORDER = 15
 # np.polynomial.legendre.leggauss(GL_ORDER), written out bit for bit: importing
@@ -151,16 +151,8 @@ class BathSpec:
     temperature: float
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "cutoff", "temperature"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if not self.cutoff > 0:
-            raise ValueError(f"cutoff must be > 0, got {self.cutoff}")
-        if not self.temperature > 0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
+        for name, strict in (("alpha", False), ("cutoff", True), ("temperature", True)):
+            object.__setattr__(self, name, check_real(name, name, getattr(self, name), 0, strict))
 
 
 def ohmic_density(omega, bath: BathSpec):
@@ -632,7 +624,7 @@ def decay_exponents(
     ConvergenceError, carrying the last two estimate vectors and naming T, if
     the target is never met or an estimate is not finite.
     """
-    if not 0.0 < rel_tol < 1.0:
+    if not 0.0 < (tol := as_number(rel_tol, float)) < 1.0:
         raise ValueError(f"rel_tol must be finite and in (0, 1), got {rel_tol}")
     check_count("extra levels", "extra_levels", extra_levels, 0)
     if table is None:
@@ -647,13 +639,13 @@ def decay_exponents(
     prev = curr
     for level in range(level + 1, level + _MAX_DOUBLINGS + 1):
         prev, (curr, points) = curr, table.estimate(level, total_time)
-        if (change := _rel_change(prev, curr)) <= rel_tol:
+        if (change := _rel_change(prev, curr)) <= tol:
             for level in range(level + 1, level + extra_levels + 1):
                 prev, (curr, points) = curr, table.estimate(level, total_time)
                 change = _rel_change(prev, curr)
             return DecayExponents(gamma=curr, quadrature_points=points,
                                   estimated_relative_error=change)
-    raise ConvergenceError(f"decay exponents did not converge to rel_tol={rel_tol:g} within "
+    raise ConvergenceError(f"decay exponents did not converge to rel_tol={tol:g} within "
                            f"{_MAX_DOUBLINGS} doublings ({points} nodes) "
                            f"(while evaluating T={total_time:.6g})", prev, curr)
 

@@ -13,15 +13,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .schedules import check_count, pulse_count
+from .schedules import check_count
 
-# Max-entry tolerance for "zero" and "unitary": ~1e4 x double epsilon,
-# absorbing round-off from repeated small matrix products.
+# Max-entry tolerance for "zero": ~1e4 x double epsilon, absorbing round-off
+# from repeated small matrix products.
 ZERO_TOL = 1e-12
 
 
-def _check_transition(n: int, k: int) -> None:
-    pulse_count(n, 1)  # checks that n is an int >= 2
+def check_transition(n: int, k: int) -> None:
+    """Raise a ValueError unless n is an atom dimension and k one of its transitions."""
+    check_count("atom dimension", "n", n, 2)
     if k not in range(n - 1):
         raise ValueError(f"transition k={k!r} out of range for n={n} (need 0 <= k <= n-2)")
     check_count("transition index", "k", k, 0)
@@ -34,7 +35,7 @@ def sigma_z(n: int, k: int) -> np.ndarray:
     level carries the positive sign, as for the usual two-level Pauli Z
     with |1><1| - |0><0| ordering).
     """
-    _check_transition(n, k)
+    check_transition(n, k)
     op = np.zeros((n, n), dtype=complex)
     op[k + 1, k + 1] = 1.0
     op[k, k] = -1.0
@@ -48,7 +49,7 @@ def x_pulse(n: int, k: int) -> np.ndarray:
     Identity outside the {k, k+1} subspace; on the subspace the exponential
     collapses to i*X because cos(pi/2)=0 and sin(pi/2)=1.
     """
-    _check_transition(n, k)
+    check_transition(n, k)
     op = np.eye(n, dtype=complex)
     op[k, k] = 0.0
     op[k + 1, k + 1] = 0.0
@@ -86,7 +87,7 @@ def group_average(group: tuple[np.ndarray, ...], op: np.ndarray) -> np.ndarray:
 
 
 def max_abs(op: np.ndarray) -> float:
-    """Largest entry magnitude, the norm used for all zero/unitary checks."""
+    """Largest entry magnitude, the norm of the decoupling check."""
     return float(np.max(np.abs(op)))
 
 

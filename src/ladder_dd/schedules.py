@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,6 +37,28 @@ def check_count(label: str, name: str, value, low: int) -> None:
         raise ValueError(f"{label} must be an int >= {low}, got {name}={value!r}")
 
 
+def as_number(value, kind: type) -> float | complex:
+    """``value`` as a ``kind``, float or complex, if it is a number of that kind but
+    no bool and the conversion does not overflow; else nan, which no range admits."""
+    if type(value) is not kind and (isinstance(value, bool) or not isinstance(
+            value, numbers.Real if kind is float else numbers.Complex)):
+        return math.nan
+    try:
+        return kind(value)
+    except OverflowError:
+        return math.nan
+
+
+def check_real(label: str, name: str, value, low: float, strict: bool) -> float:
+    """``value`` as a float; a ValueError unless it is a finite real (no bool)
+    above ``low``, or equal to ``low`` unless ``strict``."""
+    number = as_number(value, float)
+    if not (math.isfinite(number) and (number > low if strict else number >= low)):
+        raise ValueError(f"{label} must be finite and {'>' if strict else '>='} {low}, "
+                         f"got {name}={value!r}")
+    return number
+
+
 def pulse_count(n: int, cycles: int) -> int:
     """Number of interior pulses, n*cycles - 1 (the pulse at T is separate)."""
     check_count("atom dimension", "n", n, 2)
@@ -45,22 +68,17 @@ def pulse_count(n: int, cycles: int) -> int:
 
 def _validate_custom(fractions: tuple[float, ...], expected: int) -> None:
     if len(fractions) != expected:
-        raise ValueError(
-            f"custom fractions: expected {expected} values (n*cycles - 1), "
-            f"got {len(fractions)}"
-        )
+        raise ValueError(f"custom fractions: expected {expected} values (n*cycles - 1), "
+                         f"got {len(fractions)}")
     prev = 0.0
     for idx, value in enumerate(fractions):
-        if not 0.0 < value < 1.0:
-            raise ValueError(
-                f"custom fractions: value {value!r} at index {idx} outside (0, 1)"
-            )
-        if value <= prev:
-            raise ValueError(
-                f"custom fractions: value {value!r} at index {idx} not strictly "
-                f"increasing"
-            )
-        prev = value
+        number = as_number(value, float)
+        if not 0.0 < number < 1.0:
+            raise ValueError(f"custom fractions: value {value!r} at index {idx} outside (0, 1)")
+        if number <= prev:
+            raise ValueError(f"custom fractions: value {value!r} at index {idx} not strictly "
+                             f"increasing")
+        prev = number
 
 
 @dataclass(frozen=True)
@@ -83,8 +101,8 @@ class ScheduleSpec:
 
     def __post_init__(self) -> None:
         count = pulse_count(self.n, self.cycles)
-        if not (math.isfinite(self.total_time) and self.total_time > 0):
-            raise ValueError(f"total time must be finite and > 0, got {self.total_time}")
+        object.__setattr__(self, "total_time",
+                           check_real("total time", "total_time", self.total_time, 0, True))
         if self.scheme is Scheme.CUSTOM:
             if self.custom_fractions is None:
                 raise ValueError("custom scheme requires an explicit fraction list")

@@ -543,7 +543,8 @@ class TestEvolvePulsed:
         group = build_decoupling_group(2)
         with pytest.raises(ValueError, match="at least one"):
             evolve_pulsed((), schedule, group, 1.0)
-        with pytest.raises(ValueError, match="transition 1"):
+        with pytest.raises(ValueError,
+                           match=r"^transition k=1 out of range for n=2 \(need 0 <= k <= n-2\)$"):
             evolve_pulsed((ModeSpec(1, 1.0, 0.1, 4),), schedule, group, 1.0)
         with pytest.raises(ValueError, match="mismatch"):
             evolve_pulsed((ModeSpec(0, 1.0, 0.1, 4),), schedule, build_decoupling_group(3), 1.0)
@@ -608,7 +609,8 @@ class TestDiscreteDecayExponent:
     def test_transition_out_of_range(self):
         schedule = ScheduleSpec(Scheme.PDD, 3, 1, 2.0)
         mode = ModeSpec(transition=2, omega=1.0, coupling=0.1, fock_dim=4)
-        with pytest.raises(ValueError, match="transition 2 out of range for n=3"):
+        with pytest.raises(ValueError,
+                           match=r"^transition k=2 out of range for n=3 \(need 0 <= k <= n-2\)$"):
             discrete_decay_exponent((mode,), 1.0, schedule)
 
     def test_wrong_sign_flips_upper_neighbour(self):

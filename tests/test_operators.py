@@ -5,6 +5,7 @@ from scipy.linalg import expm
 from ladder_dd.operators import (
     ZERO_TOL,
     build_decoupling_group,
+    check_transition,
     group_average,
     max_abs,
     sigma_z,
@@ -40,6 +41,26 @@ class TestSigmaOperators:
     def test_dimension_error(self):
         with pytest.raises(ValueError, match="n=1"):
             sigma_z(1, 0)
+
+
+class TestCheckTransition:
+    def test_accepts_every_transition(self):
+        for n in range(2, 7):
+            for k in range(n - 1):
+                check_transition(n, k)
+            check_transition(np.int64(n), np.int64(n - 2))
+
+    @pytest.mark.parametrize("n, k, message", [
+        (3, 2, r"^transition k=2 out of range for n=3 \(need 0 <= k <= n-2\)$"),
+        (3, -1, r"^transition k=-1 out of range for n=3 \(need 0 <= k <= n-2\)$"),
+        (3, True, r"^transition index must be an int >= 0, got k=True$"),
+        (3, 1.0, r"^transition index must be an int >= 0, got k=1.0$"),
+        (1, 0, r"^atom dimension must be an int >= 2, got n=1$"),
+        (2.0, 0, r"^atom dimension must be an int >= 2, got n=2.0$"),
+    ])
+    def test_bad_pair_is_named(self, n, k, message):
+        with pytest.raises(ValueError, match=message):
+            check_transition(n, k)
 
 
 class TestXPulse:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ladder_dd.schedules import (
     Scheme,
     build_schedule,
     check_count,
+    check_real,
     fractions_text,
     parse_fractions_text,
     pulse_count,
@@ -30,6 +32,26 @@ class TestCheckCount:
         with pytest.raises(ValueError) as excinfo:
             check_count("cycle count", "cycles", value, 3)
         assert str(excinfo.value) == f"cycle count must be an int >= 3, got cycles={value!r}"
+
+
+class TestCheckReal:
+    def test_returns_the_float(self):
+        for value in (np.float32(0.5), np.int64(3), Fraction(1, 4), 7, 2.5):
+            number = check_real("x", "x", value, 0, True)
+            assert type(number) is float and number == float(value)
+
+    def test_low_is_admitted_unless_strict(self):
+        assert check_real("alpha", "alpha", 0, 0, False) == 0.0
+        with pytest.raises(ValueError, match=r"^alpha must be finite and > 0, got alpha=0$"):
+            check_real("alpha", "alpha", 0, 0, True)
+        with pytest.raises(ValueError, match=r"^alpha must be finite and >= 0, got alpha=-1e-300$"):
+            check_real("alpha", "alpha", -1e-300, 0, False)
+
+    def test_int_too_large_for_a_float_is_named(self):
+        with pytest.raises(ValueError, match=r"^t_max must be finite and > 0, got t_max=1000"):
+            check_real("t_max", "t_max", 10**400, 0, True)
+        with pytest.raises(ValueError, match=r"^t_max must be finite and > 0, got t_max=Fraction"):
+            check_real("t_max", "t_max", Fraction(10**400, 3), 0, True)
 
 
 class TestPulseCount:
@@ -188,6 +210,20 @@ class TestCustomScheme:
     def test_out_of_range_names_index(self):
         with pytest.raises(ValueError, match="index 2"):
             ScheduleSpec(Scheme.CUSTOM, 2, 2, 1.0, custom_fractions=(0.2, 0.5, 1.5))
+
+    @pytest.mark.parametrize("value", ["0.5", 0.5 + 0j, True, None])
+    def test_non_real_names_index(self, value):
+        # "0.5", 0.5+0j and None once failed with a bare TypeError
+        with pytest.raises(ValueError) as excinfo:
+            ScheduleSpec(Scheme.CUSTOM, 2, 2, 1.0, custom_fractions=(0.2, value, 0.7))
+        assert str(excinfo.value) == (
+            f"custom fractions: value {value!r} at index 1 outside (0, 1)")
+
+    def test_real_values_give_the_bits_of_their_floats(self):
+        values = (Fraction(1, 3), np.float32(0.5), 0.7)
+        schedule = ScheduleSpec(Scheme.CUSTOM, 2, 2, 1.0, custom_fractions=values)
+        floats = ScheduleSpec(Scheme.CUSTOM, 2, 2, 1.0, custom_fractions=tuple(map(float, values)))
+        assert schedule.boundaries.tobytes() == floats.boundaries.tobytes()
 
     def test_non_monotonic_names_index(self):
         with pytest.raises(ValueError, match="index 1"):
