@@ -45,14 +45,6 @@ DEFAULT_TAIL = 1e-10
 DIM_CAP = 2000
 
 
-class TruncationError(ValueError):
-    """Truncated Fock space too small for the requested thermal state."""
-
-
-class NonMonomialPulseError(ValueError):
-    """A pulse without exactly one nonzero entry per row and column."""
-
-
 @dataclass(frozen=True)
 class ModeSpec:
     """One bath oscillator: the transition it dephases, frequency, coupling
@@ -80,7 +72,7 @@ def thermal_populations(mode: ModeSpec, temperature: float) -> np.ndarray:
     """Boltzmann weights p_j proportional to q**j, q = exp(-omega/temperature),
     on the truncated mode's fock_dim levels; they sum to one.
 
-    Raises TruncationError, naming the kept tail weight q**fock_dim, unless it
+    Raises a ValueError, naming the kept tail weight q**fock_dim, unless it
     is below ``DEFAULT_TAIL``.  That bounds the thermal tail only: a run's
     displacements lift the mode to higher levels and need their own margin.
     """
@@ -90,7 +82,7 @@ def thermal_populations(mode: ModeSpec, temperature: float) -> np.ndarray:
     if tail >= DEFAULT_TAIL:
         beyond = (f"; no fock_dim up to the cap {DIM_CAP} bounds it"
                   if q**DIM_CAP >= DEFAULT_TAIL else "")
-        raise TruncationError(
+        raise ValueError(
             f"fock_dim={mode.fock_dim} keeps thermal tail weight {tail:.3e} >= "
             f"{DEFAULT_TAIL:g} for omega={mode.omega}, temperature={temperature}{beyond}")
     populations = q ** np.arange(mode.fock_dim, dtype=float)
@@ -101,15 +93,15 @@ def _monomial_split(pulse: np.ndarray) -> tuple[list[int], list[int], np.ndarray
     """(perm, inverse, phases) with pulse[perm[b], b] = phases[b], every other
     entry zero, and inverse[perm[b]] = b.
 
-    One nonzero scan gives each row's column, the inverse.  Raises
-    NonMonomialPulseError unless each row and each column of ``pulse`` holds
-    exactly one nonzero entry.
+    One nonzero scan gives each row's column, the inverse.  Raises a
+    ValueError unless each row and each column of ``pulse`` holds exactly one
+    nonzero entry.
     """
     rows, columns = np.nonzero(pulse)
     size, inverse = len(pulse), columns.tolist()
     if rows.tolist() != list(range(size)) or sorted(inverse) != list(range(pulse.shape[1])):
         nonzero = pulse != 0
-        raise NonMonomialPulseError(
+        raise ValueError(
             f"pulse is not monomial: nonzero entries per column {nonzero.sum(axis=0)}, "
             f"per row {nonzero.sum(axis=1)}"
         )

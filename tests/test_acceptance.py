@@ -207,11 +207,11 @@ def test_criterion_7_analytic_limits():
 
 def test_criterion_8_deterministic_output(tmp_path):
     args = ["curve", "--t-points", "10", "--out"]
-    paths = [str(tmp_path / f"run{i}.csv") for i in range(3)]
+    paths = [tmp_path / f"run{i}.csv" for i in range(3)]
     workers = ["1", "1", "4"]
     for path, count in zip(paths, workers):
-        assert main(args + [path, "--workers", count]) == EXIT_OK
-    blobs = [open(path, "rb").read() for path in paths]
+        assert main(args + [str(path), "--workers", count]) == EXIT_OK
+    blobs = [path.read_bytes() for path in paths]
     ok = blobs[0] == blobs[1] == blobs[2]
     _report(8, "byte-identical CSV across reruns and worker counts", ok,
             f"{len(blobs[0])} bytes")

@@ -20,8 +20,6 @@ from ladder_dd.calibration import (
 from ladder_dd.fock_oracle import (
     DIM_CAP,
     ModeSpec,
-    NonMonomialPulseError,
-    TruncationError,
     _monomial_split,
     discrete_decay_exponent,
     evolve_pulsed,
@@ -256,11 +254,11 @@ class TestThermalState:
 
     def test_truncation_error_names_tail_weight(self):
         mode = ModeSpec(transition=0, omega=100.0, coupling=0.1, fock_dim=5)
-        with pytest.raises(TruncationError) as excinfo:
-            thermal_populations(mode, temperature=150.0)
         tail = math.exp(-100.0 / 150.0) ** 5
-        assert str(excinfo.value) == (f"fock_dim=5 keeps thermal tail weight {tail:.3e} >= 1e-10 "
-                                      f"for omega=100.0, temperature=150.0")
+        message = re.escape(f"fock_dim=5 keeps thermal tail weight {tail:.3e} >= 1e-10 "
+                            f"for omega=100.0, temperature=150.0")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            thermal_populations(mode, temperature=150.0)
 
     @pytest.mark.parametrize(
         "omega,temperature", [(100.0, 150.0), (1.0, 1.0), (1.4, 0.5), (1.5, 0.25)]
@@ -269,18 +267,21 @@ class TestThermalState:
         # the smallest fock_dim whose thermal tail thermal_populations accepts
         smallest = brute_min_dim(omega, temperature)
         thermal_populations(ModeSpec(0, omega, 0.1, smallest), temperature)
-        with pytest.raises(TruncationError):
+        tail = math.exp(-omega / temperature) ** (smallest - 1)
+        message = re.escape(f"fock_dim={smallest - 1} keeps thermal tail weight {tail:.3e} "
+                            f">= 1e-10 for omega={omega}, temperature={temperature}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
             thermal_populations(ModeSpec(0, omega, 0.1, smallest - 1), temperature)
 
     def test_mode_beyond_the_cap_is_named(self):
         # no fock_dim up to DIM_CAP bounds this tail: the error once advised
         # fock_dim >= 23026, which ModeSpec rejects
-        with pytest.raises(TruncationError) as excinfo:
-            thermal_populations(ModeSpec(0, 1e-3, 0.1, DIM_CAP), 1.0)
         tail = math.exp(-1e-3) ** DIM_CAP
-        assert str(excinfo.value) == (
+        message = re.escape(
             f"fock_dim={DIM_CAP} keeps thermal tail weight {tail:.3e} >= 1e-10 for "
             f"omega=0.001, temperature=1.0; no fock_dim up to the cap {DIM_CAP} bounds it")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            thermal_populations(ModeSpec(0, 1e-3, 0.1, DIM_CAP), 1.0)
 
     @pytest.mark.parametrize("omega,temperature", [(1e-17, 1.0), (1.0, 1e17)])
     def test_unresolvable_ratio_is_named(self, omega, temperature):
@@ -290,9 +291,9 @@ class TestThermalState:
                             f"omega={omega}, temperature={temperature}; no fock_dim up to "
                             f"the cap {DIM_CAP} bounds it")
         mode = ModeSpec(transition=0, omega=omega, coupling=0.1, fock_dim=25)
-        with pytest.raises(TruncationError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             thermal_populations(mode, temperature)
-        with pytest.raises(TruncationError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             evolve_pulsed((mode,), ScheduleSpec(Scheme.PDD, 2, 1, 2.0),
                           build_decoupling_group(2), temperature)
 
@@ -572,12 +573,11 @@ class TestMonomialSplit:
     ])
     def test_non_monomial_pulse_is_rejected(self, pulse):
         nonzero = pulse != 0
-        message = (f"pulse is not monomial: nonzero entries per column {nonzero.sum(axis=0)}, "
-                   f"per row {nonzero.sum(axis=1)}")
-        with pytest.raises(NonMonomialPulseError) as raised:
+        message = re.escape("pulse is not monomial: nonzero entries per column "
+                            f"{nonzero.sum(axis=0)}, per row {nonzero.sum(axis=1)}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
             _monomial_split(pulse)
-        assert str(raised.value) == message
-        with pytest.raises(NonMonomialPulseError):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             evolve_pulsed((MODE_N2,), ScheduleSpec(Scheme.PDD, 2, 1, 1.0),
                           (np.eye(2, dtype=complex), pulse), 1.0)
 
