@@ -11,8 +11,9 @@ in the toggled frame.  Summing over all N cycles at fixed intra-cycle slot l
 gives the position filter eta_l(w), l = 0..n-1.  position_filters evaluates
 it by each scheme's exact rearrangement of the boundary sum: n phasors per
 frequency for PDD, O(wT) real multiply-adds for UDD from one Miller
-recurrence over all the frequencies of a call (or the boundary sum where
-that is cheaper), and every boundary phasor for custom fractions.
+recurrence over the odd orders, for all the frequencies of a call
+(udd_series; or the boundary sum where that is cheaper), and every boundary
+phasor for custom fractions.
 
 The decay exponent of the (0,1) coherence collects, per transition
 k = 0..n-2, the cyclic second difference of position filters centred on
@@ -21,9 +22,11 @@ slot k,
     chi_k(w) = eta_{k-1}(w) - 2 eta_k(w) + eta_{k+1}(w)   (slots mod n).
 
 In the toggled frame the (0,1) coherence sees the sigma_z of transition k
-with weight -2 in slot k, +1 in its two neighbours.  For a continuum Ohmic
-bath with spectral density I(w) = (alpha/4) w exp(-w/w_c) at temperature Tp
-(units hbar = k_B = 1) the exponents are
+with weight -2 in slot k, +1 in its two neighbours.  The UDD series sums
+chi over the stencils of its weights, in closed form, rather than
+differencing eta, which at small w T is far larger than chi.  For a
+continuum Ohmic bath with spectral density I(w) = (alpha/4) w exp(-w/w_c)
+at temperature Tp (units hbar = k_B = 1) the exponents are
 
     Gamma_k = 1/2 * integral_0^{w_c} I(w) coth(w/(2 Tp)) |chi_k(w)|^2 dw,
 
@@ -40,12 +43,13 @@ filter of the same fractions over total time 1, so in u = w T
 A FilterTable, shared by the points of a sweep, sums |chi1_k|^2 on
 Gauss-Legendre panels of width 4 pi / 2**L in u.  Its first use evaluates
 every point's first two levels in one batch, which streams eta -> chi ->
-weighted rows through node chunks and so peaks near its rows, 8(n-1) bytes a
-node, plus one reduction group and one chunk; a point that settles there
-costs a lookup.  A point's sum adds its terms in node order, without BLAS, so
-with numpy's unfused einsum it does not depend on the other points of its
-level; a frequency's filter depends on the others of its call only through
-the call size, which picks the UDD form (see _SLICE_COLUMNS): at round-off.
+weighted rows (the UDD series chi -> rows) through node chunks and so peaks
+near its rows, 8(n-1) bytes a node, plus one reduction group and one chunk;
+a point that settles there costs a lookup.  A point's sum adds its terms in
+node order, without BLAS, so with numpy's unfused einsum it does not depend
+on the other points of its level; a frequency's filter depends on the others
+of its call only through the call size, which picks the UDD form: at
+round-off.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedules import ScheduleSpec, Scheme, as_number, build_schedule, check_count, check_real
+from .udd_series import BLOCK_ROWS, bessel_sums, miller_orders, udd_stencil_weights, udd_weights
 
 GL_ORDER = 15
 # np.polynomial.legendre.leggauss(GL_ORDER), written out bit for bit: importing
@@ -79,24 +84,6 @@ _GL_WEIGHTS = np.array([
 
 # Cap on elements of a temporary array inside the filter evaluation (memory bound).
 _CHUNK_ELEMS = 2**18
-
-# Rows J_k(z) per product with the UDD weights; calls take at most
-# _CHUNK_ELEMS // _BLOCK_ROWS frequencies.  Blocks are counted from the lowest
-# order.  Values from 8 to 32 time within noise of each other and change the
-# sums at round-off only.
-_BLOCK_ROWS = 20
-
-# Most columns of one such product.  OpenBLAS 0.3.31 gives a column the same
-# bits in products 2 to about 4170 columns wide, but past that takes the last
-# N mod 8 of N columns from another kernel: wider products go in equal slices.
-_SLICE_COLUMNS = 4096
-
-# log of double precision, for the start orders of Miller's recurrence.
-_LOG_EPS = math.log(2.0**-53)
-
-# Miller's recurrence seeds J_k = this at each start order.  Unnormalised, the
-# values then stay within max(1e21, 2/z) times it: normal floats for every z > 0.
-_MILLER_SEED = 1e-300
 
 # UDD takes the Bessel series when top * (_STEP_FREQUENCIES + K) <=
 # _SERIES_GAIN * K * B, for K frequencies, highest start order top and B
@@ -162,107 +149,15 @@ def ohmic_density(omega, bath: BathSpec):
     return result if result.ndim else float(result)
 
 
-def _pi_angle(num, den):
-    """pi num/den for integers, reduced exactly modulo 2 pi first."""
-    return math.pi * (num % (2 * den)) / den
-
-
-def _udd_weights(count: int, n: int, cycles: int) -> np.ndarray:
-    """Weight of J_k(z), k = 1..count, in the UDD position filters: shape
-    (count, 2n), the real part of eta_l in column l, its imaginary part in n + l.
-
-    With M = nN, an odd k weighs only the imaginary parts, by
-        -4 (-1)^((k-1)/2) sin(pi k/2M)/sin(pi k/2N) cos(pi k (2l+1-n)/2M),
-    k = 2Nm weighs only the real parts, by
-        2N (-1)^(Nm) (cos(2 pi m l/n) - cos(2 pi m (l+1)/n)),
-    and every other k weighs nothing.
-    """
-    m_total = n * cycles
-    slot = np.arange(n)
-    weights = np.zeros((count, 2 * n))
-    odd = np.arange(1, count + 1, 2)[:, None]
-    sign = 1.0 - 2.0 * ((odd - 1) // 2 % 2)
-    weights[::2, n:] = (-4.0 * sign * np.sin(_pi_angle(odd, 2 * m_total))
-                        / np.sin(_pi_angle(odd, 2 * cycles))
-                        * np.cos(_pi_angle(odd * (2 * slot + 1 - n), 2 * m_total)))
-    m = np.arange(1, count // (2 * cycles) + 1)[:, None]
-    sign = 1.0 - 2.0 * (cycles * m % 2)
-    weights[2 * cycles * m[:, 0] - 1, :n] = (2.0 * cycles * sign * (
-        np.cos(_pi_angle(2 * m * slot, n)) - np.cos(_pi_angle(2 * m * (slot + 1), n))))
-    return weights
-
-
-def _miller_orders(z: np.ndarray) -> np.ndarray:
-    """Order, as a float, from which Miller's recurrence for J_k(z) starts, per z >= 0.
-
-    Above it every J_k(z) is below double precision relative to the largest:
-    z + 10 z^(1/3) + 6, or for small z the first k with (z/2)^k < 2^-53 if
-    that comes first.  Both were measured against scipy.special.jv.
-    """
-    orders = np.ceil(z + 10.0 * np.cbrt(z) + 6.0)
-    small = z < 2.0
-    with np.errstate(divide="ignore"):
-        powers = np.ceil(_LOG_EPS / np.log(0.5 * z[small]))
-    orders[small] = np.clip(powers, 1.0, orders[small])
-    return orders
-
-
-def _bessel_sums(z: np.ndarray, orders: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_{k=1..len(weights)} J_k(z) weights[k-1] for every z at once, the first
-    half of the columns as real parts and the second as imaginary parts: shape
-    (z.size, weights.shape[1] // 2) complex; ``orders`` from _miller_orders(z).
-
-    Miller's backward recurrence J_{k-1} = 2k J_k/z - J_{k+1} runs for all z
-    together, each z seeded at its own start order, and is normalised at the
-    end by J_0 + 2 sum_k J_2k = 1.  Sorted by descending order, the started z
-    are a prefix, and each step copies, multiplies and indexes only them.  The
-    rows J_k that carry a weight are multiplied into the sums _BLOCK_ROWS at a
-    time, over that prefix, in blocks counted from the lowest order and in
-    slices of at most _SLICE_COLUMNS z; a block that weighs no real part (UDD's
-    odd orders) adds only to the imaginary half.
-    """
-    size, half = z.size, weights.shape[1] // 2
-    perm = np.argsort(-orders, kind="stable")
-    z = z[perm]
-    top = int(orders[perm[0]])
-    # started[k]: how many z start at order k or above
-    started = np.searchsorted(-orders[perm], -np.arange(top + 2), side="right").tolist()
-    weighted = np.zeros(top + 1, dtype=bool)
-    weighted[1 : len(weights) + 1] = weights[:top].any(axis=1)
-    rank = (np.cumsum(weighted) - 1).tolist()  # of a weighted order among the weighted ones
-    weighted = weighted.tolist()
-    real = weights[:, :half].any(axis=1).tolist()  # rows weighing the first half
-    block, held = np.zeros((_BLOCK_ROWS, size)), []
-    sums = np.zeros((weights.shape[1], size))
-    cur, nxt, step, even = np.zeros(size), np.zeros(size), np.empty(size), np.zeros(size)
-    for k in range(top, 0, -1):
-        live = started[k]
-        if live > started[k + 1]:
-            cur[started[k + 1] : live] = _MILLER_SEED
-        now, then, scaled = cur[:live], nxt[:live], step[:live]
-        if weighted[k]:
-            block[len(held), :live] = now
-            held.append(k - 1)
-            if rank[k] % _BLOCK_ROWS == 0:
-                # past live the rows are zeros; two columns keep BLAS's matrix kernel
-                width = max(live, 2)
-                parts = -(-width // _SLICE_COLUMNS)
-                cols = slice(0 if any(real[j] for j in held) else half, None)
-                for part in range(parts):
-                    span = slice(part * width // parts, (part + 1) * width // parts)
-                    sums[cols, span] += weights[held, cols].T @ block[: len(held), span]
-                held.clear()
-        if k % 2 == 0:
-            even[:live] += now
-        np.multiply(now, 2.0 * k, out=scaled)
-        np.divide(scaled, z[:live], out=scaled)
-        np.subtract(scaled, then, out=then)
-        cur, nxt = nxt, cur
-    sums /= cur + 2.0 * even  # cur holds J_0
-    del block, cur, nxt, step, even, now, then, scaled, z  # freed before the result exists
-    out = np.empty((size, half), dtype=complex)
-    out.real[perm] = sums[:half].T
-    out.imag[perm] = sums[half:].T
+def _stencil(values: np.ndarray) -> np.ndarray:
+    """The cyclic second differences v_{c-1} - 2 v_c + v_{c+1} of the slot
+    columns of ``values``, for c = 0..n-2 (slots mod n); at n = 2 both
+    neighbours are the other slot.  Column slices add the same terms in the
+    same order as two full np.roll copies."""
+    n = values.shape[1]
+    out = values[:, np.arange(-1, n - 2)]
+    out -= 2.0 * values[:, : n - 1]
+    out += values[:, 1:n]
     return out
 
 
@@ -273,7 +168,7 @@ def _udd_series_orders(omegas: np.ndarray, schedule: ScheduleSpec) -> np.ndarray
     # an order is at least 1; a NaN or negative w takes the boundary sum too
     if not (_STEP_FREQUENCIES + omegas.size <= boundary and omegas.min() >= 0.0):
         return None
-    orders = _miller_orders(0.5 * schedule.total_time * omegas)
+    orders = miller_orders(0.5 * schedule.total_time * omegas)
     series = orders.max() * (_STEP_FREQUENCIES + omegas.size)  # inf for an infinite w
     return orders if series <= boundary else None
 
@@ -299,9 +194,9 @@ def position_filters(omegas, schedule: ScheduleSpec) -> np.ndarray:
           exp(i w t_b) = exp(i z) sum_k (-i)^k J_k(z) exp(i pi k b/nN),
       and the cycle sum of each term is a geometric series:
           eta_l = exp(i z)/w * sum_{k>=1} J_k(z) D_{k,l},
-      with the weights D of _udd_weights (only odd k and multiples of 2N).
-      The J_k come from one Miller recurrence over all frequencies
-      (_bessel_sums), O(z) real multiply-adds per frequency, not nN + 1
+      with the weights D of udd_weights (only odd k and multiples of 2N).
+      The odd J_k come from one Miller recurrence over all frequencies
+      (bessel_sums), O(z) real multiply-adds per frequency, not nN + 1
       phasors.  Where that would cost more than the boundary sum (few
       frequencies, or z large against nN), UDD takes the boundary sum.
     * CUSTOM: every boundary phasor.
@@ -310,7 +205,7 @@ def position_filters(omegas, schedule: ScheduleSpec) -> np.ndarray:
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     eta = np.empty((omegas.size, schedule.n), dtype=complex)
-    for part, values in _position_chunks(omegas, schedule):
+    for part, values in _filter_chunks(omegas, schedule, False):
         eta[part] = values
     return eta
 
@@ -320,23 +215,23 @@ def exponent_filters(omegas, schedule: ScheduleSpec) -> np.ndarray:
 
     Column k is the cyclic second difference eta_{k-1} - 2*eta_k + eta_{k+1}
     centred on 0-based slot k (slots mod n); at n=2 both neighbours are the
-    other slot.  The tests derive these weights from the pulse group.
+    other slot.  The tests derive these weights from the pulse group.  The
+    UDD Bessel series sums chi over the stencils of its weights
+    (udd_stencil_weights), not over eta.
     """
     return _exponent_rows(omegas, schedule, None)
 
 
 def _exponent_rows(omegas, schedule: ScheduleSpec, weights: np.ndarray | None) -> np.ndarray:
     """exponent_filters(omegas, schedule), or for (K, 1) ``weights`` the table's
-    rows weights[j] |chi_k(w_j)|^2, filled in place a chunk of _position_chunks
+    rows weights[j] |chi_k(w_j)|^2, filled in place a chunk of _filter_chunks
     at a time: no eta or chi exists for all of ``omegas``."""
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    n, out = schedule.n, None
-    for part, eta in _position_chunks(omegas, schedule):
-        chi = eta[:, np.arange(-1, n - 2)]  # slot k-1 mod n of each column k < n-1
-        chi -= 2.0 * eta[:, : n - 1]
-        chi += eta[:, 1:n]
-        if out is None:  # above the first chunk's temporaries: a curve pass re-faults no pages
-            out = np.empty((omegas.size, n - 1), dtype=complex if weights is None else float)
+    out = None
+    for part, chi in _filter_chunks(omegas, schedule, True):
+        if out is None:  # above the first chunk's temporaries: fewer pages re-faulted a pass
+            out = np.empty((omegas.size, schedule.n - 1),
+                           dtype=complex if weights is None else float)
         if weights is None:
             out[part] = chi
         else:
@@ -346,20 +241,26 @@ def _exponent_rows(omegas, schedule: ScheduleSpec, weights: np.ndarray | None) -
     return out
 
 
-def _position_chunks(omegas: np.ndarray, schedule: ScheduleSpec):
-    """Yield (part, position_filters(omegas[part], schedule)) over consecutive
-    slices, each with temporaries of about _CHUNK_ELEMS elements.  UDD's form is
-    chosen for all of ``omegas``, so a chunk has the bits of one whole call."""
-    boundaries, limit = schedule.boundaries, -1j * schedule.segments.sum(axis=0)
+def _filter_chunks(omegas: np.ndarray, schedule: ScheduleSpec, stencil: bool):
+    """Yield (part, position_filters(omegas[part], schedule)), or with
+    ``stencil`` (part, exponent_filters(omegas[part], schedule)), over
+    consecutive slices, each with temporaries of about _CHUNK_ELEMS elements.
+    UDD's form is chosen for all of ``omegas``, so a chunk has the bits of one
+    whole call."""
+    boundaries, limit = schedule.boundaries, -1j * schedule.segments.sum(axis=0)[None]
     n, cycles, total_time = schedule.n, schedule.cycles, schedule.total_time
     orders = _udd_series_orders(omegas, schedule) if schedule.scheme is Scheme.UDD else None
+    if stencil:
+        limit = _stencil(limit)
     if schedule.scheme is Scheme.PDD:
         step = total_time / (n * cycles)
         centres = 0.5 * (total_time + (2.0 * np.arange(n) + (1 - n)) * step)
         chunk = max(1, _CHUNK_ELEMS // n)
     elif orders is not None:
-        weights = _udd_weights(int(orders.max()), n, cycles)
-        chunk = max(1, _CHUNK_ELEMS // _BLOCK_ROWS)
+        # a z's sums take weights up to its order + 1
+        weights = (udd_stencil_weights if stencil else udd_weights)(
+            int(orders.max()) + 1, n, cycles)
+        chunk = max(1, _CHUNK_ELEMS // BLOCK_ROWS)
     else:
         chunk = max(1, _CHUNK_ELEMS // (boundaries.size + 1))
         # one phasor and one difference buffer for all chunks, written in place
@@ -376,24 +277,26 @@ def _position_chunks(omegas: np.ndarray, schedule: ScheduleSpec):
                 delta = half - turns * math.pi
                 ratio = np.where(delta == 0.0, cycles, np.sin(cycles * delta) / np.sin(delta))
                 ratio *= 1.0 - 2.0 * (turns * (cycles - 1) % 2.0)  # (-1)^(k(N-1))
-                eta = np.empty((w.size, n), dtype=complex)
-                np.multiply(w[:, None], centres, out=eta.imag)
-                eta.real = 0.0
-                np.exp(eta, out=eta)
-                eta *= (-2j * np.sin((0.5 * step) * w) * ratio / w)[:, None]
+                values = np.empty((w.size, n), dtype=complex)
+                np.multiply(w[:, None], centres, out=values.imag)
+                values.real = 0.0
+                np.exp(values, out=values)
+                values *= (-2j * np.sin((0.5 * step) * w) * ratio / w)[:, None]
             elif orders is not None:
                 z = 0.5 * total_time * w
-                eta = _bessel_sums(z, orders[part], weights)
-                eta *= (np.exp(1j * z) / w)[:, None]
+                values = bessel_sums(z, orders[part], weights)
+                values *= (np.exp(1j * z) / w)[:, None]
             else:
                 edge, diffs = buffer[: w.size], diff_buffer[: w.size]
                 np.multiply(w[:, None], boundaries, out=edge.imag)
                 edge.real = 0.0
                 np.exp(edge, out=edge)
                 np.subtract(edge[:, :-1], edge[:, 1:], out=diffs)
-                eta = diffs.reshape(w.size, cycles, n).sum(axis=1) / w[:, None]
-        eta[w == 0.0] = limit
-        yield part, eta
+                values = diffs.reshape(w.size, cycles, n).sum(axis=1) / w[:, None]
+            if stencil and orders is None:
+                values = _stencil(values)
+        values[w == 0.0] = limit
+        yield part, values
 
 
 def _thermal_weight(omegas: np.ndarray, bath: BathSpec) -> np.ndarray:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ladder_dd.kernel as kernel
+import ladder_dd.udd_series as udd_series
 from ladder_dd.kernel import (
     BathSpec,
     ConvergenceError,
@@ -207,11 +208,11 @@ class TestFilterChunks:
         custom = _custom_fractions(6, 50) if scheme is Scheme.CUSTOM else None
         template = ScheduleSpec(scheme, 6, 50, 1.0, custom_fractions=custom)
         counts, recurrences = [], []  # chunks of each filter call; Bessel runs
-        chunks, bessel = kernel._position_chunks, kernel._bessel_sums
+        chunks, bessel = kernel._filter_chunks, kernel.bessel_sums
 
-        def counting(omegas, schedule):
+        def counting(*args):
             counts.append(0)
-            for item in chunks(omegas, schedule):
+            for item in chunks(*args):
                 counts[-1] += 1
                 yield item
 
@@ -219,8 +220,8 @@ class TestFilterChunks:
             recurrences.append(args[0].size)
             return bessel(*args)
 
-        monkeypatch.setattr(kernel, "_position_chunks", counting)
-        monkeypatch.setattr(kernel, "_bessel_sums", recording)
+        monkeypatch.setattr(kernel, "_filter_chunks", counting)
+        monkeypatch.setattr(kernel, "bessel_sums", recording)
         series = (scheme, gain) == (Scheme.UDD, None)
         whole = sweep_curve(template, self.BATH, self.GRID)
         # one filter call; only the boundary sum's 301 phasors a node need chunks
@@ -254,23 +255,67 @@ class TestBesselSeries:
         from scipy.special import jv
 
         z = np.concatenate(([1e-12, 1e-9, 1e-6, 1e-3], np.geomspace(0.01, 5000.0, 41)))
-        orders = kernel._miller_orders(z)
+        orders = udd_series.miller_orders(z)
         top = int(orders.max())
         picks = np.unique(np.r_[1:41, np.linspace(1, top, 400).astype(int)])
-        # the same unit weights in both halves: the real and the imaginary parts
-        weights = np.zeros((top, 2 * picks.size))
-        weights[picks - 1, np.arange(picks.size)] = 1.0
-        weights[:, picks.size :] = weights[:, : picks.size]
-        sums = kernel._bessel_sums(z, orders, weights)  # every z in one recurrence
+        # unit weights, as UDD's: an odd order's in the imaginary half, an even
+        # order's in the real half
+        odd = picks % 2 == 1
+        weights = np.zeros((top + 1, 2 * picks.size))
+        weights[picks - 1, np.arange(picks.size) + odd * picks.size] = 1.0
+        sums = udd_series.bessel_sums(z, orders, weights)  # every z in one recurrence
         assert sums.shape == (z.size, picks.size) and sums.dtype == complex
+        assert not sums.real[:, odd].any() and not sums.imag[:, ~odd].any()
         want = jv(picks[None, :], z[:, None])
         # largest |J_k(z)|, k >= 1; scipy's jv itself is off by about 2e-16 z
         # there at large z (checked against mpmath), the recurrence by ~1e-16
         scale = np.array([np.abs(jv(np.arange(1, int(o) + 40), x)).max()
                           for x, o in zip(z, orders)])
         tol = 5e-16 * np.maximum(z, 20.0) * scale
-        for got in (sums.real, sums.imag):
-            assert np.all(np.abs(got - want) <= tol[:, None])
+        assert np.all(np.abs(np.where(odd, sums.imag, sums.real) - want) <= tol[:, None])
+
+    def test_series_chi_matches_a_50_digit_boundary_sum(self, monkeypatch):
+        # chi1 of UDD n = 6, N = 50 over the default curve's u = w T <= 311,
+        # against the boundary sum in 50 digits.  Differencing the series'
+        # eta, which far exceeds chi at small u, was off by 1.9e-12 of max|chi|
+        # below u = 30; the series over the stencil weights by 3.2e-15.
+        import mpmath
+
+        monkeypatch.setattr(kernel, "_SERIES_GAIN", math.inf)
+        n, cycles = 6, 50
+        schedule = ScheduleSpec(Scheme.UDD, n, cycles, 1.0)
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+
+        def chi_reference(u):
+            w = mp.mpf(u)
+            phasors = [mp.expj(w * (1 - mp.cos(mp.pi * b / (n * cycles))) / 2)
+                       for b in range(n * cycles + 1)]
+            eta = [mp.mpc(0)] * n
+            for j in range(n * cycles):
+                eta[j % n] += phasors[j] - phasors[j + 1]
+            return [complex((eta[k - 1] - 2 * eta[k] + eta[k + 1]) / w) for k in range(n - 1)]
+
+        low = np.geomspace(0.01, 30.0, 30, endpoint=False)
+        high = np.sort(np.random.default_rng(0).uniform(30.0, 311.0, 30))
+        for u in (low, high):
+            assert kernel._udd_series_orders(u, schedule) is not None
+            want = np.array([chi_reference(x) for x in u.tolist()])
+            error = np.abs(exponent_filters(u, schedule) - want).max()
+            assert error <= 1e-13 * np.abs(want).max(), (u[0], error)
+
+    def test_weights_run_past_the_call_top_order(self, monkeypatch):
+        # a call's UDD weights run to its highest order + 1: a node that starts
+        # at 2N - 1 = 99, alone at the top of its call, takes the weighted
+        # even order 2N from its neighbours as in a call that reaches higher
+        monkeypatch.setattr(kernel, "_SERIES_GAIN", math.inf)
+        schedule = ScheduleSpec(Scheme.UDD, 6, 50, 1.0)
+        z = np.array([53.4, 53.9, 54.4, 54.9])
+        assert (udd_series.miller_orders(z) == 99.0).all()
+        for omega in (2.0 * z).tolist():
+            alone = exponent_filters([omega, 1.0], schedule)[0]
+            wider = exponent_filters([omega, 1.0, 400.0], schedule)[0]
+            assert alone.tobytes() == wider.tobytes(), omega
 
     @pytest.mark.parametrize("omega", [1e-300, 1e-250, 1e-20])
     def test_tiny_frequencies_reach_the_zero_limit(self, omega, monkeypatch):
@@ -292,39 +337,42 @@ class TestBesselSeries:
         assert result.estimated_relative_error <= 1e-11
 
     def test_sparse_call_sums_do_not_depend_on_the_other_frequencies(self):
-        # orders from 1 to about 2130 span 54 blocks of weighted rows: each
+        # odd orders from 1 to about 2130 span 54 blocks of the ring: each
         # subset starts its frequencies at other steps, multiplies other live
-        # prefixes, and must still give every frequency the bits of the full call
+        # prefixes, and must still give every frequency the bits of the full
+        # call; z = 0 (order 1) sums to zero without a warning
         rng = np.random.default_rng(17)
         z = np.concatenate(([0.0, 0.0, 2000.0], rng.uniform(0.0, 2000.0, 61)))
         z[-4:] = z[3:7]  # duplicates
-        orders = kernel._miller_orders(z)
-        weights = kernel._udd_weights(int(orders.max()), 6, 400)
-        with np.errstate(divide="ignore", invalid="ignore"):  # J_0 of z = 0
-            full = kernel._bessel_sums(z, orders, weights)
-            for size in range(2, z.size):
-                pick = rng.choice(z.size, size, replace=False)
-                np.testing.assert_array_equal(
-                    kernel._bessel_sums(z[pick], orders[pick], weights), full[pick])
+        orders = udd_series.miller_orders(z)
+        weights = udd_series.udd_weights(int(orders.max()) + 1, 6, 400)
+        full = udd_series.bessel_sums(z, orders, weights)
+        assert not full[:2].any()
+        for size in range(2, z.size):
+            pick = rng.choice(z.size, size, replace=False)
+            np.testing.assert_array_equal(
+                udd_series.bessel_sums(z[pick], orders[pick], weights), full[pick])
 
-    @pytest.mark.parametrize("cycles", [3, 400])
-    def test_wide_call_sums_do_not_depend_on_the_other_frequencies(self, cycles):
-        # on one thread, past about 4170 columns, OpenBLAS takes a product's
-        # last columns from another kernel; sliced products keep every
-        # frequency's bits.  At N = 3 every block weighs the real parts, at
-        # N = 400 (orders to about 480) no block does.
+    @pytest.mark.parametrize("n, cycles", [(6, 3), (6, 400), (12, 400)],
+                             ids=["3", "400", "n12-400"])
+    def test_wide_call_sums_do_not_depend_on_the_other_frequencies(self, n, cycles):
+        # on one thread, OpenBLAS takes a product of more than 10^6
+        # multiply-adds to other kernels, which from 12 rows on give some
+        # columns other bits; sliced products keep every frequency's bits.
+        # At N = 3 many blocks add a weighted even order, at N = 400 one does;
+        # n = 12 multiplies 13 rows, sliced past 3846 columns.
         code = (
             "import numpy as np\n"
-            "import ladder_dd.kernel as kernel\n"
+            "import ladder_dd.udd_series as udd_series\n"
             "rng = np.random.default_rng(4170)\n"
             "z = rng.uniform(0.0, 400.0, 6000)\n"
-            "orders = kernel._miller_orders(z)\n"
-            f"weights = kernel._udd_weights(int(orders.max()), 6, {cycles})\n"
-            "full = kernel._bessel_sums(z, orders, weights)\n"
-            "for size in rng.integers(4170, z.size, 24).tolist():\n"
+            "orders = udd_series.miller_orders(z)\n"
+            f"weights = udd_series.udd_weights(int(orders.max()) + 1, {n}, {cycles})\n"
+            "full = udd_series.bessel_sums(z, orders, weights)\n"
+            "for size in rng.integers(3700, z.size, 24).tolist():\n"
             "    pick = rng.choice(z.size, size, replace=False)\n"
             "    np.testing.assert_array_equal(\n"
-            "        kernel._bessel_sums(z[pick], orders[pick], weights), full[pick])\n"
+            "        udd_series.bessel_sums(z[pick], orders[pick], weights), full[pick])\n"
         )
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
                "PYTHONPATH": str(Path(kernel.__file__).resolve().parents[1])}
@@ -393,7 +441,9 @@ class TestExponentFilter:
     @pytest.mark.parametrize("n", range(2, 8))
     def test_slices_equal_the_rolled_stencil(self, n, monkeypatch):
         # column slices add the same terms in the same order as two full
-        # np.roll copies, so chi keeps its bits in every filter form
+        # np.roll copies, so chi keeps its bits in every form that differences
+        # eta; the UDD Bessel series instead sums J_k(z) over the stencils of
+        # its weights, and has the bits of that series
         rng = np.random.default_rng(n)
         omegas = np.array([0.0, *rng.uniform(0.0, 300.0, 40)])
         schedules = [ScheduleSpec(Scheme.PDD, n, 7, 2.3),
@@ -410,8 +460,18 @@ class TestExponentFilter:
                 assert series == (gain == math.inf)
             eta = position_filters(omegas, schedule)
             rolled = np.roll(eta, 1, axis=1) - 2.0 * eta + np.roll(eta, -1, axis=1)
+            if gain == math.inf:
+                orders = kernel._udd_series_orders(omegas, schedule)
+                weights = udd_series.udd_stencil_weights(int(orders.max()) + 1, n, 7)
+                z = 0.5 * schedule.total_time * omegas
+                with np.errstate(divide="ignore", invalid="ignore"):  # w = 0
+                    want = udd_series.bessel_sums(z, orders, weights)
+                    want *= (np.exp(1j * z) / omegas)[:, None]
+                want[0] = rolled[0, : n - 1]  # the w = 0 limit, differenced
+            else:
+                want = rolled[:, : n - 1]
             got = exponent_filters(omegas, schedule)
-            assert got.tobytes() == rolled[:, : n - 1].tobytes(), (scheme, gain)
+            assert got.tobytes() == want.tobytes(), (scheme, gain)
 
     def test_hahn_echo_closed_form(self):
         # two levels, single midpoint pulse
@@ -874,6 +934,23 @@ class TestSweepCurve:
         levels = firsts | {first + 1 for first in firsts}
         assert 0 < len(calls) <= len(levels)
 
+    def test_udd_grid_settles_at_1e_14_in_one_batch(self, monkeypatch):
+        # the series over the stencil weights holds chi to about 1e-14 of its
+        # largest, so every point of the default UDD grid settles on its
+        # first two levels; differencing the series' eta exhausted the 12
+        # doublings at T = 0.0519
+        batches, batch = [], FilterTable._batch
+
+        def recording(table, pairs):
+            batches.append(pairs)
+            return batch(table, pairs)
+
+        monkeypatch.setattr(FilterTable, "_batch", recording)
+        curve = sweep_curve(self._template(Scheme.UDD), self._bath(), self.DEFAULT_GRID,
+                            rel_tol=1e-14)
+        assert len(batches) == 1
+        assert curve.estimated_relative_error.max() <= 1e-14
+
     def test_sweep_derives_its_fractions_once(self, monkeypatch):
         # the table's unit schedule holds the fractions; a point needs only its T
         seen, exponents = [], decay_exponents
@@ -1159,17 +1236,29 @@ class TestTableRecords:
     # CLI's default bath.  A level asked for before the level below it must
     # still be compared with that level when the point reaches it; a table
     # that stored each level's change found nothing to compare, so the point
-    # refined past it (5730 nodes for 2865, 2295 for 1155) or, at UDD 1e-14,
-    # failed after 12 doublings.
+    # refined past it (5730 nodes for 2865 at PDD 1e-14).  Both UDD points
+    # here now settle on their first comparison, below the level asked for;
+    # the cold-bath test below refines UDD to that level.
     @pytest.mark.parametrize("scheme,total_time,rel_tol,ahead", [
         (Scheme.PDD, 3.0, 1e-14, 3), (Scheme.UDD, 0.3, 1e-13, 3), (Scheme.UDD, 0.3, 1e-14, 8)])
     def test_table_answers_do_not_depend_on_query_order(self, scheme, total_time, rel_tol,
                                                          ahead):
+        self._assert_query_order_is_irrelevant(self.BATH, scheme, total_time, rel_tol, ahead)
+
+    def test_cold_udd_answers_do_not_depend_on_query_order(self):
+        # at temperature 0.1 the bath weight bends near w = 2 Tp, and the UDD
+        # point at T = 0.3 converges four levels past its first (2295 nodes,
+        # change 1.8e-15 against 1e-13): the stored-change table refined past it
+        bath = dataclasses.replace(self.BATH, temperature=0.1)
+        self._assert_query_order_is_irrelevant(bath, Scheme.UDD, 0.3, 1e-13, 4)
+
+    @staticmethod
+    def _assert_query_order_is_irrelevant(bath, scheme, total_time, rel_tol, ahead):
         schedule = ScheduleSpec(scheme, 6, 50, total_time)
-        fresh = decay_exponents(schedule, self.BATH, rel_tol=rel_tol)
-        table = FilterTable(schedule, self.BATH, [total_time])
-        table.estimate(kernel._first_level(self.BATH.cutoff * total_time) + ahead, total_time)
-        asked = decay_exponents(schedule, self.BATH, rel_tol=rel_tol, table=table)
+        fresh = decay_exponents(schedule, bath, rel_tol=rel_tol)
+        table = FilterTable(schedule, bath, [total_time])
+        table.estimate(kernel._first_level(bath.cutoff * total_time) + ahead, total_time)
+        asked = decay_exponents(schedule, bath, rel_tol=rel_tol, table=table)
         np.testing.assert_array_equal(asked.gamma.view(np.int64), fresh.gamma.view(np.int64))
         assert asked.quadrature_points == fresh.quadrature_points
         assert (np.float64(asked.estimated_relative_error).view(np.int64)
@@ -1209,15 +1298,19 @@ class TestTableRecords:
     def test_on_demand_levels_match_one_point_tables(self, scheme, monkeypatch):
         # at 1e-13 points refine past the first batch, so deeper levels run
         # as one-point batches whose estimates decay_exponents compares with
-        # an earlier batch's.  The UDD series is forced, so that a node's
-        # filter does not depend on the size of its call.
+        # an earlier batch's.  UDD's filters settle at the default bath in the
+        # first batch; at temperature 0.1 the bath weight's bend near
+        # w = 2 Tp needs deeper levels.  The UDD series is forced, so that a
+        # node's filter does not depend on the size of its call.
         monkeypatch.setattr(kernel, "_SERIES_GAIN", math.inf)
         calls = recorded_table_calls(monkeypatch)
         template = ScheduleSpec(scheme=scheme, n=6, cycles=50, total_time=1.0)
+        bath = self.BATH if scheme is Scheme.PDD else dataclasses.replace(self.BATH,
+                                                                          temperature=0.1)
         grid = TestSweepCurve.DEFAULT_GRID
-        curve = sweep_curve(template, self.BATH, grid, rel_tol=1e-13)
+        curve = sweep_curve(template, bath, grid, rel_tol=1e-13)
         assert len(calls) > 1
-        alone = [decay_exponents(ScheduleSpec(scheme, 6, 50, t), self.BATH, rel_tol=1e-13)
+        alone = [decay_exponents(ScheduleSpec(scheme, 6, 50, t), bath, rel_tol=1e-13)
                  for t in grid.tolist()]
         np.testing.assert_array_equal(
             curve.values, [np.exp(-point.gamma.sum()) for point in alone])
