@@ -238,8 +238,15 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ValueError, which ``main`` reports in one line."""
+
+    def error(self, message: str) -> typing.NoReturn:
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ladder-dd",
         description="Coherence decay of a pulsed ladder atom dephased by an Ohmic bath.",
         epilog=_EPILOG,
@@ -300,9 +307,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except ConvergenceError as err:
         print(f"ladder-dd: convergence failure: {err}", file=sys.stderr)

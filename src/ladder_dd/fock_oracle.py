@@ -7,25 +7,24 @@ through the pulsed sequence and read how much of the (0,1) coherence
 survives: every run starts from the equal superposition of levels 0 and 1
 and returns the factor rho_01(T) / rho_01(0).
 
-For purely dephasing coupling the interaction-picture Hamiltonian commutes
-with itself at different times up to a c-number, so the Magnus series of a
-segment terminates at its second term: the propagator is a displacement of
-the mode times a c-number phase, the one exact path here; the tests
-cross-check it with sub-stepped piecewise-constant products of short
-displacements.  Every displacement is a phase rotation of exp(s(adag - a)),
+For purely dephasing coupling the Magnus series of a segment terminates at
+its second term: at an atom level of weight w the segment displaces the mode
+by w z and adds the c-number phase w^2 phi (the tests cross-check this with
+sub-stepped products).  Propagators are block-diagonal in the atom level and
+factor over modes, and every pulse is monomial, so the final (0,1) block
+descends from one initial block (a, b):
+
+    factor = [{a, b} = {0, 1}] * (pulse phases) * prod_k Tr[L_k rho_k R_k^dag],
+
+L (R) the product of mode k's propagators at the levels the row (column)
+index visits.  By the Weyl relation D(x) D(A) = e^{i Im(x conj(A))} D(A + x),
+L = e^{i Phi_L} D(A_L), and the trace is e^{i(Phi_L - Phi_R) - i Im(A_R
+conj(A_L))} sum_j p_j <j|D(d)|j>, with d = A_L - A_R summed directly (a
+difference of sums would cancel).  Only this thermal overlap, which stands
+for exp(-|d|^2 coth(omega/2T)/2) and so checks the prediction's coth factor
+independently, is taken in Fock space: one displacement on the mode's
+fock_dim levels (capped at DIM_CAP), a phase rotation of exp(s(adag - a))
 from one eigendecomposition per fock_dim.
-
-The evolution is exact in product form.  Segment propagators are
-block-diagonal in the atom level and factor over modes, and every pulse is
-monomial, so the final (0,1) block descends from one initial block (a, b):
-
-    factor = [{a, b} = {0, 1}] * (pulse phases) * prod_k sum_ij p_j L_ij conj(R_ij),
-
-the start state's (a, b) entry over its (0,1) entry, times each mode's
-Tr[L diag(p) R^dag]: p_j are the mode's Boltzmann populations and L (R) is the
-time-ordered product of its own fock_dim x fock_dim segment propagators at the
-levels the row (column) index visits.  Each fock_dim is capped at DIM_CAP:
-this is a desk-scale validator, not a production path.
 """
 
 from __future__ import annotations
@@ -136,26 +135,6 @@ def expm(dim: int, z: complex) -> np.ndarray:
     return out
 
 
-def _segment_exact(mode: ModeSpec, weight: float, t_start: float, dt: float) -> np.ndarray:
-    """Closed-form propagator of one mode over a free segment, at an atom
-    level of dephasing weight ``weight``: the first Magnus term displaces by
-    weight * z, z = j e^{i w t_start} (1 - e^{i w dt}) / w, and the second is
-    the c-number phase weight^2 |j|^2 (dt/w - sin(w dt)/w^2)."""
-    omega, coupling = mode.omega, mode.coupling
-    z = coupling * cmath.exp(1j * omega * t_start) * (1.0 - cmath.exp(1j * omega * dt)) / omega
-    phase = weight**2 * abs(coupling) ** 2 * (dt / omega - math.sin(omega * dt) / omega**2)
-    return cmath.exp(1j * phase) * expm(mode.fock_dim, weight * z)
-
-
-def _time_ordered(factors, dim: int) -> np.ndarray:
-    """Product of ``factors``, each later one on the left: the first factor
-    starts the chain, and the identity on ``dim`` levels stands for none."""
-    block = None
-    for factor in factors:
-        block = factor if block is None else factor @ block
-    return np.eye(dim, dtype=complex) if block is None else block
-
-
 def _coherence(n, modes, steps, temperature) -> complex:
     """Coherence factor rho_01(T) / rho_01(0) after ``steps`` of (t_start, dt,
     monomial split of the pulse that ends the segment)."""
@@ -164,23 +143,31 @@ def _coherence(n, modes, steps, temperature) -> complex:
     for *_, (_, inverse, _) in reversed(steps):
         a, b = inverse[a], inverse[b]
     factor = 1.0 if {a, b} == {0, 1} else 0.0  # the start state over its (0,1) entry
-    rows, columns = [], []  # (t_start, dt, level) of each free segment, per side
-    for t_start, dt, (perm, _, phases) in steps:
-        if dt > 0:
-            rows.append((t_start, dt, a))
-            columns.append((t_start, dt, b))
+    rows, columns = [], []  # the level each side holds during each segment
+    for _, _, (perm, _, phases) in steps:
+        rows.append(a)
+        columns.append(b)
         factor *= phases[a] * np.conj(phases[b])
         a, b = perm[a], perm[b]
-    for mode, p in zip(modes, populations):
-        weights = np.diag(sigma_z(n, mode.transition)).real.tolist()
-        # a zero weight leaves the mode alone
-        left, right = (
-            _time_ordered((_segment_exact(mode, weights[level], t_start, dt)
-                           for t_start, dt, level in path if weights[level] != 0.0),
-                          mode.fock_dim)
-            for path in (rows, columns))
-        # Tr[L diag(p) R^dag] elementwise, so no BLAS call sets its rounding
-        factor *= np.sum(left * right.conj() * p)
+    t_start, dt = np.array([step[:2] for step in steps]).T
+    omega = np.array([[mode.omega] for mode in modes])
+    coupling = np.array([[mode.coupling] for mode in modes])
+    levels = np.array([np.diag(sigma_z(n, mode.transition)).real for mode in modes])
+    left, right = levels[:, rows], levels[:, columns]  # (mode, segment) weights
+    # segment s at weight w: the displacement w z and the c-number phase w^2 phi
+    z = coupling * np.exp(1j * omega * t_start) * (1.0 - np.exp(1j * omega * dt)) / omega
+    phi = abs(coupling) ** 2 * (dt / omega - np.sin(omega * dt) / omega**2)
+    shifts = np.stack((left, right)) * z
+    sums = np.cumsum(shifts, axis=2)
+    # D(x) D(A) = e^{i Im(x conj(A))} D(A + x): each shift composes onto the sum before it
+    weyl = np.sum((shifts[..., 1:] * sums[..., :-1].conj()).imag, axis=2)
+    (a_left, a_right), d = sums[..., -1], np.sum((left - right) * z, axis=1)  # d, not A_L - A_R
+    # Tr[D(A_L) rho D(A_R)^dag] = e^{-i Im(A_R conj(A_L))} Tr[D(d) rho]
+    angle = (np.sum((left**2 - right**2) * phi, axis=1) + weyl[0] - weyl[1]
+             - (a_right * a_left.conj()).imag)
+    for mode, p, shift, theta in zip(modes, populations, d, angle):
+        # Tr[D(d) rho] summed elementwise: no BLAS dot sets its rounding
+        factor *= cmath.exp(1j * theta) * np.sum(p * expm(mode.fock_dim, shift).diagonal())
     return complex(factor)
 
 
@@ -197,8 +184,10 @@ def evolve_pulsed(
     elements g_0 ... g_{n-1}.  Free segments follow the
     schedule; after segment l of each cycle the atom pulse g_l g_{l-1}^dag
     fires, and the cycle closes with g_{n-1}^dag.  Each segment is the
-    closed-form Magnus propagator; the sub-stepped midpoint products that
-    cross-check it live in the tests.
+    closed-form Magnus propagator, and each mode's segments compose into one
+    displacement, so a mode costs one ``expm`` of its fock_dim whatever the
+    number of segments.  The Fock-space chains and the sub-stepped midpoint
+    products that cross-check this live in the tests.
     """
     n = schedule.n
     if len(group) != n:

@@ -1,15 +1,20 @@
 import argparse
+import contextlib
 import dataclasses
+import io
 import os
 import stat
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ladder_dd.calibration as calibration
 import ladder_dd.cli as cli
@@ -509,6 +514,8 @@ class TestEdgeInputs:
             ("quad-tolerance", "nan"), ("quad-tolerance", "-1"),
             ("n", "0"), ("cycles", "-1"), ("t-points", "0"), ("t-points", "-1"),
             ("workers", "0"),
+            # argparse once printed its usage and raised SystemExit(2)
+            ("cycles", "2.0"), ("scheme", "ppd"),
         ]),
         (["verify-group", "--n=0"], {}),
         (["schedule", "--scheme=udd", "--n=2", "--cycles=-1"], {}),
@@ -519,27 +526,78 @@ class TestEdgeInputs:
     ], ids=lambda value: (" ".join(value).replace(" ".join(EDGE_CURVE), "curve")
                           if isinstance(value, list)
                           else " ".join(f"{name}={text!r}" for name, text in value.items())))
-    def test_edge_input(self, argv, files, tmp_path, capsys):
+    def test_edge_input(self, argv, files, tmp_path):
         for name, text in files.items():
             write(tmp_path / name, text)
-        out = tmp_path / "curve.csv"
         argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
-        if argv[0] == "curve":
-            argv += ["--out", str(out)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main(argv)
-        err = capsys.readouterr().err
-        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_CONVERGENCE, EXIT_IO), err
-        assert err == "" or (err.startswith("ladder-dd: ") and err.count("\n") == 1), err
-        if code == EXIT_OK and argv[0] == "curve":
-            args = cli._build_parser().parse_args(argv)
-            config = parse_config(args.config, {key: getattr(args, key) for key in cli._KEY_TYPES})
-            rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-            grid = np.linspace(config.resolved_t_min(), config.t_max, config.t_points)
-            assert [float(row[0]) for row in rows] == grid.tolist()
-            values = np.array([row[1:] for row in rows], dtype=float)
-            assert np.all(np.isfinite(values)) and np.all((values >= 0) & (values <= 1))
+        run_under_contract(argv, tmp_path / "curve.csv")
+
+
+def run_under_contract(argv, out):
+    """``main(argv)`` in-process with warnings as errors: it ends in a
+    documented exit code with stderr empty or one named line, and a curve that
+    exits 0 wrote the requested grid with finite P in [0, 1] to ``out``."""
+    if argv[0] == "curve":
+        argv = [*argv, "--out", str(out)]
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_CONVERGENCE, EXIT_IO), err
+    assert err == "" or (err.startswith("ladder-dd: ") and err.count("\n") == 1), err
+    if code == EXIT_OK and argv[0] == "curve":
+        args = cli._build_parser().parse_args(argv)
+        config = parse_config(args.config, {key: getattr(args, key) for key in cli._KEY_TYPES})
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        grid = np.linspace(config.resolved_t_min(), config.t_max, config.t_points)
+        assert [float(row[0]) for row in rows] == grid.tolist()
+        values = np.array([row[1:] for row in rows], dtype=float)
+        assert np.all(np.isfinite(values)) and np.all((values >= 0) & (values <= 1))
+
+
+# edge-heavy reals and counts that are not counts; a small grid otherwise,
+# so that no draw takes more than a few MiB or about 0.2 s
+EDGE_REALS = ["0", "-0", "inf", "-inf", "nan", "5e-324", "2.2e-308", "1e-300", "-1e-300",
+              "1e300", "-1e300"]
+BAD_COUNTS = ["0", "-1", "2.0"]
+REAL_FLAGS = {"alpha": "0.2", "temperature": "2.0", "cutoff": "5.0", "t-min": None,
+              "t-max": "0.5", "quad-tolerance": None}
+COUNT_FLAGS = {"n": ["2", "3"], "cycles": ["1", "2"], "t-points": ["1", "2", "3"]}
+CONFIG_KEYS = ["n", "cycles", "t_points", "alpha", "temperature", "t_max", "quad_tolerance",
+               "scheme", "levels"]  # "levels" is no config key
+
+
+@st.composite
+def curve_runs(draw):
+    """(argv, config file text or None) of one small ``curve`` run: up to two
+    flags take an edge value, and the file may repeat keys or hold an unknown one."""
+    edgy = draw(st.sets(st.sampled_from([*COUNT_FLAGS, *REAL_FLAGS]), max_size=2))
+    argv = ["curve"]
+    for flag, plain in COUNT_FLAGS.items():
+        argv.append(f"--{flag}={draw(st.sampled_from(BAD_COUNTS if flag in edgy else plain))}")
+    for flag, plain in REAL_FLAGS.items():
+        value = draw(st.sampled_from(EDGE_REALS)) if flag in edgy else plain
+        if value is not None:
+            argv.append(f"--{flag}={value}")
+    argv.append(f"--scheme={draw(st.sampled_from(['pdd', 'udd', 'both']))}")
+    if not draw(st.booleans()):
+        return argv, None
+    lines = draw(st.lists(st.tuples(
+        st.sampled_from(CONFIG_KEYS),
+        st.sampled_from(["1", "2", "0.3", "pdd", *BAD_COUNTS, *EDGE_REALS])), max_size=4))
+    return argv, "".join(f"{key} = {value}\n" for key, value in lines)
+
+
+@settings(max_examples=60, deadline=None)
+@given(curve_runs())
+def test_curve_keeps_its_contract_on_drawn_inputs(run):
+    argv, config = run
+    with tempfile.TemporaryDirectory() as directory:
+        if config is not None:
+            argv = [*argv, "--config", write(Path(directory) / "run.cfg", config)]
+        run_under_contract(argv, Path(directory) / "curve.csv")
 
 
 def test_runtime_needs_numpy_alone(tmp_path):
