@@ -3,8 +3,9 @@
 Each case evolves a small atom+modes system exactly through a pulsed sequence
 and compares the surviving coherence magnitude with exp(-Gamma) predicted by
 the discrete-mode exponent.  Agreement across dimensions, schemes and cycle
-counts pins down every sign and ordering convention at once; a deliberately
-miswired variant is available as a negative control.
+counts pins down every sign and ordering convention at once; the tests keep
+a negative control, the prediction under a wrong sign convention, that must
+fail every case.
 """
 
 from __future__ import annotations
@@ -126,11 +127,9 @@ def default_calibration_cases() -> tuple[CalibrationCase, ...]:
     )
 
 
-def run_case(case: CalibrationCase, wrong_sign: bool = False) -> CalibrationResult:
+def run_case(case: CalibrationCase) -> CalibrationResult:
     """Evolve one case exactly and compare with the predicted coherence ratio;
-    the case passes within ``CALIBRATION_TOL``.  ``wrong_sign`` predicts with
-    the miswired filters (negative control).
-    """
+    the case passes within ``CALIBRATION_TOL``."""
     schedule = ScheduleSpec(case.scheme, case.n, case.cycles, case.total_time)
     group = build_decoupling_group(case.n)
     factor = evolve_pulsed(case.modes, schedule, group, case.temperature)
@@ -138,15 +137,13 @@ def run_case(case: CalibrationCase, wrong_sign: bool = False) -> CalibrationResu
         case=case,
         observed_ratio=abs(factor),
         phase_shift=cmath.phase(factor),
-        predicted_exponent=discrete_decay_exponent(
-            case.modes, case.temperature, schedule, wrong_sign=wrong_sign),
+        predicted_exponent=discrete_decay_exponent(case.modes, case.temperature, schedule),
     )
 
 
 def run_calibration_suite(
     cases: tuple[CalibrationCase, ...] | None = None,
-    wrong_sign: bool = False,
 ) -> list[CalibrationResult]:
     if cases is None:
         cases = default_calibration_cases()
-    return [run_case(case, wrong_sign=wrong_sign) for case in cases]
+    return [run_case(case) for case in cases]

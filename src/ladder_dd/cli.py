@@ -99,29 +99,38 @@ _KEY_TYPES = {
 }
 
 
+def _read_lines(path: str) -> list[str]:
+    """The lines of the UTF-8 input file ``path``; bytes that do not decode
+    raise a ValueError that names the file."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return handle.readlines()
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path}: {err}") from None
+
+
 def _parse_config_file(path: str) -> dict:
     values, lines = {}, {}  # each key's value and the line that set it
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, _, text = (part.strip() for part in line.partition("="))
-            if key not in _KEY_TYPES:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            if lines.setdefault(key, lineno) != lineno:
-                raise ValueError(f"{path}:{lineno}: config key {key!r} is already set "
-                                 f"on line {lines[key]}")
-            kind = _KEY_TYPES[key]
-            try:
-                values[key] = kind(text)
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: value for {key!r} is not "
-                    f"{'an integer' if kind is int else 'a number'}: {text!r}"
-                ) from None
+    for lineno, raw in enumerate(_read_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, _, text = (part.strip() for part in line.partition("="))
+        if key not in _KEY_TYPES:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if lines.setdefault(key, lineno) != lineno:
+            raise ValueError(f"{path}:{lineno}: config key {key!r} is already set "
+                             f"on line {lines[key]}")
+        kind = _KEY_TYPES[key]
+        try:
+            values[key] = kind(text)
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: value for {key!r} is not "
+                f"{'an integer' if kind is int else 'a number'}: {text!r}"
+            ) from None
     return values
 
 
@@ -141,17 +150,20 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
 def _curve_csv(config: RunConfig) -> str:
     """P(T) per requested scheme, one row per grid time at 17 significant digits.
 
-    The fraction file is read and every schedule built before any sweep.
-    T = 0 is the analytic no-evolution point: nothing decays, so P = 1.
+    The fraction file is read and every schedule built before any sweep; an
+    error in the file names it.  T = 0 is the analytic no-evolution point:
+    nothing decays, so P = 1.
     """
     schemes = _COLUMNS[config.scheme]
-    custom = None
+    templates = [ScheduleSpec(scheme, config.n, config.cycles, 1.0)
+                 for scheme in schemes if scheme is not Scheme.CUSTOM]
     if Scheme.CUSTOM in schemes:
-        with open(config.custom_fractions_path, "r", encoding="utf-8") as handle:
-            custom = parse_fractions_text(handle.read())
-    templates = [ScheduleSpec(scheme, config.n, config.cycles, 1.0,
-                              custom if scheme is Scheme.CUSTOM else None)
-                 for scheme in schemes]
+        path = config.custom_fractions_path
+        custom = parse_fractions_text("".join(_read_lines(path)), path)
+        try:
+            templates.append(ScheduleSpec(Scheme.CUSTOM, config.n, config.cycles, 1.0, custom))
+        except ValueError as err:  # RunConfig checked n and cycles: the fractions are bad
+            raise ValueError(f"{path}: {err}") from None
     grid = np.linspace(config.resolved_t_min(), config.t_max, config.t_points)
     first = int(grid[0] == 0.0)
     columns = [np.ones(grid.size) for _ in schemes]
@@ -221,7 +233,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     # imported here: no other subcommand needs the Fock-space oracle
     from .calibration import CALIBRATION_TOL, run_calibration_suite
 
-    results = run_calibration_suite(wrong_sign=args.miswired)
+    results = run_calibration_suite()
     print(f"{'case':<34s} {'exponent obs':>13s} {'exponent pred':>13s} "
           f"{'ratio obs':>12s} {'rel.err':>9s} {'phase':>9s}  status")
     for res in results:
@@ -301,7 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "oracle-check",
         help="compare exact Fock-space evolution against the filter formulas",
     )
-    p_oracle.add_argument("--miswired", action="store_true", help=argparse.SUPPRESS)
     p_oracle.set_defaults(func=cmd_oracle_check)
     return parser
 

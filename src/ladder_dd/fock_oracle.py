@@ -36,7 +36,7 @@ from functools import cache
 
 import numpy as np
 
-from .kernel import exponent_filters, position_filters
+from .kernel import exponent_filters
 from .operators import check_transition, sigma_z
 from .schedules import ScheduleSpec, as_number, check_count, check_real
 
@@ -208,25 +208,17 @@ def evolve_pulsed(
     return _coherence(n, modes, steps, temperature)
 
 
-def discrete_decay_exponent(
-    modes, temperature: float, schedule: ScheduleSpec, wrong_sign: bool = False
-) -> float:
+def discrete_decay_exponent(modes, temperature: float, schedule: ScheduleSpec) -> float:
     """Total predicted exponent sum_k (1/2)|j_k chi(w_k)|^2 coth(w_k/(2 Tp)).
 
     Each mode contributes through the exponent filter of its own transition;
     this is the discrete-bath counterpart of the continuum integral and the
-    quantity the Fock evolution must reproduce.  ``wrong_sign`` is the
-    negative control: the upper neighbour slot enters each filter with the
-    wrong sign, as under a wrong toggling-sign convention.
+    quantity the Fock evolution must reproduce.
     """
     temperature = check_real("temperature", "temperature", temperature, 0, True)
     for mode in modes:
         check_transition(schedule.n, mode.transition)
-    omegas = [mode.omega for mode in modes]
-    filters = exponent_filters(omegas, schedule)
-    if wrong_sign:
-        upper = position_filters(omegas, schedule)[:, 1 : schedule.n]
-        filters = filters - 2.0 * upper
+    filters = exponent_filters([mode.omega for mode in modes], schedule)
     total = 0.0
     for mode, chis in zip(modes, filters):
         chi = chis[mode.transition]

@@ -8,10 +8,10 @@ ladder transition k picks up, per segment, the window amplitude
 
 weighted by the start-time phase exp(i w t_start) and by the level occupied
 in the toggled frame.  Summing over all N cycles at fixed intra-cycle slot l
-gives the position filter eta_l(w), l = 0..n-1.  position_filters evaluates
-it by each scheme's exact rearrangement of the boundary sum: n phasors per
-frequency for PDD, O(wT) real multiply-adds for UDD from one Miller
-recurrence over the odd orders, for all the frequencies of a call
+gives the position filter eta_l(w), l = 0..n-1.  exponent_filters evaluates
+their stencils (below) by each scheme's exact rearrangement of the boundary
+sum: n phasors per frequency for PDD, O(wT) real multiply-adds for UDD from
+one Miller recurrence over the odd orders, for all the frequencies of a call
 (udd_series; or the boundary sum where that is cheaper), and every boundary
 phasor for custom fractions.
 
@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedules import ScheduleSpec, Scheme, as_number, build_schedule, check_count, check_real
-from .udd_series import BLOCK_ROWS, bessel_sums, miller_orders, udd_stencil_weights, udd_weights
+from .udd_series import BLOCK_ROWS, bessel_sums, miller_orders, udd_stencil_weights
 
 GL_ORDER = 15
 # np.polynomial.legendre.leggauss(GL_ORDER), written out bit for bit: importing
@@ -173,15 +173,17 @@ def _udd_series_orders(omegas: np.ndarray, schedule: ScheduleSpec) -> np.ndarray
     return orders if series <= boundary else None
 
 
-def position_filters(omegas, schedule: ScheduleSpec) -> np.ndarray:
-    """eta_l(w) for all slots at once: (K, n) complex for K frequencies.
+def exponent_filters(omegas, schedule: ScheduleSpec) -> np.ndarray:
+    """chi_k(w) for every transition k at once: (K, n-1) complex for K frequencies.
 
-    Each eta_l is the phase-weighted sum of segment windows, which telescopes
-    into boundary-exponential differences:
+    Column k is the cyclic second difference eta_{k-1} - 2*eta_k + eta_{k+1}
+    centred on 0-based slot k (slots mod n); at n=2 both neighbours are the
+    other slot.  The tests derive these weights from the pulse group.  Each
+    eta_l is a phase-weighted sum of segment windows, which telescopes into
 
-        eta_l(w) = (1/w) * sum_j [exp(i w t_start(j,l)) - exp(i w t_end(j,l))].
+        eta_l(w) = (1/w) * sum_j [exp(i w t_start(j,l)) - exp(i w t_end(j,l))],
 
-    Each scheme rearranges this sum, exactly, to cost the least:
+    and each scheme rearranges this sum, exactly, to cost the least:
 
     * PDD, segments Delta = T/(nN): a geometric series over the cycles,
           eta_l = -2i sin(w Delta/2)/w * D_N(h) * exp(i w (T + (2l+1-n) Delta)/2)
@@ -189,35 +191,14 @@ def position_filters(omegas, schedule: ScheduleSpec) -> np.ndarray:
       D_N(h) = sin(N h)/sin(h) is (-1)^(k(N-1)) sin(N d)/sin(d) for
       h = k pi + d, k the nearest integer to h/pi, and that sign times N at
       d = 0: reduced, it keeps full precision at and near every pole.
-    * UDD: Uhrig's boundaries are t_b = (T/2)(1 - cos(pi b/nN)), so with
-      z = w T/2 the Jacobi-Anger expansion gives
-          exp(i w t_b) = exp(i z) sum_k (-i)^k J_k(z) exp(i pi k b/nN),
-      and the cycle sum of each term is a geometric series:
-          eta_l = exp(i z)/w * sum_{k>=1} J_k(z) D_{k,l},
-      with the weights D of udd_weights (only odd k and multiples of 2N).
-      The odd J_k come from one Miller recurrence over all frequencies
-      (bessel_sums), O(z) real multiply-adds per frequency, not nN + 1
-      phasors.  Where that would cost more than the boundary sum (few
-      frequencies, or z large against nN), UDD takes the boundary sum.
+    * UDD: the Jacobi-Anger series of udd_series, summed over the stencil
+      weights (udd_stencil_weights), not over eta: O(w T) real multiply-adds
+      per frequency from one Miller recurrence over all frequencies.  Where
+      that would cost more than the boundary sum (few frequencies, or w T
+      large against nN), UDD takes the boundary sum.
     * CUSTOM: every boundary phasor.
 
-    The w = 0 entries use the limit -i * sum_j dt_j(l).
-    """
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    eta = np.empty((omegas.size, schedule.n), dtype=complex)
-    for part, values in _filter_chunks(omegas, schedule, False):
-        eta[part] = values
-    return eta
-
-
-def exponent_filters(omegas, schedule: ScheduleSpec) -> np.ndarray:
-    """chi_k(w) for every transition k at once: (K, n-1) complex for K frequencies.
-
-    Column k is the cyclic second difference eta_{k-1} - 2*eta_k + eta_{k+1}
-    centred on 0-based slot k (slots mod n); at n=2 both neighbours are the
-    other slot.  The tests derive these weights from the pulse group.  The
-    UDD Bessel series sums chi over the stencils of its weights
-    (udd_stencil_weights), not over eta.
+    The w = 0 entries use the stencil of the limit eta_l(0) = -i * sum_j dt_j(l).
     """
     return _exponent_rows(omegas, schedule, None)
 
@@ -228,7 +209,7 @@ def _exponent_rows(omegas, schedule: ScheduleSpec, weights: np.ndarray | None) -
     at a time: no eta or chi exists for all of ``omegas``."""
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     out = None
-    for part, chi in _filter_chunks(omegas, schedule, True):
+    for part, chi in _filter_chunks(omegas, schedule):
         if out is None:  # above the first chunk's temporaries: fewer pages re-faulted a pass
             out = np.empty((omegas.size, schedule.n - 1),
                            dtype=complex if weights is None else float)
@@ -241,25 +222,20 @@ def _exponent_rows(omegas, schedule: ScheduleSpec, weights: np.ndarray | None) -
     return out
 
 
-def _filter_chunks(omegas: np.ndarray, schedule: ScheduleSpec, stencil: bool):
-    """Yield (part, position_filters(omegas[part], schedule)), or with
-    ``stencil`` (part, exponent_filters(omegas[part], schedule)), over
-    consecutive slices, each with temporaries of about _CHUNK_ELEMS elements.
-    UDD's form is chosen for all of ``omegas``, so a chunk has the bits of one
-    whole call."""
-    boundaries, limit = schedule.boundaries, -1j * schedule.segments.sum(axis=0)[None]
+def _filter_chunks(omegas: np.ndarray, schedule: ScheduleSpec):
+    """Yield (part, exponent_filters(omegas[part], schedule)) over consecutive
+    slices, each with temporaries of about _CHUNK_ELEMS elements.  UDD's form
+    is chosen for all of ``omegas``, so a chunk has the bits of one whole call."""
+    boundaries, limit = schedule.boundaries, _stencil(-1j * schedule.segments.sum(axis=0)[None])
     n, cycles, total_time = schedule.n, schedule.cycles, schedule.total_time
     orders = _udd_series_orders(omegas, schedule) if schedule.scheme is Scheme.UDD else None
-    if stencil:
-        limit = _stencil(limit)
     if schedule.scheme is Scheme.PDD:
         step = total_time / (n * cycles)
         centres = 0.5 * (total_time + (2.0 * np.arange(n) + (1 - n)) * step)
         chunk = max(1, _CHUNK_ELEMS // n)
     elif orders is not None:
         # a z's sums take weights up to its order + 1
-        weights = (udd_stencil_weights if stencil else udd_weights)(
-            int(orders.max()) + 1, n, cycles)
+        weights = udd_stencil_weights(int(orders.max()) + 1, n, cycles)
         chunk = max(1, _CHUNK_ELEMS // BLOCK_ROWS)
     else:
         chunk = max(1, _CHUNK_ELEMS // (boundaries.size + 1))
@@ -293,7 +269,7 @@ def _filter_chunks(omegas: np.ndarray, schedule: ScheduleSpec, stencil: bool):
                 np.exp(edge, out=edge)
                 np.subtract(edge[:, :-1], edge[:, 1:], out=diffs)
                 values = diffs.reshape(w.size, cycles, n).sum(axis=1) / w[:, None]
-            if stencil and orders is None:
+            if orders is None:
                 values = _stencil(values)
         values[w == 0.0] = limit
         yield part, values

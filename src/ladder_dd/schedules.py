@@ -146,8 +146,9 @@ def fractions_text(fractions: np.ndarray) -> str:
     return "".join(f"{value:.17g}\n" for value in np.asarray(fractions, dtype=float))
 
 
-def parse_fractions_text(text: str) -> tuple[float, ...]:
-    """Inverse of fractions_text; skips blank lines and '#' comments."""
+def parse_fractions_text(text: str, source: str) -> tuple[float, ...]:
+    """Inverse of fractions_text; skips blank lines and '#' comments.  A line
+    that is not a number raises a ValueError naming ``source`` and the line."""
     values = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -156,5 +157,5 @@ def parse_fractions_text(text: str) -> tuple[float, ...]:
         try:
             values.append(float(line))
         except ValueError:
-            raise ValueError(f"line {lineno}: not a number: {line!r}") from None
+            raise ValueError(f"{source}:{lineno}: not a number: {line!r}") from None
     return tuple(values)

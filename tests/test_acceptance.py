@@ -41,6 +41,7 @@ from ladder_dd.operators import (
 )
 from ladder_dd.schedules import Scheme, ScheduleSpec
 from ladder_dd.kernel import sweep_curve
+from references import miswired_exponent
 
 REFERENCE_BATH = BathSpec(alpha=0.25, cutoff=100.0, temperature=150.0)
 
@@ -259,7 +260,10 @@ def test_reference_schedule_oracle():
                 if result.predicted_exponent >= 1e-6:
                     assert math.isclose(result.observed_exponent,
                                         result.predicted_exponent, rel_tol=1e-6), case.name
-                assert not run_case(case, wrong_sign=True).passed, case.name
+                schedule = ScheduleSpec(scheme, 6, 50, total_time)
+                control = dataclasses.replace(result, predicted_exponent=miswired_exponent(
+                    case.modes, case.temperature, schedule))
+                assert not control.passed, case.name
                 exponents[scheme, total_time, transition] = result.observed_exponent
     for transition in (0, 2, 4):
         assert (exponents[Scheme.UDD, 1.5, transition]

@@ -323,6 +323,26 @@ class TestCurveCommand:
         assert main(["curve", *FAST_CURVE, "--scheme", "custom",
                      "--custom-fractions", str(tmp_path / "nope.txt")]) == EXIT_IO
 
+    @pytest.mark.parametrize("flags, data, line", [
+        (["--config"], b"n = 3\n\xe9t\n",
+         "{path}: 'utf-8' codec can't decode byte 0xe9 in position 6: invalid continuation byte"),
+        (["--scheme", "custom", "--custom-fractions"], b"0.25\n0.\xe9\n",
+         "{path}: 'utf-8' codec can't decode byte 0xe9 in position 7: invalid continuation byte"),
+        (["--scheme", "custom", "--custom-fractions"], b"# M = 1\n0.2 # x\n",
+         "{path}:2: not a number: '0.2 # x'"),
+        (["--scheme", "custom", "--custom-fractions"], b"0.3\n0.7\n",
+         "{path}: custom fractions: expected 1 values (n*cycles - 1), got 2"),
+    ], ids=["config-not-utf-8", "fractions-not-utf-8", "fractions-bad-line",
+            "fractions-too-many"])
+    def test_input_file_error_names_the_file(self, flags, data, line, tmp_path, capsys):
+        # these once read "line 2: ..." or only the codec's message
+        path = tmp_path / "input.txt"
+        path.write_bytes(data)
+        out = tmp_path / "curve.csv"
+        assert main(["curve", *FAST_CURVE, *flags, str(path), "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"ladder-dd: {line.format(path=path)}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [
         ["curve", *FAST_CURVE],
         ["schedule", "--scheme", "pdd", "--n", "2", "--cycles", "1"],
@@ -431,13 +451,9 @@ class TestOracleCheckCommand:
         assert out.splitlines()[-1].endswith(", tolerance 1e-06")
         assert "FAIL" not in out
 
-    def test_miswired_negative_control(self, capsys):
-        assert main(["oracle-check", "--miswired"]) == EXIT_CHECK_FAILED
-        assert "FAIL" in capsys.readouterr().out
-
     def test_phase_column_drops_the_sign_of_rounding_noise(self, monkeypatch, capsys):
         # a phase that rounds to zero prints +0.00000 whatever its sign
-        def suite(wrong_sign):
+        def suite():
             return [SimpleNamespace(case=SimpleNamespace(name=name), observed_exponent=0.1,
                                     predicted_exponent=0.1, observed_ratio=0.9,
                                     rel_error=0.0, phase_shift=phase, passed=True)
@@ -536,7 +552,8 @@ class TestEdgeInputs:
 def run_under_contract(argv, out):
     """``main(argv)`` in-process with warnings as errors: it ends in a
     documented exit code with stderr empty or one named line, and a curve that
-    exits 0 wrote the requested grid with finite P in [0, 1] to ``out``."""
+    exits 0 wrote the requested grid with finite P in [0, 1] to ``out``.
+    Returns the exit code and stderr."""
     if argv[0] == "curve":
         argv = [*argv, "--out", str(out)]
     err = io.StringIO()
@@ -555,6 +572,7 @@ def run_under_contract(argv, out):
         assert [float(row[0]) for row in rows] == grid.tolist()
         values = np.array([row[1:] for row in rows], dtype=float)
         assert np.all(np.isfinite(values)) and np.all((values >= 0) & (values <= 1))
+    return code, err
 
 
 # edge-heavy reals and counts that are not counts; a small grid otherwise,
@@ -598,6 +616,67 @@ def test_curve_keeps_its_contract_on_drawn_inputs(run):
         if config is not None:
             argv = [*argv, "--config", write(Path(directory) / "run.cfg", config)]
         run_under_contract(argv, Path(directory) / "curve.csv")
+
+
+# What a fraction line may hold besides an in-range fraction: the ends of
+# (0, 1), values past them, non-finite and subnormal values, a blank or '#'
+# line and text that is no number
+EDGE_FRACTIONS = ["0", "1", "-0", "1.5", "nan", "inf", "-inf", "5e-324", "2.2e-308",
+                  "0.9999999999999999", "", "# comment", "x"]
+
+
+@st.composite
+def custom_runs(draw):
+    """(argv, fraction file bytes) of one small ``curve --scheme custom`` run at
+    n in {2, 3}, N in {1, 2, 3}, 1 to 3 grid points and the default tolerance.
+    The file starts as the n N - 1 sorted fractions the run needs and takes up
+    to three edits: a line dropped, repeated, swapped with the next, given an
+    inline comment or replaced by an EDGE_FRACTIONS line, or such a line
+    inserted.  Then it may lose every line, or take a byte that is not UTF-8."""
+    n, cycles = draw(st.sampled_from([2, 3])), draw(st.sampled_from([1, 2, 3]))
+    argv = ["curve", "--scheme=custom", f"--n={n}", f"--cycles={cycles}",
+            f"--t-points={draw(st.sampled_from([1, 2, 3]))}", "--alpha=0.2",
+            "--temperature=2.0", "--cutoff=5.0", "--t-max=0.5"]
+    count = n * cycles - 1
+    permille = draw(st.sets(st.integers(1, 999), min_size=count, max_size=count))
+    lines = [repr(value / 1000) for value in sorted(permille)]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        edit = draw(st.sampled_from(["drop", "repeat", "swap", "comment", "replace", "insert"]))
+        if edit == "insert":
+            lines.insert(at, draw(st.sampled_from(EDGE_FRACTIONS)))
+        elif at < len(lines):
+            if edit == "replace":
+                lines[at] = draw(st.sampled_from(EDGE_FRACTIONS))
+            elif edit == "drop":
+                del lines[at]
+            elif edit == "repeat":
+                lines.insert(at, lines[at])
+            elif edit == "swap":
+                lines[at : at + 2] = lines[at : at + 2][::-1]
+            else:
+                lines[at] += " # inline"
+    data = "".join(f"{line}\n" for line in lines).encode()
+    damage = draw(st.sampled_from(["none", "none", "empty", "not utf-8"]))
+    if damage == "empty":
+        data = b""
+    elif damage == "not utf-8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xe9", b"\xff", b"\xc3"])) + data[at:]
+    return argv, data
+
+
+@settings(max_examples=60, deadline=None)
+@given(custom_runs())
+def test_custom_curve_keeps_its_contract_on_drawn_fraction_files(run):
+    argv, data = run
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "fractions.txt"
+        path.write_bytes(data)
+        code, err = run_under_contract([*argv, f"--custom-fractions={path}"],
+                                       Path(directory) / "curve.csv")
+    if code == EXIT_VALIDATION:  # every flag is valid: the file is at fault
+        assert err.startswith(f"ladder-dd: {path}:"), err
 
 
 def test_runtime_needs_numpy_alone(tmp_path):

@@ -26,9 +26,9 @@ from ladder_dd.fock_oracle import (
     evolve_pulsed,
     thermal_populations,
 )
-from ladder_dd.kernel import position_filters
 from ladder_dd.operators import ZERO_TOL, build_decoupling_group, max_abs, sigma_z
 from ladder_dd.schedules import Scheme, ScheduleSpec
+from references import miswired_exponent
 
 MODE_N2 = ModeSpec(transition=0, omega=1.0, coupling=0.1, fock_dim=25)
 
@@ -679,21 +679,6 @@ class TestDiscreteDecayExponent:
                            match=r"^transition k=2 out of range for n=3 \(need 0 <= k <= n-2\)$"):
             discrete_decay_exponent((mode,), 1.0, schedule)
 
-    def test_wrong_sign_flips_upper_neighbour(self):
-        # the negative control's filter for transition k is
-        # eta_{k-1} - 2 eta_k - eta_{k+1}: the upper neighbour enters negated
-        schedule = ScheduleSpec(Scheme.UDD, 6, 2, 1.1)
-        temperature = 0.7
-        for omega in (4.2, 95.0):
-            eta = position_filters(omega, schedule)[0]
-            coth = 1.0 / math.tanh(omega / (2.0 * temperature))
-            for k in range(5):
-                mode = ModeSpec(transition=k, omega=omega, coupling=0.3, fock_dim=4)
-                chi = eta[(k - 1) % 6] - 2 * eta[k] - eta[(k + 1) % 6]
-                want = 0.5 * 0.3**2 * abs(chi) ** 2 * coth
-                got = discrete_decay_exponent((mode,), temperature, schedule, wrong_sign=True)
-                assert got == pytest.approx(want, rel=1e-12), (omega, k)
-
 
 class TestFreeDecayBaseline:
     def test_zero_coupling(self):
@@ -755,9 +740,13 @@ class TestCalibration:
             assert result.rel_error <= 1e-6
 
     def test_miswired_filters_fail_everywhere(self):
-        # negative control: a wrong sign convention must be caught
-        results = run_calibration_suite(wrong_sign=True)
-        assert all(not result.passed for result in results)
+        # negative control: a wrong sign convention must be caught in every
+        # case, those added later included
+        for case in default_calibration_cases():
+            schedule = ScheduleSpec(case.scheme, case.n, case.cycles, case.total_time)
+            control = dataclasses.replace(run_case(case), predicted_exponent=miswired_exponent(
+                case.modes, case.temperature, schedule))
+            assert not control.passed, (case.name, control.rel_error)
 
     def test_decoupled_case_passes_trivially(self):
         from ladder_dd.calibration import CalibrationCase
@@ -801,8 +790,7 @@ def test_random_runs_match_prediction_and_catch_the_control(draw):
     schedule = ScheduleSpec(scheme, n, cycles, total_time)
     observed = abs(evolve_pulsed(modes, schedule, build_decoupling_group(n), temperature))
     predicted = math.exp(-discrete_decay_exponent(modes, temperature, schedule))
-    control = math.exp(-discrete_decay_exponent(modes, temperature, schedule,
-                                                wrong_sign=True))
+    control = math.exp(-miswired_exponent(modes, temperature, schedule))
     assert abs(observed - predicted) / predicted <= CALIBRATION_TOL
     if abs(control - predicted) / predicted > 10 * CALIBRATION_TOL:
         assert abs(observed - control) / control > CALIBRATION_TOL

@@ -22,11 +22,11 @@ from ladder_dd.kernel import (
     decay_integrand,
     exponent_filters,
     ohmic_density,
-    position_filters,
     sweep_curve,
 )
 from ladder_dd.operators import ZERO_TOL, build_decoupling_group, max_abs, sigma_z
 from ladder_dd.schedules import Scheme, ScheduleSpec
+from references import eta_boundary_sum
 
 
 def coherence_ratio(schedule, bath):
@@ -53,12 +53,26 @@ def eta_literal(l, omega, schedule):
     return total
 
 
+def stencil(eta):
+    """The cyclic second differences eta_{k-1} - 2 eta_k + eta_{k+1},
+    k = 0..n-2 (slots mod n), of one frequency's n position filters, coded
+    independently of the package."""
+    n = len(eta)
+    return np.array([eta[(k - 1) % n] - 2 * eta[k] + eta[(k + 1) % n] for k in range(n - 1)])
+
+
 def chi_literal(k, omega, schedule):
-    """Cyclic second difference centred on 0-based slot k, coded independently
-    of the package."""
-    n = schedule.n
-    eta = [eta_literal(l, omega, schedule) for l in range(1, n + 1)]
-    return eta[(k - 1) % n] - 2 * eta[k] + eta[(k + 1) % n]
+    """Cyclic second difference of eta_literal centred on 0-based slot k."""
+    return stencil([eta_literal(l, omega, schedule) for l in range(1, schedule.n + 1)])[k]
+
+
+def assert_chi_matches(chi, eta, rel, abs=0.0):
+    """One frequency's exponent filters ``chi`` against the stencil of a
+    reference ``eta``, within 4 max(rel max|eta|, abs): the stencil's moduli
+    |1| + |-2| + |1| carry a bound on eta over to chi exactly."""
+    scale = max(rel * np.abs(eta).max(), abs)
+    err = np.abs(np.asarray(chi) - stencil(eta)).max()
+    assert err <= 4 * scale, err / scale
 
 
 def toggling_weights(n):
@@ -78,55 +92,43 @@ def toggling_weights(n):
 
 
 class TestPositionFilter:
+    """exponent_filters against the stencil of the position filters written out."""
+
     def test_single_cycle_first_slot_is_bare_kernel(self):
+        # one cycle: slot l's filter is its bare window times its start phase
         schedule = ScheduleSpec(Scheme.UDD, 3, 1, 2.0)
         omega = 1.3
-        expected = window(omega, float(schedule.segments[0, 0]))
-        assert position_filters(omega, schedule)[0, 0] == pytest.approx(expected, rel=1e-13)
+        eta = [window(omega, dt) * np.exp(1j * omega * t)
+               for dt, t in zip(schedule.segments[0].tolist(), schedule.boundaries.tolist())]
+        assert_chi_matches(exponent_filters(omega, schedule)[0], eta, rel=1e-13)
 
     @pytest.mark.parametrize("scheme", [Scheme.PDD, Scheme.UDD])
     def test_zero_frequency_limit(self, scheme):
         schedule = ScheduleSpec(scheme, 3, 4, 2.0)
-        for l in range(1, 4):
-            expected = -1j * schedule.segments[:, l - 1].sum()
-            assert position_filters(0.0, schedule)[0, l - 1] == pytest.approx(expected, rel=1e-13)
+        eta = -1j * schedule.segments.sum(axis=0)
+        assert_chi_matches(exponent_filters(0.0, schedule)[0], eta, rel=1e-13)
 
     def test_against_literal_transcription_pdd(self):
         schedule = ScheduleSpec(Scheme.PDD, 2, 2, 1.0)
-        value = position_filters(1.0, schedule)[0, 1]
-        assert value == pytest.approx(eta_literal(2, 1.0, schedule), rel=1e-13)
+        eta = [eta_literal(l, 1.0, schedule) for l in (1, 2)]
+        assert_chi_matches(exponent_filters(1.0, schedule)[0], eta, rel=1e-13)
 
     @pytest.mark.parametrize("scheme", [Scheme.PDD, Scheme.UDD])
     @pytest.mark.parametrize("n,cycles", [(2, 3), (4, 2), (6, 2)])
     def test_against_literal_transcription_grid(self, scheme, n, cycles):
         schedule = ScheduleSpec(scheme, n, cycles, 1.7)
         for omega in (0.35, 1.0, 7.9):
-            for l in range(1, n + 1):
-                got = position_filters(omega, schedule)[0, l - 1]
-                want = eta_literal(l, omega, schedule)
-                assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
-
-
-def eta_boundary_sum(omega, schedule):
-    """All n position filters summed segment by segment over schedule.boundaries.
-    Each window (exp(i w t_m) - exp(i w t_{m+1}))/w is written as
-    -2i sin(w dt/2) exp(i w (t_m + t_{m+1})/2)/w, which stays accurate as
-    w -> 0; at w = 0 it is -i dt."""
-    t = schedule.boundaries
-    dt = np.diff(t)
-    if omega == 0:
-        terms = -1j * dt
-    else:
-        terms = -2j * np.sin(0.5 * omega * dt) * np.exp(0.5j * omega * (t[:-1] + t[1:])) / omega
-    return terms.reshape(schedule.cycles, schedule.n).sum(axis=0)
+            eta = [eta_literal(l, omega, schedule) for l in range(1, n + 1)]
+            assert_chi_matches(exponent_filters(omega, schedule)[0], eta, rel=1e-12, abs=1e-15)
 
 
 def assert_filters_match_boundary_sum(schedule, omegas, rel, scale):
-    """position_filters against eta_boundary_sum, to ``rel`` of scale(w)."""
-    got = position_filters(omegas, schedule)
+    """exponent_filters against the stencil of eta_boundary_sum, to ``rel`` of
+    4 scale(w), the bound on eta carried over to chi."""
+    got = exponent_filters(omegas, schedule)
     for omega, row in zip(omegas, got):
-        err = np.abs(row - eta_boundary_sum(omega, schedule)).max()
-        assert err <= rel * scale(omega), (omega, err / scale(omega))
+        err = np.abs(row - stencil(eta_boundary_sum(omega, schedule))).max()
+        assert err <= rel * 4 * scale(omega), (omega, err / (4 * scale(omega)))
 
 
 class TestFilterForms:
@@ -187,8 +189,8 @@ class TestFilterForms:
         assert kernel._CHUNK_ELEMS // (schedule.boundaries.size + 1) == 868
         omegas = np.random.default_rng(50).uniform(0.0, 4 * math.pi * 50 / self.TOTAL_TIME, 2000)
         omegas[[0, 900, 1999]] = 0.0  # the w = 0 limit in each chunk
-        want = np.array([position_filters([omega], schedule)[0] for omega in omegas])
-        assert position_filters(omegas, schedule).tobytes() == want.tobytes()
+        want = np.array([exponent_filters([omega], schedule)[0] for omega in omegas])
+        assert exponent_filters(omegas, schedule).tobytes() == want.tobytes()
 
 
 class TestFilterChunks:
@@ -242,9 +244,8 @@ class TestFilterChunks:
         schedule = ScheduleSpec(scheme, 6, 50, 1.3, custom_fractions=custom)
         omegas = np.random.default_rng(6).uniform(0.0, 500.0, 3000)
         omegas[[0, 1500, 2999]] = 0.0
-        eta, chi = position_filters(omegas, schedule), exponent_filters(omegas, schedule)
+        chi = exponent_filters(omegas, schedule)
         monkeypatch.setattr(kernel, "_CHUNK_ELEMS", 2**12)
-        assert position_filters(omegas, schedule).tobytes() == eta.tobytes()
         assert exponent_filters(omegas, schedule).tobytes() == chi.tobytes()
 
 
@@ -323,7 +324,7 @@ class TestBesselSeries:
         monkeypatch.setattr(kernel, "_SERIES_GAIN", math.inf)
         schedule = ScheduleSpec(Scheme.UDD, 6, 50, 1.0)
         limit = -1j * schedule.segments.sum(axis=0)
-        np.testing.assert_allclose(position_filters(omega, schedule)[0], limit, rtol=1e-12)
+        assert_chi_matches(exponent_filters(omega, schedule)[0], limit, rel=1e-12)
 
     def test_vanishing_udd_run_is_finite(self):
         # cutoff*T = 1e-198: every table node takes the series at tiny z
@@ -394,8 +395,7 @@ class TestExponentFilter:
     def test_two_level_reduction(self):
         schedule = ScheduleSpec(Scheme.UDD, 2, 2, 1.5)
         omega = 2.1
-        eta1 = position_filters(omega, schedule)[0, 0]
-        eta2 = position_filters(omega, schedule)[0, 1]
+        eta1, eta2 = (eta_literal(l, omega, schedule) for l in (1, 2))
         chi = exponent_filters(omega, schedule)[0, 0]
         assert chi == pytest.approx(-2 * eta1 + 2 * eta2, rel=1e-13)
 
@@ -446,32 +446,23 @@ class TestExponentFilter:
         # its weights, and has the bits of that series
         rng = np.random.default_rng(n)
         omegas = np.array([0.0, *rng.uniform(0.0, 300.0, 40)])
-        schedules = [ScheduleSpec(Scheme.PDD, n, 7, 2.3),
-                     ScheduleSpec(Scheme.CUSTOM, n, 5, 2.3,
-                                  custom_fractions=_custom_fractions(n, 5))]
-        forms = [(Scheme.PDD, None), (Scheme.CUSTOM, None),
-                 (Scheme.UDD, math.inf), (Scheme.UDD, 0.0)]
-        for scheme, gain in forms:
-            schedule = (ScheduleSpec(Scheme.UDD, n, 7, 2.3) if scheme is Scheme.UDD
-                        else schedules[scheme is Scheme.CUSTOM])
-            if gain is not None:  # the Bessel series, then the boundary sum
-                monkeypatch.setattr(kernel, "_SERIES_GAIN", gain)
-                series = kernel._udd_series_orders(omegas, schedule) is not None
-                assert series == (gain == math.inf)
-            eta = position_filters(omegas, schedule)
-            rolled = np.roll(eta, 1, axis=1) - 2.0 * eta + np.roll(eta, -1, axis=1)
-            if gain == math.inf:
-                orders = kernel._udd_series_orders(omegas, schedule)
-                weights = udd_series.udd_stencil_weights(int(orders.max()) + 1, n, 7)
-                z = 0.5 * schedule.total_time * omegas
-                with np.errstate(divide="ignore", invalid="ignore"):  # w = 0
-                    want = udd_series.bessel_sums(z, orders, weights)
-                    want *= (np.exp(1j * z) / omegas)[:, None]
-                want[0] = rolled[0, : n - 1]  # the w = 0 limit, differenced
-            else:
-                want = rolled[:, : n - 1]
-            got = exponent_filters(omegas, schedule)
-            assert got.tobytes() == want.tobytes(), (scheme, gain)
+        scales = np.exp(rng.uniform(-30.0, 30.0, (41, 1)))  # rows of filters far apart
+        values = scales * (rng.normal(size=(41, n)) + 1j * rng.normal(size=(41, n)))
+
+        def rolled(eta):
+            return (np.roll(eta, 1, axis=-1) - 2.0 * eta + np.roll(eta, -1, axis=-1))[..., : n - 1]
+
+        assert kernel._stencil(values).tobytes() == rolled(values).tobytes()
+        monkeypatch.setattr(kernel, "_SERIES_GAIN", math.inf)
+        schedule = ScheduleSpec(Scheme.UDD, n, 7, 2.3)
+        orders = kernel._udd_series_orders(omegas, schedule)
+        weights = udd_series.udd_stencil_weights(int(orders.max()) + 1, n, 7)
+        z = 0.5 * schedule.total_time * omegas
+        with np.errstate(divide="ignore", invalid="ignore"):  # w = 0
+            want = udd_series.bessel_sums(z, orders, weights)
+            want *= (np.exp(1j * z) / omegas)[:, None]
+        want[0] = rolled(-1j * schedule.segments.sum(axis=0))  # the w = 0 limit, differenced
+        assert exponent_filters(omegas, schedule).tobytes() == want.tobytes()
 
     def test_hahn_echo_closed_form(self):
         # two levels, single midpoint pulse
@@ -492,11 +483,12 @@ def test_stencil_is_group_toggling_weights(n):
     omegas = [0.0, 0.35, 4.2, 95.0]
     for scheme in (Scheme.PDD, Scheme.UDD):
         schedule = ScheduleSpec(scheme, n, 3, 1.7)
-        eta = position_filters(omegas, schedule)
+        eta = np.array([eta_boundary_sum(omega, schedule) for omega in omegas])
         chi = exponent_filters(omegas, schedule)
         assert chi.shape == (len(omegas), n - 1)
-        # relative to each frequency's filter scale: PDD cancels at w = 0
-        scale = np.abs(eta).max(axis=1, keepdims=True)
+        # relative to each frequency's filter scale, times the stencil's 4:
+        # PDD cancels at w = 0
+        scale = 4 * np.abs(eta).max(axis=1, keepdims=True)
         assert np.all(np.abs(chi - eta @ weights.T) <= 1e-13 * scale), scheme
 
 

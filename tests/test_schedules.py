@@ -261,13 +261,14 @@ class TestSerialization:
     def test_round_trip_is_exact(self):
         udd = fractions(Scheme.UDD, 6, 50)
         text = fractions_text(udd)
-        parsed = np.array(parse_fractions_text(text))
+        parsed = np.array(parse_fractions_text(text, "udd.txt"))
         assert text.count("\n") == 299
         np.testing.assert_array_equal(parsed, udd)
 
     def test_parse_skips_comments_and_blanks(self):
-        assert parse_fractions_text("# header\n\n0.25\n 0.75 \n") == (0.25, 0.75)
+        assert parse_fractions_text("# header\n\n0.25\n 0.75 \n", "f.txt") == (0.25, 0.75)
 
     def test_parse_error_reports_line(self):
-        with pytest.raises(ValueError, match="line 2"):
-            parse_fractions_text("0.5\nnot-a-number\n")
+        with pytest.raises(ValueError) as excinfo:
+            parse_fractions_text("0.5\nnot-a-number\n", "f.txt")
+        assert str(excinfo.value) == "f.txt:2: not a number: 'not-a-number'"

@@ -24,3 +24,13 @@ def test_lists_the_definitions_no_module_names(tmp_path, capsys):
     assert lines[0] == "src lines: 18"
     assert lines[1].startswith("settable values: 1 ")
     assert lines[2] == f"defined but named nowhere in {tmp_path}: pkg/a.py:Orphan, pkg/b.py:orphan"
+
+
+def test_src_defines_nothing_it_never_names_but_the_benchmark_hook(capsys):
+    # perfbench wraps kernel.decay_integrand, which nothing in src/ calls;
+    # every other top-level definition must be used, so a deletion that
+    # leaves its helper behind fails here
+    src = pathlib.Path(__file__).parents[1] / "src"
+    assert SIZE_REPORT["main"](["size_report.py", str(src)]) == 0
+    unnamed = capsys.readouterr().out.splitlines()[2]
+    assert unnamed == f"defined but named nowhere in {src}: ladder_dd/kernel.py:decay_integrand"
