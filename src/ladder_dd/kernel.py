@@ -22,11 +22,13 @@ slot k,
     chi_k(w) = eta_{k-1}(w) - 2 eta_k(w) + eta_{k+1}(w)   (slots mod n).
 
 In the toggled frame the (0,1) coherence sees the sigma_z of transition k
-with weight -2 in slot k, +1 in its two neighbours.  The UDD series sums
-chi over the stencils of its weights, in closed form, rather than
-differencing eta, which at small w T is far larger than chi.  For a
-continuum Ohmic bath with spectral density I(w) = (alpha/4) w exp(-w/w_c)
-at temperature Tp (units hbar = k_B = 1) the exponents are
+with weight -2 in slot k, +1 in its two neighbours.  One function,
+udd_series.stencil, takes these differences, of eta in the PDD and
+boundary-sum forms and of the even Bessel weights; the UDD series sums chi
+over stencil weights, the odd ones in closed form, rather than differencing
+eta, which at small w T is far larger than chi.  For a continuum Ohmic
+bath with spectral density I(w) = (alpha/4) w exp(-w/w_c) at temperature
+Tp (units hbar = k_B = 1) the exponents are
 
     Gamma_k = 1/2 * integral_0^{w_c} I(w) coth(w/(2 Tp)) |chi_k(w)|^2 dw,
 
@@ -62,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedules import ScheduleSpec, Scheme, as_number, build_schedule, check_count, check_real
-from .udd_series import BLOCK_ROWS, bessel_sums, miller_orders, udd_stencil_weights
+from .udd_series import BLOCK_ROWS, bessel_sums, miller_orders, stencil, udd_stencil_weights
 
 GL_ORDER = 15
 # np.polynomial.legendre.leggauss(GL_ORDER), written out bit for bit: importing
@@ -149,18 +151,6 @@ def ohmic_density(omega, bath: BathSpec):
     return result if result.ndim else float(result)
 
 
-def _stencil(values: np.ndarray) -> np.ndarray:
-    """The cyclic second differences v_{c-1} - 2 v_c + v_{c+1} of the slot
-    columns of ``values``, for c = 0..n-2 (slots mod n); at n = 2 both
-    neighbours are the other slot.  Column slices add the same terms in the
-    same order as two full np.roll copies."""
-    n = values.shape[1]
-    out = values[:, np.arange(-1, n - 2)]
-    out -= 2.0 * values[:, : n - 1]
-    out += values[:, 1:n]
-    return out
-
-
 def _udd_series_orders(omegas: np.ndarray, schedule: ScheduleSpec) -> np.ndarray | None:
     """Miller start orders at z = w T/2 if the UDD Bessel series costs less than
     the boundary sum for these frequencies, else None."""
@@ -192,10 +182,11 @@ def exponent_filters(omegas, schedule: ScheduleSpec) -> np.ndarray:
       h = k pi + d, k the nearest integer to h/pi, and that sign times N at
       d = 0: reduced, it keeps full precision at and near every pole.
     * UDD: the Jacobi-Anger series of udd_series, summed over the stencil
-      weights (udd_stencil_weights), not over eta: O(w T) real multiply-adds
-      per frequency from one Miller recurrence over all frequencies.  Where
-      that would cost more than the boundary sum (few frequencies, or w T
-      large against nN), UDD takes the boundary sum.
+      weights of udd_stencil_weights, one array for the odd orders (Im chi)
+      and one for the even orders (Re chi), not over eta: O(w T) real
+      multiply-adds per frequency from one Miller recurrence over all
+      frequencies.  Where that would cost more than the boundary sum (few
+      frequencies, or w T large against nN), UDD takes the boundary sum.
     * CUSTOM: every boundary phasor.
 
     The w = 0 entries use the stencil of the limit eta_l(0) = -i * sum_j dt_j(l).
@@ -226,7 +217,7 @@ def _filter_chunks(omegas: np.ndarray, schedule: ScheduleSpec):
     """Yield (part, exponent_filters(omegas[part], schedule)) over consecutive
     slices, each with temporaries of about _CHUNK_ELEMS elements.  UDD's form
     is chosen for all of ``omegas``, so a chunk has the bits of one whole call."""
-    boundaries, limit = schedule.boundaries, _stencil(-1j * schedule.segments.sum(axis=0)[None])
+    boundaries, limit = schedule.boundaries, stencil(-1j * schedule.segments.sum(axis=0)[None])
     n, cycles, total_time = schedule.n, schedule.cycles, schedule.total_time
     orders = _udd_series_orders(omegas, schedule) if schedule.scheme is Scheme.UDD else None
     if schedule.scheme is Scheme.PDD:
@@ -235,7 +226,7 @@ def _filter_chunks(omegas: np.ndarray, schedule: ScheduleSpec):
         chunk = max(1, _CHUNK_ELEMS // n)
     elif orders is not None:
         # a z's sums take weights up to its order + 1
-        weights = udd_stencil_weights(int(orders.max()) + 1, n, cycles)
+        odd, even = udd_stencil_weights(int(orders.max()) + 1, n, cycles)
         chunk = max(1, _CHUNK_ELEMS // BLOCK_ROWS)
     else:
         chunk = max(1, _CHUNK_ELEMS // (boundaries.size + 1))
@@ -260,7 +251,7 @@ def _filter_chunks(omegas: np.ndarray, schedule: ScheduleSpec):
                 values *= (-2j * np.sin((0.5 * step) * w) * ratio / w)[:, None]
             elif orders is not None:
                 z = 0.5 * total_time * w
-                values = bessel_sums(z, orders[part], weights)
+                values = bessel_sums(z, orders[part], odd, even)
                 values *= (np.exp(1j * z) / w)[:, None]
             else:
                 edge, diffs = buffer[: w.size], diff_buffer[: w.size]
@@ -270,7 +261,7 @@ def _filter_chunks(omegas: np.ndarray, schedule: ScheduleSpec):
                 np.subtract(edge[:, :-1], edge[:, 1:], out=diffs)
                 values = diffs.reshape(w.size, cycles, n).sum(axis=1) / w[:, None]
             if orders is None:
-                values = _stencil(values)
+                values = stencil(values)
         values[w == 0.0] = limit
         yield part, values
 

@@ -6,10 +6,11 @@ Jacobi-Anger expansion gives
     exp(i w t_b) = exp(i z) sum_k (-i)^k J_k(z) exp(i pi k b/nN),
 
 and the cycle sum of each term is a geometric series: the position filters
-are eta_l = exp(i z)/w * sum_{k>=1} J_k(z) D_{k,l}, with the weights D of
-udd_weights (only odd k and multiples of 2N), and the exponent filters chi_c
-the same series over the stencil weights of udd_stencil_weights.
-bessel_sums evaluates such a series for many z at once.
+are eta_l = exp(i z)/w * sum_{k>=1} J_k(z) D_{k,l}, where only odd k (in the
+imaginary part) and multiples of 2N (in the real part) weigh anything.  The
+exponent filters chi_c, the stencils of eta, are the same series over the
+stencils of D: udd_stencil_weights gives them as one array per parity, and
+bessel_sums evaluates the series for many z at once.
 """
 
 from __future__ import annotations
@@ -48,59 +49,50 @@ def _pi_angle(num, den):
     return math.pi * (num % (2 * den)) / den
 
 
-def _odd_amplitudes(count: int, n: int, cycles: int):
-    """The odd orders k <= count as a column, their angles theta = pi k/2M
-    with M = nN, and their amplitudes -4 (-1)^((k-1)/2) sin(theta)/sin(pi k/2N)."""
-    odd = np.arange(1, count + 1, 2)[:, None]
-    theta = _pi_angle(odd, 2 * n * cycles)
-    sign = 1.0 - 2.0 * ((odd - 1) // 2 % 2)
-    return odd, theta, -4.0 * sign * np.sin(theta) / np.sin(_pi_angle(odd, 2 * cycles))
+def stencil(values: np.ndarray) -> np.ndarray:
+    """The cyclic second differences v_{c-1} - 2 v_c + v_{c+1} of the slot
+    columns of ``values``, for c = 0..n-2 (slots mod n); at n = 2 both
+    neighbours are the other slot.  Column slices add the same terms in the
+    same order as two full np.roll copies."""
+    n = values.shape[1]
+    out = values[:, np.arange(-1, n - 2)]
+    out -= 2.0 * values[:, : n - 1]
+    out += values[:, 1:n]
+    return out
 
 
-def udd_weights(count: int, n: int, cycles: int) -> np.ndarray:
-    """Weight of J_k(z), k = 1..count, in the UDD position filters: shape
-    (count, 2n), the real part of eta_l in column l, its imaginary part in n + l.
+def udd_stencil_weights(count: int, n: int, cycles: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights of J_k(z), k = 1..count, in the UDD exponent filters
+    chi_c = eta_{c-1} - 2 eta_c + eta_{c+1} (slots mod n), as two arrays of
+    n - 1 columns: ``odd[j, c]`` weighs J_{2j+1} in Im chi_c, ``even[j, c]``
+    weighs J_{2j+2} in Re chi_c.
 
-    With M = nN, an odd k weighs only the imaginary parts, by its amplitude
-    A_k (_odd_amplitudes) times cos(pi k (2l+1-n)/2M), k = 2Nm weighs only
-    the real parts, by
-        2N (-1)^(Nm) (cos(2 pi m l/n) - cos(2 pi m (l+1)/n)),
-    and every other k weighs nothing.
-    """
-    slot = np.arange(n)
-    weights = np.zeros((count, 2 * n))
-    odd, _, amplitude = _odd_amplitudes(count, n, cycles)
-    weights[::2, n:] = amplitude * np.cos(_pi_angle(odd * (2 * slot + 1 - n), 2 * n * cycles))
-    m = np.arange(1, count // (2 * cycles) + 1)[:, None]
-    sign = 1.0 - 2.0 * (cycles * m % 2)
-    weights[2 * cycles * m[:, 0] - 1, :n] = (2.0 * cycles * sign * (
-        np.cos(_pi_angle(2 * m * slot, n)) - np.cos(_pi_angle(2 * m * (slot + 1), n))))
-    return weights
-
-
-def udd_stencil_weights(count: int, n: int, cycles: int) -> np.ndarray:
-    """Weight of J_k(z), k = 1..count, in the UDD exponent filters
-    chi_c = eta_{c-1} - 2 eta_c + eta_{c+1} (slots mod n): shape (count, 2(n-1)),
-    the real part of chi_c in column c, its imaginary part in n - 1 + c.
-
-    These are the stencils of udd_weights' columns, the odd orders' in closed
-    form, so that no series differences filters far larger than chi: with
-    theta = pi k/2M and A_k of udd_weights, an odd k weighs chi_c by
+    With M = nN, theta = pi k/2M and the amplitude
+    A_k = -4 (-1)^((k-1)/2) sin(theta)/sin(pi k/2N), an odd k weighs the
+    imaginary part of eta_l by A_k cos((2l+1-n) theta), so chi_c, in closed
+    form so that no series differences filters far larger than chi, by
         -4 A_k sin^2(theta) cos((2c+1-n) theta)    for c >= 1,
          2 A_k sin((n-2) theta) sin(theta)          for c = 0.
+    An even k = 2Nm weighs the real part of eta_l by
+        2N (-1)^(Nm) (cos(2 pi m l/n) - cos(2 pi m (l+1)/n)),
+    and chi by the stencil of those; every other even k weighs nothing.
     """
-    real = udd_weights(count, n, cycles)[:, :n]
-    stencil = np.roll(real, 1, axis=1) - 2.0 * real + np.roll(real, -1, axis=1)
-    weights = np.zeros((count, 2 * (n - 1)))
-    weights[:, : n - 1] = stencil[:, : n - 1]
-    odd, theta, amplitude = _odd_amplitudes(count, n, cycles)
+    k = np.arange(1, count + 1, 2)[:, None]
+    theta = _pi_angle(k, 2 * n * cycles)
     sine = np.sin(theta)
-    weights[::2, n - 1 : n] = (2.0 * amplitude * sine
-                               * np.sin(_pi_angle(odd * (n - 2), 2 * n * cycles)))
-    weights[::2, n:] = (-4.0 * amplitude * np.square(sine)
-                        * np.cos(_pi_angle(odd * (2 * np.arange(1, n - 1) + 1 - n),
-                                           2 * n * cycles)))
-    return weights
+    sign = 1.0 - 2.0 * ((k - 1) // 2 % 2)
+    amplitude = -4.0 * sign * sine / np.sin(_pi_angle(k, 2 * cycles))
+    odd = np.empty((k.size, n - 1))
+    odd[:, :1] = 2.0 * amplitude * sine * np.sin(_pi_angle(k * (n - 2), 2 * n * cycles))
+    odd[:, 1:] = (-4.0 * amplitude * np.square(sine)
+                  * np.cos(_pi_angle(k * (2 * np.arange(1, n - 1) + 1 - n), 2 * n * cycles)))
+    slot = np.arange(n)
+    m = np.arange(1, count // (2 * cycles) + 1)[:, None]
+    sign = 1.0 - 2.0 * (cycles * m % 2)
+    even = np.zeros((count // 2, n - 1))
+    even[cycles * m[:, 0] - 1] = stencil(2.0 * cycles * sign * (
+        np.cos(_pi_angle(2 * m * slot, n)) - np.cos(_pi_angle(2 * m * (slot + 1), n))))
+    return odd, even
 
 
 def miller_orders(z: np.ndarray) -> np.ndarray:
@@ -119,13 +111,13 @@ def miller_orders(z: np.ndarray) -> np.ndarray:
     return 2.0 * np.ceil(0.5 * (orders - 1.0)) + 1.0  # an infinite order stays infinite
 
 
-def bessel_sums(z: np.ndarray, orders: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_{k=1..len(weights)} J_k(z) weights[k-1] for every z at once, the first
-    half of the columns as real parts and the second as imaginary parts: shape
-    (z.size, weights.shape[1] // 2) complex; ``orders`` from miller_orders(z).
-    As in UDD's weights, odd orders may weigh only the imaginary half and even
-    orders only the real half.  A z's sums take ``weights`` up to its own
-    order + 1, so that they do not depend on the other z of the call.
+def bessel_sums(z: np.ndarray, orders: np.ndarray, odd: np.ndarray,
+                even: np.ndarray) -> np.ndarray:
+    """sum_j J_{2j+1}(z) odd[j] as imaginary parts plus sum_j J_{2j+2}(z) even[j]
+    as real parts, for every z at once: shape (z.size, odd.shape[1]) complex;
+    ``orders`` from miller_orders(z), ``odd`` and ``even`` with the same
+    columns, as from udd_stencil_weights.  A z's sums take the weights up to
+    its own order + 1, so that they do not depend on the other z of the call.
 
     Miller's backward recurrence runs over odd orders only,
         J_{k-2} = (4k(k-1)/z^2 - 2k/(k+1)) J_k - (k-1)/(k+1) J_{k+2},
@@ -142,7 +134,7 @@ def bessel_sums(z: np.ndarray, orders: np.ndarray, weights: np.ndarray) -> np.nd
     normalises the sums.  A weighted even order k takes
     J_k = z (J_{k-1} + J_{k+1})/2k from its neighbours.
     """
-    size, half = z.size, weights.shape[1] // 2
+    size, half = z.size, odd.shape[1]
     perm = np.argsort(-orders, kind="stable")
     z = z[perm]
     last = int(orders[perm[0]]) // 2  # the highest order is 2 last + 1
@@ -160,14 +152,14 @@ def bessel_sums(z: np.ndarray, orders: np.ndarray, weights: np.ndarray) -> np.nd
     slope = (4.0 * k * (k - 1.0) * shrink).tolist()
     offset = (2.0 * k / (k + 1.0) * shrink).tolist()
     # per Y_j: the odd weights and the k J_k column over s_j, zero past order top + 1
-    count = min(len(weights), 2 * last + 2)
-    odd = np.zeros((rows, half + 1))
-    odd[: (count + 1) // 2, :half] = weights[:count:2, half:]
-    odd[:, half] = k[:rows]
-    odd /= scale[:rows, None]
+    odd, even = odd[: last + 1], even[: last + 1]
+    imaginary = np.zeros((rows, half + 1))
+    imaginary[: len(odd), :half] = odd
+    imaginary[:, half] = k[:rows]
+    imaginary /= scale[:rows, None]
     # per j: the weights of J_{2j+2} over 2(2j+2), if it weighs anything
-    even = {i // 2: weights[i, :half] / (2.0 * (i + 1))
-            for i in np.flatnonzero(weights[:count, :half].any(axis=1)).tolist()}
+    real = {j: even[j] / (2.0 * (2 * j + 2))
+            for j in np.flatnonzero(even.any(axis=1)).tolist()}
     share = (1.0 / scale).tolist()
     ring, sums = np.zeros((BLOCK_ROWS, size)), np.zeros((2 * half + 1, size))
     inverse = np.empty(size)
@@ -180,15 +172,15 @@ def bessel_sums(z: np.ndarray, orders: np.ndarray, weights: np.ndarray) -> np.nd
         now, upper = ring[j % BLOCK_ROWS, :live], ring[(j + 1) % BLOCK_ROWS, :live]
         # order 2j-1 overwrites order 2j-1+2 BLOCK_ROWS, which a product has read
         lower = ring[(j - 1) % BLOCK_ROWS, :live]
-        if j in even:
-            sums[:half, :live] += np.multiply.outer(even[j], now * share[j] + upper * share[j + 1])
+        if j in real:
+            sums[:half, :live] += np.multiply.outer(real[j], now * share[j] + upper * share[j + 1])
         if j % BLOCK_ROWS == 0:
             # past live the rows are zeros; two columns keep BLAS's matrix kernel
             width = max(live, 2)
             parts = -(-width * (half + 1) // _SLICE_ENTRIES)
             for part in range(parts):
                 span = slice(part * width // parts, (part + 1) * width // parts)
-                sums[half:, span] += odd[j : j + BLOCK_ROWS].T @ ring[:, span]
+                sums[half:, span] += imaginary[j : j + BLOCK_ROWS].T @ ring[:, span]
         if j:
             np.multiply(inverse[:live], slope[j], out=lower)
             np.subtract(lower, offset[j], out=lower)

@@ -259,12 +259,12 @@ class TestBesselSeries:
         orders = udd_series.miller_orders(z)
         top = int(orders.max())
         picks = np.unique(np.r_[1:41, np.linspace(1, top, 400).astype(int)])
-        # unit weights, as UDD's: an odd order's in the imaginary half, an even
-        # order's in the real half
+        # unit weights, one column per order: J_{2j+1} in odd[j], J_{2j+2} in even[j]
         odd = picks % 2 == 1
-        weights = np.zeros((top + 1, 2 * picks.size))
-        weights[picks - 1, np.arange(picks.size) + odd * picks.size] = 1.0
-        sums = udd_series.bessel_sums(z, orders, weights)  # every z in one recurrence
+        weights = np.zeros((top + 1, picks.size))
+        weights[picks - 1, np.arange(picks.size)] = 1.0
+        # every z in one recurrence
+        sums = udd_series.bessel_sums(z, orders, weights[0::2], weights[1::2])
         assert sums.shape == (z.size, picks.size) and sums.dtype == complex
         assert not sums.real[:, odd].any() and not sums.imag[:, ~odd].any()
         want = jv(picks[None, :], z[:, None])
@@ -275,15 +275,19 @@ class TestBesselSeries:
         tol = 5e-16 * np.maximum(z, 20.0) * scale
         assert np.all(np.abs(np.where(odd, sums.imag, sums.real) - want) <= tol[:, None])
 
-    def test_series_chi_matches_a_50_digit_boundary_sum(self, monkeypatch):
-        # chi1 of UDD n = 6, N = 50 over the default curve's u = w T <= 311,
-        # against the boundary sum in 50 digits.  Differencing the series'
-        # eta, which far exceeds chi at small u, was off by 1.9e-12 of max|chi|
-        # below u = 30; the series over the stencil weights by 3.2e-15.
+    @pytest.mark.parametrize("n", [6, 3, 2])
+    def test_series_chi_matches_a_50_digit_boundary_sum(self, n, monkeypatch):
+        # chi1 of UDD n levels, N = 50 over the default curve's u = w T <= 311,
+        # against the boundary sum in 50 digits.  At n = 6, differencing the
+        # series' eta, which far exceeds chi at small u, was off by 1.9e-12 of
+        # max|chi| below u = 30; the series over the stencil weights by
+        # 3.2e-15.  At n = 3 the wrapped column c = 0 has a non-zero odd
+        # weight; at n = 2 every odd weight is 0, and chi comes from the even
+        # order 100 alone (300 lies past every start order here).
         import mpmath
 
         monkeypatch.setattr(kernel, "_SERIES_GAIN", math.inf)
-        n, cycles = 6, 50
+        cycles = 50
         schedule = ScheduleSpec(Scheme.UDD, n, cycles, 1.0)
         mp = mpmath.mp.clone()
         mp.dps = 50
@@ -299,7 +303,11 @@ class TestBesselSeries:
 
         low = np.geomspace(0.01, 30.0, 30, endpoint=False)
         high = np.sort(np.random.default_rng(0).uniform(30.0, 311.0, 30))
-        for u in (low, high):
+        # n = 2 leaves out the low band: there chi ~ J_100(u/2) is below 1e-70,
+        # and the 50-digit reference reads 5e-51 to 1.4e-48 of its own rounding
+        # (4e-121 to 2e-81 at 120 digits), so the series' 0 is right and the
+        # relative error of 1 would be the reference's
+        for u in (high,) if n == 2 else (low, high):
             assert kernel._udd_series_orders(u, schedule) is not None
             want = np.array([chi_reference(x) for x in u.tolist()])
             error = np.abs(exponent_filters(u, schedule) - want).max()
@@ -346,13 +354,13 @@ class TestBesselSeries:
         z = np.concatenate(([0.0, 0.0, 2000.0], rng.uniform(0.0, 2000.0, 61)))
         z[-4:] = z[3:7]  # duplicates
         orders = udd_series.miller_orders(z)
-        weights = udd_series.udd_weights(int(orders.max()) + 1, 6, 400)
-        full = udd_series.bessel_sums(z, orders, weights)
+        odd, even = udd_series.udd_stencil_weights(int(orders.max()) + 1, 6, 400)
+        full = udd_series.bessel_sums(z, orders, odd, even)
         assert not full[:2].any()
         for size in range(2, z.size):
             pick = rng.choice(z.size, size, replace=False)
             np.testing.assert_array_equal(
-                udd_series.bessel_sums(z[pick], orders[pick], weights), full[pick])
+                udd_series.bessel_sums(z[pick], orders[pick], odd, even), full[pick])
 
     @pytest.mark.parametrize("n, cycles", [(6, 3), (6, 400), (12, 400)],
                              ids=["3", "400", "n12-400"])
@@ -360,20 +368,21 @@ class TestBesselSeries:
         # on one thread, OpenBLAS takes a product of more than 10^6
         # multiply-adds to other kernels, which from 12 rows on give some
         # columns other bits; sliced products keep every frequency's bits.
-        # At N = 3 many blocks add a weighted even order, at N = 400 one does;
-        # n = 12 multiplies 13 rows, sliced past 3846 columns.
+        # At N = 3 many blocks add a weighted even order, at N = 400 none does
+        # (the top order is 481); n = 12 multiplies 12 rows, n - 1 chi columns
+        # and the k J_k column, sliced past 3472 columns, and fails unsliced.
         code = (
             "import numpy as np\n"
             "import ladder_dd.udd_series as udd_series\n"
             "rng = np.random.default_rng(4170)\n"
             "z = rng.uniform(0.0, 400.0, 6000)\n"
             "orders = udd_series.miller_orders(z)\n"
-            f"weights = udd_series.udd_weights(int(orders.max()) + 1, {n}, {cycles})\n"
-            "full = udd_series.bessel_sums(z, orders, weights)\n"
+            f"odd, even = udd_series.udd_stencil_weights(int(orders.max()) + 1, {n}, {cycles})\n"
+            "full = udd_series.bessel_sums(z, orders, odd, even)\n"
             "for size in rng.integers(3700, z.size, 24).tolist():\n"
             "    pick = rng.choice(z.size, size, replace=False)\n"
             "    np.testing.assert_array_equal(\n"
-            "        udd_series.bessel_sums(z[pick], orders[pick], weights), full[pick])\n"
+            "        udd_series.bessel_sums(z[pick], orders[pick], odd, even), full[pick])\n"
         )
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
                "PYTHONPATH": str(Path(kernel.__file__).resolve().parents[1])}
@@ -452,14 +461,14 @@ class TestExponentFilter:
         def rolled(eta):
             return (np.roll(eta, 1, axis=-1) - 2.0 * eta + np.roll(eta, -1, axis=-1))[..., : n - 1]
 
-        assert kernel._stencil(values).tobytes() == rolled(values).tobytes()
+        assert udd_series.stencil(values).tobytes() == rolled(values).tobytes()
         monkeypatch.setattr(kernel, "_SERIES_GAIN", math.inf)
         schedule = ScheduleSpec(Scheme.UDD, n, 7, 2.3)
         orders = kernel._udd_series_orders(omegas, schedule)
-        weights = udd_series.udd_stencil_weights(int(orders.max()) + 1, n, 7)
+        odd, even = udd_series.udd_stencil_weights(int(orders.max()) + 1, n, 7)
         z = 0.5 * schedule.total_time * omegas
         with np.errstate(divide="ignore", invalid="ignore"):  # w = 0
-            want = udd_series.bessel_sums(z, orders, weights)
+            want = udd_series.bessel_sums(z, orders, odd, even)
             want *= (np.exp(1j * z) / omegas)[:, None]
         want[0] = rolled(-1j * schedule.segments.sum(axis=0))  # the w = 0 limit, differenced
         assert exponent_filters(omegas, schedule).tobytes() == want.tobytes()

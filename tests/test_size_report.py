@@ -34,3 +34,15 @@ def test_src_defines_nothing_it_never_names_but_the_benchmark_hook(capsys):
     assert SIZE_REPORT["main"](["size_report.py", str(src)]) == 0
     unnamed = capsys.readouterr().out.splitlines()[2]
     assert unnamed == f"defined but named nowhere in {src}: ladder_dd/kernel.py:decay_integrand"
+
+
+def test_module_line_counts_sum_to_the_total(capsys):
+    src = pathlib.Path(__file__).parents[1] / "src"
+    assert SIZE_REPORT["main"](["size_report.py", str(src)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    total = int(lines[0].removeprefix("src lines: "))
+    assert lines[3] == "lines per module:"
+    counts = {path: int(count) for count, path in (line.split() for line in lines[4:])}
+    assert counts == {str(path.relative_to(src)): len(path.read_text(encoding="utf-8").splitlines())
+                      for path in src.rglob("*.py")}
+    assert sum(counts.values()) == total

@@ -1,4 +1,5 @@
-"""Print the size of the package: its line count and its settable values.
+"""Print the size of the package: its line count, per module and in total,
+and its settable values.
 
 A settable value is anything a caller can set without editing the code,
 counted over the syntax tree of every module under ``src/``:
@@ -63,24 +64,27 @@ def _names(tree: ast.AST) -> set[str]:
 
 def main(argv: list[str]) -> int:
     root = pathlib.Path(argv[1] if len(argv) > 1 else "src")
-    lines = 0
+    lines = {}
     totals = {"fields": 0, "defaults": 0, "options": 0}
     defined, named = [], set()
     for path in sorted(root.rglob("*.py")):
         text = path.read_text(encoding="utf-8")
-        lines += len(text.splitlines())
+        lines[path.relative_to(root)] = len(text.splitlines())
         tree = ast.parse(text, filename=str(path))
         for kind, count in settable_values(tree).items():
             totals[kind] += count
         defined += [(path.relative_to(root), node.name) for node in tree.body
                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
         named |= _names(tree)
-    print(f"src lines: {lines}")
+    print(f"src lines: {sum(lines.values())}")
     print(f"settable values: {sum(totals.values())} "
           f"({totals['fields']} dataclass fields, {totals['defaults']} defaults and "
           f"**kwargs, {totals['options']} command-line options)")
     unnamed = [f"{path}:{name}" for path, name in defined if name not in named]
     print(f"defined but named nowhere in {root}: {', '.join(unnamed) or 'none'}")
+    print("lines per module:")
+    for path, count in lines.items():
+        print(f"{count:6d} {path}")
     return 0
 
 
