@@ -14,9 +14,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .fock_oracle import ModeSpec, discrete_decay_exponent, evolve_pulsed
-from .operators import build_decoupling_group
-from .schedules import ScheduleSpec, Scheme
+from .fock_oracle import ModeSpec, evolve_pulsed
+from .kernel import exponent_filters
+from .operators import build_decoupling_group, check_transition
+from .schedules import ScheduleSpec, Scheme, check_real
 
 CALIBRATION_TOL = 1e-6
 
@@ -125,6 +126,25 @@ def default_calibration_cases() -> tuple[CalibrationCase, ...]:
             modes=_mode_per_transition(6, omega=95.0, coupling=2.0, fock_dim=12),
         ),
     )
+
+
+def discrete_decay_exponent(modes, temperature: float, schedule: ScheduleSpec) -> float:
+    """Total predicted exponent sum_k (1/2)|j_k chi(w_k)|^2 coth(w_k/(2 Tp)).
+
+    Each mode contributes through the exponent filter of its own transition;
+    this is the discrete-bath counterpart of the continuum integral and the
+    quantity the Fock evolution must reproduce.
+    """
+    temperature = check_real("temperature", "temperature", temperature, 0, True)
+    for mode in modes:
+        check_transition(schedule.n, mode.transition)
+    filters = exponent_filters([mode.omega for mode in modes], schedule)
+    total = 0.0
+    for mode, chis in zip(modes, filters):
+        chi = chis[mode.transition]
+        coth = 1.0 / math.tanh(mode.omega / (2.0 * temperature))
+        total += 0.5 * abs(mode.coupling) ** 2 * abs(chi) ** 2 * coth
+    return total
 
 
 def run_case(case: CalibrationCase) -> CalibrationResult:

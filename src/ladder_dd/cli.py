@@ -169,8 +169,9 @@ def _curve_csv(config: RunConfig) -> str:
     columns = [np.ones(grid.size) for _ in schemes]
     if first < grid.size:
         for column, template in zip(columns, templates):
-            column[first:] = sweep_curve(template, config.bath(), grid[first:],
-                                         rel_tol=config.quad_tolerance).values
+            points = sweep_curve(template, config.bath(), grid[first:],
+                                 rel_tol=config.quad_tolerance)
+            column[first:] = [np.exp(-point.gamma.sum()) for point in points]
     header = ",".join(["T", *(f"P_{scheme.value}" for scheme in schemes)])
     rows = (",".join(f"{value:.17g}" for value in row) for row in zip(grid, *columns))
     return "\n".join([header, *rows]) + "\n"

@@ -36,7 +36,6 @@ from functools import cache
 
 import numpy as np
 
-from .kernel import exponent_filters
 from .operators import check_transition, sigma_z
 from .schedules import ScheduleSpec, as_number, check_count, check_real
 
@@ -135,42 +134,6 @@ def expm(dim: int, z: complex) -> np.ndarray:
     return out
 
 
-def _coherence(n, modes, steps, temperature) -> complex:
-    """Coherence factor rho_01(T) / rho_01(0) after ``steps`` of (t_start, dt,
-    monomial split of the pulse that ends the segment)."""
-    populations = [thermal_populations(mode, temperature) for mode in modes]
-    a, b = 0, 1
-    for *_, (_, inverse, _) in reversed(steps):
-        a, b = inverse[a], inverse[b]
-    factor = 1.0 if {a, b} == {0, 1} else 0.0  # the start state over its (0,1) entry
-    rows, columns = [], []  # the level each side holds during each segment
-    for _, _, (perm, _, phases) in steps:
-        rows.append(a)
-        columns.append(b)
-        factor *= phases[a] * np.conj(phases[b])
-        a, b = perm[a], perm[b]
-    t_start, dt = np.array([step[:2] for step in steps]).T
-    omega = np.array([[mode.omega] for mode in modes])
-    coupling = np.array([[mode.coupling] for mode in modes])
-    levels = np.array([np.diag(sigma_z(n, mode.transition)).real for mode in modes])
-    left, right = levels[:, rows], levels[:, columns]  # (mode, segment) weights
-    # segment s at weight w: the displacement w z and the c-number phase w^2 phi
-    z = coupling * np.exp(1j * omega * t_start) * (1.0 - np.exp(1j * omega * dt)) / omega
-    phi = abs(coupling) ** 2 * (dt / omega - np.sin(omega * dt) / omega**2)
-    shifts = np.stack((left, right)) * z
-    sums = np.cumsum(shifts, axis=2)
-    # D(x) D(A) = e^{i Im(x conj(A))} D(A + x): each shift composes onto the sum before it
-    weyl = np.sum((shifts[..., 1:] * sums[..., :-1].conj()).imag, axis=2)
-    (a_left, a_right), d = sums[..., -1], np.sum((left - right) * z, axis=1)  # d, not A_L - A_R
-    # Tr[D(A_L) rho D(A_R)^dag] = e^{-i Im(A_R conj(A_L))} Tr[D(d) rho]
-    angle = (np.sum((left**2 - right**2) * phi, axis=1) + weyl[0] - weyl[1]
-             - (a_right * a_left.conj()).imag)
-    for mode, p, shift, theta in zip(modes, populations, d, angle):
-        # Tr[D(d) rho] summed elementwise: no BLAS dot sets its rounding
-        factor *= cmath.exp(1j * theta) * np.sum(p * expm(mode.fock_dim, shift).diagonal())
-    return complex(factor)
-
-
 def evolve_pulsed(
     modes,
     schedule: ScheduleSpec,
@@ -199,30 +162,35 @@ def evolve_pulsed(
         check_transition(n, mode.transition)
     pulses = [group[l] @ group[l - 1].conj().T for l in range(1, n)]
     splits = [_monomial_split(pulse) for pulse in pulses + [group[n - 1].conj().T]]
-    starts, lengths = schedule.boundaries.tolist(), schedule.segments.tolist()
-    steps = [
-        (starts[j * n + l], lengths[j][l], splits[l])
-        for j in range(schedule.cycles)
-        for l in range(n)
-    ]
-    return _coherence(n, modes, steps, temperature)
-
-
-def discrete_decay_exponent(modes, temperature: float, schedule: ScheduleSpec) -> float:
-    """Total predicted exponent sum_k (1/2)|j_k chi(w_k)|^2 coth(w_k/(2 Tp)).
-
-    Each mode contributes through the exponent filter of its own transition;
-    this is the discrete-bath counterpart of the continuum integral and the
-    quantity the Fock evolution must reproduce.
-    """
-    temperature = check_real("temperature", "temperature", temperature, 0, True)
-    for mode in modes:
-        check_transition(schedule.n, mode.transition)
-    filters = exponent_filters([mode.omega for mode in modes], schedule)
-    total = 0.0
-    for mode, chis in zip(modes, filters):
-        chi = chis[mode.transition]
-        coth = 1.0 / math.tanh(mode.omega / (2.0 * temperature))
-        total += 0.5 * abs(mode.coupling) ** 2 * abs(chi) ** 2 * coth
-    return total
-
+    populations = [thermal_populations(mode, temperature) for mode in modes]
+    walk = splits * schedule.cycles  # the split of the pulse that ends each segment
+    a, b = 0, 1
+    for _, inverse, _ in reversed(walk):
+        a, b = inverse[a], inverse[b]
+    factor = 1.0 if {a, b} == {0, 1} else 0.0  # the start state over its (0,1) entry
+    rows, columns = [], []  # the level each side holds during each segment
+    for perm, _, phases in walk:
+        rows.append(a)
+        columns.append(b)
+        factor *= phases[a] * np.conj(phases[b])
+        a, b = perm[a], perm[b]
+    t_start, dt = schedule.boundaries[:-1], schedule.segments.ravel()
+    omega = np.array([[mode.omega] for mode in modes])
+    coupling = np.array([[mode.coupling] for mode in modes])
+    levels = np.array([np.diag(sigma_z(n, mode.transition)).real for mode in modes])
+    left, right = levels[:, rows], levels[:, columns]  # (mode, segment) weights
+    # segment s at weight w: the displacement w z and the c-number phase w^2 phi
+    z = coupling * np.exp(1j * omega * t_start) * (1.0 - np.exp(1j * omega * dt)) / omega
+    phi = abs(coupling) ** 2 * (dt / omega - np.sin(omega * dt) / omega**2)
+    shifts = np.stack((left, right)) * z
+    sums = np.cumsum(shifts, axis=2)
+    # D(x) D(A) = e^{i Im(x conj(A))} D(A + x): each shift composes onto the sum before it
+    weyl = np.sum((shifts[..., 1:] * sums[..., :-1].conj()).imag, axis=2)
+    (a_left, a_right), d = sums[..., -1], np.sum((left - right) * z, axis=1)  # d, not A_L - A_R
+    # Tr[D(A_L) rho D(A_R)^dag] = e^{-i Im(A_R conj(A_L))} Tr[D(d) rho]
+    angle = (np.sum((left**2 - right**2) * phi, axis=1) + weyl[0] - weyl[1]
+             - (a_right * a_left.conj()).imag)
+    for mode, p, shift, theta in zip(modes, populations, d, angle):
+        # Tr[D(d) rho] summed elementwise: no BLAS dot sets its rounding
+        factor *= cmath.exp(1j * theta) * np.sum(p * expm(mode.fock_dim, shift).diagonal())
+    return complex(factor)

@@ -520,20 +520,12 @@ def decay_exponents(
                            f"(while evaluating T={total_time:.6g})", prev, curr)
 
 
-@dataclass(frozen=True)
-class CoherenceCurve:
-    """P(T) at each time of a sweep's grid, with each point's final node count
-    and estimated relative error."""
-
-    values: np.ndarray
-    quadrature_points: np.ndarray
-    estimated_relative_error: np.ndarray
-
-
 def sweep_curve(
     template: ScheduleSpec, bath: BathSpec, t_grid, rel_tol: float = 1e-6
-) -> CoherenceCurve:
-    """Evaluate P(T) over a grid of total times, for the fractions of ``template``.
+) -> tuple[DecayExponents, ...]:
+    """Decay exponents at each time of a grid, one per time in grid order, for
+    the fractions of ``template``.  P(T) = exp(-gamma.sum()) is the caller's to
+    take: it underflows to 0 where Gamma still holds the answer.
 
     The grid must be strictly increasing, finite and positive.  Points run in grid
     order and share one FilterTable, told every point's total time up front,
@@ -549,13 +541,8 @@ def sweep_curve(
         raise ValueError("time grid must be strictly increasing")
 
     table = FilterTable(template, bath, t_grid.tolist())
-    values = np.empty(t_grid.size)
-    points = np.empty(t_grid.size, dtype=int)
-    errors = np.empty(t_grid.size)
-    for i, t in enumerate(t_grid.tolist()):
-        schedule = build_schedule(dataclasses.replace(template, total_time=t))
-        exponents = decay_exponents(schedule, bath, rel_tol=rel_tol, table=table)
-        values[i] = np.exp(-exponents.gamma.sum())
-        points[i] = exponents.quadrature_points
-        errors[i] = exponents.estimated_relative_error
-    return CoherenceCurve(values=values, quadrature_points=points, estimated_relative_error=errors)
+    return tuple(
+        decay_exponents(build_schedule(dataclasses.replace(template, total_time=t)), bath,
+                        rel_tol=rel_tol, table=table)
+        for t in t_grid.tolist()
+    )

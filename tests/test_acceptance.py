@@ -22,11 +22,12 @@ import pytest
 from ladder_dd.calibration import (
     CALIBRATION_TOL,
     CalibrationCase,
+    discrete_decay_exponent,
     run_calibration_suite,
     run_case,
 )
 from ladder_dd.cli import DEFAULT_T_MAX, EXIT_OK, main
-from ladder_dd.fock_oracle import ModeSpec, discrete_decay_exponent
+from ladder_dd.fock_oracle import ModeSpec
 from ladder_dd.kernel import (
     BathSpec,
     decay_exponents,
@@ -155,18 +156,19 @@ def test_criterion_5_quadrature_robustness():
 
 def test_criterion_6_reference_scenario_ordering():
     grid = np.linspace(DEFAULT_T_MAX / 60, DEFAULT_T_MAX, 60)
-    pdd = sweep_curve(_reference_template(Scheme.PDD), REFERENCE_BATH, grid)
-    udd = sweep_curve(_reference_template(Scheme.UDD), REFERENCE_BATH, grid)
-    spans = pdd.values.min() <= 0.35 and pdd.values.max() >= 0.99
+    pdd, udd = (np.array([np.exp(-point.gamma.sum()) for point in
+                          sweep_curve(_reference_template(scheme), REFERENCE_BATH, grid)])
+                for scheme in (Scheme.PDD, Scheme.UDD))
+    spans = pdd.min() <= 0.35 and pdd.max() >= 0.99
     # UDD's first cycle-filter passband, 2*pi/(n*gap) at its widest gap,
     # reaches the cutoff at T_U
     uhrig = _reference_template(Scheme.UDD)
     g_max = uhrig.segments.max() / uhrig.total_time
     t_u = 2 * math.pi / (uhrig.n * REFERENCE_BATH.cutoff * g_max)
-    lead = udd.values - pdd.values
+    lead = udd - pdd
     flips = np.flatnonzero(np.sign(lead[1:]) != np.sign(lead[:-1]))
     single = flips.size == 1
-    detail = (f"grid spans P_pdd [{pdd.values.min():.3f}, {pdd.values.max():.3f}]; "
+    detail = (f"grid spans P_pdd [{pdd.min():.3f}, {pdd.max():.3f}]; "
               f"T_U = {t_u:.3f}; {flips.size} sign change(s)")
     in_window = False
     if single:
@@ -223,15 +225,16 @@ def test_udd_dominance_in_storage_regime():
     # job (coherence near one), Uhrig timing beats periodic timing pointwise
     # and extends the storage time severalfold
     grid = np.linspace(0.03, 1.8, 60)
-    pdd = sweep_curve(_reference_template(Scheme.PDD), REFERENCE_BATH, grid)
-    udd = sweep_curve(_reference_template(Scheme.UDD), REFERENCE_BATH, grid)
-    assert np.all(udd.values >= pdd.values)
-    interior = pdd.values <= 0.999
+    pdd, udd = (np.array([np.exp(-point.gamma.sum()) for point in
+                          sweep_curve(_reference_template(scheme), REFERENCE_BATH, grid)])
+                for scheme in (Scheme.PDD, Scheme.UDD))
+    assert np.all(udd >= pdd)
+    interior = pdd <= 0.999
     assert interior.sum() >= 40
-    assert np.all(udd.values[interior] > pdd.values[interior])
+    assert np.all(udd[interior] > pdd[interior])
     # storage time at the 1% coherence-loss threshold
-    t_pdd = grid[pdd.values >= 0.99][-1]
-    t_udd = grid[udd.values >= 0.99][-1]
+    t_pdd = grid[pdd >= 0.99][-1]
+    t_udd = grid[udd >= 0.99][-1]
     assert t_udd / t_pdd >= 2.0
     print(f"  storage time at 1% loss: periodic {t_pdd:.3f}, uhrig {t_udd:.3f} "
           f"({t_udd / t_pdd:.1f}x)")

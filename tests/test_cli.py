@@ -264,7 +264,8 @@ class TestCurveCommand:
         assert main(["curve", *args, "--t-min", "0", "--out", str(out)]) == EXIT_OK
         grid = np.linspace(0.0, 2.0, 5)
         bath = BathSpec(alpha=0.2, cutoff=5.0, temperature=2.0)
-        swept = [sweep_curve(ScheduleSpec(scheme, 2, 1, 1.0), bath, grid[1:]).values
+        swept = [[np.exp(-point.gamma.sum())
+                  for point in sweep_curve(ScheduleSpec(scheme, 2, 1, 1.0), bath, grid[1:])]
                  for scheme in (Scheme.PDD, Scheme.UDD)]
         lines = out.read_text().splitlines()
         assert lines[:2] == ["T,P_pdd,P_udd", "0,1,1"]

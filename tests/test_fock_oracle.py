@@ -1,8 +1,12 @@
 import cmath
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from ladder_dd.calibration import (
     CALIBRATION_TOL,
     CalibrationCase,
     default_calibration_cases,
+    discrete_decay_exponent,
     run_calibration_suite,
     run_case,
 )
@@ -22,7 +27,6 @@ from ladder_dd.fock_oracle import (
     DIM_CAP,
     ModeSpec,
     _monomial_split,
-    discrete_decay_exponent,
     evolve_pulsed,
     thermal_populations,
 )
@@ -83,11 +87,10 @@ def window(omega, dt):
 
 
 def free_decay(total_time, modes, temperature, n):
-    """Unpulsed decay exponent -ln|rho01(T)/rho01(0)|: the product form over
-    one free segment ended by the identity pulse, from the (0,1) superposition."""
-    final = fock_oracle._coherence(n, modes, [(0.0, total_time, _monomial_split(np.eye(n)))],
-                                   temperature)
-    return -math.log(abs(final))
+    """Unpulsed decay exponent -ln|rho01(T)/rho01(0)|: evolve_pulsed over one
+    PDD cycle whose every group element is the identity, so no pulse acts."""
+    schedule = ScheduleSpec(Scheme.PDD, n, 1, total_time)
+    return -math.log(abs(evolve_pulsed(modes, schedule, (np.eye(n),) * n, temperature)))
 
 
 def brute_min_dim(omega, temperature, tail=1e-10):
@@ -617,6 +620,17 @@ class TestEvolvePulsed:
             evolve_pulsed((ModeSpec(0, 1.0, 0.1, 4),), schedule, build_decoupling_group(3), 1.0)
 
 
+def test_oracle_imports_nothing_of_the_kernel_it_checks():
+    # the prediction lives in calibration, which alone imports both sides
+    code = ("import sys\n"
+            "import ladder_dd.fock_oracle\n"
+            "assert 'ladder_dd.kernel' not in sys.modules, sorted(sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(fock_oracle.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 class TestMonomialSplit:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_group_pulses_rebuild_exactly(self, n):
@@ -686,7 +700,8 @@ class TestFreeDecayBaseline:
         assert free_decay(2.0, (mode,), 1.0, 2) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_duration(self):
-        assert free_decay(0.0, (MODE_N2,), 1.0, 2) == pytest.approx(0.0, abs=1e-12)
+        # a schedule needs T > 0: the shortest run stands for T = 0
+        assert free_decay(1e-300, (MODE_N2,), 1.0, 2) == pytest.approx(0.0, abs=1e-12)
 
     def test_regression_fixture(self):
         # frozen output of this very computation (omega=1, j=0.1, T'=1, T=2, d=25)
@@ -764,12 +779,19 @@ class TestCalibration:
 
 @st.composite
 def calibration_draws(draw):
-    """A random pulsed run: n, N, scheme, T, temperature and 1-3 modes on
-    random transitions, each truncated with a margin for its displacement."""
+    """A random pulsed run: its schedule (n, N, T and a scheme, custom
+    fractions from random positive gaps included), temperature and 1-3 modes
+    on random transitions, each truncated with a margin for its displacement."""
     n = draw(st.integers(2, 7))
     cycles = draw(st.sampled_from([1, 2, 3, 4, 50]))
-    scheme = draw(st.sampled_from([Scheme.PDD, Scheme.UDD]))
+    scheme = draw(st.sampled_from([Scheme.PDD, Scheme.UDD, Scheme.CUSTOM]))
     total_time = draw(st.floats(0.3, 3.0))
+    fractions = None
+    if scheme is Scheme.CUSTOM:
+        ends = np.cumsum(draw(st.lists(st.floats(0.1, 1.0), min_size=n * cycles,
+                                       max_size=n * cycles)))
+        fractions = tuple((ends[:-1] / ends[-1]).tolist())
+    schedule = ScheduleSpec(scheme, n, cycles, total_time, fractions)
     temperature = draw(st.floats(0.3, 2.0))
     modes = []
     for _ in range(draw(st.integers(1, 3))):
@@ -780,15 +802,15 @@ def calibration_draws(draw):
         fock_dim = (brute_min_dim(omega, temperature)
                     + math.ceil(6 * (4 * coupling * total_time) ** 2) + 6)
         modes.append(ModeSpec(draw(st.integers(0, n - 2)), omega, coupling, fock_dim))
-    return n, cycles, scheme, total_time, temperature, tuple(modes)
+    return schedule, temperature, tuple(modes)
 
 
 @settings(max_examples=12, deadline=None)
 @given(calibration_draws())
 def test_random_runs_match_prediction_and_catch_the_control(draw):
-    n, cycles, scheme, total_time, temperature, modes = draw
-    schedule = ScheduleSpec(scheme, n, cycles, total_time)
-    observed = abs(evolve_pulsed(modes, schedule, build_decoupling_group(n), temperature))
+    schedule, temperature, modes = draw
+    group = build_decoupling_group(schedule.n)
+    observed = abs(evolve_pulsed(modes, schedule, group, temperature))
     predicted = math.exp(-discrete_decay_exponent(modes, temperature, schedule))
     control = math.exp(-miswired_exponent(modes, temperature, schedule))
     assert abs(observed - predicted) / predicted <= CALIBRATION_TOL

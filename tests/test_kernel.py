@@ -234,8 +234,11 @@ class TestFilterChunks:
         chunked = sweep_curve(template, self.BATH, self.GRID)
         assert len(counts) == 1 and counts[0] >= max(3, 10 * unpatched)
         assert len(recurrences) == (counts[0] if series else 0)  # one recurrence a chunk
-        for field in ("values", "quadrature_points", "estimated_relative_error"):
-            assert getattr(chunked, field).tobytes() == getattr(whole, field).tobytes()
+        for mine, theirs in zip(chunked, whole, strict=True):
+            assert mine.gamma.tobytes() == theirs.gamma.tobytes()
+            assert mine.quadrature_points == theirs.quadrature_points
+            assert (np.float64(mine.estimated_relative_error).tobytes()
+                    == np.float64(theirs.estimated_relative_error).tobytes())
 
     @pytest.mark.parametrize("scheme", [Scheme.PDD, Scheme.UDD, Scheme.CUSTOM])
     def test_filters_match_across_chunks(self, scheme, monkeypatch):
@@ -860,13 +863,26 @@ class TestSweepCurve:
         return ScheduleSpec(scheme=scheme, n=6, cycles=50, total_time=1.0)
 
     def test_single_point_grid(self):
-        curve = sweep_curve(self._template(), self._bath(), [2.0])
-        assert curve.values.shape == (1,)
-        assert 0 < curve.values[0] <= 1
+        (point,) = sweep_curve(self._template(), self._bath(), [2.0])
+        assert 0 < np.exp(-point.gamma.sum()) <= 1
 
     def test_decoupled_curve_is_flat(self):
         curve = sweep_curve(self._template(), self._bath(alpha=0.0), [0.5, 1.0, 2.0])
-        np.testing.assert_array_equal(curve.values, 1.0)
+        np.testing.assert_array_equal([np.exp(-point.gamma.sum()) for point in curve], 1.0)
+
+    def test_points_keep_gamma_where_p_underflows(self):
+        # Gamma of about 3569 and 14960: P = exp(-Gamma) is 0, the point is not
+        bath = BathSpec(alpha=2000.0, cutoff=5.0, temperature=2.0)
+        template = ScheduleSpec(Scheme.PDD, 2, 1, 1.0)
+        curve = sweep_curve(template, bath, [1.0, 2.0])
+        for t, point, total in zip([1.0, 2.0], curve, [3568.94, 14959.88], strict=True):
+            assert np.exp(-point.gamma.sum()) == 0.0
+            assert point.gamma.sum() == pytest.approx(total, rel=1e-6)
+            alone = decay_exponents(ScheduleSpec(Scheme.PDD, 2, 1, t), bath)
+            assert point.gamma.tobytes() == alone.gamma.tobytes()
+            assert point.quadrature_points == alone.quadrature_points
+            assert (np.float64(point.estimated_relative_error).tobytes()
+                    == np.float64(alone.estimated_relative_error).tobytes())
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -886,9 +902,9 @@ class TestSweepCurve:
     def test_points_report_their_quadrature(self):
         grid = [0.2, 1.0, 2.5]
         curve = sweep_curve(self._template(Scheme.UDD), self._bath(), grid, rel_tol=1e-7)
-        assert curve.quadrature_points.shape == curve.estimated_relative_error.shape == (3,)
-        assert np.all(curve.quadrature_points > 0)
-        assert np.all(curve.estimated_relative_error <= 1e-7)
+        assert len(curve) == 3
+        assert all(point.quadrature_points > 0 for point in curve)
+        assert all(point.estimated_relative_error <= 1e-7 for point in curve)
 
     def test_table_panels_evaluated_once(self, monkeypatch):
         # every table panel is evaluated by the first point that needs it only
@@ -914,9 +930,9 @@ class TestSweepCurve:
         # loop over but its nodes.
         template = dataclasses.replace(self._template(scheme), n=n)
         curve = sweep_curve(template, self._bath(), self.DEFAULT_GRID)
-        alone = [sweep_curve(template, self._bath(), [t]).values[0]
+        alone = [np.exp(-sweep_curve(template, self._bath(), [t])[0].gamma.sum())
                  for t in self.DEFAULT_GRID.tolist()]
-        np.testing.assert_array_equal(curve.values, alone)
+        np.testing.assert_array_equal([np.exp(-point.gamma.sum()) for point in curve], alone)
 
     @pytest.mark.parametrize("scheme", [Scheme.PDD, Scheme.UDD])
     def test_batch_is_one_reduction_per_level(self, scheme, monkeypatch):
@@ -950,7 +966,7 @@ class TestSweepCurve:
         curve = sweep_curve(self._template(Scheme.UDD), self._bath(), self.DEFAULT_GRID,
                             rel_tol=1e-14)
         assert len(batches) == 1
-        assert curve.estimated_relative_error.max() <= 1e-14
+        assert max(point.estimated_relative_error for point in curve) <= 1e-14
 
     def test_sweep_derives_its_fractions_once(self, monkeypatch):
         # the table's unit schedule holds the fractions; a point needs only its T
@@ -1088,12 +1104,12 @@ class TestSharedTable:
         template = ScheduleSpec(scheme=scheme, n=n, cycles=cycles, total_time=1.0,
                                 custom_fractions=custom)
         curve = sweep_curve(template, self.BATH, self.GRID)
-        for t, value in zip(self.GRID, curve.values):
+        for t, point in zip(self.GRID, curve):
             schedule = ScheduleSpec(scheme, n, cycles, t, custom_fractions=custom)
             single = coherence_ratio(schedule, self.BATH)
-            assert value == pytest.approx(single, rel=1e-12, abs=0)
-            (one,) = sweep_curve(template, self.BATH, [t]).values
-            assert one == pytest.approx(single, rel=1e-12, abs=0)
+            assert np.exp(-point.gamma.sum()) == pytest.approx(single, rel=1e-12, abs=0)
+            (one,) = sweep_curve(template, self.BATH, [t])
+            assert np.exp(-one.gamma.sum()) == pytest.approx(single, rel=1e-12, abs=0)
 
     def _panels(self, level, total_time):
         """(centre, half-width) of the panels of the point at ``total_time`` on
@@ -1313,9 +1329,6 @@ class TestTableRecords:
         assert len(calls) > 1
         alone = [decay_exponents(ScheduleSpec(scheme, 6, 50, t), bath, rel_tol=1e-13)
                  for t in grid.tolist()]
-        np.testing.assert_array_equal(
-            curve.values, [np.exp(-point.gamma.sum()) for point in alone])
-        np.testing.assert_array_equal(
-            curve.quadrature_points, [point.quadrature_points for point in alone])
-        np.testing.assert_array_equal(
-            curve.estimated_relative_error, [point.estimated_relative_error for point in alone])
+        for field in ("gamma", "quadrature_points", "estimated_relative_error"):
+            np.testing.assert_array_equal([getattr(point, field) for point in curve],
+                                          [getattr(point, field) for point in alone])

@@ -11,13 +11,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ladder_dd.calibration import discrete_decay_exponent
 from ladder_dd.cli import RunConfig, _curve_csv
-from ladder_dd.fock_oracle import (
-    ModeSpec,
-    discrete_decay_exponent,
-    evolve_pulsed,
-    thermal_populations,
-)
+from ladder_dd.fock_oracle import ModeSpec, evolve_pulsed, thermal_populations
 from ladder_dd.kernel import BathSpec, ConvergenceError, decay_exponents
 from ladder_dd.operators import build_decoupling_group
 from ladder_dd.schedules import Scheme, ScheduleSpec
