@@ -122,12 +122,7 @@ _ZERO_FLOOR = 1e-15
 
 
 class ConvergenceError(RuntimeError):
-    """Quadrature refinement exhausted without meeting the error target."""
-
-    def __init__(self, message: str, previous: np.ndarray, current: np.ndarray):
-        super().__init__(message)
-        self.previous = np.asarray(previous)
-        self.current = np.asarray(current)
+    """Quadrature refinement refused an estimate or exhausted its doublings."""
 
 
 @dataclass(frozen=True)
@@ -293,10 +288,13 @@ def _tilings(levels: np.ndarray, uppers: np.ndarray):
 
 
 def _rel_change(prev: np.ndarray, curr: np.ndarray) -> float:
-    """The largest |c - p| / max(|c|, |p|) over the entries of two finite
-    estimates whose scale exceeds _ZERO_FLOOR, else 0."""
+    """The convergence rule: inf, which no tolerance accepts, if an entry is
+    not finite, else the largest |c - p| / max(|c|, |p|) over the entries of
+    scale above _ZERO_FLOOR (below it, both count as converged zeros), else 0."""
     change = 0.0
     for p, c in zip(prev.tolist(), curr.tolist()):  # Python floats: no numpy call per point
+        if not (math.isfinite(p) and math.isfinite(c)):
+            return math.inf
         scale = abs(c) if abs(c) > abs(p) else abs(p)
         if scale > _ZERO_FLOOR and abs(c - p) / scale > change:
             change = abs(c - p) / scale
@@ -323,7 +321,7 @@ class FilterTable:
     use is one batch over every listed point's first two levels: one filter
     call (a UDD call costs O(max u) numpy steps whatever its size) and per
     level one reduction, or a few near the panel cap.  Per (level, T) the
-    table keeps only the estimate, its node count and its finiteness.  A
+    table keeps only the estimate and its node count, and judges neither.  A
     deeper level is the same batch over one point's whole tiling.  Using the
     table mutates it: do not share one table between threads.
     """
@@ -331,14 +329,13 @@ class FilterTable:
     def __init__(self, spec: ScheduleSpec, bath: BathSpec, times):
         self.unit = dataclasses.replace(spec, total_time=1.0)
         self.bath = bath
-        # per (level, T): Gamma estimate, node count, finite
-        self._estimates: dict[tuple[int, float], tuple[np.ndarray, int, bool]] = {}
+        # per (level, T): Gamma estimate, node count
+        self._estimates: dict[tuple[int, float], tuple[np.ndarray, int]] = {}
         self._planned = list(times)
 
     def estimate(self, level: int, total_time: float) -> tuple[np.ndarray, int]:
         """Gamma estimate of the point at ``total_time`` on ``level`` and its
-        node count.  Raises ConvergenceError if the estimate is not finite:
-        refinement cannot repair an overflowed integrand."""
+        node count, as computed: an overflowed integrand gives a non-finite one."""
         key = level, total_time
         if key not in self._estimates:
             pairs = [key]
@@ -347,12 +344,7 @@ class FilterTable:
                 pairs += [(first, t), (first + 1, t)]
             self._planned = []
             self._batch(pairs)
-        gamma, nodes, finite = self._estimates[key]
-        if not finite:
-            previous = self._estimates.get((level - 1, total_time), (gamma,))[0]
-            raise ConvergenceError(f"non-finite decay exponent estimate on {nodes} nodes "
-                                   f"(while evaluating T={total_time:.6g})", previous, gamma)
-        return gamma, nodes
+        return self._estimates[key]
 
     def _batch(self, pairs: list[tuple[int, float]]) -> None:
         """Estimate Gamma for every (level, total time) of ``pairs``, each once,
@@ -391,8 +383,7 @@ class FilterTable:
                                                   whole[group], panels[group])
             first += GL_ORDER * top
         counts = GL_ORDER * (whole + (panels >= 0))
-        records = zip(gamma, counts.tolist(), np.isfinite(gamma).all(axis=1).tolist())
-        self._estimates.update(zip(pairs, records))
+        self._estimates.update(zip(pairs, zip(gamma, counts.tolist())))
 
     def _reduce_group(self, nodes, rows, first, times, whole, panels) -> np.ndarray:
         """Gamma estimates, one row per point at ``times`` with ``whole``
@@ -419,7 +410,7 @@ class FilterTable:
         weights = np.zeros(used.shape)
         panel_rows = np.zeros((count + 1, GL_ORDER, width))
         panel_rows[rest] = rows.reshape(-1, GL_ORDER, width)[panels[rest]]
-        # an overflow is reported once, as estimate's ConvergenceError
+        # an overflow is reported once, as decay_exponents' ConvergenceError
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             # w = u/T of every used (point, node) pair, then its bath weight
             np.divide(nodes[level], np.append(times, 1.0)[:, None], out=weights[:, :span],
@@ -487,12 +478,12 @@ def decay_exponents(
     successive estimates of every Gamma_k agree within ``rel_tol``, finite and
     in (0, 1), for at most ``_MAX_DOUBLINGS`` halvings.  ``extra_levels``, an
     int >= 0, forces that many more halvings after convergence (to probe
-    quadrature stability).  Exponents whose successive estimates both sit
-    below ``_ZERO_FLOOR`` count as converged zeros.  ``table`` is a
+    quadrature stability).  One rule, _rel_change, judges each estimate
+    against the one before it, the first against itself.  ``table`` is a
     FilterTable for the schedule's fractions and ``bath``, shared by the
     points of a sweep; without one a one-point table is built.  Raises
-    ConvergenceError, carrying the last two estimate vectors and naming T, if
-    the target is never met or an estimate is not finite.
+    ConvergenceError naming T at the first non-finite estimate, or with the
+    last two Gamma totals if the target is never met.
     """
     if not 0.0 < (tol := as_number(rel_tol, float)) < 1.0:
         raise ValueError(f"rel_tol must be finite and in (0, 1), got {rel_tol}")
@@ -504,20 +495,25 @@ def decay_exponents(
     elif table.bath != bath:
         raise ValueError("filter table was built for another bath")
     total_time = schedule.total_time
-    level = _first_level(bath.cutoff * total_time)
+    first = level = _first_level(bath.cutoff * total_time)
     curr, points = table.estimate(level, total_time)
-    prev = curr
-    for level in range(level + 1, level + _MAX_DOUBLINGS + 1):
+    prev, last, converged = curr, first + _MAX_DOUBLINGS, False  # the first against itself
+    while True:
+        if (change := _rel_change(prev, curr)) == math.inf:
+            raise ConvergenceError(f"non-finite decay exponent estimate on {points} nodes "
+                                   f"(while evaluating T={total_time:.6g})")
+        if level > first and not converged and change <= tol:
+            converged, last = True, level + extra_levels
+        if level == last:
+            break
+        level += 1
         prev, (curr, points) = curr, table.estimate(level, total_time)
-        if (change := _rel_change(prev, curr)) <= tol:
-            for level in range(level + 1, level + extra_levels + 1):
-                prev, (curr, points) = curr, table.estimate(level, total_time)
-                change = _rel_change(prev, curr)
-            return DecayExponents(gamma=curr, quadrature_points=points,
-                                  estimated_relative_error=change)
+    if converged:
+        return DecayExponents(gamma=curr, quadrature_points=points,
+                              estimated_relative_error=change)
     raise ConvergenceError(f"decay exponents did not converge to rel_tol={tol:g} within "
-                           f"{_MAX_DOUBLINGS} doublings ({points} nodes) "
-                           f"(while evaluating T={total_time:.6g})", prev, curr)
+                           f"{_MAX_DOUBLINGS} doublings ({points} nodes; last two Gamma totals "
+                           f"{prev.sum()}, {curr.sum()}) (while evaluating T={total_time:.6g})")
 
 
 def sweep_curve(

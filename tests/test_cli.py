@@ -434,8 +434,7 @@ class TestCurveCommand:
 
     def test_convergence_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):
-            raise ConvergenceError("no convergence (while evaluating T=1)",
-                                   np.zeros(1), np.zeros(1))
+            raise ConvergenceError("no convergence (while evaluating T=1)")
 
         monkeypatch.setattr(cli, "sweep_curve", boom)
         out = tmp_path / "never.csv"

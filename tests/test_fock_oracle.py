@@ -14,7 +14,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ladder_dd import fock_oracle
+from ladder_dd import fock_oracle, kernel
 from ladder_dd.calibration import (
     CALIBRATION_TOL,
     CalibrationCase,
@@ -775,6 +775,55 @@ class TestCalibration:
         assert result.passed
         assert result.observed_ratio == pytest.approx(1.0, abs=1e-12)
         assert result.predicted_exponent == 0.0
+
+
+def oracle_misses(schedule, temperature, modes):
+    """Relative misses of the prediction and of the miswired control against
+    evolve_pulsed's coherence ratio."""
+    observed = abs(evolve_pulsed(modes, schedule, build_decoupling_group(schedule.n),
+                                 temperature))
+    return [abs(observed - ratio) / ratio for ratio in (
+        math.exp(-discrete_decay_exponent(modes, temperature, schedule)),
+        math.exp(-miswired_exponent(modes, temperature, schedule)))]
+
+
+class TestOracleReachesFilterForms:
+    """The oracle against filter forms that no default calibration case
+    reaches: the UDD Bessel series, and PDD's Dirichlet kernel at and beside
+    its poles."""
+
+    def test_udd_bessel_series(self, monkeypatch):
+        # curve-deep's schedule, 200 modes spread over the band and over the
+        # transitions in turn: the prediction's one filter call takes the
+        # series (with 40 modes it takes the boundary sum).  Measured: rel.err
+        # 3.4e-15 at Gamma = 0.0197, miswired control 0.126
+        forms, orders = [], kernel._udd_series_orders
+
+        def recording(omegas, schedule):
+            forms.append(orders(omegas, schedule))
+            return forms[-1]
+
+        monkeypatch.setattr(kernel, "_udd_series_orders", recording)
+        omegas = np.linspace(20.0, 300.0, 200).tolist()
+        modes = tuple(ModeSpec(m % 5, omega, 0.05 * math.sqrt(omega) * math.exp(-omega / 200),
+                               24) for m, omega in enumerate(omegas))
+        error, control = oracle_misses(ScheduleSpec(Scheme.UDD, 6, 400, 8.0), 20.0, modes)
+        assert len(forms) == 1 and forms[0] is not None
+        assert error <= CALIBRATION_TOL
+        assert control > CALIBRATION_TOL
+
+    @pytest.mark.parametrize("order,offset", [
+        (1, 0.0), (2, 0.0), (1, 1e-12), (1, 1e-8), (1, 1e-4), (1, -1e-4)])
+    def test_pdd_at_and_beside_dirichlet_poles(self, order, offset):
+        # w = 2 pi m N/T puts every slot's Dirichlet kernel sin(N h)/sin(h) on
+        # its pole h = m pi; one mode on each transition.  Measured: rel.err at
+        # most 1.3e-15, miswired control 0.079 to 0.40
+        schedule = ScheduleSpec(Scheme.PDD, 6, 50, 3.112)
+        omega = 2 * math.pi * order * schedule.cycles / schedule.total_time * (1 + offset)
+        modes = tuple(ModeSpec(k, omega, 0.3, 24) for k in range(schedule.n - 1))
+        error, control = oracle_misses(schedule, 20.0, modes)
+        assert error <= CALIBRATION_TOL
+        assert control > CALIBRATION_TOL
 
 
 @st.composite

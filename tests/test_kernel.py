@@ -662,25 +662,62 @@ class TestDecayExponents:
             assert p_scaled == pytest.approx(p_base**c, rel=1e-9)
 
     def test_unconverged_quadrature_raises_with_estimates(self, monkeypatch):
-        monkeypatch.setattr(kernel, "_MAX_DOUBLINGS", 0)
+        # the message, the error's only payload, names the last two Gamma
+        # totals, both from the first batch's one filter call
+        monkeypatch.setattr(kernel, "_MAX_DOUBLINGS", 1)
         bath = BathSpec(alpha=0.3, cutoff=4.0, temperature=1.0)
         schedule = ScheduleSpec(Scheme.PDD, 2, 1, 1.0)
+        first, table = kernel._first_level(bath.cutoff), FilterTable(schedule, bath, [1.0])
+        (prev, _), (curr, nodes) = (table.estimate(level, 1.0) for level in (first, first + 1))
+        assert prev.sum() != curr.sum()
+        calls = recorded_table_calls(monkeypatch)
         with pytest.raises(ConvergenceError) as excinfo:
-            decay_exponents(schedule, bath)
-        assert excinfo.value.previous.shape == (1,)
-        assert excinfo.value.current.shape == (1,)
+            decay_exponents(schedule, bath, rel_tol=1e-300)
+        assert str(excinfo.value) == (
+            f"decay exponents did not converge to rel_tol=1e-300 within 1 doublings ({nodes} "
+            f"nodes; last two Gamma totals {prev.sum()}, {curr.sum()}) (while evaluating T=1)")
+        assert not vars(excinfo.value)
+        assert len(calls) == 1
 
     def test_non_finite_estimates_never_converge(self, monkeypatch):
         # finite but extreme inputs overflow the integrand; refinement cannot
-        # repair that, so the first non-finite estimate raises
+        # repair that.  The table returns what it computed, and the rule
+        # refuses the first estimate, judged against itself
         bath = BathSpec(alpha=1e308, cutoff=100.0, temperature=1e308)
         schedule = ScheduleSpec(Scheme.PDD, 6, 2, 1.556)
+        first = kernel._first_level(bath.cutoff * 1.556)
+        gamma, nodes = FilterTable(schedule, bath, [1.556]).estimate(first, 1.556)
+        assert not np.isfinite(gamma).all()
         calls = recorded_table_calls(monkeypatch)
-        with pytest.raises(ConvergenceError, match="non-finite") as excinfo:
+        with pytest.raises(ConvergenceError) as excinfo:
             decay_exponents(schedule, bath)
-        assert not np.isfinite(excinfo.value.current).all()
+        assert str(excinfo.value) == (f"non-finite decay exponent estimate on {nodes} nodes "
+                                      f"(while evaluating T=1.556)")
+        assert not vars(excinfo.value)
         # one level reached: only the first batch's filter call ran
         assert len(calls) == 1
+
+    def test_non_finite_extra_level_raises(self, monkeypatch):
+        # the levels forced past convergence are judged by the same rule
+        bath = BathSpec(alpha=0.25, cutoff=100.0, temperature=150.0)
+        schedule = ScheduleSpec(Scheme.PDD, 6, 50, 2.5)
+        asked, estimate, settled = [], FilterTable.estimate, [math.inf]
+
+        def overflowing(table, level, total_time):
+            gamma, nodes = estimate(table, level, total_time)
+            asked.append((level, nodes))
+            return (np.full_like(gamma, math.inf) if level > settled[0] else gamma), nodes
+
+        monkeypatch.setattr(FilterTable, "estimate", overflowing)
+        decay_exponents(schedule, bath)
+        settled[0] = asked[-1][0]
+        asked.clear()
+        with pytest.raises(ConvergenceError) as excinfo:
+            decay_exponents(schedule, bath, extra_levels=2)
+        level, nodes = asked[-1]
+        assert level == settled[0] + 1
+        assert str(excinfo.value) == (f"non-finite decay exponent estimate on {nodes} nodes "
+                                      f"(while evaluating T=2.5)")
 
     @pytest.mark.parametrize("total_time", [0.3, 16 * math.pi / 100.0])
     def test_small_run_against_riemann_sum(self, total_time):
@@ -1075,8 +1112,10 @@ def tiling(level, upper):
 
 
 def max_rel_change(prev, curr):
-    """The rule kernel._rel_change applies: the largest relative change
-    between two finite estimates, over entries above _ZERO_FLOOR."""
+    """The rule kernel._rel_change applies: inf if an entry is not finite,
+    else the largest relative change over entries above _ZERO_FLOOR."""
+    if not (np.isfinite(prev).all() and np.isfinite(curr).all()):
+        return math.inf
     err = 0.0
     for p, c in zip(prev.tolist(), curr.tolist()):
         scale = max(abs(c), abs(p))
@@ -1177,7 +1216,7 @@ class TestSharedTable:
         monkeypatch.undo()
         assert len(table._estimates) > 2 * len(self.GRID)
         evaluated = np.concatenate(calls)
-        for (level, t), (gamma, count, _) in table._estimates.items():
+        for (level, t), (gamma, count) in table._estimates.items():
             panels = self._panels(level, t)
             nodes = panel_nodes(panels)
             assert np.isin(nodes, evaluated).all()
@@ -1248,6 +1287,15 @@ class TestTableRecords:
         got = [kernel._rel_change(p, c) for p, c in zip(prev, curr)]
         want = [max_rel_change(p, c) for p, c in zip(prev, curr)]
         np.testing.assert_array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+
+    @pytest.mark.parametrize("prev,curr", [
+        ([1.0], [math.nan]), ([1e-20], [math.nan]), ([1.0], [math.inf]),
+        ([math.inf], [math.inf]), ([math.nan], [1.0]), ([1.0, 2.0], [1.0, math.nan])],
+        ids=["1-nan", "1e-20-nan", "1-inf", "inf-inf", "nan-1", "pair-nan"])
+    def test_non_finite_pairs_never_converge(self, prev, curr):
+        # whatever the other entry's scale, below _ZERO_FLOOR included, no
+        # tolerance accepts a pair with a non-finite entry
+        assert kernel._rel_change(np.array(prev), np.array(curr)) == math.inf
 
     # (scheme, T, rel_tol, levels past the first asked for up front) at the
     # CLI's default bath.  A level asked for before the level below it must
