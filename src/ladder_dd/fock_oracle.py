@@ -11,8 +11,8 @@ For purely dephasing coupling the Magnus series of a segment terminates at
 its second term: at an atom level of weight w the segment displaces the mode
 by w z and adds the c-number phase w^2 phi (the tests cross-check this with
 sub-stepped products).  Propagators are block-diagonal in the atom level and
-factor over modes, and every pulse is monomial, so the final (0,1) block
-descends from one initial block (a, b):
+factor over modes, and every pulse is monomial, so one walk back from the
+(0,1) entry, last pulse first, reaches the one initial block (a, b):
 
     factor = [{a, b} = {0, 1}] * (pulse phases) * prod_k Tr[L_k rho_k R_k^dag],
 
@@ -36,7 +36,7 @@ from functools import cache
 
 import numpy as np
 
-from .operators import check_transition, sigma_z
+from .operators import ZERO_TOL, check_transition, sigma_z
 from .schedules import ScheduleSpec, as_number, check_count, check_real
 
 DEFAULT_TAIL = 1e-10
@@ -87,13 +87,13 @@ def thermal_populations(mode: ModeSpec, temperature: float) -> np.ndarray:
     return populations / populations.sum()
 
 
-def _monomial_split(pulse: np.ndarray) -> tuple[list[int], list[int], np.ndarray]:
-    """(perm, inverse, phases) with pulse[perm[b], b] = phases[b], every other
-    entry zero, and inverse[perm[b]] = b.
+def _monomial_split(pulse: np.ndarray) -> tuple[list[int], list[complex]]:
+    """(inverse, phases) with pulse[b, inverse[b]] = phases[b] and every other
+    entry zero: row b's one column and its entry, from one nonzero scan.
 
-    One nonzero scan gives each row's column, the inverse.  Raises a
-    ValueError unless each row and each column of ``pulse`` holds exactly one
-    nonzero entry.
+    Raises a ValueError unless each row and each column of ``pulse`` holds
+    exactly one nonzero entry, and unless each of those lies within
+    ``ZERO_TOL`` of the unit circle.
     """
     rows, columns = np.nonzero(pulse)
     size, inverse = len(pulse), columns.tolist()
@@ -103,20 +103,19 @@ def _monomial_split(pulse: np.ndarray) -> tuple[list[int], list[int], np.ndarray
             f"pulse is not monomial: nonzero entries per column {nonzero.sum(axis=0)}, "
             f"per row {nonzero.sum(axis=1)}"
         )
-    perm = sorted(range(size), key=inverse.__getitem__)
-    return perm, inverse, pulse[perm, rows]
+    phases = pulse[rows, columns].tolist()
+    if any(abs(abs(phase) - 1.0) > ZERO_TOL for phase in phases):
+        raise ValueError(f"pulse is not unitary: its nonzero entries have moduli {np.abs(phases)}")
+    return inverse, phases
 
 
 @cache
-def _basis(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(lam, V, levels, diagonal) on ``dim`` Fock levels, cached for the process:
-    i(a^dag - a) = V diag(lam) V^dag from one ``np.linalg.eigh`` per dimension,
-    the level indices 0..dim-1 and the flat positions of the diagonal.  A basis
-    takes 64 MB at DIM_CAP; oracle-check uses 8 dimensions, none above 25."""
+def _basis(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, V) with i(a^dag - a) = V diag(lam) V^dag on ``dim`` Fock levels, from
+    one ``np.linalg.eigh`` per dimension cached for the process: 64 MB at
+    DIM_CAP; oracle-check uses 8 dimensions, none above 25."""
     a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1)
-    lam, vecs = np.linalg.eigh(1j * (a.T - a))
-    levels = np.arange(dim)
-    return lam, vecs, levels, levels * (dim + 1)
+    return np.linalg.eigh(1j * (a.T - a))
 
 
 def expm(dim: int, z: complex) -> np.ndarray:
@@ -124,13 +123,13 @@ def expm(dim: int, z: complex) -> np.ndarray:
 
     Exact in the truncated space too: it is R exp(|z|(adag - a)) R^dag with
     R = diag(e^{i arg(z) k}), and exp(s(adag - a)) = I + V (e^{-i s lam} - 1) V^dag
-    from _basis, whose levels k and diagonal positions it reuses.  The identity
-    is added exactly, so a small displacement rounds in proportion to its size.
+    from _basis.  The identity is added exactly, on the diagonal's strided
+    view, so a small displacement rounds in proportion to its size.
     """
-    lam, vecs, levels, diagonal = _basis(dim)
-    rotated = np.exp(1j * cmath.phase(z) * levels)[:, None] * vecs
+    lam, vecs = _basis(dim)
+    rotated = np.exp(1j * cmath.phase(z) * np.arange(dim))[:, None] * vecs
     out = (rotated * np.expm1(-1j * abs(z) * lam)) @ rotated.conj().T
-    out.ravel()[diagonal] += 1.0  # the product is C-contiguous: ravel is a view
+    out.ravel()[:: dim + 1] += 1.0  # the product is C-contiguous: ravel is a view
     return out
 
 
@@ -144,17 +143,19 @@ def evolve_pulsed(
     evolved exactly from the equal superposition of levels 0 and 1.
 
     The atom has the schedule's dimension n, and ``group`` is its n monomial
-    elements g_0 ... g_{n-1}.  Free segments follow the
-    schedule; after segment l of each cycle the atom pulse g_l g_{l-1}^dag
-    fires, and the cycle closes with g_{n-1}^dag.  Each segment is the
+    n x n elements g_0 ... g_{n-1}.  Free segments follow the schedule; after
+    segment l of each cycle the atom pulse g_l g_{l-1}^dag fires, and the
+    cycle closes with g_{n-1}^dag.  One walk over the pulses, last first,
+    carries the (0,1) entry back to its start block.  Each segment is the
     closed-form Magnus propagator, and each mode's segments compose into one
     displacement, so a mode costs one ``expm`` of its fock_dim whatever the
     number of segments.  The Fock-space chains and the sub-stepped midpoint
     products that cross-check this live in the tests.
     """
     n = schedule.n
-    if len(group) != n:
-        raise ValueError(f"dimension mismatch: schedule n={n}, group of {len(group)} elements")
+    shapes = [np.shape(element) for element in group]
+    if shapes != [(n, n)] * n:
+        raise ValueError(f"dimension mismatch: schedule n={n}, group element shapes {shapes}")
     modes = tuple(modes)
     if not modes:
         raise ValueError("at least one bath mode is required")
@@ -163,22 +164,19 @@ def evolve_pulsed(
     pulses = [group[l] @ group[l - 1].conj().T for l in range(1, n)]
     splits = [_monomial_split(pulse) for pulse in pulses + [group[n - 1].conj().T]]
     populations = [thermal_populations(mode, temperature) for mode in modes]
-    walk = splits * schedule.cycles  # the split of the pulse that ends each segment
-    a, b = 0, 1
-    for _, inverse, _ in reversed(walk):
+    factor, a, b = 1.0, 0, 1
+    rows, columns = [], []  # the level each side holds during each segment, last first
+    for inverse, phases in reversed(splits * schedule.cycles):  # the pulse ending each segment
+        factor *= phases[a] * phases[b].conjugate()
         a, b = inverse[a], inverse[b]
-    factor = 1.0 if {a, b} == {0, 1} else 0.0  # the start state over its (0,1) entry
-    rows, columns = [], []  # the level each side holds during each segment
-    for perm, _, phases in walk:
         rows.append(a)
         columns.append(b)
-        factor *= phases[a] * np.conj(phases[b])
-        a, b = perm[a], perm[b]
+    factor = factor if {a, b} == {0, 1} else 0.0  # the start state is zero off its (0,1) block
     t_start, dt = schedule.boundaries[:-1], schedule.segments.ravel()
     omega = np.array([[mode.omega] for mode in modes])
     coupling = np.array([[mode.coupling] for mode in modes])
     levels = np.array([np.diag(sigma_z(n, mode.transition)).real for mode in modes])
-    left, right = levels[:, rows], levels[:, columns]  # (mode, segment) weights
+    left, right = levels[:, rows[::-1]], levels[:, columns[::-1]]  # (mode, segment) weights
     # segment s at weight w: the displacement w z and the c-number phase w^2 phi
     z = coupling * np.exp(1j * omega * t_start) * (1.0 - np.exp(1j * omega * dt)) / omega
     phi = abs(coupling) ** 2 * (dt / omega - np.sin(omega * dt) / omega**2)

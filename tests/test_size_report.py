@@ -1,7 +1,11 @@
+import os
 import pathlib
 import runpy
+import subprocess
+import sys
 
-SIZE_REPORT = runpy.run_path(str(pathlib.Path(__file__).parents[1] / "tools" / "size_report.py"))
+TOOL = pathlib.Path(__file__).parents[1] / "tools" / "size_report.py"
+SIZE_REPORT = runpy.run_path(str(TOOL))
 
 
 def test_lists_the_definitions_no_module_names(tmp_path, capsys):
@@ -46,3 +50,16 @@ def test_module_line_counts_sum_to_the_total(capsys):
     assert counts == {str(path.relative_to(src)): len(path.read_text(encoding="utf-8").splitlines())
                       for path in src.rglob("*.py")}
     assert sum(counts.values()) == total
+
+
+def test_closed_pipe_exits_1_without_a_traceback():
+    # a reader that has gone (say `| head -1`): the tool's output meets a
+    # pipe whose read end is closed, and it exits 1 with nothing on stderr
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, str(TOOL), str(TOOL.parents[1] / "src")],
+                              stdout=write, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, b"")

@@ -19,6 +19,7 @@ Run from the repository root:  python3 tools/size_report.py [SRC_DIR]
 from __future__ import annotations
 
 import ast
+import os
 import pathlib
 import sys
 
@@ -76,15 +77,22 @@ def main(argv: list[str]) -> int:
         defined += [(path.relative_to(root), node.name) for node in tree.body
                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
         named |= _names(tree)
-    print(f"src lines: {sum(lines.values())}")
-    print(f"settable values: {sum(totals.values())} "
-          f"({totals['fields']} dataclass fields, {totals['defaults']} defaults and "
-          f"**kwargs, {totals['options']} command-line options)")
     unnamed = [f"{path}:{name}" for path, name in defined if name not in named]
-    print(f"defined but named nowhere in {root}: {', '.join(unnamed) or 'none'}")
-    print("lines per module:")
-    for path, count in lines.items():
-        print(f"{count:6d} {path}")
+    try:
+        print(f"src lines: {sum(lines.values())}")
+        print(f"settable values: {sum(totals.values())} "
+              f"({totals['fields']} dataclass fields, {totals['defaults']} defaults and "
+              f"**kwargs, {totals['options']} command-line options)")
+        print(f"defined but named nowhere in {root}: {', '.join(unnamed) or 'none'}")
+        print("lines per module:")
+        for path, count in lines.items():
+            print(f"{count:6d} {path}")
+        sys.stdout.flush()  # a closed pipe raises here, inside the try
+    except BrokenPipeError:
+        # the SIGPIPE note in Python's signal docs: point stdout at devnull so
+        # the flush at exit raises nothing more, and exit 1 quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 
