@@ -10,8 +10,9 @@ weighted by the start-time phase exp(i w t_start) and by the level occupied
 in the toggled frame.  Summing over all N cycles at fixed intra-cycle slot l
 gives the position filter eta_l(w), l = 0..n-1.  exponent_filters evaluates
 their stencils (below) by each scheme's exact rearrangement of the boundary
-sum: n phasors per frequency for PDD, O(wT) real multiply-adds for UDD from
-one Miller recurrence over the odd orders, for all the frequencies of a call
+sum: a closed form in four sines per frequency for PDD (and, for the complex
+filters, its phases), O(wT) real multiply-adds for UDD from one Miller
+recurrence over the odd orders, for all the frequencies of a call
 (udd_series; or the boundary sum where that is cheaper), and every boundary
 phasor for custom fractions.
 
@@ -23,12 +24,12 @@ slot k,
 
 In the toggled frame the (0,1) coherence sees the sigma_z of transition k
 with weight -2 in slot k, +1 in its two neighbours.  One function,
-udd_series.stencil, takes these differences, of eta in the PDD and
-boundary-sum forms and of the even Bessel weights; the UDD series sums chi
-over stencil weights, the odd ones in closed form, rather than differencing
-eta, which at small w T is far larger than chi.  For a continuum Ohmic
-bath with spectral density I(w) = (alpha/4) w exp(-w/w_c) at temperature
-Tp (units hbar = k_B = 1) the exponents are
+udd_series.stencil, takes these differences, of eta in the boundary-sum
+form and of the even Bessel weights; PDD's chi factors in closed form, and
+the UDD series sums chi over stencil weights, the odd ones in closed form,
+rather than differencing eta, which at small w T is far larger than chi.
+For a continuum Ohmic bath with spectral density I(w) = (alpha/4) w
+exp(-w/w_c) at temperature Tp (units hbar = k_B = 1) the exponents are
 
     Gamma_k = 1/2 * integral_0^{w_c} I(w) coth(w/(2 Tp)) |chi_k(w)|^2 dw,
 
@@ -45,13 +46,13 @@ filter of the same fractions over total time 1, so in u = w T
 A FilterTable, shared by the points of a sweep, sums |chi1_k|^2 on
 Gauss-Legendre panels of width 4 pi / 2**L in u.  Its first use evaluates
 every point's first two levels in one batch, which streams eta -> chi ->
-weighted rows (the UDD series chi -> rows) through node chunks and so peaks
-near its rows, 8(n-1) bytes a node, plus one reduction group and one chunk;
-a point that settles there costs a lookup.  A point's sum adds its terms in
-node order, without BLAS, so with numpy's unfused einsum it does not depend
-on the other points of its level; a frequency's filter depends on the others
-of its call only through the call size, which picks the UDD form: at
-round-off.
+weighted rows (the UDD series chi -> rows, PDD's closed form the rows
+alone) through node chunks and so peaks near its rows, 8(n-1) bytes a
+node, plus one reduction group and one chunk; a point that settles there
+costs a lookup.  A point's sum adds its terms in node order, without BLAS,
+so with numpy's unfused einsum it does not depend on the other points of
+its level; a frequency's filter depends on the others of its call only
+through the call size, which picks the UDD form: at round-off.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ _MIN_PANELS = 8
 # Most level-0 panels below u = cutoff*T (memory bound).  A table's first batch
 # evaluates two levels of every point: at this cap about 7e5 nodes, whose rows
 # take 28 MiB at n = 6, plus one node chunk and one reduction group of about as
-# many padded (point, node) pairs: 55 MiB, however many points share the table.
+# many padded (point, node) pairs: 51 MiB, however many points share the table.
 # The reference sweeps stay far below the cap (127 panels for N = 400 at T = 16).
 _MAX_PANELS = 2**14
 
@@ -171,11 +172,16 @@ def exponent_filters(omegas, schedule: ScheduleSpec) -> np.ndarray:
     and each scheme rearranges this sum, exactly, to cost the least:
 
     * PDD, segments Delta = T/(nN): a geometric series over the cycles,
-          eta_l = -2i sin(w Delta/2)/w * D_N(h) * exp(i w (T + (2l+1-n) Delta)/2)
-      with h = n Delta w/2, n phasors per frequency.  The Dirichlet kernel
-      D_N(h) = sin(N h)/sin(h) is (-1)^(k(N-1)) sin(N d)/sin(d) for
-      h = k pi + d, k the nearest integer to h/pi, and that sign times N at
-      d = 0: reduced, it keeps full precision at and near every pole.
+          eta_l = -i a exp(i w c_l),  a = 2 sin(x/2)/w * D_N(n x/2),
+      x = w Delta, c_l = (T + (2l+1-n) Delta)/2 the mean centre of slot l.
+      The stencil factors (Cywinski et al., PRB 77, 174509, 2008) into terms
+      that cancel nothing: chi_k = 4i a sin^2(x/2) exp(i w c_k) for k >= 1,
+          chi_0 = 2a exp(i w c_0) [sin((n-1)x/2) exp(i(n-1)x/2) + sin(x/2) exp(ix/2)],
+          |chi_0|^2 = 4a^2 [sin^2(nx/2) + 4 sin^2((n-1)x/2) sin^2(x/2)].
+      The Dirichlet kernel D_N(h) = sin(N h)/sin(h) is (-1)^(k(N-1))
+      sin(N d)/sin(d) for h = k pi + d, k the nearest integer to h/pi, and
+      that sign times N at d = 0: reduced, it keeps full precision at and
+      near every pole.
     * UDD: the Jacobi-Anger series of udd_series, summed over the stencil
       weights of udd_stencil_weights, one array for the odd orders (Im chi)
       and one for the even orders (Re chi), not over eta: O(w T) real
@@ -184,16 +190,19 @@ def exponent_filters(omegas, schedule: ScheduleSpec) -> np.ndarray:
       frequencies, or w T large against nN), UDD takes the boundary sum.
     * CUSTOM: every boundary phasor.
 
-    The w = 0 entries use the stencil of the limit eta_l(0) = -i * sum_j dt_j(l).
+    The w = 0 entries use the stencil of the limit eta_l(0) = -i * sum_j dt_j(l),
+    which for PDD's equal slots is 0.
     """
     return _exponent_rows(omegas, schedule, None)
 
 
 def _exponent_rows(omegas, schedule: ScheduleSpec, weights: np.ndarray | None) -> np.ndarray:
     """exponent_filters(omegas, schedule), or for (K, 1) ``weights`` the table's
-    rows weights[j] |chi_k(w_j)|^2, filled in place a chunk of _filter_chunks
-    at a time: no eta or chi exists for all of ``omegas``."""
+    rows weights[j] |chi_k(w_j)|^2, filled in place a chunk of nodes at a
+    time: no eta or chi exists for all of ``omegas``."""
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    if schedule.scheme is Scheme.PDD:
+        return _pdd_rows(omegas, schedule, weights)
     out = None
     for part, chi in _filter_chunks(omegas, schedule):
         if out is None:  # above the first chunk's temporaries: fewer pages re-faulted a pass
@@ -208,18 +217,61 @@ def _exponent_rows(omegas, schedule: ScheduleSpec, weights: np.ndarray | None) -
     return out
 
 
+def _chunks(size: int, chunk: int):
+    """Consecutive slices of ``chunk`` indices, the last shorter, over range(size);
+    one empty slice if ``size`` is 0."""
+    for start in range(0, size or 1, chunk):
+        yield slice(start, start + chunk)
+
+
+def _pdd_rows(omegas: np.ndarray, schedule: ScheduleSpec,
+              weights: np.ndarray | None) -> np.ndarray:
+    """_exponent_rows for PDD, in the closed form of exponent_filters, written
+    into the result a chunk of about _CHUNK_ELEMS elements at a time.  The
+    rows take its moduli, with no complex exponential: the weight times a^2
+    times 4 [sin^2(nx/2) + 4 sin^2((n-1)x/2) sin^2(x/2)] in column 0 and
+    times 16 sin^4(x/2) in every other column."""
+    n, cycles, total_time = schedule.n, schedule.cycles, schedule.total_time
+    step = total_time / (n * cycles)
+    centres = 0.5 * (total_time + (2.0 * np.arange(n - 1) + (1 - n)) * step)
+    out = np.empty((omegas.size, n - 1), dtype=complex if weights is None else float)
+    for part in _chunks(omegas.size, max(1, _CHUNK_ELEMS // n)):
+        w, values = omegas[part], out[part]
+        # the w = 0 quotients are not finite; 0 replaces them below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            half = (0.5 * n * step) * w  # n x/2 = k pi + delta, D_N(n x/2) reduced
+            turns = np.rint(half / math.pi)
+            delta = half - turns * math.pi
+            poles = np.sin(delta)  # +-sin(n x/2)
+            amplitude = np.where(delta == 0.0, cycles, np.sin(cycles * delta) / poles)
+            edge = np.sin((0.5 * step) * w)  # sin(x/2)
+            amplitude *= 2.0 * edge / w
+            wrap = np.sin((0.5 * (n - 1) * step) * w)  # sin((n-1)x/2)
+            if weights is not None:
+                np.square(amplitude, out=amplitude)  # a^2, then times the weight
+                amplitude *= weights[part, 0]
+                np.square(edge, out=edge)
+                values[:, 0] = 4.0 * amplitude * (np.square(poles) + 4.0 * np.square(wrap) * edge)
+                values[:, 1:] = (16.0 * amplitude * np.square(edge))[:, None]
+            else:
+                amplitude *= 1.0 - 2.0 * (turns * (cycles - 1) % 2.0)  # (-1)^(k(N-1))
+                values[:, 0] = 2.0 * amplitude * (wrap * np.exp((0.5j * (n - 1) * step) * w)
+                                                  + edge * np.exp((0.5j * step) * w))
+                values[:, 1:] = (4j * amplitude * np.square(edge))[:, None]
+                values *= np.exp(1j * np.multiply.outer(w, centres))
+        values[w == 0.0] = 0.0
+    return out
+
+
 def _filter_chunks(omegas: np.ndarray, schedule: ScheduleSpec):
     """Yield (part, exponent_filters(omegas[part], schedule)) over consecutive
-    slices, each with temporaries of about _CHUNK_ELEMS elements.  UDD's form
-    is chosen for all of ``omegas``, so a chunk has the bits of one whole call."""
+    slices, each with temporaries of about _CHUNK_ELEMS elements, for UDD and
+    custom fractions.  UDD's form is chosen for all of ``omegas``, so a chunk
+    has the bits of one whole call."""
     boundaries, limit = schedule.boundaries, stencil(-1j * schedule.segments.sum(axis=0)[None])
     n, cycles, total_time = schedule.n, schedule.cycles, schedule.total_time
     orders = _udd_series_orders(omegas, schedule) if schedule.scheme is Scheme.UDD else None
-    if schedule.scheme is Scheme.PDD:
-        step = total_time / (n * cycles)
-        centres = 0.5 * (total_time + (2.0 * np.arange(n) + (1 - n)) * step)
-        chunk = max(1, _CHUNK_ELEMS // n)
-    elif orders is not None:
+    if orders is not None:
         # a z's sums take weights up to its order + 1
         odd, even = udd_stencil_weights(int(orders.max()) + 1, n, cycles)
         chunk = max(1, _CHUNK_ELEMS // BLOCK_ROWS)
@@ -228,23 +280,11 @@ def _filter_chunks(omegas: np.ndarray, schedule: ScheduleSpec):
         # one phasor and one difference buffer for all chunks, written in place
         buffer = np.empty((min(chunk, omegas.size), boundaries.size), dtype=complex)
         diff_buffer = np.empty((buffer.shape[0], boundaries.size - 1), dtype=complex)
-    for start in range(0, omegas.size or 1, chunk):  # an empty call yields one empty chunk
-        part = slice(start, start + chunk)
+    for part in _chunks(omegas.size, chunk):
         w = omegas[part]
         # the w = 0 quotients are not finite; the limit replaces them below
         with np.errstate(divide="ignore", invalid="ignore"):
-            if schedule.scheme is Scheme.PDD:
-                half = (0.5 * n * step) * w
-                turns = np.rint(half / math.pi)
-                delta = half - turns * math.pi
-                ratio = np.where(delta == 0.0, cycles, np.sin(cycles * delta) / np.sin(delta))
-                ratio *= 1.0 - 2.0 * (turns * (cycles - 1) % 2.0)  # (-1)^(k(N-1))
-                values = np.empty((w.size, n), dtype=complex)
-                np.multiply(w[:, None], centres, out=values.imag)
-                values.real = 0.0
-                np.exp(values, out=values)
-                values *= (-2j * np.sin((0.5 * step) * w) * ratio / w)[:, None]
-            elif orders is not None:
+            if orders is not None:
                 z = 0.5 * total_time * w
                 values = bessel_sums(z, orders[part], odd, even)
                 values *= (np.exp(1j * z) / w)[:, None]
@@ -254,9 +294,7 @@ def _filter_chunks(omegas: np.ndarray, schedule: ScheduleSpec):
                 edge.real = 0.0
                 np.exp(edge, out=edge)
                 np.subtract(edge[:, :-1], edge[:, 1:], out=diffs)
-                values = diffs.reshape(w.size, cycles, n).sum(axis=1) / w[:, None]
-            if orders is None:
-                values = stencil(values)
+                values = stencil(diffs.reshape(w.size, cycles, n).sum(axis=1) / w[:, None])
         values[w == 0.0] = limit
         yield part, values
 

@@ -401,6 +401,16 @@ class TestCurveCommand:
         assert f"T={DEFAULT_T_MAX / 60:.6g}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [[], ["--scheme", "pdd", "--cycles", "400", "--t-max", "40"]],
+                             ids=["default", "pdd-400"])
+    def test_tightest_tolerance_converges(self, flags, tmp_path):
+        # the lowest tolerance RunConfig admits: PDD's filters once lost 1.5e-8
+        # of |chi|^2 near u = 0.06 to the stencil of eta, and both runs
+        # exhausted their doublings (exit 3 at T = 0.1037 and at T = 0.6667)
+        out = tmp_path / "curve.csv"
+        assert main(["curve", *flags, "--quad-tolerance", "1e-14", "--out", str(out)]) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 61
+
     @pytest.mark.parametrize("t_max", ["1e10", "1"])
     def test_out_of_range_frequency_span_is_input_error(self, tmp_path, capsys, t_max):
         # cutoff*T overflows to inf at t_max 1e10 and is a finite 1e300 at 1:

@@ -152,6 +152,48 @@ class TestFilterForms:
             schedule, omegas, 1e-10,
             lambda w: min(2 * cycles / w, self.TOTAL_TIME) if w else self.TOTAL_TIME)
 
+    @pytest.mark.parametrize("cycles", [50, 400])
+    @pytest.mark.parametrize("n", [6, 3, 2])
+    def test_pdd_chi_matches_a_50_digit_boundary_sum(self, n, cycles):
+        # |chi1_k|^2 of PDD, from exponent_filters and from the table's rows,
+        # entry by entry against the boundary sum in 50 digits: below u = 0.2,
+        # over the default curve's u <= 311, and on and beside the Dirichlet
+        # poles u = 2 pi m N.  The closed form was off by at most 7.2e-13, near
+        # zeros of D_N at large u; differencing eta by 2.9e-3 at u = 0.001.
+        # At n | m a pole also zeros sin(x/2), x = u/nN, where chi ~ (x - 2 pi
+        # m/n)^2 is set by the rounding of u itself: those m are left out
+        import mpmath
+
+        schedule = ScheduleSpec(Scheme.PDD, n, cycles, 1.0)
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+
+        def chi_reference(u):
+            step = mp.expj(mp.mpf(u) / (n * cycles))  # the boundaries' phasors are its powers
+            phasors = [mp.mpc(1)]
+            for _ in range(n * cycles):
+                phasors.append(phasors[-1] * step)
+            eta = [mp.mpc(0)] * n
+            for j in range(n * cycles):
+                eta[j % n] += phasors[j] - phasors[j + 1]
+            return [complex((eta[k - 1] - 2 * eta[k] + eta[(k + 1) % n]) / u)
+                    for k in range(n - 1)]
+
+        low = np.geomspace(1e-3, 0.2, 12)
+        band = np.sort(np.random.default_rng(n * cycles).uniform(0.2, 311.0, 12))
+        poles = [2 * math.pi * m * cycles * (1 + f) for m in (1, 5)
+                 for f in (0, 1e-15, -1e-15, 1e-9, -1e-9, 1e-4, -1e-4)]
+        u = np.concatenate((low, band, poles))
+        want = np.abs([chi_reference(x) for x in u.tolist()]) ** 2
+        chi = np.abs(exponent_filters(u, schedule)) ** 2
+        weights = np.random.default_rng(cycles).uniform(0.5, 2.0, (u.size, 1))
+        rows = kernel._exponent_rows(u, schedule, weights)
+        assert np.all(np.abs(chi - want) <= 1e-12 * want)
+        assert np.all(np.abs(rows / weights - want) <= 1e-12 * want)
+        # the interior slots share one factor; the rows are the moduli's bits
+        np.testing.assert_array_equal(rows[:, 1:], np.repeat(rows[:, 1:2], n - 2, axis=1))
+        assert np.all(np.abs(rows - chi * weights) <= 8 * np.spacing(rows))
+
     @pytest.mark.parametrize("cycles", [1, 2, 3, 50, 400])
     @pytest.mark.parametrize("n", range(2, 8))
     def test_udd_mirrored_boundaries(self, n, cycles, monkeypatch):
@@ -210,7 +252,7 @@ class TestFilterChunks:
         custom = _custom_fractions(6, 50) if scheme is Scheme.CUSTOM else None
         template = ScheduleSpec(scheme, 6, 50, 1.0, custom_fractions=custom)
         counts, recurrences = [], []  # chunks of each filter call; Bessel runs
-        chunks, bessel = kernel._filter_chunks, kernel.bessel_sums
+        chunks, bessel = kernel._chunks, kernel.bessel_sums
 
         def counting(*args):
             counts.append(0)
@@ -222,7 +264,7 @@ class TestFilterChunks:
             recurrences.append(args[0].size)
             return bessel(*args)
 
-        monkeypatch.setattr(kernel, "_filter_chunks", counting)
+        monkeypatch.setattr(kernel, "_chunks", counting)
         monkeypatch.setattr(kernel, "bessel_sums", recording)
         series = (scheme, gain) == (Scheme.UDD, None)
         whole = sweep_curve(template, self.BATH, self.GRID)
@@ -663,9 +705,11 @@ class TestDecayExponents:
 
     def test_unconverged_quadrature_raises_with_estimates(self, monkeypatch):
         # the message, the error's only payload, names the last two Gamma
-        # totals, both from the first batch's one filter call
+        # totals, both from the first batch's one filter call.  At temperature
+        # 1 the closed-form PDD rows give both levels the same bits; the cold
+        # bath's bend near w = 2 Tp keeps them apart
         monkeypatch.setattr(kernel, "_MAX_DOUBLINGS", 1)
-        bath = BathSpec(alpha=0.3, cutoff=4.0, temperature=1.0)
+        bath = BathSpec(alpha=0.3, cutoff=4.0, temperature=0.01)
         schedule = ScheduleSpec(Scheme.PDD, 2, 1, 1.0)
         first, table = kernel._first_level(bath.cutoff), FilterTable(schedule, bath, [1.0])
         (prev, _), (curr, nodes) = (table.estimate(level, 1.0) for level in (first, first + 1))
@@ -988,11 +1032,13 @@ class TestSweepCurve:
         levels = firsts | {first + 1 for first in firsts}
         assert 0 < len(calls) <= len(levels)
 
-    def test_udd_grid_settles_at_1e_14_in_one_batch(self, monkeypatch):
-        # the series over the stencil weights holds chi to about 1e-14 of its
-        # largest, so every point of the default UDD grid settles on its
-        # first two levels; differencing the series' eta exhausted the 12
-        # doublings at T = 0.0519
+    @pytest.mark.parametrize("scheme", [Scheme.PDD, Scheme.UDD])
+    def test_default_grid_settles_at_1e_14_in_one_batch(self, scheme, monkeypatch):
+        # the UDD series over the stencil weights holds chi to about 1e-14 of
+        # its largest, and PDD's closed form each |chi_k|^2 to about 1e-13 of
+        # itself, so every point of the default grid settles on its first two
+        # levels, from one filter call.  Differencing eta exhausted the 12
+        # doublings, UDD's series at T = 0.0519 and PDD's at T = 0.1037
         batches, batch = [], FilterTable._batch
 
         def recording(table, pairs):
@@ -1000,9 +1046,10 @@ class TestSweepCurve:
             return batch(table, pairs)
 
         monkeypatch.setattr(FilterTable, "_batch", recording)
-        curve = sweep_curve(self._template(Scheme.UDD), self._bath(), self.DEFAULT_GRID,
+        calls = recorded_table_calls(monkeypatch)
+        curve = sweep_curve(self._template(scheme), self._bath(), self.DEFAULT_GRID,
                             rel_tol=1e-14)
-        assert len(batches) == 1
+        assert len(batches) == len(calls) == 1
         assert max(point.estimated_relative_error for point in curve) <= 1e-14
 
     def test_sweep_derives_its_fractions_once(self, monkeypatch):
@@ -1363,15 +1410,14 @@ class TestTableRecords:
     def test_on_demand_levels_match_one_point_tables(self, scheme, monkeypatch):
         # at 1e-13 points refine past the first batch, so deeper levels run
         # as one-point batches whose estimates decay_exponents compares with
-        # an earlier batch's.  UDD's filters settle at the default bath in the
-        # first batch; at temperature 0.1 the bath weight's bend near
-        # w = 2 Tp needs deeper levels.  The UDD series is forced, so that a
-        # node's filter does not depend on the size of its call.
+        # an earlier batch's.  Both schemes' filters settle at the default
+        # bath in the first batch; at temperature 0.1 the bath weight's bend
+        # near w = 2 Tp needs deeper levels.  The UDD series is forced, so
+        # that a node's filter does not depend on the size of its call.
         monkeypatch.setattr(kernel, "_SERIES_GAIN", math.inf)
         calls = recorded_table_calls(monkeypatch)
         template = ScheduleSpec(scheme=scheme, n=6, cycles=50, total_time=1.0)
-        bath = self.BATH if scheme is Scheme.PDD else dataclasses.replace(self.BATH,
-                                                                          temperature=0.1)
+        bath = dataclasses.replace(self.BATH, temperature=0.1)
         grid = TestSweepCurve.DEFAULT_GRID
         curve = sweep_curve(template, bath, grid, rel_tol=1e-13)
         assert len(calls) > 1
