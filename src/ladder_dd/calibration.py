@@ -131,19 +131,20 @@ def default_calibration_cases() -> tuple[CalibrationCase, ...]:
 def discrete_decay_exponent(modes, temperature: float, schedule: ScheduleSpec) -> float:
     """Total predicted exponent sum_k (1/2)|j_k chi(w_k)|^2 coth(w_k/(2 Tp)).
 
-    Each mode contributes through the exponent filter of its own transition;
-    this is the discrete-bath counterpart of the continuum integral and the
-    quantity the Fock evolution must reproduce.
+    Each mode contributes its own transition's entry of the rows that the
+    curve's quadrature integrates, exponent_filters, here weighted by
+    (1/2)|j|^2 coth(w/(2 Tp)); this is the discrete-bath counterpart of the
+    continuum integral and the quantity the Fock evolution must reproduce.
     """
     temperature = check_real("temperature", "temperature", temperature, 0, True)
     for mode in modes:
         check_transition(schedule.n, mode.transition)
-    filters = exponent_filters([mode.omega for mode in modes], schedule)
+    weights = [0.5 * abs(mode.coupling) ** 2 / math.tanh(mode.omega / (2.0 * temperature))
+               for mode in modes]
+    rows = exponent_filters([mode.omega for mode in modes], schedule, weights)
     total = 0.0
-    for mode, chis in zip(modes, filters):
-        chi = chis[mode.transition]
-        coth = 1.0 / math.tanh(mode.omega / (2.0 * temperature))
-        total += 0.5 * abs(mode.coupling) ** 2 * abs(chi) ** 2 * coth
+    for mode, row in zip(modes, rows.tolist()):
+        total += row[mode.transition]
     return total
 
 

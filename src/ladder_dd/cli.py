@@ -100,9 +100,9 @@ _KEY_TYPES = {
 
 
 def _read_lines(path: str) -> list[str]:
-    """The lines of the UTF-8 input file ``path``; bytes that do not decode
-    raise a ValueError that names the file."""
-    with open(path, "r", encoding="utf-8") as handle:
+    """The lines of the UTF-8 input file ``path``, without a leading byte-order
+    mark; bytes that do not decode raise a ValueError that names the file."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             return handle.readlines()
         except UnicodeDecodeError as err:

@@ -9,12 +9,12 @@ ladder transition k picks up, per segment, the window amplitude
 weighted by the start-time phase exp(i w t_start) and by the level occupied
 in the toggled frame.  Summing over all N cycles at fixed intra-cycle slot l
 gives the position filter eta_l(w), l = 0..n-1.  exponent_filters evaluates
-their stencils (below) by each scheme's exact rearrangement of the boundary
-sum: a closed form in four sines per frequency for PDD (and, for the complex
-filters, its phases), O(wT) real multiply-adds for UDD from one Miller
-recurrence over the odd orders, for all the frequencies of a call
-(udd_series; or the boundary sum where that is cheaper), and every boundary
-phasor for custom fractions.
+the weighted squared moduli of their stencils (below) by each scheme's exact
+rearrangement of the boundary sum: a closed form in four sines per frequency
+for PDD, O(wT) real multiply-adds for UDD from one Miller recurrence over
+the odd orders, for all the frequencies of a call (udd_series; or the
+boundary sum where that is cheaper), and every boundary phasor for custom
+fractions.
 
 The decay exponent of the (0,1) coherence collects, per transition
 k = 0..n-2, the cyclic second difference of position filters centred on
@@ -25,17 +25,19 @@ slot k,
 In the toggled frame the (0,1) coherence sees the sigma_z of transition k
 with weight -2 in slot k, +1 in its two neighbours.  One function,
 udd_series.stencil, takes these differences, of eta in the boundary-sum
-form and of the even Bessel weights; PDD's chi factors in closed form, and
-the UDD series sums chi over stencil weights, the odd ones in closed form,
-rather than differencing eta, which at small w T is far larger than chi.
+form and of the even Bessel weights; PDD's |chi|^2 factors in closed form,
+and the UDD series sums chi over stencil weights, the odd ones in closed
+form, rather than differencing eta, which at small w T is far larger than
+chi.  Only |chi_k|^2 enters below, so no form keeps a phase common to a
+frequency's filters.
 For a continuum Ohmic bath with spectral density I(w) = (alpha/4) w
 exp(-w/w_c) at temperature Tp (units hbar = k_B = 1) the exponents are
 
     Gamma_k = 1/2 * integral_0^{w_c} I(w) coth(w/(2 Tp)) |chi_k(w)|^2 dw,
 
 and the surviving coherence fraction is P(T) = exp(-sum_k Gamma_k).  The
-integrand is finite at w = 0: I(w) coth(w/(2 Tp)) -> alpha*Tp/2 while the
-filters approach -i times segment-length sums.
+integrand is finite at w = 0: I(w) coth(w/(2 Tp)) -> alpha*Tp/2 while
+|chi_k|^2 approaches the squared stencil of the slots' total times.
 
 For fixed pulse fractions chi_k(w; T) = T * chi1_k(w T), where chi1 is the
 filter of the same fractions over total time 1, so in u = w T
@@ -159,12 +161,14 @@ def _udd_series_orders(omegas: np.ndarray, schedule: ScheduleSpec) -> np.ndarray
     return orders if series <= boundary else None
 
 
-def exponent_filters(omegas, schedule: ScheduleSpec) -> np.ndarray:
-    """chi_k(w) for every transition k at once: (K, n-1) complex for K frequencies.
+def exponent_filters(omegas, schedule: ScheduleSpec, weights) -> np.ndarray:
+    """weights[j] |chi_k(w_j)|^2 for every transition k: (K, n-1) real rows for
+    K frequencies and K weights, filled a chunk of nodes at a time, so that no
+    eta or chi exists for all of ``omegas``.
 
-    Column k is the cyclic second difference eta_{k-1} - 2*eta_k + eta_{k+1}
+    chi_k is the cyclic second difference eta_{k-1} - 2*eta_k + eta_{k+1}
     centred on 0-based slot k (slots mod n); at n=2 both neighbours are the
-    other slot.  The tests derive these weights from the pulse group.  Each
+    other slot.  The tests derive this stencil from the pulse group.  Each
     eta_l is a phase-weighted sum of segment windows, which telescopes into
 
         eta_l(w) = (1/w) * sum_j [exp(i w t_start(j,l)) - exp(i w t_end(j,l))],
@@ -173,47 +177,39 @@ def exponent_filters(omegas, schedule: ScheduleSpec) -> np.ndarray:
 
     * PDD, segments Delta = T/(nN): a geometric series over the cycles,
           eta_l = -i a exp(i w c_l),  a = 2 sin(x/2)/w * D_N(n x/2),
-      x = w Delta, c_l = (T + (2l+1-n) Delta)/2 the mean centre of slot l.
-      The stencil factors (Cywinski et al., PRB 77, 174509, 2008) into terms
-      that cancel nothing: chi_k = 4i a sin^2(x/2) exp(i w c_k) for k >= 1,
-          chi_0 = 2a exp(i w c_0) [sin((n-1)x/2) exp(i(n-1)x/2) + sin(x/2) exp(ix/2)],
+      x = w Delta, c_l the mean centre of slot l.  The squared stencil
+      factors (Cywinski et al., PRB 77, 174509, 2008) into terms that cancel
+      nothing: |chi_k|^2 = 16 a^2 sin^4(x/2) for k >= 1 and
           |chi_0|^2 = 4a^2 [sin^2(nx/2) + 4 sin^2((n-1)x/2) sin^2(x/2)].
-      The Dirichlet kernel D_N(h) = sin(N h)/sin(h) is (-1)^(k(N-1))
-      sin(N d)/sin(d) for h = k pi + d, k the nearest integer to h/pi, and
-      that sign times N at d = 0: reduced, it keeps full precision at and
-      near every pole.
+      The Dirichlet kernel D_N(h) = sin(N h)/sin(h) is +-sin(N d)/sin(d) for
+      h = k pi + d, k the nearest integer to h/pi, and +-N at d = 0: reduced,
+      it keeps full precision at and near every pole.
     * UDD: the Jacobi-Anger series of udd_series, summed over the stencil
-      weights of udd_stencil_weights, one array for the odd orders (Im chi)
-      and one for the even orders (Re chi), not over eta: O(w T) real
-      multiply-adds per frequency from one Miller recurrence over all
-      frequencies.  Where that would cost more than the boundary sum (few
-      frequencies, or w T large against nN), UDD takes the boundary sum.
+      weights of udd_stencil_weights, one array for the odd orders and one
+      for the even orders, not over eta: O(w T) real multiply-adds per
+      frequency from one Miller recurrence over all frequencies.  Where that
+      would cost more than the boundary sum (few frequencies, or w T large
+      against nN), UDD takes the boundary sum.
     * CUSTOM: every boundary phasor.
 
     The w = 0 entries use the stencil of the limit eta_l(0) = -i * sum_j dt_j(l),
-    which for PDD's equal slots is 0.
+    which for PDD's equal slots is 0.  Raises ValueError unless ``weights``
+    holds one weight per frequency.
     """
-    return _exponent_rows(omegas, schedule, None)
-
-
-def _exponent_rows(omegas, schedule: ScheduleSpec, weights: np.ndarray | None) -> np.ndarray:
-    """exponent_filters(omegas, schedule), or for (K, 1) ``weights`` the table's
-    rows weights[j] |chi_k(w_j)|^2, filled in place a chunk of nodes at a
-    time: no eta or chi exists for all of ``omegas``."""
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    weights = np.atleast_1d(np.asarray(weights, dtype=float))
+    if weights.shape != omegas.shape:
+        raise ValueError(f"exponent_filters takes one weight per frequency, got weights "
+                         f"of shape {weights.shape} for {omegas.size} frequencies")
     if schedule.scheme is Scheme.PDD:
         return _pdd_rows(omegas, schedule, weights)
     out = None
     for part, chi in _filter_chunks(omegas, schedule):
         if out is None:  # above the first chunk's temporaries: fewer pages re-faulted a pass
-            out = np.empty((omegas.size, schedule.n - 1),
-                           dtype=complex if weights is None else float)
-        if weights is None:
-            out[part] = chi
-        else:
-            block = np.square(chi.real, out=out[part])
-            block += np.square(chi.imag, out=chi.imag)
-            block *= weights[part]
+            out = np.empty((omegas.size, schedule.n - 1))
+        block = np.square(chi.real, out=out[part])
+        block += np.square(chi.imag, out=chi.imag)
+        block *= weights[part, None]
     return out
 
 
@@ -224,50 +220,38 @@ def _chunks(size: int, chunk: int):
         yield slice(start, start + chunk)
 
 
-def _pdd_rows(omegas: np.ndarray, schedule: ScheduleSpec,
-              weights: np.ndarray | None) -> np.ndarray:
-    """_exponent_rows for PDD, in the closed form of exponent_filters, written
-    into the result a chunk of about _CHUNK_ELEMS elements at a time.  The
-    rows take its moduli, with no complex exponential: the weight times a^2
-    times 4 [sin^2(nx/2) + 4 sin^2((n-1)x/2) sin^2(x/2)] in column 0 and
-    times 16 sin^4(x/2) in every other column."""
+def _pdd_rows(omegas: np.ndarray, schedule: ScheduleSpec, weights: np.ndarray) -> np.ndarray:
+    """exponent_filters for PDD in its closed form, with no complex exponential,
+    a chunk of about _CHUNK_ELEMS elements at a time: the weight times a^2 times
+    4 [sin^2(nx/2) + 4 sin^2((n-1)x/2) sin^2(x/2)] in column 0, 16 sin^4(x/2) elsewhere."""
     n, cycles, total_time = schedule.n, schedule.cycles, schedule.total_time
     step = total_time / (n * cycles)
-    centres = 0.5 * (total_time + (2.0 * np.arange(n - 1) + (1 - n)) * step)
-    out = np.empty((omegas.size, n - 1), dtype=complex if weights is None else float)
+    out = np.empty((omegas.size, n - 1))
     for part in _chunks(omegas.size, max(1, _CHUNK_ELEMS // n)):
         w, values = omegas[part], out[part]
         # the w = 0 quotients are not finite; 0 replaces them below
         with np.errstate(divide="ignore", invalid="ignore"):
             half = (0.5 * n * step) * w  # n x/2 = k pi + delta, D_N(n x/2) reduced
-            turns = np.rint(half / math.pi)
-            delta = half - turns * math.pi
+            delta = half - np.rint(half / math.pi) * math.pi
             poles = np.sin(delta)  # +-sin(n x/2)
             amplitude = np.where(delta == 0.0, cycles, np.sin(cycles * delta) / poles)
             edge = np.sin((0.5 * step) * w)  # sin(x/2)
             amplitude *= 2.0 * edge / w
             wrap = np.sin((0.5 * (n - 1) * step) * w)  # sin((n-1)x/2)
-            if weights is not None:
-                np.square(amplitude, out=amplitude)  # a^2, then times the weight
-                amplitude *= weights[part, 0]
-                np.square(edge, out=edge)
-                values[:, 0] = 4.0 * amplitude * (np.square(poles) + 4.0 * np.square(wrap) * edge)
-                values[:, 1:] = (16.0 * amplitude * np.square(edge))[:, None]
-            else:
-                amplitude *= 1.0 - 2.0 * (turns * (cycles - 1) % 2.0)  # (-1)^(k(N-1))
-                values[:, 0] = 2.0 * amplitude * (wrap * np.exp((0.5j * (n - 1) * step) * w)
-                                                  + edge * np.exp((0.5j * step) * w))
-                values[:, 1:] = (4j * amplitude * np.square(edge))[:, None]
-                values *= np.exp(1j * np.multiply.outer(w, centres))
+            np.square(amplitude, out=amplitude)  # a^2, then times the weight
+            amplitude *= weights[part]
+            np.square(edge, out=edge)
+            values[:, 0] = 4.0 * amplitude * (np.square(poles) + 4.0 * np.square(wrap) * edge)
+            values[:, 1:] = (16.0 * amplitude * np.square(edge))[:, None]
         values[w == 0.0] = 0.0
     return out
 
 
 def _filter_chunks(omegas: np.ndarray, schedule: ScheduleSpec):
-    """Yield (part, exponent_filters(omegas[part], schedule)) over consecutive
-    slices, each with temporaries of about _CHUNK_ELEMS elements, for UDD and
-    custom fractions.  UDD's form is chosen for all of ``omegas``, so a chunk
-    has the bits of one whole call."""
+    """Yield (part, chi_k(omegas[part])) over consecutive slices, each with
+    temporaries of about _CHUNK_ELEMS elements, for UDD and custom fractions;
+    the UDD series leaves out exp(i w T/2), a phase |chi|^2 drops.  UDD's form
+    is chosen for all of ``omegas``, so a chunk has the bits of one whole call."""
     boundaries, limit = schedule.boundaries, stencil(-1j * schedule.segments.sum(axis=0)[None])
     n, cycles, total_time = schedule.n, schedule.cycles, schedule.total_time
     orders = _udd_series_orders(omegas, schedule) if schedule.scheme is Scheme.UDD else None
@@ -285,9 +269,8 @@ def _filter_chunks(omegas: np.ndarray, schedule: ScheduleSpec):
         # the w = 0 quotients are not finite; the limit replaces them below
         with np.errstate(divide="ignore", invalid="ignore"):
             if orders is not None:
-                z = 0.5 * total_time * w
-                values = bessel_sums(z, orders[part], odd, even)
-                values *= (np.exp(1j * z) / w)[:, None]
+                values = bessel_sums(0.5 * total_time * w, orders[part], odd, even)
+                values /= w[:, None]
             else:
                 edge, diffs = buffer[: w.size], diff_buffer[: w.size]
                 np.multiply(w[:, None], boundaries, out=edge.imag)
@@ -310,7 +293,7 @@ def _thermal_weight(omegas: np.ndarray, bath: BathSpec) -> np.ndarray:
 def decay_integrand(omegas, schedule: ScheduleSpec, bath: BathSpec) -> np.ndarray:
     """Rows (1/2) I(w) coth(w/(2 Tp)) |chi_k(w)|^2 for every transition k, shape (n-1, K)."""
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    rows = _exponent_rows(omegas, schedule, _thermal_weight(omegas, bath)[:, None])
+    rows = exponent_filters(omegas, schedule, _thermal_weight(omegas, bath))
     return np.ascontiguousarray(rows.T)  # C-ordered: panel sums in one summation order
 
 
@@ -410,7 +393,7 @@ class FilterTable:
         centres = np.append((index + 0.5) * width, [centre for centre, _ in places])
         halves = np.append(0.5 * width, [half for _, half in places])
         nodes = (centres[:, None] + halves[:, None] * _GL_NODES).ravel()
-        rows = _exponent_rows(nodes, self.unit, (halves[:, None] * _GL_WEIGHTS).reshape(-1, 1))
+        rows = exponent_filters(nodes, self.unit, (halves[:, None] * _GL_WEIGHTS).ravel())
         gamma = np.empty((len(pairs), self.unit.n - 1))
         first = 0  # the level's first node
         for a, b, top in zip(starts, starts[1:], tops):

@@ -344,6 +344,22 @@ class TestCurveCommand:
         assert capsys.readouterr().err == f"ladder-dd: {line.format(path=path)}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, text, header", [
+        (["--config"], "scheme = pdd\n", "T,P_pdd"),
+        (["--scheme", "custom", "--custom-fractions"], "0.146\n", "T,P_custom"),
+    ], ids=["config", "fractions"])
+    def test_byte_order_mark_is_not_read(self, flags, text, header, tmp_path):
+        # a file that starts with a UTF-8 byte-order mark once exited 2 with
+        # "unknown config key '\ufeffscheme'" or "not a number: '\ufeff0.146'"
+        written = []
+        for name, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+            path, out = tmp_path / f"{name}.txt", tmp_path / f"{name}.csv"
+            path.write_bytes(mark + text.encode())
+            assert main(["curve", *FAST_CURVE, *flags, str(path), "--out", str(out)]) == EXIT_OK
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert written[0].decode().splitlines()[0] == header
+
     @pytest.mark.parametrize("command", [
         ["curve", *FAST_CURVE],
         ["schedule", "--scheme", "pdd", "--n", "2", "--cycles", "1"],

@@ -66,13 +66,28 @@ def chi_literal(k, omega, schedule):
     return stencil([eta_literal(l, omega, schedule) for l in range(1, schedule.n + 1)])[k]
 
 
-def assert_chi_matches(chi, eta, rel, abs=0.0):
-    """One frequency's exponent filters ``chi`` against the stencil of a
-    reference ``eta``, within 4 max(rel max|eta|, abs): the stencil's moduli
-    |1| + |-2| + |1| carry a bound on eta over to chi exactly."""
-    scale = max(rel * np.abs(eta).max(), abs)
-    err = np.abs(np.asarray(chi) - stencil(eta)).max()
-    assert err <= 4 * scale, err / scale
+def unit_rows(omegas, schedule):
+    """exponent_filters at unit weights: |chi_k(w)|^2, one row per frequency."""
+    return exponent_filters(omegas, schedule, np.ones(np.size(omegas)))
+
+
+def assert_squares_match(rows, chi, bound):
+    """Rows |chi_k|^2 against a reference ``chi`` known to within ``bound``
+    (a scalar, or one per row): |chi|^2 is then within (2|chi| + bound) bound
+    of |chi_ref|^2."""
+    chi = np.asarray(chi)
+    bound = np.reshape(bound, (-1,) + (1,) * (chi.ndim - 1)) if np.ndim(bound) else bound
+    allowed = (2 * np.abs(chi) + bound) * bound
+    ratio = np.max(np.abs(np.asarray(rows) - np.abs(chi) ** 2) / allowed)
+    assert ratio <= 1.0, ratio
+
+
+def assert_rows_match(rows, eta, rel, abs=0.0):
+    """One frequency's unit-weight rows |chi_k|^2 against the stencil of a
+    reference ``eta``: the stencil's moduli |1| + |-2| + |1| carry a bound
+    max(rel max|eta|, abs) on eta over to chi as 4 times that."""
+    assert_squares_match(np.asarray(rows).ravel(), stencil(eta),
+                         4 * max(rel * np.abs(eta).max(), abs))
 
 
 def toggling_weights(n):
@@ -92,7 +107,8 @@ def toggling_weights(n):
 
 
 class TestPositionFilter:
-    """exponent_filters against the stencil of the position filters written out."""
+    """exponent_filters against the squared stencil of the position filters
+    written out."""
 
     def test_single_cycle_first_slot_is_bare_kernel(self):
         # one cycle: slot l's filter is its bare window times its start phase
@@ -100,18 +116,18 @@ class TestPositionFilter:
         omega = 1.3
         eta = [window(omega, dt) * np.exp(1j * omega * t)
                for dt, t in zip(schedule.segments[0].tolist(), schedule.boundaries.tolist())]
-        assert_chi_matches(exponent_filters(omega, schedule)[0], eta, rel=1e-13)
+        assert_rows_match(unit_rows(omega, schedule), eta, rel=1e-13)
 
     @pytest.mark.parametrize("scheme", [Scheme.PDD, Scheme.UDD])
     def test_zero_frequency_limit(self, scheme):
         schedule = ScheduleSpec(scheme, 3, 4, 2.0)
         eta = -1j * schedule.segments.sum(axis=0)
-        assert_chi_matches(exponent_filters(0.0, schedule)[0], eta, rel=1e-13)
+        assert_rows_match(unit_rows(0.0, schedule), eta, rel=1e-13)
 
     def test_against_literal_transcription_pdd(self):
         schedule = ScheduleSpec(Scheme.PDD, 2, 2, 1.0)
         eta = [eta_literal(l, 1.0, schedule) for l in (1, 2)]
-        assert_chi_matches(exponent_filters(1.0, schedule)[0], eta, rel=1e-13)
+        assert_rows_match(unit_rows(1.0, schedule), eta, rel=1e-13)
 
     @pytest.mark.parametrize("scheme", [Scheme.PDD, Scheme.UDD])
     @pytest.mark.parametrize("n,cycles", [(2, 3), (4, 2), (6, 2)])
@@ -119,16 +135,15 @@ class TestPositionFilter:
         schedule = ScheduleSpec(scheme, n, cycles, 1.7)
         for omega in (0.35, 1.0, 7.9):
             eta = [eta_literal(l, omega, schedule) for l in range(1, n + 1)]
-            assert_chi_matches(exponent_filters(omega, schedule)[0], eta, rel=1e-12, abs=1e-15)
+            assert_rows_match(unit_rows(omega, schedule), eta, rel=1e-12, abs=1e-15)
 
 
 def assert_filters_match_boundary_sum(schedule, omegas, rel, scale):
-    """exponent_filters against the stencil of eta_boundary_sum, to ``rel`` of
-    4 scale(w), the bound on eta carried over to chi."""
-    got = exponent_filters(omegas, schedule)
-    for omega, row in zip(omegas, got):
-        err = np.abs(row - stencil(eta_boundary_sum(omega, schedule))).max()
-        assert err <= rel * 4 * scale(omega), (omega, err / (4 * scale(omega)))
+    """exponent_filters against the squared stencil of eta_boundary_sum, chi
+    known to ``rel`` of 4 scale(w), the bound on eta carried over to chi."""
+    want = [stencil(eta_boundary_sum(omega, schedule)) for omega in omegas]
+    assert_squares_match(unit_rows(omegas, schedule), want,
+                         [rel * 4 * scale(omega) for omega in omegas])
 
 
 class TestFilterForms:
@@ -155,8 +170,8 @@ class TestFilterForms:
     @pytest.mark.parametrize("cycles", [50, 400])
     @pytest.mark.parametrize("n", [6, 3, 2])
     def test_pdd_chi_matches_a_50_digit_boundary_sum(self, n, cycles):
-        # |chi1_k|^2 of PDD, from exponent_filters and from the table's rows,
-        # entry by entry against the boundary sum in 50 digits: below u = 0.2,
+        # the weighted rows w_j |chi1_k|^2 of PDD, the table's, entry by entry
+        # against the boundary sum in 50 digits: below u = 0.2,
         # over the default curve's u <= 311, and on and beside the Dirichlet
         # poles u = 2 pi m N.  The closed form was off by at most 7.2e-13, near
         # zeros of D_N at large u; differencing eta by 2.9e-3 at u = 0.001.
@@ -184,15 +199,12 @@ class TestFilterForms:
         poles = [2 * math.pi * m * cycles * (1 + f) for m in (1, 5)
                  for f in (0, 1e-15, -1e-15, 1e-9, -1e-9, 1e-4, -1e-4)]
         u = np.concatenate((low, band, poles))
-        want = np.abs([chi_reference(x) for x in u.tolist()]) ** 2
-        chi = np.abs(exponent_filters(u, schedule)) ** 2
-        weights = np.random.default_rng(cycles).uniform(0.5, 2.0, (u.size, 1))
-        rows = kernel._exponent_rows(u, schedule, weights)
-        assert np.all(np.abs(chi - want) <= 1e-12 * want)
-        assert np.all(np.abs(rows / weights - want) <= 1e-12 * want)
-        # the interior slots share one factor; the rows are the moduli's bits
+        weights = np.random.default_rng(cycles).uniform(0.5, 2.0, u.size)
+        want = np.abs([chi_reference(x) for x in u.tolist()]) ** 2 * weights[:, None]
+        rows = exponent_filters(u, schedule, weights)
+        assert np.all(np.abs(rows - want) <= 1e-12 * want)
+        # the interior slots share one factor
         np.testing.assert_array_equal(rows[:, 1:], np.repeat(rows[:, 1:2], n - 2, axis=1))
-        assert np.all(np.abs(rows - chi * weights) <= 8 * np.spacing(rows))
 
     @pytest.mark.parametrize("cycles", [1, 2, 3, 50, 400])
     @pytest.mark.parametrize("n", range(2, 8))
@@ -231,8 +243,10 @@ class TestFilterForms:
         assert kernel._CHUNK_ELEMS // (schedule.boundaries.size + 1) == 868
         omegas = np.random.default_rng(50).uniform(0.0, 4 * math.pi * 50 / self.TOTAL_TIME, 2000)
         omegas[[0, 900, 1999]] = 0.0  # the w = 0 limit in each chunk
-        want = np.array([exponent_filters([omega], schedule)[0] for omega in omegas])
-        assert exponent_filters(omegas, schedule).tobytes() == want.tobytes()
+        weights = np.random.default_rng(51).uniform(0.5, 2.0, omegas.size)
+        want = np.array([exponent_filters([omega], schedule, [weight])[0]
+                         for omega, weight in zip(omegas, weights)])
+        assert exponent_filters(omegas, schedule, weights).tobytes() == want.tobytes()
 
 
 class TestFilterChunks:
@@ -289,9 +303,10 @@ class TestFilterChunks:
         schedule = ScheduleSpec(scheme, 6, 50, 1.3, custom_fractions=custom)
         omegas = np.random.default_rng(6).uniform(0.0, 500.0, 3000)
         omegas[[0, 1500, 2999]] = 0.0
-        chi = exponent_filters(omegas, schedule)
+        weights = np.random.default_rng(7).uniform(0.5, 2.0, omegas.size)
+        rows = exponent_filters(omegas, schedule, weights)
         monkeypatch.setattr(kernel, "_CHUNK_ELEMS", 2**12)
-        assert exponent_filters(omegas, schedule).tobytes() == chi.tobytes()
+        assert exponent_filters(omegas, schedule, weights).tobytes() == rows.tobytes()
 
 
 class TestBesselSeries:
@@ -355,8 +370,7 @@ class TestBesselSeries:
         for u in (high,) if n == 2 else (low, high):
             assert kernel._udd_series_orders(u, schedule) is not None
             want = np.array([chi_reference(x) for x in u.tolist()])
-            error = np.abs(exponent_filters(u, schedule) - want).max()
-            assert error <= 1e-13 * np.abs(want).max(), (u[0], error)
+            assert_squares_match(unit_rows(u, schedule), want, 1e-13 * np.abs(want).max())
 
     def test_weights_run_past_the_call_top_order(self, monkeypatch):
         # a call's UDD weights run to its highest order + 1: a node that starts
@@ -367,8 +381,8 @@ class TestBesselSeries:
         z = np.array([53.4, 53.9, 54.4, 54.9])
         assert (udd_series.miller_orders(z) == 99.0).all()
         for omega in (2.0 * z).tolist():
-            alone = exponent_filters([omega, 1.0], schedule)[0]
-            wider = exponent_filters([omega, 1.0, 400.0], schedule)[0]
+            alone = unit_rows([omega, 1.0], schedule)[0]
+            wider = unit_rows([omega, 1.0, 400.0], schedule)[0]
             assert alone.tobytes() == wider.tobytes(), omega
 
     @pytest.mark.parametrize("omega", [1e-300, 1e-250, 1e-20])
@@ -377,7 +391,7 @@ class TestBesselSeries:
         monkeypatch.setattr(kernel, "_SERIES_GAIN", math.inf)
         schedule = ScheduleSpec(Scheme.UDD, 6, 50, 1.0)
         limit = -1j * schedule.segments.sum(axis=0)
-        assert_chi_matches(exponent_filters(omega, schedule)[0], limit, rel=1e-12)
+        assert_rows_match(unit_rows(omega, schedule), limit, rel=1e-12)
 
     def test_vanishing_udd_run_is_finite(self):
         # cutoff*T = 1e-198: every table node takes the series at tiny z
@@ -450,23 +464,22 @@ class TestExponentFilter:
         schedule = ScheduleSpec(Scheme.UDD, 2, 2, 1.5)
         omega = 2.1
         eta1, eta2 = (eta_literal(l, omega, schedule) for l in (1, 2))
-        chi = exponent_filters(omega, schedule)[0, 0]
-        assert chi == pytest.approx(-2 * eta1 + 2 * eta2, rel=1e-13)
+        row = unit_rows(omega, schedule)[0, 0]  # measured 2.7e-15 off
+        assert row == pytest.approx(abs(-2 * eta1 + 2 * eta2) ** 2, rel=1e-13)
 
     def test_pdd_low_frequency_cancellation(self):
         # equal segments make the omega->0 limits equal across slots, and the
-        # (+1, -2, +1) coefficients sum to zero
+        # (+1, -2, +1) coefficients sum to zero: the closed form's w = 0 rows
+        # are exactly 0
         schedule = ScheduleSpec(Scheme.PDD, 4, 3, 2.0)
-        for k in range(3):
-            # segment sums agree across slots to round-off only
-            assert abs(exponent_filters(0.0, schedule)[0, k]) <= 1e-13
+        assert not unit_rows(0.0, schedule).any()
 
     def test_six_level_udd_against_transcription(self):
         schedule = ScheduleSpec(Scheme.UDD, 6, 2, 1.0)
         omega = 0.7 * 100.0
-        for k in range(5):
-            got = exponent_filters(omega, schedule)[0, k]
-            assert got == pytest.approx(chi_literal(k, omega, schedule), rel=1e-12)
+        for k in range(5):  # measured at most 1.5e-14 off
+            got = unit_rows(omega, schedule)[0, k]
+            assert got == pytest.approx(abs(chi_literal(k, omega, schedule)) ** 2, rel=1e-13)
 
     def test_four_level_matches_fixed_index_transcription(self):
         # at n=4 the published index pattern (second filter ending on eta_{n-1})
@@ -479,8 +492,8 @@ class TestExponentFilter:
             1: -2 * eta[1] + eta[0] + eta[2],  # eta_{n-1} = eta_3 at n=4
             2: -2 * eta[2] + eta[1] + eta[3],
         }
-        for k, want in fixed.items():
-            assert exponent_filters(omega, schedule)[0, k] == pytest.approx(want, rel=1e-12)
+        for k, want in fixed.items():  # measured at most 2.1e-15 off
+            assert unit_rows(omega, schedule)[0, k] == pytest.approx(abs(want) ** 2, rel=1e-13)
 
     def test_five_level_diverges_from_n_minus_1_variant(self):
         # the eta_{n-1} variant of the second filter is not the cyclic
@@ -490,14 +503,16 @@ class TestExponentFilter:
         omega = 2.7
         eta = [eta_literal(l, omega, schedule) for l in range(1, 6)]
         variant = -2 * eta[1] + eta[0] + eta[3]
-        assert abs(exponent_filters(omega, schedule)[0, 1] - variant) > 1e-3
+        # |chi_1|^2 = 0.0030 against 0.0103 for the variant
+        assert abs(unit_rows(omega, schedule)[0, 1] - abs(variant) ** 2) > 1e-3
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_slices_equal_the_rolled_stencil(self, n, monkeypatch):
         # column slices add the same terms in the same order as two full
         # np.roll copies, so chi keeps its bits in every form that differences
         # eta; the UDD Bessel series instead sums J_k(z) over the stencils of
-        # its weights, and has the bits of that series
+        # its weights, and the rows have the bits of that series over w,
+        # squared and weighted
         rng = np.random.default_rng(n)
         omegas = np.array([0.0, *rng.uniform(0.0, 300.0, 40)])
         scales = np.exp(rng.uniform(-30.0, 30.0, (41, 1)))  # rows of filters far apart
@@ -513,10 +528,24 @@ class TestExponentFilter:
         odd, even = udd_series.udd_stencil_weights(int(orders.max()) + 1, n, 7)
         z = 0.5 * schedule.total_time * omegas
         with np.errstate(divide="ignore", invalid="ignore"):  # w = 0
-            want = udd_series.bessel_sums(z, orders, odd, even)
-            want *= (np.exp(1j * z) / omegas)[:, None]
-        want[0] = rolled(-1j * schedule.segments.sum(axis=0))  # the w = 0 limit, differenced
-        assert exponent_filters(omegas, schedule).tobytes() == want.tobytes()
+            chi = udd_series.bessel_sums(z, orders, odd, even) / omegas[:, None]
+        chi[0] = rolled(-1j * schedule.segments.sum(axis=0))  # the w = 0 limit, differenced
+        weights = np.exp(rng.uniform(-3.0, 3.0, omegas.size))
+        want = (np.square(chi.real) + np.square(chi.imag)) * weights[:, None]
+        assert exponent_filters(omegas, schedule, weights).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scheme", [Scheme.PDD, Scheme.UDD, Scheme.CUSTOM])
+    @pytest.mark.parametrize("weights, shape", [
+        ([1.0], (1,)), (2.0, (1,)), ([1.0, 2.0, 3.0], (3,)), ([[1.0, 2.0]], (1, 2))],
+        ids=["one", "scalar", "three", "row"])
+    def test_one_weight_per_frequency(self, scheme, weights, shape):
+        # a single weight would otherwise broadcast over every frequency's row
+        custom = _custom_fractions(3, 2) if scheme is Scheme.CUSTOM else None
+        schedule = ScheduleSpec(scheme, 3, 2, 1.3, custom_fractions=custom)
+        message = (f"exponent_filters takes one weight per frequency, got weights of "
+                   f"shape {shape} for 2 frequencies")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            exponent_filters([0.5, 2.0], schedule, weights)
 
     def test_hahn_echo_closed_form(self):
         # two levels, single midpoint pulse
@@ -525,8 +554,7 @@ class TestExponentFilter:
         for omega in (0.5, 2.0, 9.3):
             phase = np.exp(1j * omega * total_time / 2)
             closed = 4 * abs((1 - phase) - phase * (1 - phase)) ** 2 / omega**2
-            chi = exponent_filters(omega, schedule)[0, 0]
-            assert abs(chi) ** 2 == pytest.approx(closed, rel=1e-12)
+            assert unit_rows(omega, schedule)[0, 0] == pytest.approx(closed, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -538,40 +566,39 @@ def test_stencil_is_group_toggling_weights(n):
     for scheme in (Scheme.PDD, Scheme.UDD):
         schedule = ScheduleSpec(scheme, n, 3, 1.7)
         eta = np.array([eta_boundary_sum(omega, schedule) for omega in omegas])
-        chi = exponent_filters(omegas, schedule)
-        assert chi.shape == (len(omegas), n - 1)
-        # relative to each frequency's filter scale, times the stencil's 4:
-        # PDD cancels at w = 0
-        scale = 4 * np.abs(eta).max(axis=1, keepdims=True)
-        assert np.all(np.abs(chi - eta @ weights.T) <= 1e-13 * scale), scheme
+        rows = unit_rows(omegas, schedule)
+        assert rows.shape == (len(omegas), n - 1)
+        # chi relative to each frequency's filter scale, times the stencil's
+        # 4: PDD cancels at w = 0
+        assert_squares_match(rows, eta @ weights.T, 1e-13 * 4 * np.abs(eta).max(axis=1))
 
 
 
 class TestStaticFilterTerm:
-    """chi_k(0) = -i sum_l W[k, l] tau_l, tau_l the total time of slot l: the
-    group average removes a static dephasing only when the n slots get equal
-    total time.  PDD's slots do at every n, and Uhrig's at n = 2; at n >= 3
-    Uhrig's unequal slot times leave c_n T / N^2, so UDD's filters tend to a
-    nonzero constant as w -> 0."""
+    """|chi_k(0)|^2 = (sum_l W[k, l] tau_l)^2, tau_l the total time of slot l:
+    the group average removes a static dephasing only when the n slots get
+    equal total time.  PDD's slots do at every n, and Uhrig's at n = 2; at
+    n >= 3 Uhrig's unequal slot times leave |chi_k(0)| up to c_n T / N^2, so
+    UDD's filters tend to a nonzero constant as w -> 0."""
 
     @pytest.mark.parametrize("scheme, n", [*((Scheme.PDD, n) for n in range(2, 9)),
                                            (Scheme.UDD, 2)])
     def test_equal_slot_times_leave_round_off(self, scheme, n):
         for cycles in (1, 4, 50):
             for total_time in (1.0, 7.0):
-                chi = exponent_filters(0.0, ScheduleSpec(scheme, n, cycles, total_time))
-                assert np.abs(chi).max() <= 1e-13 * total_time, (cycles, total_time)
+                rows = unit_rows(0.0, ScheduleSpec(scheme, n, cycles, total_time))
+                # measured |chi_k(0)| <= 3.6e-15 T
+                assert rows.max() <= (1e-13 * total_time) ** 2, (cycles, total_time)
 
     @pytest.mark.parametrize("n, c_n", [(3, 0.3656), (4, 0.1542), (6, 0.0914)])
     def test_udd_leaves_a_static_term(self, n, c_n):
         weights = toggling_weights(n)
         for total_time in (1.0, 7.0):
             schedule = ScheduleSpec(Scheme.UDD, n, 50, total_time)
-            chi = exponent_filters(0.0, schedule)[0]
-            assert 50**2 * np.abs(chi).max() / total_time == pytest.approx(c_n, abs=5e-5)
+            rows = unit_rows(0.0, schedule)[0]
+            assert 50**2 * math.sqrt(rows.max()) / total_time == pytest.approx(c_n, abs=5e-5)
             slot_times = schedule.segments.sum(axis=0)
-            np.testing.assert_allclose(chi, -1j * weights @ slot_times,
-                                       rtol=0, atol=1e-13 * total_time)
+            assert_squares_match(rows, weights @ slot_times, 1e-13 * total_time)
 
 
 class TestBath:
@@ -809,7 +836,7 @@ class TestDecayExponents:
         def never(*args, **kwargs):
             raise AssertionError("filters evaluated for an invalid rel_tol")
 
-        monkeypatch.setattr(kernel, "_exponent_rows", never)
+        monkeypatch.setattr(kernel, "exponent_filters", never)
         bath = BathSpec(alpha=0.25, cutoff=100.0, temperature=150.0)
         schedule = ScheduleSpec(Scheme.UDD, 6, 50, 1.0)
         for run in (lambda: decay_exponents(schedule, bath, rel_tol=rel_tol),
@@ -823,7 +850,7 @@ class TestDecayExponents:
         def never(*args, **kwargs):
             raise AssertionError("filters evaluated for an invalid extra_levels")
 
-        monkeypatch.setattr(kernel, "_exponent_rows", never)
+        monkeypatch.setattr(kernel, "exponent_filters", never)
         bath = BathSpec(alpha=0.25, cutoff=100.0, temperature=150.0)
         schedule = ScheduleSpec(Scheme.PDD, 6, 50, 1.0)
         message = f"extra levels must be an int >= 0, got extra_levels={extra_levels!r}"
@@ -863,7 +890,7 @@ class TestDecayExponents:
         def never(*args, **kwargs):
             raise AssertionError("filters evaluated before an out-of-range point was seen")
 
-        monkeypatch.setattr(kernel, "_exponent_rows", never)
+        monkeypatch.setattr(kernel, "exponent_filters", never)
         bath = BathSpec(alpha=0.25, cutoff=1e300, temperature=1.0)
         template = ScheduleSpec(scheme=Scheme.UDD, n=6, cycles=50, total_time=1.0)
         with pytest.raises(ValueError, match=r"cutoff \* total time = inf"):
@@ -1122,16 +1149,16 @@ def _custom_fractions(n, cycles):
 
 
 def recorded_table_calls(monkeypatch):
-    """The nodes of every kernel._exponent_rows call on a filter table's
+    """The nodes of every kernel.exponent_filters call on a filter table's
     unit schedule (total time 1), appended as the calls run."""
-    calls, filters = [], kernel._exponent_rows
+    calls, filters = [], kernel.exponent_filters
 
     def recording(omegas, schedule, weights):
         if schedule.total_time == 1.0:
             calls.append(np.asarray(omegas))
         return filters(omegas, schedule, weights)
 
-    monkeypatch.setattr(kernel, "_exponent_rows", recording)
+    monkeypatch.setattr(kernel, "exponent_filters", recording)
     return calls
 
 
@@ -1268,8 +1295,7 @@ class TestSharedTable:
             nodes = panel_nodes(panels)
             assert np.isin(nodes, evaluated).all()
             halves = [half for _, half in panels]
-            chi = exponent_filters(nodes, unit)
-            rows = (chi.real**2 + chi.imag**2) * np.outer(halves, kernel._GL_WEIGHTS).reshape(-1, 1)
+            rows = exponent_filters(nodes, unit, np.outer(halves, kernel._GL_WEIGHTS).ravel())
             terms = kernel._thermal_weight(nodes / t, self.BATH)[:, None] * rows
             assert count == nodes.size
             np.testing.assert_allclose(gamma, t * np.add.accumulate(terms)[-1], rtol=1e-12, atol=0)
@@ -1388,14 +1414,14 @@ class TestTableRecords:
                 return function(*args, **kwargs)
             return wrapped
 
-        filters = kernel._exponent_rows
+        filters = kernel.exponent_filters
 
         def filtering(omegas, schedule, weights):
             if schedule.total_time == 1.0:  # the table's unit schedule
                 events.append("filter")
             return filters(omegas, schedule, weights)
 
-        monkeypatch.setattr(kernel, "_exponent_rows", filtering)
+        monkeypatch.setattr(kernel, "exponent_filters", filtering)
         monkeypatch.setattr(FilterTable, "_reduce_group",
                             recording("_reduce_group", FilterTable._reduce_group))
         monkeypatch.setattr(kernel, "decay_exponents", recording("point", decay_exponents))
